@@ -103,3 +103,34 @@ class CountdownApp(IterativeMapReduceApp):
     @property
     def converged(self) -> bool:
         return self.remaining <= 0
+
+
+def output_digest(output: dict) -> str:
+    """sha256 of the exact bytes of every output value, in key order.
+
+    Floats feed their ``float.hex`` form and arrays their dtype, shape and
+    raw bytes, so two outputs share a digest only when they are bitwise
+    identical.  Keys are visited in ``repr`` order.
+    """
+    import hashlib
+
+    h = hashlib.sha256()
+
+    def feed(value) -> None:
+        if isinstance(value, (tuple, list)):
+            h.update(b"(")
+            for item in value:
+                feed(item)
+            h.update(b")")
+        elif isinstance(value, np.ndarray):
+            h.update(f"{value.dtype}{value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        elif isinstance(value, float):
+            h.update(value.hex().encode())
+        else:
+            h.update(repr(value).encode())
+
+    for key in sorted(output, key=repr):
+        h.update(repr(key).encode())
+        feed(output[key])
+    return h.hexdigest()

@@ -1,0 +1,182 @@
+"""Golden fingerprints: an exact behaviour gate for the job driver.
+
+Each scenario runs once and is reduced to a fingerprint: a sha256 of the
+exact output bytes (and of the final model state, where the scenario
+exposes its app), ``repr(makespan)``, the engine event count, the
+iteration count, the span count and — when the job returned one — the
+recovery summary's counts.  ``fingerprints.json`` holds the committed
+values and the tests only compare against it, so any refactor that moves
+a single float, event or span fails here.
+
+Scenarios: the baseline sweep (``obs.analyze.baseline.DEFAULT_WORKLOADS``)
+× {fault-free, GPU kill, rank kill, dropped messages}; an obs-on twin
+(every host observer at its most verbose) of the fault-free and rank-kill
+rows; and the elastic chaos walk (2 -> 8 -> 4 ranks on an 8-node pool with
+a rank kill) next to its fault-free twin.
+
+After an intended behaviour change, regenerate the golden file with::
+
+    PYTHONPATH=src python tests/integration/test_fingerprints.py --write
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from functools import lru_cache
+from pathlib import Path
+from typing import Any
+
+if __package__ in (None, ""):  # run as a script: make the packages importable
+    _ROOT = Path(__file__).resolve().parents[2]
+    sys.path[:0] = [str(_ROOT), str(_ROOT / "src")]
+
+import pytest
+
+from repro.obs.analyze.baseline import DEFAULT_WORKLOADS, _run_workload
+from tests.helpers import output_digest
+
+GOLDEN = Path(__file__).with_name("fingerprints.json")
+
+FAULT_ROWS: dict[str, list[str] | None] = {
+    "fault-free": None,
+    "gpu-kill": ["gpu_kill@1:t=0.002"],
+    "rank-kill": ["rank_kill@1:t=0.003"],
+    "msg-drop": ["msg_drop@1-0:count=2,t0=0"],
+}
+#: the obs-on twin: every host-side observer at its most verbose
+OBS_ON: dict[str, Any] = dict(
+    sample_interval=1e-4, log_level="debug", selfprof=True
+)
+OBS_ROWS = ("fault-free", "rank-kill")
+
+#: the elastic chaos walk: six joins, a 3x network-degradation window,
+#: a rank kill while 8 ranks are live, then three drains
+CHAOS_WALK = [
+    "join@2:t=0.04", "join@3:t=0.04", "join@4:t=0.04",
+    "join@5:t=0.04", "join@6:t=0.04", "join@7:t=0.04",
+    "net_slow@*:factor=3,t0=0.05,t1=0.07",
+    "rank_kill@6:t=0.07",
+    "drain@4:t=0.10", "drain@5:t=0.10", "drain@7:t=0.10",
+]
+CHAOS_SCENARIOS = {"chaos-walk/gmm": CHAOS_WALK, "chaos-twin/gmm": None}
+
+_WORKLOADS = {spec.name: spec for spec in DEFAULT_WORKLOADS}
+
+
+def scenario_names() -> list[str]:
+    names = [
+        f"{spec.name}/{row}" for spec in DEFAULT_WORKLOADS for row in FAULT_ROWS
+    ]
+    names += [
+        f"{spec.name}/{row}+obs" for spec in DEFAULT_WORKLOADS for row in OBS_ROWS
+    ]
+    return names + list(CHAOS_SCENARIOS)
+
+
+def run_scenario(name: str):
+    """Run one named scenario; returns its ``JobResult`` and the app's
+    final model state (``None`` for the baseline sweep, whose runner
+    keeps the app to itself)."""
+    if name in CHAOS_SCENARIOS:
+        from repro.apps.gmm import GMMApp
+        from repro.data.synth import gaussian_mixture
+        from repro.hardware import delta_cluster
+        from repro.runtime.job import JobConfig
+        from repro.runtime.prs import PRSRuntime
+
+        pts, _, _ = gaussian_mixture(2000, 6, 3, seed=6)
+        app = GMMApp(pts, 3, seed=6, max_iterations=12)
+        config = JobConfig(faults=CHAOS_SCENARIOS[name], initial_nodes=2)
+        result = PRSRuntime(delta_cluster(n_nodes=8), config).run(app)
+        return result, app.iteration_state()
+    workload, _, row = name.partition("/")
+    row, _, obs = row.partition("+")
+    overrides = dict(OBS_ON) if obs else {}
+    result = _run_workload(
+        _WORKLOADS[workload], faults=FAULT_ROWS[row], **overrides
+    )
+    return result, None
+
+
+def recovery_counts(summary) -> dict[str, Any] | None:
+    if summary is None:
+        return None
+    out = {
+        key: value
+        for key, value in summary.to_dict().items()
+        if isinstance(value, int) and not isinstance(value, bool)
+    }
+    out["dead_nodes"] = list(summary.dead_nodes)
+    out["epochs"] = [
+        f"{e.cause}:{','.join(map(str, e.members))}" for e in summary.epochs
+    ]
+    return out
+
+
+@lru_cache(maxsize=None)
+def fingerprint(name: str) -> dict[str, Any]:
+    """The exact, JSON-ready behaviour fingerprint of one scenario."""
+    result, model = run_scenario(name)
+    return {
+        "digest": output_digest(result.output),
+        "model": output_digest(model) if model is not None else None,
+        "makespan": repr(result.makespan),
+        "engine_events": result.engine_events,
+        "iterations": result.iterations,
+        "spans": len(result.trace.tracer),
+        "alerts": sorted({a.rule for a in result.alerts}),
+        "recovery": recovery_counts(result.recovery),
+    }
+
+
+def load_golden() -> dict[str, Any]:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_scenario():
+    assert sorted(load_golden()) == sorted(scenario_names())
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_fingerprint_matches_golden(name):
+    golden = load_golden()
+    assert name in golden, f"no golden fingerprint for {name}; run --write"
+    assert fingerprint(name) == golden[name]
+
+
+@pytest.mark.parametrize("workload", sorted(_WORKLOADS))
+@pytest.mark.parametrize("row", OBS_ROWS)
+def test_obs_twin_does_not_perturb(workload, row):
+    """Observers are host bookkeeping: the simulated run is unchanged."""
+    plain = fingerprint(f"{workload}/{row}")
+    observed = fingerprint(f"{workload}/{row}+obs")
+    for key in ("digest", "makespan", "engine_events", "iterations"):
+        assert observed[key] == plain[key], key
+
+
+def test_chaos_walk_is_bitwise_identical_to_its_twin():
+    """Elasticity and a rank kill move work between ranks, never a float."""
+    walk = fingerprint("chaos-walk/gmm")
+    twin = fingerprint("chaos-twin/gmm")
+    assert walk["digest"] == twin["digest"]
+    assert walk["model"] == twin["model"]
+    assert walk["iterations"] == twin["iterations"]
+    rec = walk["recovery"]
+    sizes = [len(epoch.split(":")[1].split(",")) for epoch in rec["epochs"]]
+    assert sizes[0] == 2 and max(sizes) == 8 and sizes[-1] == 4, sizes
+    assert rec["rank_restarts"] >= 1
+    assert rec["dead_nodes"] == [6]
+    assert "membership-churn" in walk["alerts"]
+
+
+def _write() -> None:
+    golden = {name: fingerprint(name) for name in scenario_names()}
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(golden)} fingerprints to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {sys.argv[0]} --write")
+    _write()
