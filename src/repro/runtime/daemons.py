@@ -58,8 +58,8 @@ class NodeResources:
         #: per-daemon-thread regions (§III.C.2); reset between stages
         self.allocator = RegionAllocator()
         #: live fault state (a :class:`repro.simulate.faults.FaultState`)
-        #: when the job injects faults; None keeps every code path on the
-        #: exact fault-free schedule.
+        #: when the job is armed; None keeps every code path on the exact
+        #: fault-free schedule.
         self.faults = None
         #: physical node index this resource set represents (stable across
         #: rank-restart incarnations)
@@ -156,6 +156,30 @@ def _run_guarded(
         daemon._report_failure(block, fatal=faults.device_dead(key))
 
 
+class _MapDaemon:
+    """Map dispatch shared by the CPU and GPU daemons."""
+
+    #: fault-state device key + scheduler failure callback, wired by
+    #: ``SubTaskScheduler.enable_faults`` (None unless the job is armed)
+    fault_key: str | None = None
+    fault_listener: Any = None
+
+    def _report_failure(self, block: Block, fatal: bool) -> None:
+        _log_failure(self, block, fatal)
+        if self.fault_listener is not None:
+            self.fault_listener(self, block, fatal)
+
+    def run_map_block(
+        self, block: Block, sink: list[KeyValue]
+    ) -> Generator[Event, Any, None]:
+        """Process fragment: one map sub-task on this daemon's device —
+        raced against the device's faults once they are wired."""
+        if self.fault_key is None:
+            yield from self._map_block(block, sink)
+        else:
+            yield from _run_guarded(self, block, sink)
+
+
 def _alloc_seconds(
     resources: NodeResources,
     thread_id: str,
@@ -180,7 +204,7 @@ def _alloc_seconds(
     return (region.stats.backing_allocs - before) * MALLOC_OVERHEAD_S
 
 
-class CpuDaemon:
+class CpuDaemon(_MapDaemon):
     """The one daemon thread managing all CPU cores of a node."""
 
     def __init__(
@@ -196,15 +220,6 @@ class CpuDaemon:
         self.overheads = config.overheads
         self.trace = trace
         self.device_name = f"{resources.node.name}.cpu"
-        #: fault-state device key + scheduler failure callback, wired by
-        #: ``SubTaskScheduler.enable_faults`` (None in fault-free runs)
-        self.fault_key: str | None = None
-        self.fault_listener = None
-
-    def _report_failure(self, block: Block, fatal: bool) -> None:
-        _log_failure(self, block, fatal)
-        if self.fault_listener is not None:
-            self.fault_listener(self, block, fatal)
 
     # ------------------------------------------------------------------
     def block_seconds(self, block: Block) -> float:
@@ -217,15 +232,6 @@ class CpuDaemon:
         cpu = self.res.node.cpu
         per_core = cpu.attainable_gflops(intensity) / cpu.cores
         return flops / (per_core * 1e9)
-
-    def run_map_block(
-        self, block: Block, sink: list[KeyValue]
-    ) -> Generator[Event, Any, None]:
-        """Process fragment: one map sub-task on one core."""
-        if self.res.faults is None:
-            yield from self._map_block(block, sink)
-        else:
-            yield from _run_guarded(self, block, sink)
 
     def _map_block(
         self, block: Block, sink: list[KeyValue]
@@ -345,7 +351,7 @@ class CpuDaemon:
         yield engine.all_of(procs)
 
 
-class GpuDaemon:
+class GpuDaemon(_MapDaemon):
     """The daemon thread owning one GPU card (and its context, §III.C.3)."""
 
     def __init__(
@@ -369,10 +375,6 @@ class GpuDaemon:
         self.overheads = config.overheads
         self.trace = trace
         self.device_name = self.stream_engine.name
-        #: fault-state device key + scheduler failure callback, wired by
-        #: ``SubTaskScheduler.enable_faults`` (None in fault-free runs)
-        self.fault_key: str | None = None
-        self.fault_listener = None
         #: item spans already resident in GPU memory (loop-invariant cache)
         self._cached_blocks: set[tuple[int, int]] = set()
         #: bytes currently held by the loop-invariant cache
@@ -416,20 +418,6 @@ class GpuDaemon:
             out_bytes=self.app.map_output_bytes(block),
             kernel_seconds=self.kernel_seconds(block),
         )
-
-    def _report_failure(self, block: Block, fatal: bool) -> None:
-        _log_failure(self, block, fatal)
-        if self.fault_listener is not None:
-            self.fault_listener(self, block, fatal)
-
-    def run_map_block(
-        self, block: Block, sink: list[KeyValue]
-    ) -> Generator[Event, Any, None]:
-        """Process fragment: one map sub-task as one GPU stream."""
-        if self.res.faults is None:
-            yield from self._map_block(block, sink)
-        else:
-            yield from _run_guarded(self, block, sink)
 
     def _map_block(
         self, block: Block, sink: list[KeyValue]

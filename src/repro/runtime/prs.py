@@ -15,7 +15,10 @@ plus the job driver of §III.A.2:
   (state update + stop broadcast for iterative apps).  Every phase
   brackets itself in the trace (annotated with its DAG node and blocking
   edge), so the returned :class:`~repro.runtime.job.JobResult` carries a
-  per-iteration, per-phase time breakdown.
+  per-iteration, per-phase time breakdown;
+* the job runs as epochs over the live nodes of one engine — a fault-free
+  job is the single epoch, and fault tolerance / elastic membership add
+  epochs only when the job arms them (:meth:`PRSRuntime.run`).
 
 Data placement convention: like the paper's experiments ("the input
 matrices were copied into CPU and GPU memories in advance", §IV.A.1), the
@@ -36,7 +39,6 @@ from repro.comm.mpi import (
     EpochAborted,
     RankComm,
     World,
-    run_spmd,
     spawn_heartbeats,
 )
 from repro.core.analytic import node_partition_weights
@@ -49,6 +51,7 @@ from repro.runtime.job import JobConfig, JobResult
 from repro.runtime.membership import (
     ClusterView,
     ElasticState,
+    MembershipError,
     MembershipEvent,
     MembershipSchedule,
 )
@@ -162,171 +165,74 @@ class PRSRuntime:
             "app": getattr(app, "name", type(app).__name__),
         })
 
+    def _check_targets(self, plan: FaultPlan) -> None:
+        """Fail before the engine runs when the plan or ``initial_nodes``
+        names hardware outside the cluster."""
+        cluster, config = self.cluster, self.config
+        if config.initial_nodes is not None and (
+            config.initial_nodes > cluster.n_nodes
+        ):
+            raise MembershipError(
+                f"initial_nodes={config.initial_nodes} exceeds the pool of "
+                f"{cluster.n_nodes} nodes"
+            )
+        plan.check_targets(
+            [min(config.gpus_per_node, len(n.gpus)) for n in cluster.nodes]
+        )
+
     # ------------------------------------------------------------------
     def run(self, app: MapReduceApp) -> JobResult:
         """Execute *app* to completion; returns outputs plus timing.
 
-        With a non-empty ``config.faults`` plan — or any elastic knob
-        set (``initial_nodes``, ``autoscale``) — the job runs through
-        the fault-tolerant/elastic driver (:meth:`_run_with_faults`);
-        otherwise it takes the original path, which creates exactly the
-        same event schedule as before fault tolerance existed
-        (bit-identical traces).
+        The one job driver: the job runs as a sequence of epochs
+        ("incarnations") over the live nodes of one shared engine, and a
+        fault-free job is the single-epoch case.  The fault-tolerance
+        machinery — abort event and recv races, guarded block processes,
+        heartbeats, checkpoints, the recovery summary — is *armed* only
+        when ``config.faults`` is non-empty or an elastic knob
+        (``initial_nodes``, ``autoscale``) is set; an unarmed job
+        schedules exactly the fault-free event stream
+        (tests/integration/test_fingerprints.py).
+
+        Armed, device faults are absorbed inside an epoch by the sub-task
+        schedulers (retry/backoff/blacklist); a rank failure — detected
+        by the heartbeat layer or reported by the dying worker — aborts
+        the epoch, the communicator shrinks to the survivors, and
+        iterative apps resume from the last checkpoint.  Planned
+        membership transitions (``join``/``drain``, autoscaler) end an
+        epoch at an iteration boundary and the next epoch refits the
+        Eq. 8 assignment over the new member set — loss-free and
+        bitwise-identical to the fault-free run (canonical full-pool part
+        geometry + order-canonical reduction).  The engine clock is
+        continuous across epochs, so the makespan includes every recovery
+        cost.  See docs/FAULTS.md.
         """
-        plan = self.config.faults
-        elastic_requested = (
-            self.config.initial_nodes is not None
-            or self.config.autoscale is not None
+        cluster = self.cluster
+        config = self.config
+        plan = config.faults if config.faults is not None else FaultPlan()
+        armed = (
+            bool(plan)
+            or config.initial_nodes is not None
+            or config.autoscale is not None
         )
-        if (plan is not None and plan) or elastic_requested:
-            return self._run_with_faults(
-                app, plan if plan is not None else FaultPlan()
-            )
+        self._check_targets(plan)
         engine = Engine()
         trace = self._make_trace()
         selfprof = self._attach_selfprof(trace, engine)
         log = self._attach_log(trace, engine)
-        cluster = self.cluster
-        config = self.config
-        world = World(
-            engine,
-            cluster.n_nodes,
-            network=cluster.network,
-            trace=trace,
-            contended=config.contended_network,
-        )
-
-        resources = [
-            NodeResources(engine, node, config.gpus_per_node)
-            for node in cluster.nodes
-        ]
-        schedulers = [
-            SubTaskScheduler(res, app, config, trace) for res in resources
-        ]
-        # Bind every device (and the rank's NIC track) to its rank so the
-        # trace can nest device-block spans under the rank's open phase.
-        for rank, sched in enumerate(schedulers):
-            if sched.cpu_daemon is not None:
-                trace.bind_device(sched.cpu_daemon.device_name, rank)
-            for daemon in sched.gpu_daemons:
-                trace.bind_device(daemon.device_name, rank)
-            trace.bind_device(f"net.r{rank}", rank)
-
-        node_partitions = self._partition_input(app)
-        iterative = isinstance(app, IterativeMapReduceApp)
-        max_iterations = app.max_iterations if iterative else 1
-
-        final_output: dict[Any, Any] = {}
-        iteration_log = IterationLog()
-        iterations_done = [0]
-
-        def worker(comm: RankComm) -> Generator[Event, Any, None]:
-            rank = comm.rank
-            ctx = PhaseContext(
-                engine=engine,
-                world=world,
-                comm=comm,
-                sched=schedulers[rank],
-                resources=resources[rank],
-                app=app,
-                config=config,
-                trace=trace,
-                iterative=iterative,
-                max_iterations=max_iterations,
-                node_partitions=node_partitions,
-                final_output=final_output,
-                iteration_log=iteration_log,
-                iterations_done=iterations_done,
-            )
-            yield from SetupPhase().run(ctx)
-            # The per-iteration lifecycle is an explicit task graph; the
-            # ready-set executor replays it each iteration (for the
-            # default linear chain this is event-for-event identical to
-            # the old phase-list loop).
-            graph = iteration_graph(ctx)
-            while True:
-                ctx.iter_start = engine.now
-                ctx.net_before = world.bytes_sent
-                yield from graph.run(ctx)
-                if ctx.stop or not iterative:
-                    break
-                ctx.iteration += 1
-
-        run_spmd(world, worker)
-
-        trace.finalize(engine.now)
-        trace.metrics.gauge(obs.JOB_MAKESPAN_SECONDS).set(engine.now)
-        trace.metrics.gauge(obs.JOB_ITERATIONS).set(iterations_done[0])
-        alerts = self._finish_observability(trace, engine)
-
-        return JobResult(
-            output=dict(final_output),
-            makespan=engine.now,
-            trace=trace,
-            splits=[
-                s.split_decision
-                for s in schedulers
-                if s.split_decision is not None
-            ],
-            iterations=iterations_done[0],
-            total_flops=trace.total_flops(),
-            network_bytes=world.bytes_sent,
-            iteration_log=iteration_log,
-            policy=config.policy_name,
-            final_cpu_fractions=[
-                s.policy.effective_cpu_fraction()
-                for s in schedulers
-                if s.cpu_daemon is not None and s.gpu_daemons
-            ],
-            alerts=alerts,
-            engine_events=engine.events_scheduled,
-            sampler_samples=(
-                trace.sampler.total_samples if trace.sampler else 0
-            ),
-            selfprofile=self._finish_selfprof(selfprof, engine, app),
-            logs=log,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_with_faults(self, app: MapReduceApp, plan: Any) -> JobResult:
-        """Fault-tolerant driver: the job runs as a sequence of epochs
-        ("incarnations") over the surviving nodes of one shared engine.
-
-        Device faults are absorbed *inside* an epoch by the sub-task
-        schedulers (retry/backoff/blacklist, see
-        :mod:`repro.runtime.scheduler`); a rank failure aborts the epoch —
-        detected by the heartbeat layer or reported by the dying worker —
-        after which the driver shrinks the communicator to the survivors,
-        restores the last checkpoint for iterative apps, and replays from
-        there (docs/FAULTS.md).  The engine clock is continuous across
-        epochs, so the final makespan includes every recovery cost.
-
-        The same epoch machinery drives *elastic membership*: with
-        ``config.initial_nodes`` / ``config.autoscale`` set or
-        ``join``/``drain`` events in the plan, a
-        :class:`~repro.runtime.membership.ClusterView` tracks the live
-        set, the convergence phase broadcasts a reconfigure signal at
-        the iteration boundary after a transition becomes due, every
-        rank quiesces, and the next epoch refits the Eq. 8 assignment
-        over the new member set — loss-free (a boundary checkpoint is
-        forced first) and bitwise-identical to the fault-free run of the
-        same configuration (canonical full-pool part geometry +
-        order-canonical reduction; docs/FAULTS.md "Elasticity").
-        """
-        engine = Engine()
-        trace = self._make_trace()
-        selfprof = self._attach_selfprof(trace, engine)
-        log = self._attach_log(trace, engine)
-        cluster = self.cluster
-        config = self.config
         policy = config.fault_policy
-        faults = FaultState(engine, plan, trace, policy)
-        faults.start()
+        faults: FaultState | None = None
+        dead_nodes: set[int] = set()
+        if armed:
+            faults = FaultState(engine, plan, trace, policy)
+            faults.start()
+            dead_nodes = faults.dead_nodes
 
         iterative = isinstance(app, IterativeMapReduceApp)
         max_iterations = app.max_iterations if iterative else 1
-        recovery_state = RecoveryState(interval=policy.checkpoint_interval)
-        if iterative:
+        recovery_state: RecoveryState | None = None
+        if armed and iterative:
+            recovery_state = RecoveryState(interval=policy.checkpoint_interval)
             # Iteration-0 snapshot, so a failure before the first periodic
             # checkpoint still restarts from a well-defined state.
             recovery_state.state = app.checkpoint()
@@ -343,7 +249,7 @@ class PRSRuntime:
                 "drain events) requires an IterativeMapReduceApp: "
                 "transitions apply at iteration boundaries"
             )
-        # The versioned membership view is kept for *every* faulted run —
+        # The versioned membership view is kept for *every* armed run —
         # rank kills advance it too — so the recovery summary always
         # carries the epoch timeline.  The ElasticState (schedule +
         # autoscaler + reconfigure protocol) only exists in elastic mode.
@@ -417,9 +323,7 @@ class PRSRuntime:
         while True:
             if elastic is not None:
                 elastic.check_epoch_budget()
-                for event, rec in elastic.apply_due(
-                    engine.now, faults.dead_nodes
-                ):
+                for event, rec in elastic.apply_due(engine.now, dead_nodes):
                     trace.metrics.counter(obs.MEMBERSHIP_EVENTS).inc(
                         1, action=rec.cause
                     )
@@ -436,7 +340,7 @@ class PRSRuntime:
                         kind="membership",
                         node=f"n{event.node}",
                         time=engine.now,
-                        iteration=recovery_state.iteration if iterative else 0,
+                        iteration=recovery_state.iteration,
                         inputs={"action": event.action, "cause": rec.cause},
                         outputs={
                             "epoch": rec.epoch,
@@ -459,16 +363,14 @@ class PRSRuntime:
                             engine.now,
                         )
                 trace.metrics.gauge(obs.MEMBERSHIP_EPOCH).set(view.epoch)
-            surviving = [
-                n for n in view.members() if n not in faults.dead_nodes
-            ]
+            surviving = [n for n in view.members() if n not in dead_nodes]
             if not surviving:
                 raise JobAbortedError("every node in the cluster has failed")
             if elastic is not None:
                 trace.metrics.gauge(obs.MEMBERSHIP_LIVE_RANKS).set(
                     len(surviving)
                 )
-            dead_at_start = set(faults.dead_nodes)
+            dead_at_start = set(dead_nodes)
             sub_cluster = (
                 cluster
                 if len(surviving) == cluster.n_nodes
@@ -487,11 +389,12 @@ class PRSRuntime:
                 contended=config.contended_network,
             )
             abort_event = engine.event()
-            world.attach_faults(
-                faults,
-                abort_event=abort_event,
-                comm_timeout=policy.comm_timeout_s,
-            )
+            if faults is not None:
+                world.attach_faults(
+                    faults,
+                    abort_event=abort_event,
+                    comm_timeout=policy.comm_timeout_s,
+                )
 
             resources = [
                 NodeResources(engine, cluster.nodes[n], config.gpus_per_node)
@@ -503,7 +406,8 @@ class PRSRuntime:
             for rank, (node_idx, sched) in enumerate(
                 zip(surviving, schedulers)
             ):
-                sched.enable_faults(faults, node_idx)
+                if faults is not None:
+                    sched.enable_faults(faults, node_idx)
                 # Trace tracks follow the physical node, not the (shrunk)
                 # comm rank, so a node keeps one track across epochs.
                 if sched.cpu_daemon is not None:
@@ -523,7 +427,9 @@ class PRSRuntime:
                 )
             else:
                 node_partitions = self._partition_input(app, sub_cluster)
-            start_iteration = recovery_state.iteration if iterative else 0
+            start_iteration = (
+                recovery_state.iteration if recovery_state is not None else 0
+            )
 
             def worker(comm: RankComm) -> Generator[Event, Any, Any]:
                 rank = comm.rank
@@ -544,13 +450,16 @@ class PRSRuntime:
                     iteration_log=iteration_log,
                     iterations_done=iterations_done,
                     trace_rank=node_idx,
-                    recovery=recovery_state if iterative else None,
+                    recovery=recovery_state,
                     elastic=elastic,
                     canonical_reduction=elastic is not None,
                 )
                 ctx.iteration = start_iteration
                 try:
                     yield from SetupPhase().run(ctx)
+                    # The per-iteration lifecycle is an explicit task
+                    # graph; the ready-set executor replays it each
+                    # iteration.
                     graph = iteration_graph(ctx)
                     while True:
                         ctx.iter_start = engine.now
@@ -583,15 +492,10 @@ class PRSRuntime:
                         abort_event.succeed(("job-aborted", node_idx))
                     return ("job-aborted", node_idx, str(exc))
 
-            faults.reset_rank_procs()
-            procs = []
-            for rank in range(world.size):
-                proc = engine.process(
-                    worker(world.comm(rank)), name=f"rank{rank}"
-                )
-                faults.register_rank_proc(surviving[rank], proc)
-                procs.append(proc)
-
+            procs = [
+                engine.process(worker(world.comm(rank)), name=f"rank{rank}")
+                for rank in range(world.size)
+            ]
             # Heartbeat layer: workers beat to the master, the master beats
             # back, and monitors declare a silent peer dead by firing the
             # epoch abort.  Driver-owned (not worker children) so detection
@@ -600,12 +504,16 @@ class PRSRuntime:
             # left alive.  Rebuilt each epoch, which after a communicator
             # resize doubles as the heartbeat re-registration step.
             hb_procs: list[tuple[int, Any]] = []
-            if policy.rank_recovery and world.size > 1:
-                hb_procs = spawn_heartbeats(
-                    world, policy, abort_event, surviving
-                )
-                for node_idx, proc in hb_procs:
-                    faults.register_rank_proc(node_idx, proc)
+            if faults is not None:
+                faults.reset_rank_procs()
+                for rank, proc in enumerate(procs):
+                    faults.register_rank_proc(surviving[rank], proc)
+                if policy.rank_recovery and world.size > 1:
+                    hb_procs = spawn_heartbeats(
+                        world, policy, abort_event, surviving
+                    )
+                    for node_idx, proc in hb_procs:
+                        faults.register_rank_proc(node_idx, proc)
 
             exits = engine.run(engine.all_of(procs))
             for _, proc in hb_procs:
@@ -618,15 +526,15 @@ class PRSRuntime:
                 raise JobAbortedError(aborted[0][2])
             for exit_ in exits:
                 if exit_ is not None and exit_[0] == "node-dead":
-                    faults.dead_nodes.add(exit_[1])
+                    dead_nodes.add(exit_[1])
             cause = abort_event.value if abort_event.triggered else None
             if isinstance(cause, tuple) and cause[0] == "rank-silent":
-                faults.dead_nodes.add(surviving[cause[1]])
+                dead_nodes.add(surviving[cause[1]])
 
             if exits and exits[0] is not None and exits[0][0] == "done":
                 break  # the master completed the job: output is final
 
-            new_dead = set(faults.dead_nodes) - dead_at_start
+            new_dead = set(dead_nodes) - dead_at_start
             reconfig = any(
                 e is not None and e[0] == "reconfig" for e in exits
             )
@@ -652,7 +560,7 @@ class PRSRuntime:
             if restarts > policy.max_rank_restarts:
                 raise JobAbortedError(
                     f"exceeded max_rank_restarts={policy.max_rank_restarts} "
-                    f"(dead nodes: {sorted(faults.dead_nodes)})"
+                    f"(dead nodes: {sorted(dead_nodes)})"
                 )
             trace.metrics.counter(obs.RECOVERY_RANK_RESTARTS).inc()
             now = engine.now
@@ -666,10 +574,11 @@ class PRSRuntime:
                         cause=str(cause),
                     )
                     log.dump("fault", f"rank-kill node {node_idx}", now)
+                resume = recovery_state.iteration if recovery_state else 0
                 log.info(
                     "recovery",
                     f"rank restart {restarts}: resuming from checkpoint "
-                    f"iteration {recovery_state.iteration}",
+                    f"iteration {resume}",
                     t=now,
                     survivors=",".join(
                         str(n) for n in surviving if n not in new_dead
@@ -701,7 +610,7 @@ class PRSRuntime:
                         dead=",".join(str(n) for n in sorted(new_dead)),
                         restart=restarts,
                     )
-            if iterative and recovery_state.state is not None:
+            if recovery_state is not None and recovery_state.state is not None:
                 app.restore(recovery_state.state)
 
         trace.finalize(engine.now)
@@ -709,35 +618,40 @@ class PRSRuntime:
         trace.metrics.gauge(obs.JOB_ITERATIONS).set(iterations_done[0])
         alerts = self._finish_observability(trace, engine)
 
-        def total(name: str) -> int:
-            return int(trace.metrics.counter(name).total())
+        summary: RecoverySummary | None = None
+        if armed:
 
-        summary = RecoverySummary(
-            faults_injected=total(obs.RECOVERY_FAULTS_INJECTED),
-            block_failures=total(obs.RECOVERY_BLOCK_FAILURES),
-            blocks_retried=total(obs.RECOVERY_BLOCKS_RETRIED),
-            devices_blacklisted=total(obs.RECOVERY_DEVICES_BLACKLISTED),
-            split_refits=total(obs.RECOVERY_SPLIT_REFITS),
-            checkpoints=total(obs.RECOVERY_CHECKPOINTS),
-            rank_restarts=restarts,
-            comm_timeouts=total(obs.COMM_TIMEOUTS),
-            retransmits=total(obs.COMM_RETRANSMITS),
-            heartbeats=total(obs.COMM_HEARTBEATS),
-            dead_nodes=tuple(sorted(faults.dead_nodes)),
-            joins=sum(
-                1 for r in view.history if r.cause in ("join", "autoscale-up")
-            ),
-            drains=sum(
-                1
-                for r in view.history
-                if r.cause in ("drain", "autoscale-down")
-            ),
-            autoscale_decisions=(
-                elastic.autoscale_decisions if elastic is not None else 0
-            ),
-            epochs=tuple(view.history),
-            flight_dumps=tuple(log.dumps) if log is not None else (),
-        )
+            def total(name: str) -> int:
+                return int(trace.metrics.counter(name).total())
+
+            summary = RecoverySummary(
+                faults_injected=total(obs.RECOVERY_FAULTS_INJECTED),
+                block_failures=total(obs.RECOVERY_BLOCK_FAILURES),
+                blocks_retried=total(obs.RECOVERY_BLOCKS_RETRIED),
+                devices_blacklisted=total(obs.RECOVERY_DEVICES_BLACKLISTED),
+                split_refits=total(obs.RECOVERY_SPLIT_REFITS),
+                checkpoints=total(obs.RECOVERY_CHECKPOINTS),
+                rank_restarts=restarts,
+                comm_timeouts=total(obs.COMM_TIMEOUTS),
+                retransmits=total(obs.COMM_RETRANSMITS),
+                heartbeats=total(obs.COMM_HEARTBEATS),
+                dead_nodes=tuple(sorted(dead_nodes)),
+                joins=sum(
+                    1
+                    for r in view.history
+                    if r.cause in ("join", "autoscale-up")
+                ),
+                drains=sum(
+                    1
+                    for r in view.history
+                    if r.cause in ("drain", "autoscale-down")
+                ),
+                autoscale_decisions=(
+                    elastic.autoscale_decisions if elastic is not None else 0
+                ),
+                epochs=tuple(view.history),
+                flight_dumps=tuple(log.dumps) if log is not None else (),
+            )
 
         return JobResult(
             output=dict(final_output),
@@ -765,6 +679,23 @@ class PRSRuntime:
         )
 
     # ------------------------------------------------------------------
+    def _node_weights(
+        self, app: MapReduceApp, cluster: Cluster
+    ) -> list[float]:
+        """Level-1 node shares: equal on a homogeneous cluster, else each
+        node's Eq. 8 capability for *app*."""
+        if cluster.is_homogeneous:
+            return [1.0] * cluster.n_nodes
+        config = self.config
+        return node_partition_weights(
+            cluster,
+            app.intensity(),
+            staged=not app.iterative,
+            partition_bytes=max(app.total_bytes(), 1.0),
+            use_cpu=config.use_cpu,
+            gpus_per_node=config.gpus_per_node if config.use_gpu else 0,
+        )
+
     def _assign_canonical_parts(
         self, app: MapReduceApp, parts: list[Block], sub_cluster: Cluster
     ) -> list[list[Block]]:
@@ -776,56 +707,30 @@ class PRSRuntime:
         (alltoall concatenates buckets in source-rank order), which is
         one leg of the bitwise-identity guarantee (docs/FAULTS.md).
         """
-        if sub_cluster.is_homogeneous:
-            weights = [1.0] * sub_cluster.n_nodes
-        else:
-            weights = node_partition_weights(
-                sub_cluster,
-                app.intensity(),
-                staged=not app.iterative,
-                partition_bytes=max(app.total_bytes(), 1.0),
-                use_cpu=self.config.use_cpu,
-                gpus_per_node=(
-                    self.config.gpus_per_node if self.config.use_gpu else 0
-                ),
-            )
+        weights = self._node_weights(app, sub_cluster)
         return [
             parts[lo:hi] for lo, hi in weighted_partition(len(parts), weights)
         ]
 
-    # ------------------------------------------------------------------
     def _partition_input(
         self, app: MapReduceApp, cluster: Cluster | None = None
     ) -> list[list[Block]]:
         """Level-1 partitioning: node shares, then partitions per node.
 
-        *cluster* overrides the runtime's cluster — the fault-tolerant
-        driver passes the shrunk survivor cluster after a rank failure.
+        *cluster* overrides the runtime's cluster — the driver passes the
+        live sub-cluster of the current epoch.
         """
         cluster = cluster if cluster is not None else self.cluster
-        config = self.config
         n_items = app.n_items()
         require_positive_int("app.n_items()", n_items)
-
-        if cluster.is_homogeneous:
-            weights = [1.0] * cluster.n_nodes
-        else:
-            weights = node_partition_weights(
-                cluster,
-                app.intensity(),
-                staged=not app.iterative,
-                partition_bytes=max(app.total_bytes(), 1.0),
-                use_cpu=config.use_cpu,
-                gpus_per_node=config.gpus_per_node if config.use_gpu else 0,
-            )
-        node_ranges = weighted_partition(n_items, weights)
+        weights = self._node_weights(app, cluster)
         out: list[list[Block]] = []
-        for lo, hi in node_ranges:
+        for lo, hi in weighted_partition(n_items, weights):
             node_block = Block(lo, hi)
             out.append(
                 [
                     b
-                    for b in node_block.split(config.partitions_per_node)
+                    for b in node_block.split(self.config.partitions_per_node)
                     if b.n_items > 0
                 ]
             )

@@ -105,7 +105,7 @@ class SubTaskScheduler:
                 f"node has {len(resources.gpu_engines)} GPU engines)"
             )
 
-        #: fault wiring (None in fault-free runs; see ``enable_faults``)
+        #: fault wiring (None unless the job is armed; see ``enable_faults``)
         self.faults = None
         self.fault_policy = config.fault_policy
         self.node_index = resources.node_index
@@ -173,9 +173,9 @@ class SubTaskScheduler:
             return False
         if daemon.device_name in self._blacklist:
             return False
-        if self.faults is not None and daemon.fault_key is not None:
-            return not self.faults.device_dead(daemon.fault_key)
-        return True
+        return daemon.fault_key is None or not self.faults.device_dead(
+            daemon.fault_key
+        )
 
     @property
     def active_cpu_daemon(self) -> CpuDaemon | None:
@@ -433,12 +433,12 @@ class SubTaskScheduler:
             return
         ordered = _BlockOrderedSink(sink)
         yield from self.policy.run_map_partition(partition, ordered)
-        if self.faults is not None:
-            # The retry budget is per map pass: an iterative app routes a
-            # dead device's blocks through recovery every iteration, and
-            # that steady-state rerouting must not exhaust the budget.
-            self._retry_counts = {}
-            yield from self._recover_failed_blocks(ordered)
+        # The retry budget is per map pass: an iterative app routes a dead
+        # device's blocks through recovery every iteration, and that
+        # steady-state rerouting must not exhaust the budget.  Without
+        # armed faults no block fails, so recovery schedules nothing.
+        self._retry_counts = {}
+        yield from self._recover_failed_blocks(ordered)
         ordered.flush()
 
     def note_undispatched(self, block: Block) -> None:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -105,6 +105,21 @@ class FaultEvent:
     factor: float = 1.0
     delay: float = 0.0
     count: int = 1
+
+    def spec(self) -> str:
+        """The ``kind@target:t=T`` form of this event, for messages."""
+        if self.kind in ("msg_delay", "msg_drop"):
+            src = "*" if self.src is None else self.src
+            target = f"{src}-{'*' if self.dest is None else self.dest}"
+        elif self.node is None:
+            target = "*"
+        elif self.device is not None:
+            target = f"{self.node}.{self.device}"
+        elif self.gpu is not None:
+            target = f"{self.node}.{self.gpu}"
+        else:
+            target = str(self.node)
+        return f"{self.kind}@{target}:t={self.time:g}"
 
     def device_key(self) -> str:
         """Fault-state key of the targeted device (kill/hiccup/straggler)."""
@@ -281,7 +296,10 @@ def parse_fault_spec(
         fields_[key] = value
 
     event = FaultEvent(**fields_)
-    needs_node = _KILL_KINDS | _HICCUP_KINDS | MEMBERSHIP_KINDS
+    needs_node = _KILL_KINDS | _HICCUP_KINDS | MEMBERSHIP_KINDS | {
+        "straggler",
+        "pcie_slow",
+    }
     if event.kind in needs_node and event.node is None:
         _fail(f"{kind} needs a node target", spec, None)
     if event.kind == "straggler" and event.device is None:
@@ -319,6 +337,30 @@ class FaultPlan:
         return tuple(
             e for e in self.events if e.kind not in MEMBERSHIP_KINDS
         )
+
+    def check_targets(self, gpus_per_node: Sequence[int]) -> None:
+        """Raise :class:`FaultSpecError` naming the first event whose node,
+        GPU or message endpoint lies outside a cluster whose node ``i``
+        engages ``gpus_per_node[i]`` GPUs."""
+        n_nodes = len(gpus_per_node)
+        for event in self.events:
+            for label in ("node", "src", "dest"):
+                value = getattr(event, label)
+                if value is not None and not 0 <= value < n_nodes:
+                    raise FaultSpecError(
+                        f"fault event {event.spec()} targets {label} "
+                        f"{value}, outside the cluster's nodes [0, {n_nodes})"
+                    )
+            gpu = event.gpu
+            if event.device is not None and event.device.startswith("gpu"):
+                gpu = int(event.device[3:])
+            if gpu is not None and event.node is not None:
+                n_gpus = gpus_per_node[event.node]
+                if not 0 <= gpu < n_gpus:
+                    raise FaultSpecError(
+                        f"fault event {event.spec()} targets gpu {gpu}, "
+                        f"outside node {event.node}'s GPUs [0, {n_gpus})"
+                    )
 
     @classmethod
     def from_specs(

@@ -203,3 +203,108 @@ class TestZeroFaultPath:
         np.testing.assert_array_equal(a1.centers, a2.centers)
         for rec1, rec2 in zip(r1.trace.records, r2.trace.records):
             assert rec1 == rec2
+
+    @staticmethod
+    def _baseline(faults):
+        """The cmeans-static baseline workload, plus its golden
+        fault-free fingerprint (tests/integration/fingerprints.json)."""
+        import json
+        from pathlib import Path
+
+        from repro.obs.analyze.baseline import DEFAULT_WORKLOADS, _run_workload
+
+        spec = next(w for w in DEFAULT_WORKLOADS if w.name == "cmeans-static")
+        golden = json.loads(
+            Path(__file__).with_name("fingerprints.json").read_text()
+        )[f"{spec.name}/fault-free"]
+        return _run_workload(spec, faults=faults), golden
+
+    @pytest.mark.parametrize("faults", [None, []], ids=["none", "empty"])
+    def test_unarmed_run_wires_no_fault_machinery(self, faults, monkeypatch):
+        """No plan and an empty plan arm nothing: no recovery summary,
+        no heartbeats, no checkpoints, and the fault-free events and
+        spans."""
+        from repro import obs
+        from repro.runtime.recovery import RecoveryState
+        from tests.helpers import output_digest
+
+        saves = []
+        monkeypatch.setattr(
+            RecoveryState, "save", lambda self, *args: saves.append(args)
+        )
+        result, golden = self._baseline(faults)
+        metrics = result.trace.metrics
+        assert result.recovery is None
+        assert metrics.counter(obs.COMM_HEARTBEATS).total() == 0
+        assert metrics.counter(obs.RECOVERY_CHECKPOINTS).total() == 0
+        assert saves == []
+        assert result.engine_events == golden["engine_events"]
+        assert len(result.trace.tracer) == golden["spans"]
+        assert output_digest(result.output) == golden["digest"]
+        assert repr(result.makespan) == golden["makespan"]
+
+    def test_armed_but_inert_plan_reports_clean_summary(self):
+        """A plan whose only fault fires after the job armed the
+        machinery: the summary exists and is clean, the results match the
+        unarmed run."""
+        from tests.helpers import output_digest
+
+        result, golden = self._baseline(["gpu_kill@0:t=999"])
+        rec = result.recovery
+        assert rec is not None and rec.clean
+        assert rec.faults_injected == 0 and rec.dead_nodes == ()
+        assert rec.heartbeats > 0 and rec.checkpoints > 0
+        assert output_digest(result.output) == golden["digest"]
+        assert repr(result.makespan) == golden["makespan"]
+
+
+class TestOutOfRangeTargets:
+    """Faults aimed at hardware outside the cluster fail before the
+    engine runs, naming the offending event (4-node Delta, 1 GPU/node)."""
+
+    @pytest.mark.parametrize(
+        "spec, target",
+        [
+            ("rank_kill@9:t=0.001", "node 9"),
+            ("cpu_kill@4:t=0.001", "node 4"),
+            ("gpu_kill@1.7:t=0.001", "gpu 7"),
+            ("gpu_hiccup@0.1:t=0.001", "gpu 1"),
+            ("straggler@1.gpu2:factor=2,t0=0,t1=1", "gpu 2"),
+            ("straggler@4.cpu:factor=2,t0=0,t1=1", "node 4"),
+            ("pcie_slow@5:factor=2,t0=0,t1=1", "node 5"),
+            ("msg_drop@4-0:count=1,t0=0", "src 4"),
+            ("msg_delay@0-6:delay=0.001,t0=0,t1=1", "dest 6"),
+            ("join@4:t=0.01", "node 4"),
+            ("drain@7:t=0.01", "node 7"),
+        ],
+    )
+    def test_rejected_before_the_engine_runs(self, spec, target, monkeypatch):
+        from repro.apps.cmeans import CMeansApp
+        from repro.simulate.engine import Engine
+        from repro.simulate.faults import FaultPlan, FaultSpecError
+
+        def no_run(self, *args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(Engine, "run", no_run)
+        app = CMeansApp(_points(), 3, seed=6, max_iterations=2)
+        event = FaultPlan.from_specs([spec]).events[0].spec()
+        with pytest.raises(FaultSpecError) as info:
+            _run(app, faults=[spec], n_nodes=4, initial_nodes=2)
+        assert event in str(info.value) and target in str(info.value)
+
+    @pytest.mark.parametrize(
+        "spec", ["gpu_kill@3.0:t=0.001", "msg_drop@*-3:count=1,t0=0"]
+    )
+    def test_in_range_targets_accepted(self, spec):
+        from repro.simulate.faults import FaultPlan
+
+        FaultPlan.from_specs([spec]).check_targets([1, 1, 1, 1])
+
+    def test_oversize_initial_nodes_names_the_knob(self):
+        from repro.apps.cmeans import CMeansApp
+        from repro.runtime.membership import MembershipError
+
+        app = CMeansApp(_points(), 3, seed=6, max_iterations=2)
+        with pytest.raises(MembershipError, match=r"initial_nodes=5 .* 4 nodes"):
+            _run(app, n_nodes=4, initial_nodes=5)

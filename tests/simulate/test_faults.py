@@ -82,6 +82,8 @@ class TestSpecParsing:
             "gpu_kill@0:t=0.5~0.1",  # empty range
             "straggler@0.cpu:factor=0,t0=0,t1=1",  # factor must be > 0
             "net_slow@*:factor=2,t0=0.5,t1=0.1",  # window ends before start
+            {"kind": "straggler", "device": "gpu0"},  # straggler needs a node
+            {"kind": "pcie_slow", "factor": 2.0},  # pcie_slow needs a node
         ],
     )
     def test_rejected_specs(self, bad):
