@@ -11,8 +11,11 @@ a single float, event or span fails here.
 Scenarios: the baseline sweep (``obs.analyze.baseline.DEFAULT_WORKLOADS``)
 × {fault-free, GPU kill, rank kill, dropped messages}; an obs-on twin
 (every host observer at its most verbose) of the fault-free and rank-kill
-rows; and the elastic chaos walk (2 -> 8 -> 4 ranks on an 8-node pool with
-a rank kill) next to its fault-free twin.
+rows; a fault-free row of ``cmeans-static`` and ``gmm-multirank`` under
+every registered policy the sweep does not already run for that app
+(block boundaries differ per policy); and the elastic chaos walk (2 -> 8
+-> 4 ranks on an 8-node pool with a rank kill) next to its fault-free
+twin.
 
 After an intended behaviour change, regenerate the golden file with::
 
@@ -21,6 +24,7 @@ After an intended behaviour change, regenerate the golden file with::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from functools import lru_cache
@@ -34,6 +38,7 @@ if __package__ in (None, ""):  # run as a script: make the packages importable
 import pytest
 
 from repro.obs.analyze.baseline import DEFAULT_WORKLOADS, _run_workload
+from repro.runtime.policies import available_policies
 from tests.helpers import output_digest
 
 GOLDEN = Path(__file__).with_name("fingerprints.json")
@@ -63,6 +68,20 @@ CHAOS_SCENARIOS = {"chaos-walk/gmm": CHAOS_WALK, "chaos-twin/gmm": None}
 
 _WORKLOADS = {spec.name: spec for spec in DEFAULT_WORKLOADS}
 
+#: workloads re-run fault-free under every policy not already swept for
+#: their app, named ``<workload>@<policy>``
+POLICY_BASES = ("cmeans-static", "gmm-multirank")
+
+
+def policy_workloads() -> list[str]:
+    swept = {(spec.app, spec.policy) for spec in DEFAULT_WORKLOADS}
+    return [
+        f"{base}@{policy}"
+        for base in POLICY_BASES
+        for policy in available_policies()
+        if (_WORKLOADS[base].app, policy) not in swept
+    ]
+
 
 def scenario_names() -> list[str]:
     names = [
@@ -71,6 +90,7 @@ def scenario_names() -> list[str]:
     names += [
         f"{spec.name}/{row}+obs" for spec in DEFAULT_WORKLOADS for row in OBS_ROWS
     ]
+    names += [f"{workload}/fault-free" for workload in policy_workloads()]
     return names + list(CHAOS_SCENARIOS)
 
 
@@ -92,10 +112,12 @@ def run_scenario(name: str):
         return result, app.iteration_state()
     workload, _, row = name.partition("/")
     row, _, obs = row.partition("+")
+    workload, _, policy = workload.partition("@")
+    spec = _WORKLOADS[workload]
+    if policy:
+        spec = dataclasses.replace(spec, policy=policy)
     overrides = dict(OBS_ON) if obs else {}
-    result = _run_workload(
-        _WORKLOADS[workload], faults=FAULT_ROWS[row], **overrides
-    )
+    result = _run_workload(spec, faults=FAULT_ROWS[row], **overrides)
     return result, None
 
 
