@@ -30,6 +30,43 @@ from repro.runtime.api import Block, IterativeMapReduceApp
 _OBJECTIVE_KEY = "objective"
 
 
+def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``||x_i - c_j||^2`` of shape ``(n, M)`` via the expansion trick,
+    clipped at 0 so rounding never makes it negative."""
+    d2 = (
+        np.sum(points * points, axis=1)[:, None]
+        - 2.0 * points @ centers.T
+        + np.sum(centers * centers, axis=1)[None, :]
+    )
+    np.clip(d2, 0.0, None, out=d2)
+    return d2
+
+
+def _coincident(d2: np.ndarray) -> np.ndarray:
+    """Where a point sits on a center: ``np.isclose(d2, 0.0)`` for the
+    clipped ``d2 >= 0`` (NaN and inf included), without its overhead."""
+    return d2 <= 1e-8
+
+
+def _memberships_from_d2(d2: np.ndarray, m: float) -> np.ndarray:
+    """Equation (13) from the clipped squared distances *d2*."""
+    exponent = 1.0 / (m - 1.0)  # (d^2)^(1/(m-1)) == d^(2/(m-1))
+    zero_mask = _coincident(d2)
+    zero_rows = zero_mask.any(axis=1)
+    # Pad exact zeros so the power stays finite; those rows are replaced by
+    # hard memberships below.
+    d2_safe = np.where(zero_mask, 1.0, d2)
+    inv = d2_safe ** (-exponent)
+    u = inv / np.sum(inv, axis=1, keepdims=True)
+    if np.any(zero_rows):
+        # A point sitting exactly on >= 1 center: all mass on the nearest.
+        hard = np.zeros((int(zero_rows.sum()), d2.shape[1]))
+        nearest = np.argmin(d2[zero_rows], axis=1)
+        hard[np.arange(hard.shape[0]), nearest] = 1.0
+        u[zero_rows] = hard
+    return u
+
+
 def fuzzy_memberships(
     points: np.ndarray, centers: np.ndarray, m: float = 2.0
 ) -> np.ndarray:
@@ -44,29 +81,7 @@ def fuzzy_memberships(
         raise ValueError(f"fuzzifier m must be > 1, got {m}")
     x = np.asarray(points, dtype=np.float64)
     c = np.asarray(centers, dtype=np.float64)
-    # Squared distances via the expansion trick (never negative after clip).
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * x @ c.T
-        + np.sum(c * c, axis=1)[None, :]
-    )
-    np.clip(d2, 0.0, None, out=d2)
-
-    exponent = 1.0 / (m - 1.0)  # (d^2)^(1/(m-1)) == d^(2/(m-1))
-    zero_mask = np.isclose(d2, 0.0)
-    zero_rows = zero_mask.any(axis=1)
-    # Pad exact zeros so the power stays finite; those rows are replaced by
-    # hard memberships below.
-    d2_safe = np.where(zero_mask, 1.0, d2)
-    inv = d2_safe ** (-exponent)
-    u = inv / np.sum(inv, axis=1, keepdims=True)
-    if np.any(zero_rows):
-        # A point sitting exactly on >= 1 center: all mass on the nearest.
-        hard = np.zeros((int(zero_rows.sum()), c.shape[0]))
-        nearest = np.argmin(d2[zero_rows], axis=1)
-        hard[np.arange(hard.shape[0]), nearest] = 1.0
-        u[zero_rows] = hard
-    return u
+    return _memberships_from_d2(_squared_distances(x, c), m)
 
 
 def cmeans_objective(
@@ -76,13 +91,7 @@ def cmeans_objective(
     x = np.asarray(points, dtype=np.float64)
     c = np.asarray(centers, dtype=np.float64)
     u = fuzzy_memberships(x, c, m)
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * x @ c.T
-        + np.sum(c * c, axis=1)[None, :]
-    )
-    np.clip(d2, 0.0, None, out=d2)
-    return float(np.sum(u**m * d2))
+    return float(np.sum(u**m * _squared_distances(x, c)))
 
 
 def cmeans_reference(
@@ -172,16 +181,10 @@ class CMeansApp(IterativeMapReduceApp):
     # ------------------------------------------------------------------
     def cpu_map(self, block: Block) -> list[tuple[Any, Any]]:
         x = self.points[block.start : block.stop].astype(np.float64)
-        u = fuzzy_memberships(x, self.centers, self.m)
-        w = u**self.m
+        d2 = _squared_distances(x, self.centers)
+        w = _memberships_from_d2(d2, self.m) ** self.m
         numerators = w.T @ x  # (M, D)
         denominators = np.sum(w, axis=0)  # (M,)
-        d2 = (
-            np.sum(x * x, axis=1)[:, None]
-            - 2.0 * x @ self.centers.T
-            + np.sum(self.centers * self.centers, axis=1)[None, :]
-        )
-        np.clip(d2, 0.0, None, out=d2)
         objective = float(np.sum(w * d2))
 
         pairs: list[tuple[Any, Any]] = [
@@ -209,18 +212,29 @@ class CMeansApp(IterativeMapReduceApp):
         return self.centers
 
     def update(self, reduced: dict[Any, Any]) -> None:
+        objective = reduced.get(_OBJECTIVE_KEY)
+        if objective is not None and not np.isfinite(objective):
+            raise ValueError(
+                f"cmeans: non-finite input: objective J_m is {objective}; "
+                "the points hold a NaN or inf"
+            )
         new_centers = self.centers.copy()
         for j in range(self.n_clusters):
             if j not in reduced:
                 raise RuntimeError(f"cmeans: lost partials for cluster {j}")
             numerator, denominator = reduced[j]
+            if not np.isfinite(denominator):
+                raise ValueError(
+                    f"cmeans: non-finite input: membership mass of cluster "
+                    f"{j} is {denominator}; the points hold a NaN or inf"
+                )
             # Reduce may deliver a combiner-aggregated tuple or a raw one.
             if denominator > 0:
                 new_centers[j] = np.asarray(numerator) / denominator
         delta = float(np.max(np.linalg.norm(new_centers - self.centers, axis=1)))
         self.centers = new_centers
-        if _OBJECTIVE_KEY in reduced:
-            self.objective_history.append(float(reduced[_OBJECTIVE_KEY]))
+        if objective is not None:
+            self.objective_history.append(float(objective))
         self._converged = delta < self.epsilon
 
     @property

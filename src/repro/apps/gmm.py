@@ -17,6 +17,7 @@ The paper pins the arithmetic intensity at ``11 * M * D`` flops/byte
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 import numpy as np
@@ -30,6 +31,64 @@ _LL_KEY = "loglik"
 #: diagonal regulariser added to every covariance update
 _COV_REG = 1e-6
 
+_LOG_2PI = np.log(2.0 * np.pi)
+
+#: one component's model-derived kernel inputs: ``(log pi_m, mu_m, U_m,
+#: D log 2pi + log|R_m|)`` with ``U_m^T U_m = R_m`` (``U_m`` is the
+#: transposed Cholesky factor, Fortran-ordered for LAPACK)
+Factor = tuple[float, np.ndarray, np.ndarray, float]
+
+
+@functools.cache
+def _dtrtrs():
+    """LAPACK's float64 triangular solve, looked up once per process."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("trtrs",), (np.empty((1, 1)),))[0]
+
+
+def _cholesky_head(cov: np.ndarray, d: int) -> tuple[np.ndarray, float]:
+    """Upper Cholesky factor of *cov* and ``D log 2pi + log|cov|``.
+
+    Raises ``ValueError`` if the factor holds a NaN or inf, so the apply
+    step may skip its own finite checks.
+    """
+    chol = np.asarray_chkfinite(np.linalg.cholesky(cov))
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return chol.T, d * _LOG_2PI + logdet
+
+
+def _mahalanobis(x: np.ndarray, mean: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distance of every row of *x* (inputs pre-checked)."""
+    diff = x - mean
+    # Solve U^T z = diff^T => z = L^{-1} diff^T; Mahalanobis = ||z||^2.
+    sol, info = _dtrtrs()(upper, diff.T, lower=False, trans=True)
+    if info:
+        raise np.linalg.LinAlgError(f"gmm: singular covariance factor ({info})")
+    return np.sum(sol * sol, axis=0)
+
+
+def _gmm_factors(
+    points: np.ndarray,
+    weights: np.ndarray,
+    means: np.ndarray,
+    covariances: np.ndarray,
+) -> list[Factor]:
+    """Factor step: the per-component inputs of Equation (15).
+
+    They depend only on the model, so an iteration computes them once and
+    every block reuses them.  Raises ``ValueError`` when *points*, the
+    means or a Cholesky factor is not finite.
+    """
+    d = means.shape[1]
+    factors = []
+    for m in range(means.shape[0]):
+        upper, head = _cholesky_head(covariances[m], d)
+        factors.append((np.log(max(weights[m], 1e-300)), means[m], upper, head))
+    np.asarray_chkfinite(means)
+    np.asarray_chkfinite(points)
+    return factors
+
 
 def log_gaussian_pdf(
     points: np.ndarray, mean: np.ndarray, cov: np.ndarray
@@ -38,17 +97,26 @@ def log_gaussian_pdf(
 
     Uses a Cholesky solve rather than an explicit inverse for stability.
     """
-    from scipy.linalg import solve_triangular
+    x = np.asarray_chkfinite(points, dtype=np.float64)
+    upper, head = _cholesky_head(cov, x.shape[1])
+    maha = _mahalanobis(x, np.asarray_chkfinite(mean), upper)
+    return -0.5 * (head + maha)
 
-    x = np.asarray(points, dtype=np.float64)
-    d = x.shape[1]
-    chol = np.linalg.cholesky(cov)
-    diff = x - mean
-    # Solve L z = diff^T => z = L^{-1} diff^T; Mahalanobis = ||z||^2.
-    sol = solve_triangular(chol, diff.T, lower=True)
-    maha = np.sum(sol * sol, axis=0)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
+
+def _responsibilities(
+    x: np.ndarray, factors: list[Factor]
+) -> tuple[np.ndarray, float]:
+    """Apply step: responsibilities ``(n, M)`` and the log-likelihood of
+    the float64 points *x*, which :func:`_gmm_factors` has checked."""
+    log_prob = np.empty((x.shape[0], len(factors)), dtype=np.float64)
+    for m, (log_w, mean, upper, head) in enumerate(factors):
+        log_prob[:, m] = log_w + (-0.5 * (head + _mahalanobis(x, mean, upper)))
+    # log-sum-exp across components
+    top = np.max(log_prob, axis=1, keepdims=True)
+    with np.errstate(under="ignore"):
+        norm = top[:, 0] + np.log(np.sum(np.exp(log_prob - top), axis=1))
+    gamma = np.exp(log_prob - norm[:, None])
+    return gamma, float(np.sum(norm))
 
 
 def gmm_responsibilities(
@@ -58,19 +126,9 @@ def gmm_responsibilities(
     covariances: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """E step: responsibilities ``(n, M)`` and the block log-likelihood."""
-    n = points.shape[0]
-    n_comp = means.shape[0]
-    log_prob = np.empty((n, n_comp), dtype=np.float64)
-    for m in range(n_comp):
-        log_prob[:, m] = np.log(max(weights[m], 1e-300)) + log_gaussian_pdf(
-            points, means[m], covariances[m]
-        )
-    # log-sum-exp across components
-    top = np.max(log_prob, axis=1, keepdims=True)
-    with np.errstate(under="ignore"):
-        norm = top[:, 0] + np.log(np.sum(np.exp(log_prob - top), axis=1))
-    gamma = np.exp(log_prob - norm[:, None])
-    return gamma, float(np.sum(norm))
+    x = np.asarray(points, dtype=np.float64)
+    factors = _gmm_factors(x, weights, means, covariances)
+    return _responsibilities(x, factors)
 
 
 class GMMApp(IterativeMapReduceApp):
@@ -114,6 +172,9 @@ class GMMApp(IterativeMapReduceApp):
         global_cov = np.cov(x64, rowvar=False) + _COV_REG * np.eye(d)
         self.covariances = np.tile(global_cov, (n_components, 1, 1))
         self._converged = False
+        #: :func:`_gmm_factors` of the current model, built by the first
+        #: map of an iteration and dropped by :meth:`update`
+        self._factors: list[Factor] | None = None
         #: total log-likelihood after each iteration
         self.loglik_history: list[float] = []
         self._intensity = gmm_intensity(n_components, d)
@@ -138,11 +199,17 @@ class GMMApp(IterativeMapReduceApp):
         return float(len(values) * (1 + d + d * d))
 
     # ------------------------------------------------------------------
+    def _model_factors(self) -> list[Factor]:
+        if self._factors is None:
+            self._factors = _gmm_factors(
+                self.points, self.weights, self.means, self.covariances
+            )
+        return self._factors
+
     def cpu_map(self, block: Block) -> list[tuple[Any, Any]]:
+        factors = self._model_factors()
         x = self.points[block.start : block.stop].astype(np.float64)
-        gamma, loglik = gmm_responsibilities(
-            x, self.weights, self.means, self.covariances
-        )
+        gamma, loglik = _responsibilities(x, factors)
         pairs: list[tuple[Any, Any]] = []
         for m in range(self.n_components):
             g = gamma[:, m]
@@ -189,6 +256,7 @@ class GMMApp(IterativeMapReduceApp):
             self.covariances[m] = cov + _COV_REG * eye
         # Renormalise weights against numerical drift.
         self.weights = self.weights / np.sum(self.weights)
+        self._factors = None
 
         loglik = float(reduced.get(_LL_KEY, np.nan))
         if self.loglik_history:
@@ -203,11 +271,8 @@ class GMMApp(IterativeMapReduceApp):
 
     # ------------------------------------------------------------------
     def responsibilities(self) -> np.ndarray:
-        gamma, _ = gmm_responsibilities(
-            self.points.astype(np.float64),
-            self.weights,
-            self.means,
-            self.covariances,
+        gamma, _ = _responsibilities(
+            self.points.astype(np.float64), self._model_factors()
         )
         return gamma
 

@@ -205,6 +205,15 @@ class IterativeMapReduceApp(MapReduceApp):
     Loop-invariant input (the event matrix) stays cached in GPU memory —
     only :meth:`iteration_state` crosses the wire each round, and the GPU
     roofline uses the resident arm (``iterative = True``).
+
+    The host analogue, for data derived from the model (GMM's Cholesky
+    factors): keep it in an instance attribute, so it lives in
+    ``__dict__``; set it to ``None`` in ``__init__`` and at the end of
+    :meth:`update`; and build it lazily in the first map of an iteration.
+    Building it in ``__init__`` would add to job set-up time.  Because
+    :meth:`checkpoint` and :meth:`restore` copy ``__dict__``, a restored
+    app carries the derived data of the model it restores.  The runtime
+    needs no hook for this.
     """
 
     iterative = True

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps.cmeans import (
     CMeansApp,
+    _coincident,
     cmeans_objective,
     cmeans_reference,
     fuzzy_memberships,
@@ -186,6 +187,17 @@ class TestConvergence:
             assert nearest < 1.0
 
 
+class TestZeroDistanceMask:
+    def test_mask_matches_isclose(self):
+        d2 = np.array([0.0, 5e-9, 1e-8, 2e-8, np.nan, np.inf])
+        np.testing.assert_array_equal(_coincident(d2), np.isclose(d2, 0.0))
+
+    def test_point_near_center_gets_hard_membership(self):
+        centers = np.array([[1.0, 2.0, -0.5], [5.0, -3.0, 4.0]])
+        pts = centers + np.array([[9e-5, 0.0, 0.0], [0.0, -3e-5, 5e-5]])
+        np.testing.assert_array_equal(fuzzy_memberships(pts, centers), np.eye(2))
+
+
 class TestValidation:
     def test_rejects_1d_points(self):
         with pytest.raises(ValueError):
@@ -198,6 +210,23 @@ class TestValidation:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             CMeansApp(np.zeros((10, 2)), 2, m=1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_non_finite_point_fails_the_job(self, bad, row):
+        """A NaN/inf point must not pass for convergence."""
+        from repro.hardware import delta_cluster
+        from repro.runtime.job import JobConfig
+        from repro.runtime.prs import PRSRuntime
+
+        pts, _, _ = gaussian_mixture(400, 4, 3, seed=13)
+        pts[row, 1] = bad
+        app = CMeansApp(pts, 3, seed=13)
+        runtime = PRSRuntime(delta_cluster(n_nodes=2), JobConfig())
+        with pytest.raises(ValueError, match="cmeans: non-finite input"):
+            runtime.run(app)
+        assert not app.converged and app.objective_history == []
 
 
 def _drive(app, iterations=None):

@@ -179,3 +179,70 @@ class TestGMM:
         pts, _, _ = gaussian_mixture(100, 60, 2, seed=0)
         app = GMMApp(pts, 10, seed=0)
         assert app.intensity().at(1e6) == 11.0 * 10 * 60
+
+
+def _public_map(app, block):
+    """``GMMApp.cpu_map`` rebuilt on the public ``gmm_responsibilities``."""
+    x = app.points[block.start : block.stop].astype(np.float64)
+    gamma, loglik = gmm_responsibilities(x, app.weights, app.means, app.covariances)
+    pairs = []
+    for m in range(app.n_components):
+        g = gamma[:, m]
+        pairs.append((m, (float(np.sum(g)), g @ x, (x * g[:, None]).T @ x)))
+    return pairs + [("loglik", loglik)]
+
+
+def _assert_pairs_identical(got, want):
+    assert [k for k, _ in got] == [k for k, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        g, w = (g, w) if isinstance(w, tuple) else ((g,), (w,))
+        assert all(np.array_equal(a, b) for a, b in zip(g, w, strict=True))
+
+
+class TestGMMFactorMemo:
+    """The per-iteration Cholesky memo never serves a stale model."""
+
+    BLOCK = Block(37, 181)
+
+    def _app(self):
+        pts, _, _ = gaussian_mixture(300, 4, 3, seed=12)
+        return GMMApp(pts, 3, seed=12)
+
+    def test_no_factors_after_constructor(self):
+        assert self._app()._factors is None
+
+    def test_map_matches_public_path_across_updates(self):
+        app = self._app()
+        for _ in range(3):  # iteration 0, after one and after two updates
+            _assert_pairs_identical(
+                app.cpu_map(self.BLOCK), _public_map(app, self.BLOCK)
+            )
+            drive(app, iterations=1)
+        assert app._factors is None
+
+    def test_map_matches_public_path_after_restore(self):
+        app = self._app()
+        drive(app, iterations=1)
+        app.cpu_map(self.BLOCK)
+        state = app.checkpoint()
+        assert state["_factors"] is not None
+        drive(app, iterations=1)
+        app.cpu_map(self.BLOCK)  # memo of the newer model
+        app.restore(state)
+        _assert_pairs_identical(
+            app.cpu_map(self.BLOCK), _public_map(app, self.BLOCK)
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_non_finite_point_fails_the_job(self, bad, row):
+        from repro.hardware import delta_cluster
+        from repro.runtime.job import JobConfig
+        from repro.runtime.prs import PRSRuntime
+
+        pts, _, _ = gaussian_mixture(400, 4, 3, seed=13)
+        pts[row, 2] = bad
+        runtime = PRSRuntime(delta_cluster(n_nodes=2), JobConfig())
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            runtime.run(GMMApp(pts, 3, seed=13))
