@@ -67,6 +67,7 @@ from repro.obs.metrics import (
     SHUFFLE_PAIRS,
     SPLIT_CPU_FRACTION,
     Counter,
+    CounterChild,
     Gauge,
     Histogram,
     IntervalUnion,
@@ -94,6 +95,7 @@ from repro.obs.timeseries import (
 
 __all__ = [
     "Counter",
+    "CounterChild",
     "EventLog",
     "FlightDump",
     "Gauge",

@@ -136,8 +136,8 @@ class Counter(Metric):
     type_name = "counter"
 
     def inc(self, value: float = 1.0, **labels: Any) -> None:
-        if value < 0:
-            raise ValueError(f"counter {self.name}: negative increment {value}")
+        if not value >= 0:  # also rejects NaN, for which `value < 0` is False
+            raise ValueError(f"counter {self.name}: negative or NaN increment {value}")
         key = _label_key(labels)
         self._samples[key] = self._samples.get(key, 0.0) + value
 
@@ -158,6 +158,37 @@ class Counter(Metric):
             f"{self.name}{_format_labels(key)} {_format_value(value)}"
             for key, value in sorted(self._samples.items())
         ]
+
+
+class CounterChild:
+    """One counter series bound to a fixed label set.
+
+    The Prometheus ``labels()`` handle: the label key is built once, so
+    a hot site pays a dict update per :meth:`inc` instead of sorting
+    and stringifying its labels every time.  The counter itself is
+    created (or looked up) in the registry on the first :meth:`inc`, so
+    a child that is never incremented registers nothing, and the
+    registry's contents, :meth:`MetricsRegistry.render` and
+    :meth:`MetricsRegistry.to_dict` match the ``inc(**labels)`` path
+    exactly.
+    """
+
+    __slots__ = ("_registry", "name", "key", "_samples")
+
+    def __init__(self, registry: "MetricsRegistry", name: str, key: LabelKey) -> None:
+        self._registry = registry
+        self.name = name
+        self.key = key
+        self._samples: dict[LabelKey, float] | None = None
+
+    def inc(self, value: float = 1.0) -> None:
+        if not value >= 0:  # also rejects NaN, for which `value < 0` is False
+            raise ValueError(f"counter {self.name}: negative or NaN increment {value}")
+        samples = self._samples
+        if samples is None:
+            samples = self._samples = self._registry.counter(self.name)._samples
+        key = self.key
+        samples[key] = samples.get(key, 0.0) + value
 
 
 class Gauge(Metric):
@@ -305,6 +336,12 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, help=help)
 
+    def counter_child(self, name: str, **labels: Any) -> CounterChild:
+        """A handle on the *labels* series of counter *name* (see
+        :class:`CounterChild`); registers nothing until its first
+        ``inc``."""
+        return CounterChild(self, name, _label_key(labels))
+
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create(Gauge, name, help=help)
 
@@ -400,7 +437,7 @@ class IntervalUnion:
         self.total = 0.0
 
     def add(self, start: float, end: float) -> float:
-        if end < start:
+        if not end >= start:
             raise ValueError(f"interval end {end} precedes start {start}")
         if end == start:
             return 0.0

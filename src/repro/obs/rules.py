@@ -28,6 +28,7 @@ t]`` at each sample instant ``t``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -42,6 +43,7 @@ from repro.obs.timeseries import (
     LINK_MODEL_RATIO,
     Series,
     SeriesBank,
+    sorted_quantile,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -220,6 +222,31 @@ def builtin_rules() -> tuple[Rule, ...]:
 
 
 # ----------------------------------------------------------------------
+def _window_aggregate(
+    func: str, times: list[float], values: list[float], lo: int, hi: int
+) -> float | None:
+    """*func* over the samples ``[lo, hi)`` — the same result as the
+    matching :class:`Series` aggregator over that window."""
+    if func in ("rate", "increase"):
+        if hi - lo < 2:
+            return None
+        delta = values[hi - 1] - values[lo]
+        if func == "increase":
+            return delta
+        dt = times[hi - 1] - times[lo]
+        return None if dt <= 0.0 else delta / dt
+    if hi <= lo:
+        return None
+    window = values[lo:hi]
+    if func == "mean":
+        return sum(window) / len(window)
+    if func == "max":
+        return max(window)
+    if func == "min":
+        return min(window)
+    return sorted_quantile(sorted(window), 0.5 if func == "p50" else 0.99)
+
+
 def _evaluate_series(
     rule: Rule, func: str, series: Series, end: float
 ) -> list[AlertEvent]:
@@ -255,26 +282,24 @@ def _evaluate_series(
         run_start = None
         run_peak = 0.0
 
-    for t, _ in series.points():
+    # One pass: the ring is copied out once and each point's window
+    # ``[t - window, t]`` is cut by bisection, so evaluation costs
+    # O(n log n + window sizes) instead of a full ring scan per point.
+    # Every aggregate adds and compares the same floats in the same
+    # order as the Series aggregators, so the values are bit-identical.
+    points = series.points()
+    times = [t for t, _ in points]
+    values = [v for _, v in points]
+    for t in times:
         if t > end:
             break
-        t0 = t - rule.window
+        hi = bisect_right(times, t)
         if func == "value":
-            v = series.value(t)
-        elif func == "rate":
-            v = series.rate(t0, t)
-        elif func == "increase":
-            v = series.increase(t0, t)
-        elif func == "mean":
-            v = series.mean(t0, t)
-        elif func == "max":
-            v = series.vmax(t0, t)
-        elif func == "min":
-            v = series.vmin(t0, t)
-        elif func == "p50":
-            v = series.quantile(0.5, t0, t)
-        else:  # p99
-            v = series.quantile(0.99, t0, t)
+            v = values[hi - 1]
+        else:
+            v = _window_aggregate(
+                func, times, values, bisect_left(times, t - rule.window), hi
+            )
         if v is not None and compare(v, rule.threshold):
             if run_start is None:
                 run_start = t

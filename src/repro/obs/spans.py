@@ -134,7 +134,7 @@ class SpanTracer:
         """Close *span* (which must be the innermost open on its track)."""
         if not span.is_open:
             raise ValueError(f"span {span.name!r} already closed")
-        if end < span.start:
+        if not end >= span.start:  # also rejects NaN
             raise ValueError(
                 f"span {span.name!r}: end {end} precedes start {span.start}"
             )
@@ -162,7 +162,7 @@ class SpanTracer:
         attrs: dict[str, Any] | None = None,
     ) -> Span:
         """Append an already-finished span (retrospective bracketing)."""
-        if end < start:
+        if not end >= start:  # also rejects NaN bounds
             raise ValueError(f"span {name!r}: end {end} precedes start {start}")
         return self._new_span(name, track, start, end, parent_id, category, attrs)
 

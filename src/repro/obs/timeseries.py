@@ -55,6 +55,7 @@ from repro.obs.metrics import (
     DEVICE_BUSY_UNION_SECONDS,
     Gauge,
     LabelKey,
+    MetricsRegistry,
     _label_key,
 )
 
@@ -78,6 +79,23 @@ DEVICE_BUSY_FRACTION = "prs_device_busy_fraction"
 DEVICE_IMBALANCE = "prs_device_imbalance"
 LINK_UTILIZATION = "prs_link_utilization"
 LINK_MODEL_RATIO = "prs_link_model_ratio"
+
+#: snapshot-plan roles: the derived probe a sampled value feeds
+_BUSY_UNION, _NET_BUSY, _LINK_MSGS, _LINK_BYTES = range(4)
+
+
+def sorted_quantile(values: list[float], q: float) -> float | None:
+    """Interpolated *q*-quantile of already-sorted *values* (None when
+    empty)."""
+    if not values:
+        return None
+    if len(values) == 1:
+        return values[0]
+    pos = q * (len(values) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(values) - 1)
+    frac = pos - lo
+    return values[lo] + (values[hi] - values[lo]) * frac
 
 
 class Series:
@@ -181,16 +199,7 @@ class Series:
         """Interpolated quantile of the sampled values in the window."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        values = sorted(v for _, v in self.window(t0, t1))
-        if not values:
-            return None
-        if len(values) == 1:
-            return values[0]
-        pos = q * (len(values) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(values) - 1)
-        frac = pos - lo
-        return values[lo] + (values[hi] - values[lo]) * frac
+        return sorted_quantile(sorted(v for _, v in self.window(t0, t1)), q)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
@@ -300,6 +309,11 @@ class MetricSampler:
         self._link_models: dict[str, tuple[float, float]] = {}
         #: previous raw values backing the derived probes
         self._prev: dict[str, float] = {}
+        #: cached snapshot plan (see _current_plan) and the registry
+        #: size it was built for; None forces a rebuild
+        self._plan: dict[str, tuple] = {}
+        self._link_plan: list[tuple] = []
+        self._plan_size: tuple[int, int] | None = None
         self.finalized = False
 
     # ------------------------------------------------------------------
@@ -317,6 +331,7 @@ class MetricSampler:
                 f"alpha={latency_s}, beta={bytes_per_s}"
             )
         self._link_models[link] = (float(latency_s), float(bytes_per_s))
+        self._plan_size = None
 
     @property
     def link_models(self) -> dict[str, tuple[float, float]]:
@@ -347,76 +362,143 @@ class MetricSampler:
         if self._last_t is None or self._last_t < end:
             self._snapshot(end)
         self.finalized = True
+        # No snapshot follows: release the plan's references.
+        self._plan = {}
+        self._link_plan = []
+        self._plan_size = None
 
     # ------------------------------------------------------------------
-    def _snapshot(self, t: float) -> None:
+    def _current_plan(self) -> dict[str, tuple]:
+        """The cached snapshot plan, rebuilt when the registry grew.
+
+        Metrics and label sets are only ever added, never removed, so a
+        plan built for the same (metric count, label-set count) covers
+        exactly the series a fresh sorted walk of the registry would,
+        and so does a per-metric group whose label-set count still
+        matches its metric's.
+        """
         trace = self._trace
         assert trace is not None
-        registry = trace.metrics
+        metrics = trace.metrics._metrics
+        size = (len(metrics), sum(len(m._samples) for m in metrics.values()))
+        if size != self._plan_size:
+            self._build_plan(trace.metrics)
+            self._plan_size = size
+        return self._plan
+
+    def _build_plan(self, registry: MetricsRegistry) -> None:
+        """One group per counter/gauge, in name order, each listing its
+        label sets in sorted order, so the snapshot appends and the
+        derived sums run in the same order as a sorted registry walk;
+        plus one row per registered link model.  Groups whose metric
+        gained no label set are reused as they are."""
+        old = self._plan
+        plan = {}
+        for metric in registry:  # name-sorted
+            if isinstance(metric, (Counter, Gauge)):
+                group = old.get(metric.name)
+                if group is None or len(group[1]) != len(metric._samples):
+                    group = self._plan_group(metric)
+                plan[metric.name] = group
+        self._plan = plan
         bank = self.bank
-        raw: dict[str, float] = {}
-        busy_union: dict[LabelKey, float] = {}
+        self._link_plan = []
+        for link in sorted(self._link_models):
+            key = _label_key({"link": link})
+            self._link_plan.append((
+                link,
+                *self._link_models[link],
+                bank.get_or_create(LINK_UTILIZATION, key),
+                bank.get_or_create(LINK_MODEL_RATIO, key),
+            ))
+
+    def _plan_group(self, metric: Counter | Gauge) -> tuple:
+        """``(samples, keys, series, role, args)`` of one metric: its
+        sorted label keys with their bank series, and which derived
+        probe (``role``) the values feed, with a per-key argument."""
+        bank = self.bank
+        name = metric.name
+        keys = sorted(metric._samples)
+        series = [bank.get_or_create(name, key) for key in keys]
+        role: int | None = None
+        args: list[Any] | None = None
+        if name == DEVICE_BUSY_UNION_SECONDS:
+            role, args = _BUSY_UNION, []
+            for key in keys:
+                device = dict(key).get("device", "")
+                args.append((
+                    f"busy::{device}",
+                    bank.get_or_create(DEVICE_BUSY_FRACTION, key),
+                    not device.startswith("net."),
+                ))
+        elif name == DEVICE_BUSY_SECONDS:
+            role = _NET_BUSY
+            args = [dict(key).get("kind") == "net" for key in keys]
+        elif name in (COMM_MESSAGES, COMM_BYTES):
+            role = _LINK_MSGS if name == COMM_MESSAGES else _LINK_BYTES
+            args = [dict(key).get("link", "") for key in keys]
+        return (metric._samples, keys, series, role, args)
+
+    def _snapshot(self, t: float) -> None:
+        busy_union: list[tuple[float, tuple[str, Series, bool]]] = []
         net_busy = 0.0
         link_msgs: dict[str, float] = {}
         link_bytes: dict[str, float] = {}
-        for metric in registry:  # name-sorted
-            if isinstance(metric, Counter) or isinstance(metric, Gauge):
-                name = metric.name
-                for key, value in sorted(metric._samples.items()):
-                    bank.get_or_create(name, key).append(t, value)
-                    if name == DEVICE_BUSY_UNION_SECONDS:
-                        busy_union[key] = value
-                    elif name == DEVICE_BUSY_SECONDS:
-                        if dict(key).get("kind") == "net":
-                            net_busy += value
-                    elif name == COMM_MESSAGES:
-                        link = dict(key).get("link", "")
-                        link_msgs[link] = link_msgs.get(link, 0.0) + value
-                    elif name == COMM_BYTES:
-                        link = dict(key).get("link", "")
-                        link_bytes[link] = link_bytes.get(link, 0.0) + value
-        self._derived(t, raw, busy_union, net_busy, link_msgs, link_bytes)
-        self._prev = raw
+        for samples, keys, series, role, args in self._current_plan().values():
+            if role is None:
+                for key, s in zip(keys, series):
+                    s.append(t, samples[key])
+                continue
+            for key, s, arg in zip(keys, series, args):
+                value = samples[key]
+                s.append(t, value)
+                if role == _BUSY_UNION:
+                    busy_union.append((value, arg))
+                elif role == _NET_BUSY:
+                    if arg:
+                        net_busy += value
+                elif role == _LINK_MSGS:
+                    link_msgs[arg] = link_msgs.get(arg, 0.0) + value
+                else:
+                    link_bytes[arg] = link_bytes.get(arg, 0.0) + value
+        self._derived(t, busy_union, net_busy, link_msgs, link_bytes)
         self._last_t = t
 
     def _derived(
         self,
         t: float,
-        raw: dict[str, float],
-        busy_union: dict[LabelKey, float],
+        busy_union: list[tuple[float, tuple[str, Series, bool]]],
         net_busy: float,
         link_msgs: dict[str, float],
         link_bytes: dict[str, float],
     ) -> None:
         prev = self._prev
+        raw: dict[str, float] = {}
         last_t = self._last_t
         dt = (t - last_t) if last_t is not None else 0.0
-        bank = self.bank
 
-        # Per-device busy fraction from the incremental union counter.
+        # Per-device busy fraction from the incremental union counter
+        # (the plan lists the devices in sorted label order).
         fractions: list[float] = []
-        for key, value in sorted(busy_union.items()):
-            device = dict(key).get("device", "")
-            raw_key = f"busy::{device}"
+        for value, (raw_key, series, counts) in busy_union:
             raw[raw_key] = value
             delta = value - prev.get(raw_key, 0.0)
             fraction = (delta / dt) if dt > 0.0 else 0.0
-            bank.get_or_create(DEVICE_BUSY_FRACTION, key).append(t, fraction)
-            if not device.startswith("net."):
+            series.append(t, fraction)
+            if counts:
                 fractions.append(fraction)
 
         # Imbalance across the co-processing devices (NICs excluded).
         if fractions:
             mean = sum(fractions) / len(fractions)
             imbalance = (max(fractions) / mean) if mean > 0.0 else 0.0
-            bank.get_or_create(DEVICE_IMBALANCE, ()).append(t, imbalance)
+            self.bank.get_or_create(DEVICE_IMBALANCE, ()).append(t, imbalance)
 
         # α/β-modelled offered load and observed-vs-model ratio per
         # registered link class.
         raw["net_busy"] = net_busy
         net_delta = net_busy - prev.get("net_busy", 0.0)
-        for link in sorted(self._link_models):
-            alpha, bytes_per_s = self._link_models[link]
+        for link, alpha, bytes_per_s, util_series, ratio_series in self._link_plan:
             msgs = link_msgs.get(link, 0.0)
             nbytes = link_bytes.get(link, 0.0)
             raw[f"msgs::{link}"] = msgs
@@ -425,10 +507,10 @@ class MetricSampler:
                 (msgs - prev.get(f"msgs::{link}", 0.0)) * alpha
                 + (nbytes - prev.get(f"bytes::{link}", 0.0)) / bytes_per_s
             )
-            key = _label_key({"link": link})
             utilization = (modelled / dt) if dt > 0.0 else 0.0
-            bank.get_or_create(LINK_UTILIZATION, key).append(t, utilization)
+            util_series.append(t, utilization)
             # Observed NIC busy over modelled wire seconds: > 1 means
             # the wire is slower than the α/β model says it should be.
             ratio = (net_delta / modelled) if modelled > 1e-12 else 0.0
-            bank.get_or_create(LINK_MODEL_RATIO, key).append(t, ratio)
+            ratio_series.append(t, ratio)
+        self._prev = raw

@@ -35,6 +35,10 @@ class SchedulingPolicy(abc.ABC):
 
     def __init__(self, sched: "SubTaskScheduler") -> None:
         self.sched = sched
+        #: device -> bound ``{policy, device}`` children of the
+        #: per-block dispatch and steal counters
+        self._dispatched: dict[str, obs.CounterChild] = {}
+        self._stolen: dict[str, obs.CounterChild] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -45,9 +49,12 @@ class SchedulingPolicy(abc.ABC):
     def count_dispatch(self, device_name: str, n: int = 1) -> None:
         """Account *n* map blocks dispatched to *device_name*."""
         if n:
-            self.metrics.counter(obs.POLICY_BLOCKS).inc(
-                n, policy=self.name, device=device_name
-            )
+            child = self._dispatched.get(device_name)
+            if child is None:
+                child = self._dispatched[device_name] = self.metrics.counter_child(
+                    obs.POLICY_BLOCKS, policy=self.name, device=device_name
+                )
+            child.inc(n)
 
     def note_queue_depth(self, depth: int) -> None:
         """Publish the polling queue's instantaneous depth: a
@@ -66,9 +73,12 @@ class SchedulingPolicy(abc.ABC):
 
     def count_steal(self, device_name: str) -> None:
         """Account one block taken against the policy's affinity."""
-        self.metrics.counter(obs.POLICY_STEALS).inc(
-            1, policy=self.name, device=device_name
-        )
+        child = self._stolen.get(device_name)
+        if child is None:
+            child = self._stolen[device_name] = self.metrics.counter_child(
+                obs.POLICY_STEALS, policy=self.name, device=device_name
+            )
+        child.inc(1)
         sched = self.sched
         log = sched.trace.log
         if log is not None and log.wants_debug:

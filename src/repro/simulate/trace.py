@@ -35,6 +35,7 @@ from repro.obs import (
     DEVICE_FLOPS,
     DEVICE_TASKS,
     PHASE_SECONDS,
+    CounterChild,
     IntervalUnion,
     MetricSampler,
     MetricsRegistry,
@@ -89,7 +90,7 @@ class TaskRecord:
     flops: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.end < self.start:
+        if not self.end >= self.start:  # also rejects NaN bounds
             raise ValueError(
                 f"task {self.label!r}: end {self.end} precedes start {self.start}"
             )
@@ -115,7 +116,7 @@ class PhaseSpan:
     end: float
 
     def __post_init__(self) -> None:
-        if self.end < self.start:
+        if not self.end >= self.start:  # also rejects NaN bounds
             raise ValueError(
                 f"phase {self.phase!r}: end {self.end} precedes start {self.start}"
             )
@@ -158,6 +159,8 @@ class Trace:
         #: logging — the same contract the sampler and selfprof keep.
         self.log = None
         self._busy_union: dict[str, IntervalUnion] = {}
+        #: (device, kind) -> bound per-record counters (_device_counters)
+        self._counter_children: dict[tuple[str, str], tuple[CounterChild, ...]] = {}
         #: next message id handed to the communicator(s); trace-owned so
         #: ids stay unique across the worlds of rank-restart epochs
         self._next_msg_id = 1
@@ -241,24 +244,39 @@ class Trace:
             node.inclusive_s += now - prof._t0s.pop()
             nodes.pop()
 
+    def _device_counters(self, device: str, kind: str) -> tuple[CounterChild, ...]:
+        """The five per-record counter children of ``(device, kind)``:
+        busy seconds, tasks, flops, bytes, busy-union seconds."""
+        m = self.metrics
+        children = self._counter_children[device, kind] = (
+            m.counter_child(DEVICE_BUSY_SECONDS, device=device, kind=kind),
+            m.counter_child(DEVICE_TASKS, device=device, kind=kind),
+            m.counter_child(DEVICE_FLOPS, device=device),
+            m.counter_child(DEVICE_BYTES, device=device, kind=kind),
+            m.counter_child(DEVICE_BUSY_UNION_SECONDS, device=device),
+        )
+        return children
+
     def _add_impl(self, record: TaskRecord, attrs: dict | None) -> None:
         self.tick(record.end)
         self._records.append(record)
-        m = self.metrics
         device, kind = record.device, record.kind
-        duration = record.duration
-        m.counter(DEVICE_BUSY_SECONDS).inc(duration, device=device, kind=kind)
-        m.counter(DEVICE_TASKS).inc(1, device=device, kind=kind)
+        children = self._counter_children.get((device, kind))
+        if children is None:
+            children = self._device_counters(device, kind)
+        busy, tasks, flops, nbytes, busy_union = children
+        busy.inc(record.duration)
+        tasks.inc(1)
         if record.flops:
-            m.counter(DEVICE_FLOPS).inc(record.flops, device=device)
+            flops.inc(record.flops)
         if record.nbytes:
-            m.counter(DEVICE_BYTES).inc(record.nbytes, device=device, kind=kind)
+            nbytes.inc(record.nbytes)
         union = self._busy_union.get(device)
         if union is None:
             union = self._busy_union[device] = IntervalUnion()
         added = union.add(record.start, record.end)
         if added:
-            m.counter(DEVICE_BUSY_UNION_SECONDS).inc(added, device=device)
+            busy_union.inc(added)
         span_attrs = {"nbytes": record.nbytes, "flops": record.flops}
         if attrs:
             span_attrs.update(attrs)
@@ -506,7 +524,7 @@ class Trace:
         self, phase: str, rank: int, iteration: int, start: float, end: float
     ) -> None:
         """Append one finished phase span (retrospective bracketing)."""
-        if end < start:
+        if not end >= start:
             raise ValueError(
                 f"phase {phase!r}: end {end} precedes start {start}"
             )
@@ -573,6 +591,9 @@ class Trace:
     def finalize(self, end_time: float) -> None:
         """Close the open job/iteration envelope spans at *end_time*."""
         self.tracer.finalize(end_time)
+        # The trace outlives the run inside its result; drop the bound
+        # counters (a record after this point rebinds them lazily).
+        self._counter_children.clear()
         self._open_phase.clear()
         self._iter_span.clear()
         self._job_span.clear()

@@ -41,9 +41,76 @@ class TestCounter:
         with pytest.raises(ValueError, match="negative"):
             c.inc(-1.0)
 
+    def test_nan_increment_rejected(self):
+        # `nan < 0` is False: the check must be `not value >= 0`.
+        c = Counter("x_total")
+        with pytest.raises(ValueError, match="x_total.*NaN"):
+            c.inc(math.nan, device="cpu")
+        assert len(c) == 0
+
     def test_invalid_metric_name_rejected(self):
         with pytest.raises(ValueError, match="invalid metric name"):
             Counter("bad name!")
+
+
+class TestCounterChild:
+    """A bound child is the ``inc(**labels)`` path with the label key
+    built once; nothing it writes may differ."""
+
+    def test_unused_child_registers_nothing(self):
+        r = MetricsRegistry()
+        r.counter_child("x_total", device="cpu")
+        assert len(r) == 0
+        assert r.get("x_total") is None
+        assert r.render() == ""
+
+    def test_render_and_dicts_match_the_labels_path(self):
+        rng = random.Random(5)
+        ops = [
+            (rng.choice(["a_total", "b_total"]),
+             {"device": rng.choice(["n0.cpu", "n0.gpu", "n1.cpu"]),
+              "kind": rng.choice(["compute", "h2d", 3])},
+             rng.choice([0, 1, 2.5, 1e-7, 0.1]))
+            for _ in range(200)
+        ]
+        plain, bound = MetricsRegistry(), MetricsRegistry()
+        children = {}
+        for name, labels, value in ops:
+            plain.counter(name).inc(value, **labels)
+            key = (name, tuple(labels.items()))
+            if key not in children:
+                # keyword order must not matter, as for inc(**labels)
+                children[key] = bound.counter_child(
+                    name, **dict(reversed(list(labels.items())))
+                )
+            children[key].inc(value)
+        assert bound.render() == plain.render()
+        assert bound.to_dict() == plain.to_dict()
+        assert [m.labels() for m in bound] == [m.labels() for m in plain]
+
+    def test_child_and_labels_path_share_one_series(self):
+        r = MetricsRegistry()
+        child = r.counter_child("x_total", device="cpu")
+        child.inc(2)
+        r.counter("x_total").inc(3, device="cpu")
+        child.inc()
+        assert r.counter("x_total").value(device="cpu") == 6.0
+        assert len(r.counter("x_total")) == 1
+
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan])
+    def test_negative_and_nan_increments_raise(self, value):
+        r = MetricsRegistry()
+        child = r.counter_child("x_total", device="cpu")
+        with pytest.raises(ValueError, match="x_total"):
+            child.inc(value)
+        assert len(r) == 0  # a rejected first inc registers nothing
+
+    def test_gauge_name_raises_type_error_on_first_inc(self):
+        r = MetricsRegistry()
+        r.gauge("depth").set(1.0)
+        child = r.counter_child("depth", node="n0")  # binding is lazy
+        with pytest.raises(TypeError, match="already registered as gauge"):
+            child.inc()
 
 
 class TestGauge:

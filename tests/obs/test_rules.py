@@ -5,10 +5,15 @@ These drive :func:`evaluate_rules` against hand-built
 resolution / for_s edge is pinned without running the simulator.
 """
 
+from bisect import bisect_left, bisect_right
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import ALERTS_TOTAL, MetricsRegistry
 from repro.obs.rules import (
+    _evaluate_series,
+    _window_aggregate,
     ALERT_CATEGORY,
     ALERTS_TRACK,
     AlertEvent,
@@ -20,7 +25,7 @@ from repro.obs.rules import (
     record_alerts,
 )
 from repro.obs.spans import SpanTracer
-from repro.obs.timeseries import SeriesBank
+from repro.obs.timeseries import Series, SeriesBank
 
 
 def bank_with(name, points, **labels):
@@ -241,3 +246,130 @@ class TestRecordAlerts:
             "rule", "severity", "labels", "start", "end",
             "resolved", "peak", "threshold", "expr",
         }
+
+
+# ----------------------------------------------------------------------
+# The one-pass evaluator against a brute-force oracle
+# ----------------------------------------------------------------------
+def _oracle_signal(func, series, t, window):
+    """The signal at sample instant *t*, read through the Series
+    aggregators (each rescans the whole ring)."""
+    t0 = t - window
+    if func == "value":
+        return series.value(t)
+    if func == "rate":
+        return series.rate(t0, t)
+    if func == "increase":
+        return series.increase(t0, t)
+    if func == "mean":
+        return series.mean(t0, t)
+    if func == "max":
+        return series.vmax(t0, t)
+    if func == "min":
+        return series.vmin(t0, t)
+    return series.quantile(0.5 if func == "p50" else 0.99, t0, t)
+
+
+def _oracle_events(rule, func, series, end):
+    """Brute-force twin of ``_evaluate_series``: per sample, evaluate
+    the signal from scratch and track runs where the condition holds."""
+    compare = {">": float.__gt__, ">=": float.__ge__,
+               "<": float.__lt__, "<=": float.__le__}[rule.op]
+    extreme = max if rule.op in (">", ">=") else min
+    labels = tuple(sorted(series.labels.items()))
+    events, run = [], None  # run = [start, peak, last_true]
+
+    def close(resolved_at):
+        if run is not None and run[2] - run[0] >= rule.for_s:
+            events.append(AlertEvent(
+                rule=rule.name, severity=rule.severity, labels=labels,
+                start=run[0],
+                end=resolved_at if resolved_at is not None else min(run[2], end),
+                resolved=resolved_at is not None, peak=run[1],
+                threshold=rule.threshold, expr=rule.expr,
+            ))
+
+    for t, _ in series.points():
+        if t > end:
+            break
+        v = _oracle_signal(func, series, t, rule.window)
+        if v is not None and compare(float(v), rule.threshold):
+            if run is None:
+                run = [t, v, t]
+            else:
+                run[1] = extreme(run[1], v)
+                run[2] = t
+        elif run is not None:
+            close(t)
+            run = None
+    close(None)
+    return events
+
+
+_FUNC_NAMES = ("value", "rate", "increase", "mean", "max", "min", "p50", "p99")
+
+
+class TestOnePassMatchesSeriesAggregators:
+    """`_evaluate_series` cuts windows by bisection; it must give the
+    exact AlertEvent list a per-point rescan through `Series` gives,
+    repeated timestamps and a wrapped ring included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([0, 0, 1, 2, 3]),  # 0 = repeated timestamp
+                st.one_of(
+                    st.integers(-3, 6).map(float),
+                    st.floats(-5.0, 5.0, allow_nan=False),
+                    # inexact decimals: summation order shows in the bits
+                    st.sampled_from([0.1, 0.2, 0.3, 0.7, 1 / 3]),
+                ),
+            ),
+            min_size=1, max_size=40,
+        ),
+        capacity=st.sampled_from([4, 16, 8192]),
+        func=st.sampled_from(_FUNC_NAMES),
+        op=st.sampled_from([">", ">=", "<", "<="]),
+        threshold=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+        window=st.sampled_from([0.0, 1e-3, 2.5e-3, 5e-3]),
+        for_s=st.sampled_from([0.0, 1e-3, 3e-3]),
+        end_cut=st.sampled_from([None, 0.5]),
+    )
+    def test_equal_alert_events(self, steps, capacity, func, op, threshold,
+                                window, for_s, end_cut):
+        series = Series("prs_x", {"device": "gpu"}, capacity=capacity)
+        tick = 0
+        for gap, value in steps:
+            tick += gap
+            series.append(tick * 1e-3, value)
+        last = series.last_t
+        end = last if end_cut is None else last * end_cut
+        rule = Rule(name="r", expr=f"{func}(prs_x)", threshold=threshold,
+                    window=window, for_s=for_s, op=op)
+        assert (_evaluate_series(rule, func, series, end)
+                == _oracle_events(rule, func, series, end))
+        # The windowed signals themselves, bit for bit, for every
+        # aggregator (a last-bit difference rarely moves an alert).
+        times = [t for t, _ in series.points()]
+        values = [v for _, v in series.points()]
+        for agg in _FUNC_NAMES[1:]:
+            for t in times:
+                got = _window_aggregate(
+                    agg, times, values,
+                    bisect_left(times, t - window), bisect_right(times, t),
+                )
+                assert repr(got) == repr(_oracle_signal(agg, series, t, window))
+
+    @pytest.mark.parametrize("func", _FUNC_NAMES)
+    def test_every_func_fires_on_a_repeated_timestamp_series(self, func):
+        # A fixed case per func that does fire, so the property above
+        # is not vacuously comparing empty lists for some func.
+        series = Series("prs_x")
+        for t, v in [(0.0, 0.0), (1e-3, 1.0), (1e-3, 4.0), (2e-3, 9.0),
+                     (2e-3, 9.0), (3e-3, 16.0), (4e-3, 0.0), (4e-3, 1.0)]:
+            series.append(t, v)
+        rule = Rule(name="r", expr=f"{func}(prs_x)", threshold=0.5,
+                    window=2e-3)
+        got = _evaluate_series(rule, func, series, 4e-3)
+        assert got and got == _oracle_events(rule, func, series, 4e-3)

@@ -78,6 +78,18 @@ class TestNesting:
         with pytest.raises(ValueError, match="precedes"):
             t.record("s", "trk", 1.0, 0.5)
 
+    def test_nan_bounds_rejected(self):
+        nan = float("nan")
+        t = SpanTracer()
+        with pytest.raises(ValueError, match="'r'"):
+            t.record("r", "trk", 0.0, nan)
+        with pytest.raises(ValueError, match="'r'"):
+            t.record("r", "trk", nan, 1.0)
+        s = t.begin("s", "trk", 1.0)
+        with pytest.raises(ValueError, match="'s'"):
+            t.end(s, nan)
+        assert s.is_open and len(t) == 1
+
     def test_finalize_closes_open_spans_innermost_first(self):
         t = SpanTracer()
         outer = t.begin("outer", "trk", 0.0)

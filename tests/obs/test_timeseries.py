@@ -22,7 +22,10 @@ from repro.hardware import delta_cluster
 from repro.obs.metrics import (
     COMM_BYTES,
     COMM_MESSAGES,
+    DEVICE_BUSY_SECONDS,
     DEVICE_BUSY_UNION_SECONDS,
+    Counter,
+    Gauge,
     _label_key,
 )
 from repro.obs.timeseries import (
@@ -301,3 +304,138 @@ class TestSamplingUnderFaults:
         c = run_cmeans(faults=spec, fault_seed=12)
         assert (a.trace.sampler.bank.to_jsonl_lines()
                 != c.trace.sampler.bank.to_jsonl_lines())
+
+
+# ----------------------------------------------------------------------
+# The cached snapshot plan against a fresh sorted walk per snapshot
+# ----------------------------------------------------------------------
+class ResortingSampler(MetricSampler):
+    """Reference sampler: every snapshot re-sorts every registry series
+    and re-derives the probes from scratch (no cached plan)."""
+
+    def _snapshot(self, t):
+        bank = self.bank
+        busy_union, net_busy, link_msgs, link_bytes = {}, 0.0, {}, {}
+        for metric in self._trace.metrics:  # name-sorted
+            if not isinstance(metric, (Counter, Gauge)):
+                continue
+            for key, value in sorted(metric._samples.items()):
+                bank.get_or_create(metric.name, key).append(t, value)
+                labels = dict(key)
+                if metric.name == DEVICE_BUSY_UNION_SECONDS:
+                    busy_union[key] = value
+                elif metric.name == DEVICE_BUSY_SECONDS:
+                    if labels.get("kind") == "net":
+                        net_busy += value
+                elif metric.name == COMM_MESSAGES:
+                    link = labels.get("link", "")
+                    link_msgs[link] = link_msgs.get(link, 0.0) + value
+                elif metric.name == COMM_BYTES:
+                    link = labels.get("link", "")
+                    link_bytes[link] = link_bytes.get(link, 0.0) + value
+        prev, raw = self._prev, {}
+        dt = (t - self._last_t) if self._last_t is not None else 0.0
+        fractions = []
+        for key, value in sorted(busy_union.items()):
+            device = dict(key).get("device", "")
+            raw[f"busy::{device}"] = value
+            delta = value - prev.get(f"busy::{device}", 0.0)
+            fraction = (delta / dt) if dt > 0.0 else 0.0
+            bank.get_or_create(DEVICE_BUSY_FRACTION, key).append(t, fraction)
+            if not device.startswith("net."):
+                fractions.append(fraction)
+        if fractions:
+            mean = sum(fractions) / len(fractions)
+            bank.get_or_create(DEVICE_IMBALANCE, ()).append(
+                t, (max(fractions) / mean) if mean > 0.0 else 0.0)
+        raw["net_busy"] = net_busy
+        net_delta = net_busy - prev.get("net_busy", 0.0)
+        for link in sorted(self._link_models):
+            alpha, bytes_per_s = self._link_models[link]
+            msgs, nbytes = link_msgs.get(link, 0.0), link_bytes.get(link, 0.0)
+            raw[f"msgs::{link}"], raw[f"bytes::{link}"] = msgs, nbytes
+            modelled = ((msgs - prev.get(f"msgs::{link}", 0.0)) * alpha
+                        + (nbytes - prev.get(f"bytes::{link}", 0.0))
+                        / bytes_per_s)
+            key = _label_key({"link": link})
+            bank.get_or_create(LINK_UTILIZATION, key).append(
+                t, (modelled / dt) if dt > 0.0 else 0.0)
+            bank.get_or_create(LINK_MODEL_RATIO, key).append(
+                t, (net_delta / modelled) if modelled > 1e-12 else 0.0)
+        self._prev = raw
+        self._last_t = t
+
+
+def _scripted(sampler_cls):
+    """Drive a bare trace through label sets that appear mid-run, some
+    sorting before every earlier one, plus a gauge and a late link."""
+    trace = Trace()
+    sampler = trace.attach_sampler(sampler_cls(interval=1e-3))
+    busy = trace.metrics.counter(DEVICE_BUSY_UNION_SECONDS)
+    msgs = trace.metrics.counter(COMM_MESSAGES)
+    nbytes = trace.metrics.counter(COMM_BYTES)
+    sampler.register_link_model("remote", latency_s=1e-5, bytes_per_s=1.0)
+    busy.inc(0.3e-3, device="n1.gpu")
+    msgs.inc(2, link="remote", src="r0")
+    nbytes.inc(0.1, link="remote", src="r0")
+    trace.tick(2.5e-3)
+    busy.inc(0.7e-3, device="n0.cpu")  # new, sorts first
+    busy.inc(0.2e-3, device="net.r0")
+    trace.metrics.counter(DEVICE_BUSY_SECONDS).inc(0.3, device="net.r0",
+                                                   kind="net")
+    trace.metrics.gauge("prs_q").set(3, node="b")
+    nbytes.inc(0.6, link="remote", src="r2")
+    trace.tick(4e-3)
+    # a link model registered with no registry change in between
+    msgs.inc(1, link="local", src="r1")
+    trace.tick(5e-3)
+    sampler.register_link_model("local", latency_s=1e-6, bytes_per_s=1e10)
+    trace.tick(6e-3)
+    trace.metrics.gauge("prs_q").set(1, node="a")  # new, sorts first
+    # sorted order sums 0.1 + 0.2 + 0.6 == 0.9; insertion order would
+    # give 0.1 + 0.6 + 0.2 == 0.8999999999999999
+    nbytes.inc(0.2, link="remote", src="r1")
+    busy.inc(0.1e-3, device="n1.gpu")
+    trace.tick(8e-3)
+    sampler.finalize(8.5e-3)
+    return sampler
+
+
+class TestSnapshotPlan:
+    def test_mid_run_label_sets_match_a_resort_per_snapshot(self):
+        planned = _scripted(MetricSampler)
+        resorted = _scripted(ResortingSampler)
+        assert planned.bank.to_jsonl_lines() == resorted.bank.to_jsonl_lines()
+        # the late label set starts at the first grid instant after it
+        # appeared, and its busy fraction is derived from then on
+        late = planned.bank.get(DEVICE_BUSY_UNION_SECONDS, device="n0.cpu")
+        assert late.first_t == pytest.approx(3e-3)
+        frac = planned.bank.get(DEVICE_BUSY_FRACTION, device="n0.cpu")
+        assert len(frac) == len(late)
+        assert planned.bank.get("prs_q", node="a").first_t == pytest.approx(7e-3)
+        local = planned.bank.get(LINK_UTILIZATION, link="local")
+        assert local.first_t == pytest.approx(6e-3)
+
+    def test_plan_is_released_by_finalize(self):
+        sampler = _scripted(MetricSampler)
+        assert sampler.finalized
+        assert sampler._plan == {} and sampler._link_plan == []
+
+    def test_faulted_elastic_run_matches_a_resort_per_snapshot(self, monkeypatch):
+        # Joins, a GPU kill, dropped messages and a rank restart add
+        # devices, links and counters mid-run.
+        from repro import obs
+
+        faults = ["join@2:t=0.005", "gpu_kill@0:t=0.01",
+                  "msg_drop@1-0:count=2,t0=0", "rank_kill@1:t=0.02"]
+        planned = run_cmeans(n_nodes=3, faults=faults, fault_seed=7,
+                             initial_nodes=2)
+        monkeypatch.setattr(obs, "MetricSampler", ResortingSampler)
+        resorted = run_cmeans(n_nodes=3, faults=faults, fault_seed=7,
+                              initial_nodes=2)
+        assert isinstance(resorted.trace.sampler, ResortingSampler)
+        assert planned.trace.sampler._plan == {}
+        assert (planned.trace.sampler.bank.to_jsonl_lines()
+                == resorted.trace.sampler.bank.to_jsonl_lines())
+        assert ([a.to_dict() for a in planned.alerts]
+                == [a.to_dict() for a in resorted.alerts])

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simulate.trace import TaskRecord, Trace
+from repro.simulate.trace import PhaseSpan, TaskRecord, Trace
 
 
 def make_trace(entries):
@@ -20,6 +20,25 @@ class TestTaskRecord:
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
             TaskRecord("t", "d", "compute", 3.0, 1.0)
+
+    @pytest.mark.parametrize("start, end", [
+        (0.0, float("nan")), (float("nan"), 1.0), (float("nan"), float("nan")),
+    ])
+    def test_rejects_nan_bounds(self, start, end):
+        with pytest.raises(ValueError, match="'blk'"):
+            TaskRecord("blk", "d", "compute", start, end)
+
+    def test_nan_record_leaves_trace_and_counters_untouched(self):
+        # `nan < start` is False, so a plain `end < start` check used to
+        # accept the record and turn makespan and the busy counters NaN.
+        t = make_trace([("a", "cpu", "compute", 0.0, 2.0)])
+        before = t.metrics.render()
+        with pytest.raises(ValueError, match="'bad'"):
+            t.record("bad", "cpu", "compute", 1.0, float("nan"))
+        assert t.makespan == 2.0
+        assert t.busy_time("cpu") == 2.0
+        assert t.metrics.render() == before
+        assert len(t) == 1
 
 
 class TestBusyTime:
@@ -194,6 +213,13 @@ class TestPhaseSpans:
         t.record_phase("map", 0, 0, 0.0, 1.0)
         t.record_phase("map", 0, 0, 1.0, 1.25)
         assert t.phase_breakdown()[0] == {"map": 1.25}
+
+    def test_nan_phase_rejected(self):
+        t = Trace()
+        with pytest.raises(ValueError, match="'map'"):
+            t.record_phase("map", 0, 0, 0.0, float("nan"))
+        with pytest.raises(ValueError, match="'map'"):
+            PhaseSpan("map", 0, 0, float("nan"), 1.0)
 
     def test_reversed_span_rejected(self):
         t = Trace()
