@@ -20,23 +20,21 @@ promise one level down: it watches the *simulator's own* wall-clock, so
 simulated results — engine events, makespan, reduce outputs, sampler
 samples — bitwise identical, and (b) costs under 5% extra host time
 over the sweep.  Host timing on a shared box is noisy on the scale of
-whole runs (this repo's CI shares one core), so the estimator is built
-to survive it: the gate metric is process *CPU* time (immune to other
-processes stealing the core — profiling overhead is CPU work, so CPU
-time is also the honest metric), plain/selfprof runs alternate with the
-order flipped every round (cancels warm-cache position bias), each
-adjacent pair yields one ratio, the per-workload number is the *median*
-over pairs, the sweep number is the CPU-weighted mean of those medians
-— and the gate takes the best of up to three attempts, because even
-this estimator can read several percent high when a noisy neighbor
-pollutes the cache for a whole attempt.  A real regression (scopes
-suddenly costing 2x) fails all three; every attempt is recorded in the
-saved JSON so a trajectory of near-misses is visible.
+whole runs, so the estimator follows the ``benchmarks/e2e`` protocol
+(see its README): every run is timed in *calibrated seconds* — raw wall
+time scaled by a fixed pure-Python probe timed just before and just
+after it, so host contention that slows the run slows the probe alike
+— with the previous run's garbage collected outside the timed region.
+Plain and selfprof runs alternate in adjacent pairs, the order flipped
+on every pair; the per-workload overhead is the *median* pair ratio,
+and the sweep number weights those medians by each workload's
+calibrated plain time.  The gate takes the best of up to three
+attempts, every attempt recorded in the saved JSON.
 
 The structured event log (:mod:`repro.obs.log`) joins the same
 contract in ``test_logging_overhead``: a ``log_level="debug"`` run must
 leave every simulated result bitwise identical and cost under 5% extra
-host CPU time, measured with the same paired-round estimator.  Its
+host time, measured with the same calibrated paired estimator.  Its
 sweep is recorded under the ``"logging"`` key of
 ``BENCH_obs_overhead.json``.
 
@@ -46,34 +44,29 @@ Regenerates ``benchmarks/results/BENCH_obs_overhead.json`` and
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 
 from statistics import median
-from time import perf_counter, process_time
+from time import perf_counter
 
-from _harness import (
-    LAST_WALL,
-    RESULTS_DIR,
-    WALL_ROUNDS,
-    once,
-    save_json,
-    save_table,
-)
+from _harness import RESULTS_DIR, once, save_json, save_table
+from e2e.run import calibrated, probe
 from repro.analysis.tables import format_table
 from repro.obs.analyze.baseline import DEFAULT_WORKLOADS, _run_workload
 
 #: hard ceiling on relative engine-event overhead from sampling
 MAX_EVENT_OVERHEAD = 0.03
 
-#: hard ceiling on relative host CPU-time overhead of ``selfprof=True``
+#: hard ceiling on relative host-time overhead of ``selfprof=True``
 #: over the whole sweep (per-workload numbers are recorded but not gated
 #: — sub-second runs are too noisy individually)
 MAX_SELFPROF_OVERHEAD = 0.05
 
-#: hard ceiling on relative host CPU-time overhead of
-#: ``log_level="info"`` over the whole sweep, mirroring the selfprof
+#: hard ceiling on relative host-time overhead of
+#: ``log_level="debug"`` over the whole sweep, mirroring the selfprof
 #: gate: the event log is pure host bookkeeping behind ``log is None``
 #: guards, so simulated results are bitwise identical and host cost
 #: stays in the noise
@@ -82,6 +75,9 @@ MAX_LOGGING_OVERHEAD = 0.05
 #: measurement attempts before the overhead gate gives up; a clean host
 #: passes on the first, a noisy one on a retry, a real regression never
 MAX_OVERHEAD_ATTEMPTS = 3
+
+#: adjacent (plain, observed) pairs per workload and attempt
+OVERHEAD_PAIRS = 15
 
 
 def build_sweep():
@@ -153,180 +149,148 @@ def _canon_output(output):
     }
 
 
-def build_selfprof_sweep():
+def _timed(runner):
+    """One run in calibrated seconds, as ``benchmarks/e2e`` times an op:
+    collect the previous run's garbage untimed, then probe, run, probe."""
+    gc.collect()
+    before = probe()
+    t0 = perf_counter()
+    out = runner()
+    raw = perf_counter() - t0
+    return out, raw, calibrated(raw, before, probe())
+
+
+def paired_overhead(spec, **observed):
+    """Median calibrated-time ratio of *observed* over plain runs of *spec*.
+
+    One untimed warm-up per side, then ``OVERHEAD_PAIRS`` adjacent
+    (plain, observed) pairs, the order flipped on every pair.  Returns
+    the last plain and observed results, the median ratio, and the
+    median calibrated and raw seconds of each side.
+    """
+    kwargs = {"plain": {}, "observed": observed}
+    for kw in kwargs.values():
+        _run_workload(spec, **kw)
+    last = {}
+    times: dict[str, list[tuple[float, float]]] = {"plain": [], "observed": []}
+    ratios: list[float] = []
+    for i in range(OVERHEAD_PAIRS):
+        for side in ("plain", "observed")[:: 1 if i % 2 == 0 else -1]:
+            last[side], raw, cal = _timed(
+                lambda: _run_workload(spec, **kwargs[side]))
+            times[side].append((raw, cal))
+        ratios.append(times["observed"][-1][1] / times["plain"][-1][1])
+    timing = {"ratio": median(ratios)}
+    for side, runs in times.items():
+        timing[f"cal_s_{side}"] = median(cal for _, cal in runs)
+        timing[f"wall_s_{side}"] = median(raw for raw, _ in runs)
+    return last["plain"], last["observed"], timing
+
+
+def overhead_sweep(label, entry_of, observed, columns=(), row_of=None):
+    """Run :func:`paired_overhead` over the standard sweep.
+
+    *entry_of(plain, obs)* adds the bitwise-identity fields of one
+    workload's entry; *columns*/*row_of* add table columns.  The sweep
+    overhead is the mean of the per-workload median ratios weighted by
+    each workload's calibrated plain time, so a long workload's overhead
+    counts for more than a 30 ms one's.
+    """
     entries = {}
     rows = []
-    weights: dict[str, tuple[float, float]] = {}
     for spec in DEFAULT_WORKLOADS:
-        # One warmup per side, then paired timed rounds with the order
-        # flipped every round; each pair yields one CPU-time ratio.
-        plain = _run_workload(spec)
-        prof = _run_workload(spec, selfprof=True)
-        wp: list[float] = []
-        ws: list[float] = []
-        cp: list[float] = []
-        cs: list[float] = []
-
-        def timed(runner, walls, cpus):
-            t0, c0 = perf_counter(), process_time()
-            out = runner()
-            cpus.append(process_time() - c0)
-            walls.append(perf_counter() - t0)
-            return out
-
-        for i in range(WALL_ROUNDS + 2):
-            if i % 2 == 0:
-                plain = timed(lambda: _run_workload(spec), wp, cp)
-                prof = timed(
-                    lambda: _run_workload(spec, selfprof=True), ws, cs)
-            else:
-                prof = timed(
-                    lambda: _run_workload(spec, selfprof=True), ws, cs)
-                plain = timed(lambda: _run_workload(spec), wp, cp)
-        ratio = median(s / p for p, s in zip(cp, cs))
-        LAST_WALL[f"{spec.name}-plain"] = {
-            "min_s": min(wp), "max_s": max(wp), "rounds": len(wp)}
-        LAST_WALL[f"{spec.name}-selfprof"] = {
-            "min_s": min(ws), "max_s": max(ws), "rounds": len(ws)}
-        weights[spec.name] = (ratio, min(cp))
-        host = prof.selfprofile
-        entries[spec.name] = {
+        plain, obs, timing = paired_overhead(spec, **observed)
+        entry = {
             "spec": spec.to_dict(),
-            "wall_s_plain": min(wp),
-            "wall_s_selfprof": min(ws),
-            "cpu_s_plain": min(cp),
-            "cpu_s_selfprof": min(cs),
-            "cpu_overhead": ratio - 1.0,
-            "engine_events_identical":
-                prof.engine_events == plain.engine_events,
-            "makespan_identical": prof.makespan == plain.makespan,
+            **{k: v for k, v in timing.items() if k != "ratio"},
+            "overhead": timing["ratio"] - 1.0,
+            "engine_events_identical": obs.engine_events == plain.engine_events,
+            "makespan_identical": obs.makespan == plain.makespan,
             "outputs_identical":
-                _canon_output(prof.output) == _canon_output(plain.output),
+                _canon_output(obs.output) == _canon_output(plain.output),
             "sampler_samples_identical":
-                prof.sampler_samples == plain.sampler_samples,
-            "plain_has_no_profile": plain.selfprofile is None,
-            "hotspots": len(host.top_exclusive(10)) if host else 0,
+                obs.sampler_samples == plain.sampler_samples,
+            **entry_of(plain, obs),
         }
+        entries[spec.name] = entry
         rows.append([
             spec.name,
-            f"{min(cp) * 1e3:.1f}",
-            f"{min(cs) * 1e3:.1f}",
-            f"{ratio - 1.0:+.1%}",
-            "yes" if entries[spec.name]["engine_events_identical"]
-            and entries[spec.name]["makespan_identical"]
-            and entries[spec.name]["outputs_identical"] else "NO",
+            f"{timing['cal_s_plain'] * 1e3:.1f}",
+            f"{timing['cal_s_observed'] * 1e3:.1f}",
+            f"{entry['overhead']:+.1%}",
+            *(row_of(entry) if row_of else ()),
+            "yes" if entry["engine_events_identical"]
+            and entry["makespan_identical"]
+            and entry["outputs_identical"] else "NO",
         ])
-    # Sweep overhead: CPU-weighted mean of the per-workload median
-    # ratios — a long workload's overhead counts for more than a 30 ms
-    # one's, mirroring what a user-visible slowdown would feel like.
-    total_cpu = sum(p for _, p in weights.values())
-    overall = sum((r - 1.0) * p / total_cpu for r, p in weights.values())
+    total = sum(e["cal_s_plain"] for e in entries.values())
+    overall = sum(
+        e["overhead"] * e["cal_s_plain"] / total for e in entries.values()
+    )
     table = format_table(
-        ["workload", "cpu off (ms)", "cpu on (ms)", "overhead",
+        ["workload", "off (ms)", "on (ms)", "overhead", *columns,
          "results identical"],
         rows,
-        title=(f"Self-profiler overhead: host CPU time with selfprof on "
-               f"vs off (sweep {overall:+.1%})"),
+        title=(f"{label}: calibrated host time on vs off "
+               f"(sweep {overall:+.1%})"),
     )
-    payload = {
-        "schema_version": 1,
-        "benchmark": "selfprof_overhead",
-        "max_cpu_overhead": MAX_SELFPROF_OVERHEAD,
-        "cpu_overhead_total": overall,
+    return table, {
+        "schema_version": 2,
+        "pairs": OVERHEAD_PAIRS,
+        "overhead_total": overall,
         "workloads": entries,
     }
+
+
+def build_selfprof_sweep():
+    table, payload = overhead_sweep(
+        "Self-profiler overhead",
+        lambda plain, prof: {
+            "plain_has_no_profile": plain.selfprofile is None,
+            "hotspots": len(prof.selfprofile.top_exclusive(10))
+            if prof.selfprofile else 0,
+        },
+        {"selfprof": True},
+    )
+    payload.update(benchmark="selfprof_overhead",
+                   max_overhead=MAX_SELFPROF_OVERHEAD)
     return table, payload
 
 
 def build_logging_sweep():
-    entries = {}
-    rows = []
-    weights: dict[str, tuple[float, float]] = {}
-    for spec in DEFAULT_WORKLOADS:
-        plain = _run_workload(spec)
-        logged = _run_workload(spec, log_level="debug")
-        wp: list[float] = []
-        wl: list[float] = []
-        cp: list[float] = []
-        cl: list[float] = []
-
-        def timed(runner, walls, cpus):
-            t0, c0 = perf_counter(), process_time()
-            out = runner()
-            cpus.append(process_time() - c0)
-            walls.append(perf_counter() - t0)
-            return out
-
-        for i in range(WALL_ROUNDS + 2):
-            if i % 2 == 0:
-                plain = timed(lambda: _run_workload(spec), wp, cp)
-                logged = timed(
-                    lambda: _run_workload(spec, log_level="debug"), wl, cl)
-            else:
-                logged = timed(
-                    lambda: _run_workload(spec, log_level="debug"), wl, cl)
-                plain = timed(lambda: _run_workload(spec), wp, cp)
-        ratio = median(s / p for p, s in zip(cp, cl))
-        LAST_WALL[f"{spec.name}-plain"] = {
-            "min_s": min(wp), "max_s": max(wp), "rounds": len(wp)}
-        LAST_WALL[f"{spec.name}-logging"] = {
-            "min_s": min(wl), "max_s": max(wl), "rounds": len(wl)}
-        weights[spec.name] = (ratio, min(cp))
-        entries[spec.name] = {
-            "spec": spec.to_dict(),
-            "cpu_s_plain": min(cp),
-            "cpu_s_logging": min(cl),
-            "cpu_overhead": ratio - 1.0,
-            "records_emitted": logged.logs.emitted if logged.logs else 0,
-            "engine_events_identical":
-                logged.engine_events == plain.engine_events,
-            "makespan_identical": logged.makespan == plain.makespan,
-            "outputs_identical":
-                _canon_output(logged.output) == _canon_output(plain.output),
-            "sampler_samples_identical":
-                logged.sampler_samples == plain.sampler_samples,
+    table, payload = overhead_sweep(
+        "Event-log overhead (log_level=debug)",
+        lambda plain, logged: {
             "plain_has_no_log": plain.logs is None,
-        }
-        rows.append([
-            spec.name,
-            f"{min(cp) * 1e3:.1f}",
-            f"{min(cl) * 1e3:.1f}",
-            f"{ratio - 1.0:+.1%}",
-            str(entries[spec.name]["records_emitted"]),
-            "yes" if entries[spec.name]["engine_events_identical"]
-            and entries[spec.name]["makespan_identical"]
-            and entries[spec.name]["outputs_identical"] else "NO",
-        ])
-    total_cpu = sum(p for _, p in weights.values())
-    overall = sum((r - 1.0) * p / total_cpu for r, p in weights.values())
-    table = format_table(
-        ["workload", "cpu off (ms)", "cpu on (ms)", "overhead",
-         "records", "results identical"],
-        rows,
-        title=(f"Event-log overhead: host CPU time with log_level=debug "
-               f"vs logging off (sweep {overall:+.1%})"),
+            "records_emitted": logged.logs.emitted if logged.logs else 0,
+        },
+        {"log_level": "debug"},
+        columns=("records",),
+        row_of=lambda entry: (str(entry["records_emitted"]),),
     )
-    payload = {
-        "benchmark": "logging_overhead",
-        "max_cpu_overhead": MAX_LOGGING_OVERHEAD,
-        "cpu_overhead_total": overall,
-        "workloads": entries,
-    }
+    payload.update(benchmark="logging_overhead",
+                   max_overhead=MAX_LOGGING_OVERHEAD)
+    return table, payload
+
+
+def _gate(build, bound):
+    """Best of up to ``MAX_OVERHEAD_ATTEMPTS`` sweeps, every attempt's
+    overhead recorded in the returned payload."""
+    attempts: list[float] = []
+    table = payload = None
+    for _ in range(MAX_OVERHEAD_ATTEMPTS):
+        t, p = build()
+        attempts.append(p["overhead_total"])
+        if payload is None or p["overhead_total"] < payload["overhead_total"]:
+            table, payload = t, p
+        if payload["overhead_total"] < bound:
+            break
+    payload["overhead_attempts"] = attempts
     return table, payload
 
 
 def test_logging_overhead():
-    attempts: list[float] = []
-    table = payload = None
-    for _ in range(MAX_OVERHEAD_ATTEMPTS):
-        t, p = build_logging_sweep()
-        attempts.append(p["cpu_overhead_total"])
-        if payload is None or (p["cpu_overhead_total"]
-                               < payload["cpu_overhead_total"]):
-            table, payload = t, p
-        if payload["cpu_overhead_total"] < MAX_LOGGING_OVERHEAD:
-            break
-    payload["overhead_attempts"] = attempts
+    table, payload = _gate(build_logging_sweep, MAX_LOGGING_OVERHEAD)
     save_table("logging_overhead", table)
     # The gate rides in BENCH_obs_overhead.json next to the sampler
     # sweep: both guard the same zero-perturbation contract.
@@ -346,21 +310,12 @@ def test_logging_overhead():
         assert entry["sampler_samples_identical"], name
         assert entry["plain_has_no_log"], name
         assert entry["records_emitted"] > 0, (name, "vacuous sweep?")
-    assert payload["cpu_overhead_total"] < MAX_LOGGING_OVERHEAD, attempts
+    assert payload["overhead_total"] < MAX_LOGGING_OVERHEAD, (
+        payload["overhead_attempts"])
 
 
 def test_selfprof_overhead():
-    attempts: list[float] = []
-    table = payload = None
-    for _ in range(MAX_OVERHEAD_ATTEMPTS):
-        t, p = build_selfprof_sweep()
-        attempts.append(p["cpu_overhead_total"])
-        if payload is None or (p["cpu_overhead_total"]
-                               < payload["cpu_overhead_total"]):
-            table, payload = t, p
-        if payload["cpu_overhead_total"] < MAX_SELFPROF_OVERHEAD:
-            break
-    payload["overhead_attempts"] = attempts
+    table, payload = _gate(build_selfprof_sweep, MAX_SELFPROF_OVERHEAD)
     save_table("selfprof_overhead", table)
     save_json("selfprof_overhead", payload)
 
@@ -374,4 +329,5 @@ def test_selfprof_overhead():
         assert entry["sampler_samples_identical"], name
         assert entry["plain_has_no_profile"], name
         assert entry["hotspots"] > 0, (name, "empty host profile")
-    assert payload["cpu_overhead_total"] < MAX_SELFPROF_OVERHEAD, attempts
+    assert payload["overhead_total"] < MAX_SELFPROF_OVERHEAD, (
+        payload["overhead_attempts"])

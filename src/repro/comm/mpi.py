@@ -106,15 +106,63 @@ class EpochAborted(RuntimeError):
         super().__init__(f"epoch aborted: {cause!r}")
 
 
+#: payload types a single machine word (8 bytes) is charged for, matched
+#: by exact type on the fast path: Python's numeric builtins and every
+#: concrete NumPy scalar type except the string/bytes ones (those are
+#: ``str``/``bytes`` subclasses and are sized by length instead)
+_WORD_TYPES = frozenset(
+    t
+    for t in (bool, int, float, complex, *np.sctypeDict.values())
+    if not issubclass(t, (str, bytes))
+)
+
+#: container term of one word-sized item: its word plus the 8.0 framing
+_WORD_ITEM = 8.0 + 8.0
+
+_INF = float("inf")
+
+
 def payload_nbytes(obj: Any) -> float:
     """Wire-size estimate (bytes) of a message payload.
 
     NumPy arrays report their exact buffer size; containers are summed
     recursively with a small per-item framing overhead; scalars cost a
     machine word.  This mirrors what mpi4py's buffer path would move.
+
+    One pass over the payload: the common types (``list``/``tuple``,
+    ``ndarray``, numeric scalars) are dispatched on their exact type and
+    word-sized container items are framed inline; everything else
+    (subclasses, dicts, sets, bytes, objects with an ``nbytes``
+    attribute) takes the general ``isinstance`` path.  Container sizes
+    are ``sum`` over the same per-item terms in item order, so an empty
+    container sizes as ``int`` 0.  Raises :class:`ValueError` naming the
+    payload type when a size is negative, NaN or infinite.
     """
+    nbytes = _nbytes(obj)
+    if not 0 <= nbytes < _INF:  # also rejects NaN
+        raise ValueError(
+            f"payload {type(obj).__name__} has invalid size {nbytes!r}"
+        )
+    return nbytes
+
+
+def _nbytes(obj: Any) -> float:
+    t = type(obj)
+    if t is list or t is tuple:
+        return sum([
+            _WORD_ITEM if type(item) in _WORD_TYPES else _nbytes(item) + 8.0
+            for item in obj
+        ])
+    if t in _WORD_TYPES:
+        return 8.0
+    if t is np.ndarray:
+        return float(obj.nbytes)
     if obj is None:
         return 0.0
+    return _nbytes_general(obj)
+
+
+def _nbytes_general(obj: Any) -> float:
     if isinstance(obj, np.ndarray):
         return float(obj.nbytes)
     if isinstance(obj, (bytes, bytearray, memoryview)):
@@ -124,13 +172,15 @@ def payload_nbytes(obj: Any) -> float:
     if isinstance(obj, (bool, int, float, complex, np.generic)):
         return 8.0
     if isinstance(obj, dict):
-        return sum(
-            payload_nbytes(k) + payload_nbytes(v) + 8.0 for k, v in obj.items()
-        )
+        return sum(_nbytes(k) + _nbytes(v) + 8.0 for k, v in obj.items())
     if isinstance(obj, (list, tuple, set, frozenset)):
-        return sum(payload_nbytes(item) + 8.0 for item in obj)
+        return sum(_nbytes(item) + 8.0 for item in obj)
     nbytes = getattr(obj, "nbytes", None)
     if isinstance(nbytes, (int, float)):
+        if not 0 <= nbytes < _INF:  # also rejects NaN
+            raise ValueError(
+                f"payload {type(obj).__name__} has invalid size {nbytes!r}"
+            )
         return float(nbytes)
     return _DEFAULT_OBJECT_BYTES
 
@@ -281,12 +331,23 @@ class RankComm:
     # Point-to-point
     # ------------------------------------------------------------------
     def send(
-        self, payload: Any, dest: int, tag: int = 0
+        self, payload: Any, dest: int, tag: int = 0,
+        nbytes: float | None = None,
     ) -> Generator[Event, Any, None]:
-        """Eager send: charge the wire time, then deposit at *dest*."""
+        """Eager send: charge the wire time, then deposit at *dest*.
+
+        *nbytes* is the payload's :func:`payload_nbytes` when the caller
+        already sized it (the shuffle does); ``None`` sizes it here.
+        """
         if not 0 <= dest < self.size:
             raise ValueError(f"dest {dest} out of range")
-        nbytes = payload_nbytes(payload)
+        if nbytes is None:
+            nbytes = payload_nbytes(payload)
+        elif not 0 <= nbytes < _INF:  # also rejects NaN
+            raise ValueError(
+                f"send r{self.rank}->r{dest}: payload {type(payload).__name__} "
+                f"has invalid size {nbytes!r}"
+            )
         first_start = self.engine.now
         start = first_start
         world = self.world
@@ -734,7 +795,10 @@ class RankComm:
         return result
 
     def alltoall(
-        self, payloads: list[Any], tag: int = -8
+        self,
+        payloads: list[Any],
+        tag: int = -8,
+        nbytes: Sequence[float] | None = None,
     ) -> Generator[Event, Any, list[Any]]:
         """Personalized all-to-all: rank ``i`` sends ``payloads[j]`` to
         rank ``j`` and returns the list of what every rank sent *it*.
@@ -743,11 +807,18 @@ class RankComm:
         intermediate key/value pairs across the cluster").  The exchange
         uses the standard pairwise pattern: in round ``r`` each rank
         exchanges with ``rank XOR r`` — ``P-1`` rounds, no root hotspot.
+        *nbytes*, when given, holds each payload's precomputed
+        :func:`payload_nbytes`, so no payload is sized twice.
         """
         if len(payloads) != self.size:
             raise ValueError(
                 f"alltoall needs exactly {self.size} payloads, got "
                 f"{len(payloads)}"
+            )
+        if nbytes is not None and len(nbytes) != self.size:
+            raise ValueError(
+                f"alltoall needs exactly {self.size} payload sizes, got "
+                f"{len(nbytes)}"
             )
         result: list[Any] = [None] * self.size
         result[self.rank] = payloads[self.rank]
@@ -764,12 +835,14 @@ class RankComm:
             # Deterministic order avoids send/recv deadlock-shaped waits:
             # lower rank sends first (sends are eager so either order
             # completes, but fixed order keeps timing reproducible).
+            out = payloads[partner]
+            out_nbytes = None if nbytes is None else nbytes[partner]
             if self.rank < partner:
-                yield from self.send(payloads[partner], partner, tag + r)
+                yield from self.send(out, partner, tag + r, out_nbytes)
                 result[partner] = yield from self.recv(partner, tag + r)
             else:
                 result[partner] = yield from self.recv(partner, tag + r)
-                yield from self.send(payloads[partner], partner, tag + r)
+                yield from self.send(out, partner, tag + r, out_nbytes)
         return result
 
     def barrier(self, tag: int = -7) -> Generator[Event, Any, None]:

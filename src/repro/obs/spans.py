@@ -90,8 +90,10 @@ class SpanTracer:
         end: float | None,
         parent_id: Any,
         category: str,
-        attrs: dict[str, Any] | None,
+        attrs: dict[str, Any],
     ) -> Span:
+        """Append a span that adopts *attrs* (callers pass a dict they
+        own; :meth:`begin`/:meth:`record` copy the caller's)."""
         if parent_id is AUTO:
             stack = self._stacks.get(track)
             parent_id = stack[-1].span_id if stack else None
@@ -103,7 +105,7 @@ class SpanTracer:
             end=end,
             parent_id=parent_id,
             category=category,
-            attrs=dict(attrs) if attrs else {},
+            attrs=attrs,
         )
         self._next_id += 1
         self._spans.append(span)
@@ -124,7 +126,10 @@ class SpanTracer:
         attrs: dict[str, Any] | None = None,
     ) -> Span:
         """Open a span; it becomes the auto-parent for its track."""
-        span = self._new_span(name, track, start, None, parent_id, category, attrs)
+        span = self._new_span(
+            name, track, start, None, parent_id, category,
+            dict(attrs) if attrs else {},
+        )
         self._stacks[track].append(span)
         return span
 
@@ -164,7 +169,10 @@ class SpanTracer:
         """Append an already-finished span (retrospective bracketing)."""
         if not end >= start:  # also rejects NaN bounds
             raise ValueError(f"span {name!r}: end {end} precedes start {start}")
-        return self._new_span(name, track, start, end, parent_id, category, attrs)
+        return self._new_span(
+            name, track, start, end, parent_id, category,
+            dict(attrs) if attrs else {},
+        )
 
     # ------------------------------------------------------------------
     @property

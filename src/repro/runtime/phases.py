@@ -268,7 +268,9 @@ class ShufflePhase(Phase):
             stats["total_bytes"], rank=str(ctx.rank)
         )
         incoming = yield from ctx.comm.alltoall(
-            buckets, tag=100_000 + ctx.iteration * 256
+            buckets,
+            tag=100_000 + ctx.iteration * 256,
+            nbytes=stats["bytes_by_dest"],
         )
         ctx.mine = [kv for bucket in incoming for kv in bucket]
         ctx.trace.metrics.counter(obs.SHUFFLE_PAIRS).inc(

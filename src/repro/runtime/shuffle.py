@@ -39,19 +39,25 @@ def bucket_of(key: Any, n_buckets: int) -> int:
     must be reproducible.
     """
     require_positive_int("n_buckets", n_buckets)
+    return _key_hash(key) % n_buckets
+
+
+def _key_hash(key: Any) -> int:
     h = 0
     for ch in repr(key):
         h = (h * 131 + ord(ch)) % (1 << 31)
-    return h % n_buckets
+    return h
 
 
 def hash_partition(
     pairs: Iterable[KeyValue], n_buckets: int
 ) -> list[list[KeyValue]]:
-    """Split *pairs* into per-node buckets by key hash."""
+    """Split *pairs* into per-node buckets by key hash (same placement as
+    :func:`bucket_of`, with *n_buckets* validated once per call)."""
+    require_positive_int("n_buckets", n_buckets)
     buckets: list[list[KeyValue]] = [[] for _ in range(n_buckets)]
     for key, value in pairs:
-        buckets[bucket_of(key, n_buckets)].append((key, value))
+        buckets[_key_hash(key) % n_buckets].append((key, value))
     return buckets
 
 
@@ -65,9 +71,16 @@ def shuffle_stats(
     per-destination pair counts, wire-size estimates (same
     ``payload_nbytes`` model the simulated communicator charges), and the
     fan-out (how many destinations actually receive a non-empty bucket).
+    ``bytes_by_dest`` is what the shuffle hands ``RankComm.alltoall``, so
+    each bucket is sized once.
     """
     pairs_by_dest = [len(bucket) for bucket in buckets]
-    bytes_by_dest = [payload_nbytes(list(bucket)) for bucket in buckets]
+    bytes_by_dest = [
+        payload_nbytes(
+            bucket if isinstance(bucket, (list, tuple)) else list(bucket)
+        )
+        for bucket in buckets
+    ]
     return {
         "pairs_by_dest": pairs_by_dest,
         "bytes_by_dest": bytes_by_dest,

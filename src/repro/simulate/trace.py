@@ -1,8 +1,10 @@
 """Execution traces of simulated runs, backed by the observability layer.
 
 Every simulated activity (kernel, memory copy, network message, CPU block)
-appends a :class:`TaskRecord`; :class:`Trace` aggregates them into the
-utilization and timeline views the benchmarks report.
+is recorded once, as a device-block span; :class:`Trace` aggregates those
+record spans into the utilization and timeline views the benchmarks
+report.  A :class:`TaskRecord` is a read-side view built on demand from a
+record span (:attr:`Trace.records`, :meth:`Trace.filter`), never stored.
 
 Since the observability layer landed, a trace is also the front door to
 it: each trace owns a :class:`~repro.obs.MetricsRegistry` and a
@@ -10,8 +12,8 @@ it: each trace owns a :class:`~repro.obs.MetricsRegistry` and a
 
 * :meth:`record` increments the per-device counters (busy seconds —
   both raw occupancy and overlap-merged union — flops, bytes, task
-  counts) and emits a device-block span, parented under the rank's
-  currently open phase when the device has been bound to a rank;
+  counts) and emits the record's device-block span, parented under the
+  rank's currently open phase when the device has been bound to a rank;
 * :meth:`begin_phase` / :meth:`end_phase` bracket runtime phases live,
   maintaining the job -> iteration -> phase span hierarchy per rank
   (:meth:`record_phase` is the retrospective equivalent).
@@ -100,6 +102,14 @@ class TaskRecord:
         return self.end - self.start
 
 
+def _record_of(span: Span) -> TaskRecord:
+    """The view of one record span: label/device/kind are its
+    name/track/category, nbytes/flops its first two attrs."""
+    a = span.attrs
+    return TaskRecord(span.name, span.track, span.category, span.start,
+                      span.end, a["nbytes"], a["flops"])
+
+
 @dataclass(frozen=True)
 class PhaseSpan:
     """One runtime phase executed on one rank during one iteration.
@@ -127,14 +137,15 @@ class PhaseSpan:
 
 
 class Trace:
-    """An append-only log of :class:`TaskRecord` with summary queries."""
+    """An append-only log of task records with summary queries."""
 
     def __init__(
         self,
         metrics: MetricsRegistry | None = None,
         tracer: SpanTracer | None = None,
     ) -> None:
-        self._records: list[TaskRecord] = []
+        #: the record spans, in insertion order (each record's only store)
+        self._record_spans: list[Span] = []
         #: the run's metrics registry (shared with policies and the CLI)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: the run's hierarchical span store
@@ -222,27 +233,71 @@ class Trace:
 
     # ------------------------------------------------------------------
     def add(self, record: TaskRecord, attrs: dict | None = None) -> None:
+        """Append *record* (stored as its span, like :meth:`record`)."""
+        self.record(record.label, record.device, record.kind, record.start,
+                    record.end, record.nbytes, record.flops, attrs)
+
+    def record(
+        self,
+        label: str,
+        device: str,
+        kind: str,
+        start: float,
+        end: float,
+        nbytes: float = 0.0,
+        flops: float = 0.0,
+        attrs: dict | None = None,
+    ) -> None:
+        """Append one task record, stored as its device-block span (attrs:
+        ``nbytes``, ``flops``, then *attrs*)."""
+        if not end >= start:  # also rejects NaN bounds
+            raise ValueError(
+                f"task {label!r}: end {end} precedes start {start}"
+            )
         prof = self.selfprof
-        if prof is None:
-            self._add_impl(record, attrs)
-            return
-        # Second-hottest instrumented site (once per task record):
-        # push/pop the profiler's frame stacks directly — see
-        # Engine.step for the rationale.
-        nodes = prof._nodes
-        children = nodes[-1].children
-        node = children.get("obs:trace.record")
-        if node is None:
-            node = children["obs:trace.record"] = HostNode("obs:trace.record")
-        nodes.append(node)
-        prof._t0s.append(perf_counter())
+        if prof is not None:
+            # Second-hottest instrumented site (once per task record):
+            # push/pop the profiler's frame stacks directly — see
+            # Engine.step for the rationale.
+            nodes = prof._nodes
+            children = nodes[-1].children
+            node = children.get("obs:trace.record")
+            if node is None:
+                node = children["obs:trace.record"] = HostNode("obs:trace.record")
+            nodes.append(node)
+            prof._t0s.append(perf_counter())
         try:
-            self._add_impl(record, attrs)
+            self.tick(end)
+            counters = self._counter_children.get((device, kind))
+            if counters is None:
+                counters = self._device_counters(device, kind)
+            busy, tasks, flops_c, nbytes_c, busy_union = counters
+            busy.inc(end - start)
+            tasks.inc(1)
+            if flops:
+                flops_c.inc(flops)
+            if nbytes:
+                nbytes_c.inc(nbytes)
+            union = self._busy_union.get(device)
+            if union is None:
+                union = self._busy_union[device] = IntervalUnion()
+            added = union.add(start, end)
+            if added:
+                busy_union.inc(added)
+            span_attrs = {"nbytes": nbytes, "flops": flops}
+            if attrs:
+                span_attrs.update(attrs)
+            # The bounds are checked above; the tracer adopts the freshly
+            # built attrs dict instead of copying it.
+            self._record_spans.append(self.tracer._new_span(
+                label, device, start, end, self._block_parent(device, start),
+                kind, span_attrs,
+            ))
         finally:
-            now = perf_counter()
-            node.calls += 1
-            node.inclusive_s += now - prof._t0s.pop()
-            nodes.pop()
+            if prof is not None:
+                node.calls += 1
+                node.inclusive_s += perf_counter() - prof._t0s.pop()
+                nodes.pop()
 
     def _device_counters(self, device: str, kind: str) -> tuple[CounterChild, ...]:
         """The five per-record counter children of ``(device, kind)``:
@@ -256,53 +311,6 @@ class Trace:
             m.counter_child(DEVICE_BUSY_UNION_SECONDS, device=device),
         )
         return children
-
-    def _add_impl(self, record: TaskRecord, attrs: dict | None) -> None:
-        self.tick(record.end)
-        self._records.append(record)
-        device, kind = record.device, record.kind
-        children = self._counter_children.get((device, kind))
-        if children is None:
-            children = self._device_counters(device, kind)
-        busy, tasks, flops, nbytes, busy_union = children
-        busy.inc(record.duration)
-        tasks.inc(1)
-        if record.flops:
-            flops.inc(record.flops)
-        if record.nbytes:
-            nbytes.inc(record.nbytes)
-        union = self._busy_union.get(device)
-        if union is None:
-            union = self._busy_union[device] = IntervalUnion()
-        added = union.add(record.start, record.end)
-        if added:
-            busy_union.inc(added)
-        span_attrs = {"nbytes": record.nbytes, "flops": record.flops}
-        if attrs:
-            span_attrs.update(attrs)
-        self.tracer.record(
-            record.label,
-            device,
-            record.start,
-            record.end,
-            category=kind,
-            parent_id=self._block_parent(device, record.start),
-            attrs=span_attrs,
-        )
-
-    def record(
-        self,
-        label: str,
-        device: str,
-        kind: str,
-        start: float,
-        end: float,
-        nbytes: float = 0.0,
-        flops: float = 0.0,
-        attrs: dict | None = None,
-    ) -> None:
-        self.add(TaskRecord(label, device, kind, start, end, nbytes, flops),
-                 attrs=attrs)
 
     def record_recv(
         self,
@@ -348,30 +356,36 @@ class Trace:
     # ------------------------------------------------------------------
     @property
     def records(self) -> tuple[TaskRecord, ...]:
-        return tuple(self._records)
+        """Every record, in insertion order (views built on each call)."""
+        return tuple(map(_record_of, self._record_spans))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._record_spans)
+
+    def _spans_where(
+        self, device: str | None = None, kind: str | None = None,
+        since: float = 0.0,
+    ) -> list[Span]:
+        """The record spans matching a :meth:`filter` query."""
+        out = self._record_spans
+        if device is not None:
+            out = [s for s in out if s.track == device]
+        if kind is not None:
+            out = [s for s in out if s.category == kind]
+        if since > 0.0:
+            out = [s for s in out if s.start >= since]
+        return out
 
     def filter(
-        self,
-        device: str | None = None,
-        kind: str | None = None,
+        self, device: str | None = None, kind: str | None = None,
         since: float = 0.0,
     ) -> list[TaskRecord]:
-        out = self._records
-        if device is not None:
-            out = [r for r in out if r.device == device]
-        if kind is not None:
-            out = [r for r in out if r.kind == kind]
-        if since > 0.0:
-            out = [r for r in out if r.start >= since]
-        return list(out)
+        return [_record_of(s) for s in self._spans_where(device, kind, since)]
 
     @property
     def makespan(self) -> float:
         """Latest end time across all records (0 for an empty trace)."""
-        return max((r.end for r in self._records), default=0.0)
+        return max((s.end for s in self._record_spans), default=0.0)
 
     def busy_time(
         self, device: str, kind: str | None = None, since: float = 0.0
@@ -388,8 +402,8 @@ class Trace:
             union = self._busy_union.get(device)
             return union.total if union is not None else 0.0
         intervals = sorted(
-            (r.start, r.end)
-            for r in self.filter(device=device, kind=kind, since=since)
+            (s.start, s.end)
+            for s in self._spans_where(device, kind, since)
         )
         total = 0.0
         cur_start: float | None = None
@@ -414,21 +428,15 @@ class Trace:
         return self.busy_time(device, kind) / span
 
     def devices(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for r in self._records:
-            seen.setdefault(r.device, None)
-        return list(seen)
+        return list(dict.fromkeys(s.track for s in self._record_spans))
 
     def total_flops(self, device: str | None = None, since: float = 0.0) -> float:
-        recs = (
-            self._records
-            if device is None and since <= 0.0
-            else self.filter(device=device, since=since)
+        return sum(
+            s.attrs["flops"] for s in self._spans_where(device, since=since)
         )
-        return sum(r.flops for r in recs)
 
     def total_bytes(self, device: str | None = None, kind: str | None = None) -> float:
-        return sum(r.nbytes for r in self.filter(device=device, kind=kind))
+        return sum(s.attrs["nbytes"] for s in self._spans_where(device, kind))
 
     def observed_gflops(self, device: str, since: float = 0.0) -> float:
         """Achieved device-level rate: executed flops over busy wall time.
@@ -663,10 +671,10 @@ class Trace:
         lines = []
         for device in self.devices():
             row = [" "] * width
-            for r in self.filter(device=device):
-                lo = int(r.start / span * (width - 1))
-                hi = max(lo + 1, int(r.end / span * (width - 1)) + 1)
-                ch = glyph_for(r.kind)
+            for s in self._spans_where(device):
+                lo = int(s.start / span * (width - 1))
+                hi = max(lo + 1, int(s.end / span * (width - 1)) + 1)
+                ch = glyph_for(s.category)
                 for i in range(lo, min(hi, width)):
                     row[i] = ch
             lines.append(f"{device:>16s} |{''.join(row)}|")
@@ -701,10 +709,11 @@ class Trace:
             return text
 
         lines = [self._CSV_HEADER]
-        for r in self._records:
+        for s in self._record_spans:
             lines.append(
-                f"{quote(r.label)},{quote(r.device)},{quote(r.kind)},"
-                f"{r.start!r},{r.end!r},{r.nbytes!r},{r.flops!r}"
+                f"{quote(s.name)},{quote(s.track)},{quote(s.category)},"
+                f"{s.start!r},{s.end!r},{s.attrs['nbytes']!r},"
+                f"{s.attrs['flops']!r}"
             )
         return "\n".join(lines)
 
@@ -712,15 +721,15 @@ class Trace:
         """Plain-dict view of every record (JSON-serializable)."""
         return [
             {
-                "label": r.label,
-                "device": r.device,
-                "kind": r.kind,
-                "start": r.start,
-                "end": r.end,
-                "nbytes": r.nbytes,
-                "flops": r.flops,
+                "label": s.name,
+                "device": s.track,
+                "kind": s.category,
+                "start": s.start,
+                "end": s.end,
+                "nbytes": s.attrs["nbytes"],
+                "flops": s.attrs["flops"],
             }
-            for r in self._records
+            for s in self._record_spans
         ]
 
     @classmethod

@@ -1,10 +1,11 @@
 """Tests for the simulated MPI communicator: semantics and timing."""
 
 import operator
+from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.comm.mpi import World, payload_nbytes, run_spmd
 from repro.hardware.cluster import NetworkSpec
@@ -15,6 +16,88 @@ def make_world(size, latency=0.0, bandwidth=1.0, same_node=False):
     net = NetworkSpec(latency=latency, bandwidth=bandwidth)
     node_of = (lambda r: 0) if same_node else (lambda r: r)
     return World(Engine(), size, network=net, node_of=node_of)
+
+
+def _reference_nbytes(obj):
+    """The recursive wire-size model ``payload_nbytes`` must reproduce
+    bit for bit (sizes, types and summation order)."""
+    if obj is None:
+        return 0.0
+    if isinstance(obj, np.ndarray):
+        return float(obj.nbytes)
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return float(len(obj))
+    if isinstance(obj, str):
+        return float(len(obj.encode("utf-8")))
+    if isinstance(obj, (bool, int, float, complex, np.generic)):
+        return 8.0
+    if isinstance(obj, dict):
+        return sum(
+            _reference_nbytes(k) + _reference_nbytes(v) + 8.0
+            for k, v in obj.items()
+        )
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return sum(_reference_nbytes(item) + 8.0 for item in obj)
+    nbytes = getattr(obj, "nbytes", None)
+    if isinstance(nbytes, (int, float)):
+        return float(nbytes)
+    return 64.0
+
+
+class Sized:
+    """An opaque payload that reports its own ``nbytes``."""
+
+    def __init__(self, nbytes):
+        self.nbytes = nbytes
+
+    def __repr__(self):
+        return f"Sized({self.nbytes!r})"
+
+
+Pair = namedtuple("Pair", "key value")
+
+_DTYPES = ["float64", "float32", "int64", "int8", "complex128", "bool"]
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True),
+    st.complex_numbers(allow_nan=False),
+    st.text(max_size=6),
+    st.binary(max_size=6),
+    st.sampled_from(_DTYPES).map(lambda dt: np.zeros(1, dtype=dt)[0]),
+    st.sampled_from(["ab", "\u00e9"]).map(np.str_),
+)
+
+_LEAVES = st.one_of(
+    _SCALARS,
+    st.tuples(st.sampled_from(_DTYPES), st.integers(0, 5)).map(
+        lambda a: np.zeros(a[1], dtype=a[0])
+    ),
+    # fractional and huge sizes make the float sum order-sensitive
+    st.one_of(
+        st.integers(0, 1 << 60),
+        st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False),
+    ).map(Sized),
+    st.just(object()),
+)
+
+_HASHABLE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+    st.floats(allow_nan=False),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.tuples(children, children).map(lambda kv: Pair(*kv)),
+        st.dictionaries(_HASHABLE, children, max_size=4),
+        st.sets(_HASHABLE, max_size=4),
+        st.frozensets(_HASHABLE, max_size=4),
+    )
 
 
 class TestPayloadNbytes:
@@ -37,6 +120,32 @@ class TestPayloadNbytes:
 
     def test_dict(self):
         assert payload_nbytes({"a": 1}) > 8.0
+
+    def test_empty_container_is_int_zero(self):
+        # sum() of no terms: the shuffle phase attrs carry this int
+        for empty in ([], (), {}, set()):
+            size = payload_nbytes(empty)
+            assert size == 0 and type(size) is int
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1, -0.5])
+    def test_invalid_nbytes_attribute_raises(self, bad):
+        with pytest.raises(ValueError, match=rf"Sized\b.*{bad!r}"):
+            payload_nbytes(Sized(bad))
+        with pytest.raises(ValueError, match=rf"Sized\b.*{bad!r}"):
+            payload_nbytes([1, (Sized(bad), 2.0)])
+
+    def test_overflowing_sum_raises(self):
+        with pytest.raises(ValueError, match=r"list\b.*inf"):
+            payload_nbytes([Sized(1e308), Sized(1e308)])
+
+    @given(st.recursive(_LEAVES, _containers, max_leaves=25))
+    @example([Sized(1e16), Sized(1.0), (Sized(1.0), 2.5)])  # order-sensitive
+    @settings(max_examples=300, deadline=None)
+    def test_matches_recursive_reference(self, payload):
+        # Same value, same type, same float bits (summation order).
+        got, want = payload_nbytes(payload), _reference_nbytes(payload)
+        assert type(got) is type(want)
+        assert repr(got) == repr(want)
 
 
 class TestPointToPoint:
@@ -351,6 +460,51 @@ class TestWorldAccounting:
         run_spmd(world, main)
         assert world.messages_sent == 1
         assert world.bytes_sent == 1000.0
+
+    @pytest.mark.parametrize("same_node", [False, True])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -8.0])
+    def test_invalid_payload_size_fails_loud(self, bad, same_node):
+        # A NaN size used to be delivered at t=0 with no wire time and
+        # turn bytes_sent NaN; a negative one skipped the wire-time check
+        # on a same-node send.  Every path now names the payload.
+        world = make_world(2, same_node=same_node)
+
+        def main(comm):
+            if comm.rank == 0:
+                yield from comm.send(Sized(bad), dest=1)
+            else:
+                yield from comm.recv(source=0)
+
+        with pytest.raises(ValueError, match=rf"Sized\b.*{bad!r}"):
+            run_spmd(world, main)
+        assert world.messages_sent == 0 and world.bytes_sent == 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_invalid_precomputed_size_fails_loud(self, bad):
+        world = make_world(2)
+
+        def main(comm):
+            payloads = [[1.0], [2.0]]
+            sizes = [16.0, 16.0]
+            sizes[1 - comm.rank] = bad
+            yield from comm.alltoall(payloads, nbytes=sizes)
+
+        with pytest.raises(ValueError, match=rf"list\b.*{bad!r}"):
+            run_spmd(world, main)
+        assert world.bytes_sent == 0.0
+
+    def test_alltoall_charges_precomputed_sizes(self):
+        # The shuffle hands alltoall the sizes it already computed; the
+        # wire is charged those, not a second sizing of the payload.
+        world = make_world(2, bandwidth=1e-9)  # 1 byte/s
+
+        def main(comm):
+            # each [x] would size as 16 bytes; rank 1 sends after its recv
+            yield from comm.alltoall([[1.0], [2.0]], nbytes=[5.0, 5.0])
+            return comm.engine.now
+
+        assert run_spmd(world, main) == [10.0, 10.0]
+        assert world.bytes_sent == 10.0
 
     def test_world_size_validation(self):
         with pytest.raises(ValueError):

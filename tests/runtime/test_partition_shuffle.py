@@ -13,6 +13,7 @@ from repro.runtime.shuffle import (
     bucket_of,
     group_by_key,
     hash_partition,
+    shuffle_stats,
     sort_pairs,
 )
 
@@ -146,3 +147,83 @@ class TestShuffle:
         for bucket in hash_partition(pairs, buckets):
             via_buckets.update(group_by_key(bucket))
         assert direct == via_buckets
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        keys=st.lists(
+            st.one_of(st.integers(), st.text(max_size=5),
+                      st.tuples(st.text(max_size=3), st.integers())),
+            max_size=50,
+        ),
+        buckets=st.integers(1, 16),
+    )
+    def test_hash_partition_places_like_bucket_of(self, keys, buckets):
+        placed = hash_partition([(k, None) for k in keys], buckets)
+        for index, bucket in enumerate(placed):
+            assert all(bucket_of(k, buckets) == index for k, _ in bucket)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_hash_partition_validates_bucket_count(self, n):
+        with pytest.raises(ValueError, match="n_buckets"):
+            hash_partition([(1, 2)], n)
+        with pytest.raises(ValueError, match="n_buckets"):
+            hash_partition([], n)
+
+    def test_shuffle_stats_sizes_any_sequence_alike(self):
+        pairs = [(i, float(i)) for i in range(5)]
+        as_list = shuffle_stats([pairs, []])
+        assert shuffle_stats([tuple(pairs), ()]) == as_list
+        assert shuffle_stats([PairSequence(pairs), []]) == as_list
+        assert as_list["bytes_by_dest"] == [5 * (16.0 + 16.0 + 8.0), 0]
+
+
+class PairSequence:
+    """A read-only Sequence of pairs that is neither list nor tuple."""
+
+    def __init__(self, pairs):
+        self._pairs = pairs
+
+    def __len__(self):
+        return len(self._pairs)
+
+    def __getitem__(self, i):
+        return self._pairs[i]
+
+
+class TestShuffleWire:
+    def test_net_span_bytes_are_the_buckets_stats(self, monkeypatch):
+        # Every shuffle message is charged exactly the shuffle_stats size
+        # of the bucket it carries (sized once, in the shuffle phase).
+        import dataclasses
+
+        from repro.comm.mpi import RankComm
+        from repro.obs.analyze.baseline import DEFAULT_WORKLOADS, _run_workload
+
+        calls = []
+        alltoall = RankComm.alltoall
+
+        def spy(self, payloads, tag=-8, nbytes=None):
+            calls.append((self.rank, tag, list(payloads)))
+            return alltoall(self, payloads, tag, nbytes)
+
+        monkeypatch.setattr(RankComm, "alltoall", spy)
+        spec = next(w for w in DEFAULT_WORKLOADS if w.app == "cmeans")
+        result = _run_workload(dataclasses.replace(spec, nodes=4))
+
+        sends = [
+            s for s in result.trace.tracer.find(category="net")
+            if s.attrs["tagc"] == "shuffle"
+        ]
+        assert len(calls) == 4 * result.iterations
+        assert len(sends) == 4 * 3 * result.iterations
+        for span in sends:
+            src, dst, tag = span.attrs["src"], span.attrs["dst"], span.attrs["tag"]
+            (payloads,) = [
+                p for rank, base, p in calls
+                if rank == src and tag - base == src ^ dst
+            ]
+            expected = shuffle_stats(payloads)["bytes_by_dest"][dst]
+            assert repr(span.attrs["nbytes"]) == repr(expected)
+        # the buckets differ in size, so a wrong-bucket size would show
+        sizes = {repr(s.attrs["nbytes"]) for s in sends}
+        assert len(sizes) > 1

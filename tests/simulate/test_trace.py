@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simulate.trace import PhaseSpan, TaskRecord, Trace
+from repro.simulate.trace import GANTT_GLYPHS, PhaseSpan, TaskRecord, Trace
 
 
 def make_trace(entries):
@@ -255,3 +255,152 @@ class TestObservedRates:
         t.record("k", "n.cpu", "compute", 0.0, 1.0, flops=1e9)
         t.record("d", "n.cpu", "overhead", 1.0, 2.0)
         assert t.observed_gflops("n.cpu") == pytest.approx(0.5)
+
+
+class _ReferenceTrace(Trace):
+    """A trace that also keeps a TaskRecord list, the pre-span store."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ref = []
+
+    def record(self, label, device, kind, start, end, nbytes=0.0, flops=0.0,
+               attrs=None):
+        self.ref.append(TaskRecord(label, device, kind, start, end, nbytes, flops))
+        super().record(label, device, kind, start, end, nbytes, flops, attrs)
+
+
+def _ref_filter(recs, device=None, kind=None, since=0.0):
+    return [
+        r for r in recs
+        if (device is None or r.device == device)
+        and (kind is None or r.kind == kind)
+        and r.start >= since
+    ]
+
+
+def _ref_busy_time(recs, device, kind=None, since=0.0):
+    total, cur_start, cur_end = 0.0, None, 0.0
+    for start, end in sorted(
+        (r.start, r.end) for r in _ref_filter(recs, device, kind, since)
+    ):
+        if cur_start is None:
+            cur_start, cur_end = start, end
+        elif start <= cur_end:
+            cur_end = max(cur_end, end)
+        else:
+            total += cur_end - cur_start
+            cur_start, cur_end = start, end
+    if cur_start is not None:
+        total += cur_end - cur_start
+    return total
+
+
+def _ref_glyph(kind):
+    ch = GANTT_GLYPHS.get(kind)
+    if ch is not None:
+        return ch
+    return next((c.lower() for c in kind if c.isalnum()), "*")
+
+
+def _ref_gantt(recs, width):
+    span = max(r.end for r in recs)
+    lines = []
+    for device in dict.fromkeys(r.device for r in recs):
+        row = [" "] * width
+        for r in _ref_filter(recs, device):
+            lo = int(r.start / span * (width - 1))
+            hi = max(lo + 1, int(r.end / span * (width - 1)) + 1)
+            for i in range(lo, min(hi, width)):
+                row[i] = _ref_glyph(r.kind)
+        lines.append(f"{device:>16s} |{''.join(row)}|")
+    lines.append(f"{'':>16s}  0{'':{width - 10}}{span:.3e}s")
+    return "\n".join(lines)
+
+
+def _ref_csv(recs):
+    def quote(text):
+        if "," in text or '"' in text or "\n" in text:
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    return "\n".join(["label,device,kind,start,end,nbytes,flops"] + [
+        f"{quote(r.label)},{quote(r.device)},{quote(r.kind)},"
+        f"{r.start!r},{r.end!r},{r.nbytes!r},{r.flops!r}"
+        for r in recs
+    ])
+
+
+class TestSingleStore:
+    """A record is stored once, as its span; every record query must read
+    exactly what a TaskRecord list of the same run reads."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        import repro.runtime.prs as prs
+        from repro.apps.cmeans import CMeansApp
+        from repro.data.synth import gaussian_mixture
+        from repro.hardware import delta_cluster
+        from repro.runtime.job import JobConfig
+
+        mp = pytest.MonkeyPatch()
+        mp.setattr(prs, "Trace", _ReferenceTrace)
+        try:
+            pts, _, _ = gaussian_mixture(600, 8, 3, seed=11)
+            app = CMeansApp(pts, 3, seed=11, max_iterations=4)
+            config = JobConfig(initial_nodes=2, faults=[
+                "join@2:t=0.005", "join@3:t=0.005", "gpu_kill@0:t=0.01",
+                "msg_drop@1-0:count=2,t0=0", "rank_kill@2:t=0.05",
+            ])
+            result = prs.PRSRuntime(delta_cluster(n_nodes=4), config).run(app)
+        finally:
+            mp.undo()
+        assert result.recovery is not None and result.recovery.rank_restarts
+        return result.trace
+
+    def test_records_and_filters(self, trace):
+        ref = trace.ref
+        assert len(ref) > 100 and len(trace) == len(ref)
+        assert trace.records == tuple(ref)
+        since = ref[len(ref) // 2].start  # an exact record start
+        devices = list(dict.fromkeys(r.device for r in ref))
+        assert trace.devices() == devices
+        assert trace.makespan == max(r.end for r in ref)
+        for device in [None, *devices]:
+            for kind in [None, "compute", "net", "h2d"]:
+                assert trace.filter(device, kind) == _ref_filter(ref, device, kind)
+                assert trace.filter(device, kind, since) == _ref_filter(
+                    ref, device, kind, since)
+
+    def test_totals_and_busy_time(self, trace):
+        ref = trace.ref
+        since = ref[len(ref) // 3].start  # an exact record start
+        assert repr(trace.total_flops()) == repr(sum(r.flops for r in ref))
+        assert repr(trace.total_bytes()) == repr(sum(r.nbytes for r in ref))
+        for device in trace.devices():
+            recs = _ref_filter(ref, device)
+            assert repr(trace.total_flops(device)) == repr(
+                sum(r.flops for r in recs))
+            assert repr(trace.total_flops(device, since=since)) == repr(
+                sum(r.flops for r in _ref_filter(ref, device, since=since)))
+            assert repr(trace.total_bytes(device, "net")) == repr(
+                sum(r.nbytes for r in _ref_filter(ref, device, "net")))
+            assert repr(trace.busy_time(device)) == repr(
+                _ref_busy_time(ref, device))
+            for kind, at in [("compute", 0.0), (None, since)]:
+                assert repr(trace.busy_time(device, kind, at)) == repr(
+                    _ref_busy_time(ref, device, kind, at))
+
+    def test_exports(self, trace):
+        ref = trace.ref
+        assert trace.to_csv() == _ref_csv(ref)
+        assert trace.gantt(width=60) == _ref_gantt(ref, 60)
+        rebuilt = Trace()
+        for r in ref:
+            rebuilt.add(r)
+        assert rebuilt.to_records() == trace.to_records()
+        assert rebuilt.summary() == trace.summary()
+
+    def test_records_are_views_not_cached(self, trace):
+        assert trace.records is not trace.records
+        assert trace.records[0] == trace.records[0]
