@@ -67,9 +67,9 @@ MAX_SELFPROF_OVERHEAD = 0.05
 
 #: hard ceiling on relative host-time overhead of
 #: ``log_level="debug"`` over the whole sweep, mirroring the selfprof
-#: gate: the event log is pure host bookkeeping behind ``log is None``
-#: guards, so simulated results are bitwise identical and host cost
-#: stays in the noise
+#: gate: the event log is pure host bookkeeping (a run without it calls
+#: the do-nothing null log), so simulated results are bitwise identical
+#: and host cost stays in the noise
 MAX_LOGGING_OVERHEAD = 0.05
 
 #: measurement attempts before the overhead gate gives up; a clean host

@@ -379,18 +379,16 @@ class RankComm:
                     world.trace.metrics.counter(obs.COMM_RETRANSMITS).inc(
                         1, src=f"r{self.rank}"
                     )
-                    log = world.trace.log
-                    if log is not None:
-                        log.warning(
-                            "comm",
-                            f"message r{self.rank}->r{dest} t{tag} dropped; "
-                            f"retransmit {retransmits}",
-                            t=self.engine.now,
-                            rank=world.trace.rank_of(f"net.r{self.rank}"),
-                            src=self.rank,
-                            dst=dest,
-                            nbytes=nbytes,
-                        )
+                    world.trace.log.warning(
+                        "comm",
+                        f"message r{self.rank}->r{dest} t{tag} dropped; "
+                        f"retransmit {retransmits}",
+                        t=self.engine.now,
+                        rank=world.trace.rank_of(f"net.r{self.rank}"),
+                        src=self.rank,
+                        dst=dest,
+                        nbytes=nbytes,
+                    )
                 yield self.engine.timeout(faults.policy.retransmit_timeout_s)
                 start = self.engine.now
                 continue
@@ -404,9 +402,8 @@ class RankComm:
         # Host-profiling note: the delivery tail below never yields, so a
         # wall-clock scope here cannot span simulated suspension — it
         # meters exactly the bookkeeping this rank does for one message.
-        prof = trace.selfprof if trace is not None else None
-        if prof is not None:
-            prof.begin("comm:deliver")
+        prof = trace.selfprof if trace is not None else obs.NULL_PROFILER
+        prof.begin("comm:deliver")
         try:
             msg_id = (
                 trace.next_msg_id() if trace is not None else world._next_msg_id
@@ -453,8 +450,7 @@ class RankComm:
                 )
                 metrics.counter(obs.COMM_MESSAGES).inc(1, **labels)
                 metrics.counter(obs.COMM_BYTES).inc(nbytes, **labels)
-                log = trace.log
-                if log is not None and not same_node:
+                if not same_node:
                     # Slow-delivery narration: observed delivery at or
                     # beyond 2x the analytic α/β wire time — the same
                     # 2.0 factor the link-over-utilization alert rule
@@ -463,7 +459,7 @@ class RankComm:
                     pred_s = attrs["pred_s"]
                     actual_s = self.engine.now - first_start
                     if pred_s > 0 and actual_s >= 2.0 * pred_s:
-                        log.warning(
+                        trace.log.warning(
                             "comm",
                             f"slow delivery r{self.rank}->r{dest} t{tag}: "
                             f"{actual_s:.3g}s vs predicted {pred_s:.3g}s",
@@ -490,8 +486,7 @@ class RankComm:
                 )
             )
         finally:
-            if prof is not None:
-                prof.end()
+            prof.end()
 
     def recv(
         self, source: int, tag: int = 0, timeout: float | None = None
@@ -564,17 +559,15 @@ class RankComm:
                             "wait_s": self.engine.now - entered,
                         },
                     )
-                    log = world.trace.log
-                    if log is not None:
-                        log.warning(
-                            "comm",
-                            f"recv r{source}->r{self.rank} t{tag} timed out "
-                            f"after {wait_limit:.3g}s",
-                            t=self.engine.now,
-                            rank=world.trace.rank_of(f"net.r{self.rank}"),
-                            src=source,
-                            tag=describe_tag(tag),
-                        )
+                    world.trace.log.warning(
+                        "comm",
+                        f"recv r{source}->r{self.rank} t{tag} timed out "
+                        f"after {wait_limit:.3g}s",
+                        t=self.engine.now,
+                        rank=world.trace.rank_of(f"net.r{self.rank}"),
+                        src=source,
+                        tag=describe_tag(tag),
+                    )
                 raise CommTimeout(self.rank, source, tag, wait_limit)
             raise EpochAborted(abort.value if abort is not None else None)
         finally:
@@ -599,8 +592,7 @@ class RankComm:
         trace = world.trace
         if trace is not None:
             prof = trace.selfprof
-            if prof is not None:
-                prof.begin("comm:recv")
+            prof.begin("comm:recv")
             try:
                 now = self.engine.now
                 attrs: dict[str, Any] = {
@@ -627,8 +619,7 @@ class RankComm:
                     attrs=attrs,
                 )
             finally:
-                if prof is not None:
-                    prof.end()
+                prof.end()
         return raw.payload
 
     # ------------------------------------------------------------------
@@ -869,7 +860,7 @@ def heartbeat_sender(
                         1, src=f"r{comm.rank}"
                     )
                     log = comm.world.trace.log
-                    if log is not None and log.wants_debug:
+                    if log.wants_debug:
                         log.debug(
                             "comm",
                             f"heartbeat r{comm.rank}->r{dest}",
@@ -907,19 +898,15 @@ def heartbeat_monitor(
                 if misses < missed_windows:
                     continue
                 if comm.world.trace is not None:
-                    log = comm.world.trace.log
-                    if log is not None:
-                        log.error(
-                            "comm",
-                            f"rank r{source} silent for {misses} heartbeat "
-                            f"window(s); declaring dead",
-                            t=comm.engine.now,
-                            rank=comm.world.trace.rank_of(
-                                f"net.r{comm.rank}"
-                            ),
-                            peer=source,
-                            window_s=timeout,
-                        )
+                    comm.world.trace.log.error(
+                        "comm",
+                        f"rank r{source} silent for {misses} heartbeat "
+                        f"window(s); declaring dead",
+                        t=comm.engine.now,
+                        rank=comm.world.trace.rank_of(f"net.r{comm.rank}"),
+                        peer=source,
+                        window_s=timeout,
+                    )
                 if not abort_event.triggered:
                     abort_event.succeed(("rank-silent", source))
                 return

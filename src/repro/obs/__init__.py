@@ -75,12 +75,20 @@ from repro.obs.metrics import (
 )
 from repro.obs.log import (
     LEVELS,
+    NULL_LOG,
     EventLog,
     FlightDump,
     LogRecord,
+    NullLog,
     unpaired_errors,
 )
-from repro.obs.selfprof import HostNode, HostProfile, SelfProfiler
+from repro.obs.selfprof import (
+    NULL_PROFILER,
+    HostNode,
+    HostProfile,
+    NullProfiler,
+    SelfProfiler,
+)
 from repro.obs.spans import Span, SpanTracer
 from repro.obs.timeseries import (
     DEFAULT_SAMPLE_INTERVAL,
@@ -107,6 +115,10 @@ __all__ = [
     "LogRecord",
     "MetricSampler",
     "MetricsRegistry",
+    "NULL_LOG",
+    "NULL_PROFILER",
+    "NullLog",
+    "NullProfiler",
     "SelfProfiler",
     "Series",
     "SeriesBank",

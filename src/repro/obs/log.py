@@ -16,15 +16,19 @@ resulting :class:`FlightDump` rides the recovery summary and the saved
 profile.
 
 Zero-perturbation contract (docs/LOGGING.md): the log is pure host-side
-bookkeeping.  It schedules no simulated event and is only ever reached
-behind ``log is None`` guards, so a run with logging enabled is bitwise
-identical (engine events, makespan, outputs, sampler samples) to the
-same run with logging off — the same contract the sampler (PR 7) and
-the self-profiler (PR 9) keep, gated by
+bookkeeping.  It schedules no simulated event, so a run with logging
+enabled is bitwise identical (engine events, makespan, outputs, sampler
+samples) to the same run with logging off — the same contract the
+sampler and the self-profiler keep, gated by
 ``benchmarks/bench_obs_overhead.py``.
 
-Like the rest of :mod:`repro.obs`, this module imports only the
-standard library.  Span correlation is duck-typed: the trace binds its
+Null-observer contract: with logging off, the trace and the engine hold
+:data:`NULL_LOG`, whose emits and dumps do nothing and whose
+``wants_debug`` is ``False``, so emit sites never see ``None``.  Only
+the read side asks whether a log ran (:attr:`EventLog.enabled`).
+
+Like the rest of :mod:`repro.obs`, this module imports nothing from the
+simulator.  Span correlation is duck-typed: the trace binds its
 open-phase map via :meth:`EventLog.bind_phases` instead of this module
 importing the simulator.
 """
@@ -40,7 +44,9 @@ __all__ = [
     "DUMP_TAIL",
     "LEVELS",
     "MAX_DUMPS",
+    "NULL_LOG",
     "EventLog",
+    "NullLog",
     "FlightDump",
     "LogRecord",
     "unpaired_errors",
@@ -156,6 +162,9 @@ class EventLog:
     ``debug`` site.  Hot paths additionally pre-check
     :attr:`wants_debug` to skip even the message formatting.
     """
+
+    #: a real log: the read side reports its records and dumps
+    enabled = True
 
     def __init__(
         self, level: str = "info", ring_size: int = DEFAULT_RING_SIZE
@@ -308,6 +317,42 @@ class EventLog:
         log.emitted = int(meta.get("emitted", len(log)))
         log.dumps = [d for d in dumps]
         return log
+
+
+class NullLog:
+    """:class:`EventLog`'s do-nothing twin, held when logging is off:
+    the same write-side calls and level predicates, no records."""
+
+    #: no log ran: the read side reports no records and no dumps
+    enabled = False
+    wants_debug = False
+    dumps: tuple[FlightDump, ...] = ()
+
+    __slots__ = ()
+
+    def emit(
+        self,
+        level: str,
+        logger: str,
+        message: str,
+        *,
+        t: float,
+        rank: int | None = None,
+        span_id: int | None = None,
+        **labels: Any,
+    ) -> LogRecord | None:
+        return None
+
+    # the level shorthands forward to the no-op emit above
+    debug, info = EventLog.debug, EventLog.info
+    warning, error = EventLog.warning, EventLog.error
+
+    def dump(self, trigger: str, cause: str, t: float) -> FlightDump | None:
+        return None
+
+
+#: the shared null log every trace and engine starts with
+NULL_LOG = NullLog()
 
 
 def unpaired_errors(log: EventLog, tracer) -> list[LogRecord]:

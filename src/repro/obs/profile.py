@@ -90,8 +90,8 @@ def profile_jsonl(
         lines.append(
             json.dumps({"host_profile": host.to_dict()}, sort_keys=True)
         )
-    log = getattr(trace, "log", None)
-    if log is not None:
+    log = trace.log
+    if log.enabled:
         lines.append(
             json.dumps({"log_meta": log.meta_dict()}, sort_keys=True)
         )

@@ -19,12 +19,15 @@ Design:
   never schedule events, and never consult simulated time.  A run with
   profiling enabled is therefore bitwise identical (events, spans,
   outputs) to the same run without it; only host wall time differs.
-* Disabled-by-default fast path: every instrumented site guards on
-  ``profiler is None`` (one attribute read + ``is`` test), so the
-  instrumentation is effectively free when profiling is off.  The
-  enabled path is two ``perf_counter`` calls + two dict operations per
-  scope, kept under the 5 % overhead budget asserted by
-  ``benchmarks/bench_obs_overhead.py``.
+* Null-observer contract: an instrumented site is never handed
+  ``None``.  With profiling off, the trace and the engine hold
+  :data:`NULL_PROFILER`, a :class:`NullProfiler` whose methods do
+  nothing, so every site calls its profiler unconditionally and the
+  disabled path costs one no-op call per scope edge.  The enabled path
+  is two ``perf_counter`` calls + two list operations per scope, held
+  to the 5 % overhead budget of ``benchmarks/bench_obs_overhead.py``.
+  Only the read side asks whether a profiler ran
+  (:attr:`SelfProfiler.enabled`).
 
 Scope-name convention — ``section`` or ``section:detail`` with the
 section naming the subsystem the exclusive time is charged to:
@@ -53,6 +56,8 @@ from time import perf_counter
 from typing import Any, Callable, Iterator
 
 __all__ = [
+    "NULL_PROFILER",
+    "NullProfiler",
     "SelfProfiler",
     "HostProfile",
     "HostNode",
@@ -118,21 +123,6 @@ class HostNode:
             yield from child.walk(here)
 
 
-class _Scope:
-    """Reusable ``with`` helper returned by :meth:`SelfProfiler.scope`."""
-
-    __slots__ = ("_prof",)
-
-    def __init__(self, prof: "SelfProfiler") -> None:
-        self._prof = prof
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: Any) -> None:
-        self._prof.end()
-
-
 class SelfProfiler:
     """Nestable host wall-clock scopes with a call-tree accumulator.
 
@@ -140,18 +130,18 @@ class SelfProfiler:
     across engine instances — create one profiler per job.
     """
 
+    #: a real profiler: the read side reports what it measured
+    enabled = True
+
     __slots__ = ("root", "_nodes", "_t0s", "_started_at", "_stopped_at",
-                 "_dispatch_keys", "_scope", "_open_dispatch", "_open_t0")
+                 "_dispatch_keys", "_resumed", "_open_dispatch", "_open_t0")
 
     def __init__(self) -> None:
         self.root = HostNode(ROOT_SCOPE)
-        #: Hot-path ABI: two parallel frame stacks (node, entry time)
-        #: instead of one stack of tuples — no allocation per scope.
-        #: The highest-frequency call sites (``Engine.step``,
-        #: ``Trace.add``) push/pop these directly rather than paying a
-        #: method call per scope; everything else uses begin()/end().
-        #: ``_nodes`` always carries the root; ``_t0s`` gains the root
-        #: frame's entry time at :meth:`start`.
+        #: two parallel frame stacks (node, entry time) instead of one
+        #: stack of tuples — no allocation per scope.  ``_nodes`` always
+        #: carries the root; ``_t0s`` gains the root frame's entry time
+        #: at :meth:`start`.
         self._nodes: list[HostNode] = [self.root]
         self._t0s: list[float] = []
         self._started_at: float | None = None
@@ -159,14 +149,14 @@ class SelfProfiler:
         #: memoized event/process-class -> scope-name strings, so the
         #: per-event classification costs one dict hit after warm-up
         self._dispatch_keys: dict[str, str] = {}
-        self._scope = _Scope(self)
-        #: deferred engine-dispatch frame (coalesced dispatch scopes):
-        #: the engine leaves its dispatch scope *open* across events, so
-        #: a run of consecutive events of the same class costs zero
-        #: clock reads — only class transitions read the clock (once,
-        #: shared between the close and the open).  The open frame sits
-        #: on ``_nodes`` without a ``_t0s`` entry; its entry time lives
-        #: here and :meth:`flush_dispatch` closes it.
+        #: resumed-process class -> process name -> dispatch node; keyed
+        #: by name, not by the process, so no process is held alive
+        #: (a bigger GC live set would tax every collection)
+        self._resumed: dict[type, dict[str, HostNode]] = {}
+        #: deferred engine-dispatch frame (coalesced dispatch scopes,
+        #: see :meth:`dispatch`).  The open frame sits on ``_nodes``
+        #: without a ``_t0s`` entry; its entry time lives here and
+        #: :meth:`flush_dispatch` closes it.
         self._open_dispatch: HostNode | None = None
         self._open_t0 = 0.0
 
@@ -204,6 +194,68 @@ class SelfProfiler:
             node.inclusive_s += now - self._t0s.pop()
         self._stopped_at = now
 
+    @property
+    def wall_s(self) -> float:
+        """Wall seconds between :meth:`start` and :meth:`stop`."""
+        if self._started_at is None or self._stopped_at is None:
+            return 0.0
+        return self._stopped_at - self._started_at
+
+    # ------------------------------------------------------------------
+    # Write side: the calls instrumented sites make (NullProfiler has
+    # each of them, with the same signature, doing nothing).
+    # ------------------------------------------------------------------
+    def begin(self, name: str) -> None:
+        """Open scope *name* under the current one; pair with
+        :meth:`end` in a ``try``/``finally``."""
+        children = self._nodes[-1].children
+        node = children.get(name)
+        if node is None:
+            node = children[name] = HostNode(name)
+        self._nodes.append(node)
+        self._t0s.append(perf_counter())
+
+    def end(self) -> None:
+        """Close the innermost scope opened by :meth:`begin`."""
+        now = perf_counter()
+        node = self._nodes.pop()
+        node.calls += 1
+        node.inclusive_s += now - self._t0s.pop()
+
+    def dispatch(
+        self, event: Any, callbacks: list, classify: Callable[..., tuple]
+    ) -> None:
+        """Charge one engine event, about to run *callbacks*, to its
+        class's root-level scope: ``classify(self, event, callbacks)``
+        returns the scope name and whether it names the resumed process
+        (then it is cached per owner class and name).
+
+        Scopes are *coalesced*, since this runs once per event: the
+        dispatch scope stays open across events, so a run of same-class
+        events reads no clock and a class transition reads it once.  The
+        loop bookkeeping between events is charged to the scope it
+        extends; the engine calls :meth:`flush_dispatch` on loop exit.
+        """
+        owner = getattr(callbacks[0], "__self__", None) if callbacks else None
+        by_name = self._resumed.get(owner.__class__)
+        node = by_name.get(owner.name) if by_name is not None else None
+        if node is None:
+            scope, resumed = classify(self, event, callbacks)
+            node = self.node_for(scope)
+            if resumed:
+                self._resumed.setdefault(owner.__class__, {})[owner.name] = node
+        open_ = self._open_dispatch
+        if open_ is not node:
+            now = perf_counter()
+            nodes = self._nodes
+            if open_ is not None:
+                open_.inclusive_s += now - self._open_t0
+                nodes.pop()
+            nodes.append(node)
+            self._open_dispatch = node
+            self._open_t0 = now
+        node.calls += 1
+
     def flush_dispatch(self) -> None:
         """Close the deferred engine-dispatch scope, if one is open.
 
@@ -220,54 +272,14 @@ class SelfProfiler:
             self._nodes.pop()
             self._open_dispatch = None
 
-    @property
-    def wall_s(self) -> float:
-        """Wall seconds between :meth:`start` and :meth:`stop`."""
-        if self._started_at is None or self._stopped_at is None:
-            return 0.0
-        return self._stopped_at - self._started_at
-
     # ------------------------------------------------------------------
-    # Hot-path API: explicit begin/end, no context-manager machinery.
-    # ------------------------------------------------------------------
-    def begin(self, name: str) -> None:
-        children = self._nodes[-1].children
-        node = children.get(name)
-        if node is None:
-            node = children[name] = HostNode(name)
-        self._nodes.append(node)
-        self._t0s.append(perf_counter())
-
-    def end(self) -> None:
-        now = perf_counter()
-        node = self._nodes.pop()
-        node.calls += 1
-        node.inclusive_s += now - self._t0s.pop()
-
     def node_for(self, name: str) -> HostNode:
-        """The root-child node for *name*, created on first use.
-
-        For call sites that cache the resolved node and push frames on
-        the hot-path stacks directly (the engine's per-event dispatch);
-        only valid for scopes always entered at root depth.
-        """
+        """The root-child node for *name*, created on first use (the
+        dispatch scopes always open at root depth)."""
         node = self.root.children.get(name)
         if node is None:
             node = self.root.children[name] = HostNode(name)
         return node
-
-    def scope(self, name: str) -> _Scope:
-        """``with prof.scope("policy:split"): ...`` for cool paths."""
-        self.begin(name)
-        return self._scope
-
-    def call(self, name: str, fn: Callable, *args: Any, **kwargs: Any) -> Any:
-        """Run ``fn(*args, **kwargs)`` inside a scope (exception-safe)."""
-        self.begin(name)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            self.end()
 
     def dispatch_key(self, raw: str, kind: str) -> str:
         """Memoized ``engine:<kind>:<class>`` name for event dispatch.
@@ -290,6 +302,34 @@ class SelfProfiler:
             self.stop()
         return HostProfile(root=self.root, wall_s=self.wall_s,
                            meta=dict(meta or {}))
+
+
+class NullProfiler:
+    """:class:`SelfProfiler`'s do-nothing twin, held when host profiling
+    is off: the same write-side calls, none of them doing any work."""
+
+    #: no profiler ran: the read side reports no host profile
+    enabled = False
+
+    __slots__ = ()
+
+    def begin(self, name: str) -> None:
+        pass
+
+    def end(self) -> None:
+        pass
+
+    def dispatch(
+        self, event: Any, callbacks: list, classify: Callable[..., tuple]
+    ) -> None:
+        pass
+
+    def flush_dispatch(self) -> None:
+        pass
+
+
+#: the shared null profiler every trace and engine starts with
+NULL_PROFILER = NullProfiler()
 
 
 class HostProfile:

@@ -47,6 +47,7 @@ import json
 from collections import deque
 from typing import TYPE_CHECKING, Any, Iterator
 
+from repro._validation import require_positive
 from repro.obs.metrics import (
     COMM_BYTES,
     COMM_MESSAGES,
@@ -298,9 +299,7 @@ class MetricSampler:
         interval: float = DEFAULT_SAMPLE_INTERVAL,
         capacity: int = DEFAULT_SERIES_CAPACITY,
     ) -> None:
-        if not interval > 0.0:
-            raise ValueError(f"sample interval must be > 0, got {interval}")
-        self.interval = float(interval)
+        self.interval = require_positive("sample interval", interval)
         self.bank = SeriesBank(capacity=capacity)
         self._trace: "Trace | None" = None
         self._k = 0  # next grid index to sample (t_k = k * interval)
@@ -344,9 +343,20 @@ class MetricSampler:
     # ------------------------------------------------------------------
     def advance(self, now: float) -> None:
         """Back-fill every grid instant in ``(last, now]`` with the
-        current registry state.  O(1) when no grid instant elapsed."""
-        if self._trace is None or self.finalized:
+        current registry state.  O(1) when no grid instant elapsed; only
+        a call that reaches one opens an ``obs:sampler`` scope on the
+        bound trace's profiler (docs/PROFILING.md)."""
+        trace = self._trace
+        if trace is None or self.finalized or self._k * self.interval > now:
             return
+        prof = trace.selfprof
+        prof.begin("obs:sampler")
+        try:
+            self._backfill(now)
+        finally:
+            prof.end()
+
+    def _backfill(self, now: float) -> None:
         interval = self.interval
         while self._k * interval <= now:
             self._snapshot(self._k * interval)
@@ -358,7 +368,7 @@ class MetricSampler:
         accepting ticks."""
         if self._trace is None or self.finalized:
             return
-        self.advance(end)
+        self._backfill(end)
         if self._last_t is None or self._last_t < end:
             self._snapshot(end)
         self.finalized = True

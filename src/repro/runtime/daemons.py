@@ -81,13 +81,10 @@ def _deliver(sink: Any, block: Block, pairs: list[KeyValue]) -> None:
 
 
 def _log_failure(daemon: Any, block: Block, fatal: bool) -> None:
-    """Narrate a device-level block failure into the event log (no-op
-    without a log attached; pure host bookkeeping either way)."""
-    log = daemon.trace.log
-    if log is None:
-        return
+    """Narrate a device-level block failure into the event log (pure
+    host bookkeeping)."""
     rank = daemon.res.node_index if daemon.res.node_index >= 0 else None
-    log.emit(
+    daemon.trace.log.emit(
         "error" if fatal else "warning",
         "daemon",
         f"map block [{block.start}:{block.stop}) faulted on "
@@ -102,7 +99,7 @@ def _log_failure(daemon: Any, block: Block, fatal: bool) -> None:
 def _log_kernel(daemon: Any, kind: str, block: Block, n_pairs: int) -> None:
     """Debug-level kernel/alloc narration for one finished map kernel."""
     log = daemon.trace.log
-    if log is None or not log.wants_debug:
+    if not log.wants_debug:
         return
     rank = daemon.res.node_index if daemon.res.node_index >= 0 else None
     if rank is None:
@@ -245,32 +242,21 @@ class CpuDaemon(_MapDaemon):
             # many grid pitches away for coarse blocks.
             self.trace.tick(start)
             prof = self.trace.selfprof
-            if prof is None:
+            prof.begin("kernel:cpu-map")
+            try:
                 pairs = self.app.cpu_map(block)
+            finally:
+                prof.end()
+            prof.begin("alloc:region")
+            try:
                 alloc_s = _alloc_seconds(
                     self.res,
                     self.device_name,
                     len(pairs),
                     self.config.use_region_allocator,
                 )
-            else:
-                # Inline scopes (not prof.call): this runs once per map
-                # block, the highest-frequency kernel site.
-                prof.begin("kernel:cpu-map")
-                try:
-                    pairs = self.app.cpu_map(block)
-                finally:
-                    prof.end()
-                prof.begin("alloc:region")
-                try:
-                    alloc_s = _alloc_seconds(
-                        self.res,
-                        self.device_name,
-                        len(pairs),
-                        self.config.use_region_allocator,
-                    )
-                finally:
-                    prof.end()
+            finally:
+                prof.end()
             duration = (
                 self.overheads.cpu_task_dispatch_s
                 + self.block_seconds(block)
@@ -328,12 +314,11 @@ class CpuDaemon(_MapDaemon):
                 )
                 yield engine.timeout(duration)
                 prof = self.trace.selfprof
-                if prof is None:
+                prof.begin("kernel:cpu-reduce")
+                try:
                     sink[key] = self.app.cpu_reduce(key, values)
-                else:
-                    sink[key] = prof.call(
-                        "kernel:cpu-reduce", self.app.cpu_reduce, key, values
-                    )
+                finally:
+                    prof.end()
                 self.trace.record(
                     f"reduce[{key!r}]",
                     self.device_name,
@@ -464,32 +449,21 @@ class GpuDaemon(_MapDaemon):
                 self._cached_blocks.add(key)
                 self.cached_bytes += nbytes
         prof = self.trace.selfprof
-        if prof is None:
+        prof.begin("kernel:gpu-map")
+        try:
             pairs = self.app.gpu_map(block)
+        finally:
+            prof.end()
+        prof.begin("alloc:region")
+        try:
             alloc = _alloc_seconds(
                 self.res,
                 self.device_name,
                 len(pairs),
                 self.config.use_region_allocator,
             )
-        else:
-            # Inline scopes (not prof.call): once per map block — see
-            # the CPU daemon's map path.
-            prof.begin("kernel:gpu-map")
-            try:
-                pairs = self.app.gpu_map(block)
-            finally:
-                prof.end()
-            prof.begin("alloc:region")
-            try:
-                alloc = _alloc_seconds(
-                    self.res,
-                    self.device_name,
-                    len(pairs),
-                    self.config.use_region_allocator,
-                )
-            finally:
-                prof.end()
+        finally:
+            prof.end()
         if alloc > 0:
             yield engine.timeout(alloc)
         _log_kernel(self, "gpu-map", block, len(pairs))
@@ -562,12 +536,11 @@ class GpuDaemon(_MapDaemon):
                 label=f"reduce[{key!r}]",
             )
             prof = self.trace.selfprof
-            if prof is None:
+            prof.begin("kernel:gpu-reduce")
+            try:
                 sink[key] = self.app.gpu_device_reduce(key, values)
-            else:
-                sink[key] = prof.call(
-                    "kernel:gpu-reduce", self.app.gpu_device_reduce, key, values
-                )
+            finally:
+                prof.end()
 
         procs = [
             engine.process(one(k, v), name="gpu-reduce") for k, v in groups.items()

@@ -169,9 +169,9 @@ class JobConfig:
     #: structured event logging (:mod:`repro.obs.log`): minimum record
     #: level (``debug``/``info``/``warning``/``error``) or ``None`` to
     #: disable.  The log is a per-rank bounded ring buffer acting as a
-    #: flight recorder — pure host bookkeeping behind ``log is None``
-    #: guards, so simulated schedules, spans, and outputs are bitwise
-    #: identical either way (docs/LOGGING.md).
+    #: flight recorder — pure host bookkeeping (a disabled run's sites
+    #: call a do-nothing null log), so simulated schedules, spans, and
+    #: outputs are bitwise identical either way (docs/LOGGING.md).
     log_level: str | None = None
 
     def __post_init__(self) -> None:
@@ -188,6 +188,10 @@ class JobConfig:
         require_nonnegative("fault_seed", self.fault_seed)
         if self.sample_interval is not None:
             require_positive("sample_interval", self.sample_interval)
+        if not isinstance(self.selfprof, bool):
+            raise TypeError(
+                f"selfprof must be a bool, got {type(self.selfprof).__name__}"
+            )
         if self.log_level is not None:
             from repro.obs.log import LEVELS
 

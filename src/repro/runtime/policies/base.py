@@ -81,7 +81,7 @@ class SchedulingPolicy(abc.ABC):
         child.inc(1)
         sched = self.sched
         log = sched.trace.log
-        if log is not None and log.wants_debug:
+        if log.wants_debug:
             log.debug(
                 "policy",
                 f"{device_name} stole a block against affinity",
@@ -101,8 +101,7 @@ class SchedulingPolicy(abc.ABC):
         bookkeeping: never perturbs the simulated schedule)."""
         sched = self.sched
         prof = sched.trace.selfprof
-        if prof is not None:
-            prof.begin("policy:decision")
+        prof.begin("policy:decision")
         try:
             sched.trace.audit.record(
                 kind,
@@ -113,7 +112,7 @@ class SchedulingPolicy(abc.ABC):
                 outputs=outputs,
             )
             log = sched.trace.log
-            if log is not None and log.wants_debug:
+            if log.wants_debug:
                 log.debug(
                     "policy",
                     f"{kind} decision on {sched.res.node.name}",
@@ -126,8 +125,7 @@ class SchedulingPolicy(abc.ABC):
                     **{f"out_{k}": v for k, v in outputs.items()},
                 )
         finally:
-            if prof is not None:
-                prof.end()
+            prof.end()
 
     def record_block_plan(self, partition: Block, n_blocks: int) -> None:
         """Audit the polling block plan once per node (the count is

@@ -102,61 +102,61 @@ class PRSRuntime:
             sampler.bank, rules=self.config.alert_rules, end=engine.now
         )
         record_alerts(trace.tracer, trace.metrics, alerts)
+        # Alert rules evaluate retrospectively over the sampled series,
+        # so the flight recorder fires here — one dump per firing,
+        # stamped with the rule's trigger instant.
         log = trace.log
-        if log is not None:
-            # Alert rules evaluate retrospectively over the sampled
-            # series, so the flight recorder fires here — one dump per
-            # firing, stamped with the rule's trigger instant.
-            for alert in alerts:
-                log.warning(
-                    "alert",
-                    f"rule {alert.rule} fired",
-                    t=alert.start,
-                    severity=alert.severity,
-                    peak=alert.peak,
-                    threshold=alert.threshold,
-                )
-                log.dump("alert", alert.rule, alert.start)
+        for alert in alerts:
+            log.warning(
+                "alert",
+                f"rule {alert.rule} fired",
+                t=alert.start,
+                severity=alert.severity,
+                peak=alert.peak,
+                threshold=alert.threshold,
+            )
+            log.dump("alert", alert.rule, alert.start)
         return alerts
 
-    def _attach_selfprof(self, trace: Trace, engine: Engine):
+    def _attach_selfprof(self, trace: Trace, engine: Engine) -> None:
         """Create, attach, and start the host-side wall-clock profiler
-        when ``config.selfprof`` is set (None otherwise).  Attached to
-        both the trace (obs/kernel/comm/policy scopes) and the engine
-        (per-dispatch scopes) before any simulation work runs, so the
-        root scope covers setup as well as the event loop."""
+        when ``config.selfprof`` is set (the trace and engine keep their
+        null profiler otherwise).  Attached to both the trace
+        (obs/kernel/comm/policy scopes) and the engine (per-dispatch
+        scopes) before any simulation work runs, so the root scope
+        covers setup as well as the event loop."""
         if not self.config.selfprof:
-            return None
+            return
         from repro.obs.selfprof import SelfProfiler
 
         prof = SelfProfiler()
         trace.attach_selfprof(prof)
         engine.selfprof = prof
         prof.start()
-        return prof
 
-    def _attach_log(self, trace: Trace, engine: Engine):
+    def _attach_log(self, trace: Trace, engine: Engine) -> None:
         """Create and attach the structured event log + flight recorder
-        when ``config.log_level`` is set (None otherwise).  Pure host
-        bookkeeping — every emit site is behind a ``log is None`` guard,
-        so the simulated schedule is bitwise identical either way."""
+        when ``config.log_level`` is set (the trace and engine keep
+        their null log otherwise).  Pure host bookkeeping, so the
+        simulated schedule is bitwise identical either way."""
         if self.config.log_level is None:
-            return None
+            return
         from repro.obs.log import EventLog
 
         log = EventLog(level=self.config.log_level)
         trace.attach_log(log)
         engine.log = log
-        return log
 
-    def _finish_selfprof(self, prof, engine: Engine, app: MapReduceApp):
-        """Stop the profiler (if any) and freeze the host profile.
+    def _finish_selfprof(self, engine: Engine, app: MapReduceApp):
+        """Stop the profiler and freeze the host profile (None when the
+        job ran without one).
 
         Called after the engine has drained and observability is
         finalized; the meta carries the deterministic run context the
         derived throughput numbers (sim-s/wall-s, events/sec) need.
         """
-        if prof is None:
+        prof = engine.selfprof
+        if not prof.enabled:
             return None
         prof.stop()
         return prof.profile(meta={
@@ -218,8 +218,9 @@ class PRSRuntime:
         self._check_targets(plan)
         engine = Engine()
         trace = self._make_trace()
-        selfprof = self._attach_selfprof(trace, engine)
-        log = self._attach_log(trace, engine)
+        self._attach_selfprof(trace, engine)
+        self._attach_log(trace, engine)
+        log = trace.log
         policy = config.fault_policy
         faults: FaultState | None = None
         dead_nodes: set[int] = set()
@@ -347,21 +348,17 @@ class PRSRuntime:
                             "members": list(rec.members),
                         },
                     )
-                    if log is not None:
-                        log.info(
-                            "membership",
-                            f"epoch {rec.epoch}: {rec.cause} node "
-                            f"{event.node}",
-                            t=engine.now,
-                            epoch=rec.epoch,
-                            action=rec.cause,
-                            members=",".join(str(n) for n in rec.members),
-                        )
-                        log.dump(
-                            "epoch",
-                            f"{rec.cause} node {event.node}",
-                            engine.now,
-                        )
+                    log.info(
+                        "membership",
+                        f"epoch {rec.epoch}: {rec.cause} node {event.node}",
+                        t=engine.now,
+                        epoch=rec.epoch,
+                        action=rec.cause,
+                        members=",".join(str(n) for n in rec.members),
+                    )
+                    log.dump(
+                        "epoch", f"{rec.cause} node {event.node}", engine.now
+                    )
                 trace.metrics.gauge(obs.MEMBERSHIP_EPOCH).set(view.epoch)
             surviving = [n for n in view.members() if n not in dead_nodes]
             if not surviving:
@@ -564,26 +561,25 @@ class PRSRuntime:
                 )
             trace.metrics.counter(obs.RECOVERY_RANK_RESTARTS).inc()
             now = engine.now
-            if log is not None:
-                for node_idx in sorted(new_dead):
-                    log.error(
-                        "recovery",
-                        f"rank on node {node_idx} declared dead",
-                        t=now,
-                        restart=restarts,
-                        cause=str(cause),
-                    )
-                    log.dump("fault", f"rank-kill node {node_idx}", now)
-                resume = recovery_state.iteration if recovery_state else 0
-                log.info(
+            for node_idx in sorted(new_dead):
+                log.error(
                     "recovery",
-                    f"rank restart {restarts}: resuming from checkpoint "
-                    f"iteration {resume}",
+                    f"rank on node {node_idx} declared dead",
                     t=now,
-                    survivors=",".join(
-                        str(n) for n in surviving if n not in new_dead
-                    ),
+                    restart=restarts,
+                    cause=str(cause),
                 )
+                log.dump("fault", f"rank-kill node {node_idx}", now)
+            resume = recovery_state.iteration if recovery_state else 0
+            log.info(
+                "recovery",
+                f"rank restart {restarts}: resuming from checkpoint "
+                f"iteration {resume}",
+                t=now,
+                survivors=",".join(
+                    str(n) for n in surviving if n not in new_dead
+                ),
+            )
             for node_idx in sorted(new_dead):
                 rec = view.leave(node_idx, now)
                 if elastic is not None and rec is not None:
@@ -650,7 +646,7 @@ class PRSRuntime:
                     elastic.autoscale_decisions if elastic is not None else 0
                 ),
                 epochs=tuple(view.history),
-                flight_dumps=tuple(log.dumps) if log is not None else (),
+                flight_dumps=tuple(log.dumps),
             )
 
         return JobResult(
@@ -674,8 +670,8 @@ class PRSRuntime:
             sampler_samples=(
                 trace.sampler.total_samples if trace.sampler else 0
             ),
-            selfprofile=self._finish_selfprof(selfprof, engine, app),
-            logs=log,
+            selfprofile=self._finish_selfprof(engine, app),
+            logs=log if log.enabled else None,
         )
 
     # ------------------------------------------------------------------

@@ -231,21 +231,16 @@ class SubTaskScheduler:
         count = self._device_failures.get(name, 0) + 1
         self._device_failures[name] = count
         log = self.trace.log
-        if log is not None:
-            log.error(
-                "sched",
-                f"block [{block.start}:{block.stop}) failed on {name}",
-                t=self.res.engine.now,
-                rank=self.node_index,
-                device=name,
-                fatal=fatal,
-                failures=count,
-            )
-            log.dump(
-                "fault",
-                f"block failure on {name}",
-                self.res.engine.now,
-            )
+        log.error(
+            "sched",
+            f"block [{block.start}:{block.stop}) failed on {name}",
+            t=self.res.engine.now,
+            rank=self.node_index,
+            device=name,
+            fatal=fatal,
+            failures=count,
+        )
+        log.dump("fault", f"block failure on {name}", self.res.engine.now)
         if name not in self._blacklist and (
             fatal or count >= self.fault_policy.blacklist_after
         ):
@@ -253,14 +248,13 @@ class SubTaskScheduler:
             self.trace.metrics.counter(obs.RECOVERY_DEVICES_BLACKLISTED).inc(
                 1, device=name
             )
-            if log is not None:
-                log.warning(
-                    "sched",
-                    f"device {name} blacklisted after {count} failure(s)",
-                    t=self.res.engine.now,
-                    rank=self.node_index,
-                    device=name,
-                )
+            log.warning(
+                "sched",
+                f"device {name} blacklisted after {count} failure(s)",
+                t=self.res.engine.now,
+                rank=self.node_index,
+                device=name,
+            )
             self._refit_split()
 
     def _refit_split(self) -> None:
@@ -269,20 +263,18 @@ class SubTaskScheduler:
         self.trace.metrics.counter(obs.RECOVERY_SPLIT_REFITS).inc(
             1, node=self.res.node.name
         )
-        log = self.trace.log
-        if log is not None:
-            log.info(
-                "sched",
-                f"split refit over survivors on {self.res.node.name}",
-                t=self.res.engine.now,
-                rank=self.node_index,
-                p=(
-                    self.split_decision.p
-                    if self.split_decision is not None
-                    else "n/a"
-                ),
-                blacklisted=len(self._blacklist),
-            )
+        self.trace.log.info(
+            "sched",
+            f"split refit over survivors on {self.res.node.name}",
+            t=self.res.engine.now,
+            rank=self.node_index,
+            p=(
+                self.split_decision.p
+                if self.split_decision is not None
+                else "n/a"
+            ),
+            blacklisted=len(self._blacklist),
+        )
         if self.split_decision is not None:
             self.trace.metrics.gauge(obs.SPLIT_CPU_FRACTION).set(
                 self.split_decision.p, node=self.res.node.name
@@ -465,15 +457,14 @@ class SubTaskScheduler:
                 attempts = self._retry_counts.get(key, 0) + 1
                 self._retry_counts[key] = attempts
                 if attempts > policy.max_block_retries:
-                    if log is not None:
-                        log.error(
-                            "sched",
-                            f"block [{block.start}:{block.stop}) exceeded "
-                            f"retry budget {policy.max_block_retries}",
-                            t=engine.now,
-                            rank=self.node_index,
-                            attempts=attempts,
-                        )
+                    log.error(
+                        "sched",
+                        f"block [{block.start}:{block.stop}) exceeded "
+                        f"retry budget {policy.max_block_retries}",
+                        t=engine.now,
+                        rank=self.node_index,
+                        attempts=attempts,
+                    )
                     raise JobAbortedError(
                         f"block [{block.start}:{block.stop}) on node "
                         f"{self.res.node.name} exceeded its retry budget "
@@ -481,13 +472,12 @@ class SubTaskScheduler:
                     )
             engines = self.active_map_engines()
             if not engines:
-                if log is not None:
-                    log.error(
-                        "sched",
-                        f"no surviving map device on {self.res.node.name}",
-                        t=engine.now,
-                        rank=self.node_index,
-                    )
+                log.error(
+                    "sched",
+                    f"no surviving map device on {self.res.node.name}",
+                    t=engine.now,
+                    rank=self.node_index,
+                )
                 raise NodeDeadError(self.node_index, self.res.node.name)
             wait_start = engine.now
             delay = min(
@@ -500,16 +490,15 @@ class SubTaskScheduler:
             self.trace.metrics.counter(obs.RECOVERY_BLOCKS_RETRIED).inc(
                 len(blocks), node=self.res.node.name
             )
-            if log is not None:
-                log.info(
-                    "sched",
-                    f"retry round {round_no}: {len(blocks)} block(s) on "
-                    f"{len(engines)} device(s)",
-                    t=engine.now,
-                    rank=self.node_index,
-                    round=round_no,
-                    backoff_s=delay,
-                )
+            log.info(
+                "sched",
+                f"retry round {round_no}: {len(blocks)} block(s) on "
+                f"{len(engines)} device(s)",
+                t=engine.now,
+                rank=self.node_index,
+                round=round_no,
+                backoff_s=delay,
+            )
             weights = self.device_weights()
             ranges = weighted_partition(len(blocks), weights)
             procs = []

@@ -15,8 +15,10 @@ on.
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
+
+from repro.obs.log import NULL_LOG
+from repro.obs.selfprof import NULL_PROFILER
 
 __all__ = [
     "Engine",
@@ -275,8 +277,12 @@ class AnyOf(_Condition):
         self.succeed((self.events.index(event), event.value))
 
 
-def _dispatch_scope(prof: Any, event: Event, callbacks: list) -> str:
-    """Scope name charging this dispatch to an event/process class.
+def _dispatch_scope(
+    profiler: Any, event: Event, callbacks: list
+) -> tuple[str, bool]:
+    """Scope name charging this dispatch to an event/process class, and
+    whether it names the resumed process (so the profiler may cache it
+    per process name).
 
     When the first callback resumes a process, the dispatch is charged
     to that process's class (``engine:resume:<name-sans-digits>``) — in
@@ -288,12 +294,12 @@ def _dispatch_scope(prof: Any, event: Event, callbacks: list) -> str:
     if callbacks:
         owner = getattr(callbacks[0], "__self__", None)
         if isinstance(owner, Process):
-            return prof.dispatch_key(owner.name, "resume")
+            return profiler.dispatch_key(owner.name, "resume"), True
     if isinstance(event, Process):
-        return prof.dispatch_key(event.name, "exit")
+        return profiler.dispatch_key(event.name, "exit"), False
     if isinstance(event, Timeout):
-        return "engine:timeout"
-    return "engine:event"
+        return "engine:timeout", False
+    return "engine:event", False
 
 
 class Engine:
@@ -303,29 +309,15 @@ class Engine:
         self.now: float = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
-        #: optional :class:`repro.obs.selfprof.SelfProfiler`.  When set,
-        #: ``step()`` brackets each event dispatch in a host wall-clock
-        #: scope named for the resumed process class.  The profiler only
-        #: reads the host clock — it never schedules events or touches
-        #: ``now``/``_seq`` — so enabling it cannot perturb the
-        #: simulation (see tests/obs/test_selfprof.py).
-        self.selfprof: Optional[Any] = None
-        #: optional structured :class:`repro.obs.log.EventLog`.  When
-        #: set, dispatch failures (unwaited event errors, deadlocks) are
-        #: narrated as ERROR records before the exception propagates.
-        #: Emitting only appends to a host-side ring buffer — it never
-        #: schedules events or touches ``now``/``_seq`` — so enabling it
-        #: cannot perturb the simulation.
-        self.log: Optional[Any] = None
-        #: per-profiled-run cache: resumed process *name* -> its
-        #: dispatch-scope tree node.  Classifying a dispatch costs
-        #: isinstance checks and string work; a process is resumed many
-        #: times, so the hot path is one dict hit.  Keyed by name (a
-        #: small bounded set of strings), NOT the process object —
-        #: holding every process alive would grow the GC's live set and
-        #: tax every collection, a real (host-side) perturbation.  Only
-        #: populated while ``selfprof`` is set.
-        self._dispatch_nodes: dict[str, Any] = {}
+        #: host-side :class:`repro.obs.selfprof.SelfProfiler` (else the
+        #: do-nothing ``NULL_PROFILER``), handed every event dispatch,
+        #: and :class:`repro.obs.log.EventLog` (else ``NULL_LOG``), told
+        #: of dispatch failures (unwaited event errors, deadlocks).
+        #: Neither schedules events or touches ``now``/``_seq``, so
+        #: enabling them cannot perturb the simulation
+        #: (tests/obs/test_selfprof.py, tests/obs/test_log.py).
+        self.selfprof: Any = NULL_PROFILER
+        self.log: Any = NULL_LOG
         #: callables consulted when the queue drains while an awaited event
         #: is still pending; each may return a line of context (or None)
         #: that is appended to the deadlock error message.  Subsystems such
@@ -373,74 +365,22 @@ class Engine:
 
     def step(self) -> None:
         """Process the single next event; raises IndexError when empty."""
-        prof = self.selfprof
-        if prof is None:
-            # Fast path: identical to the pre-profiling dispatch loop.
-            when, _, event = heapq.heappop(self._queue)
-            if when < self.now:
-                raise SimulationError("time went backwards")  # pragma: no cover
-            self.now = when
-            event._processed = True
-            callbacks, event.callbacks = event.callbacks, []
-            for callback in callbacks:
-                callback(event)
-            if not event.ok and not callbacks:
-                # A failure nobody waits on would vanish silently; surface it.
-                if self.log is not None:
-                    self.log.error(
-                        "engine",
-                        f"unwaited event failure: {event.value!r}",
-                        t=self.now,
-                    )
-                raise event.value  # type: ignore[misc]
-            return
         when, _, event = heapq.heappop(self._queue)
         if when < self.now:
             raise SimulationError("time went backwards")  # pragma: no cover
         self.now = when
         event._processed = True
         callbacks, event.callbacks = event.callbacks, []
-        # Profiled dispatch.  This is the hottest instrumented site in
-        # the whole simulator (once per event), so it dodges every
-        # avoidable cost: the dispatch scope's tree node is cached per
-        # resumed process (one dict hit after the first resume), and
-        # scopes are *coalesced* — the dispatch scope stays open across
-        # events, so a run of consecutive events of the same class costs
-        # zero clock reads, and a class transition costs one (shared
-        # between closing the old scope and opening the new).  The
-        # event-loop bookkeeping between coalesced events is charged to
-        # the engine scope it extends (it is dispatch overhead); the
-        # run loop flushes the open scope on exit (see run()).
-        owner = None
-        node = None
-        if callbacks:
-            owner = getattr(callbacks[0], "__self__", None)
-            if owner is not None and owner.__class__ is Process:
-                node = self._dispatch_nodes.get(owner.name)
-        if node is None:
-            node = prof.node_for(_dispatch_scope(prof, event, callbacks))
-            if isinstance(owner, Process):
-                self._dispatch_nodes[owner.name] = node
-        open_ = prof._open_dispatch
-        if open_ is not node:
-            now = perf_counter()
-            if open_ is not None:
-                open_.inclusive_s += now - prof._open_t0
-                prof._nodes.pop()
-            prof._nodes.append(node)
-            prof._open_dispatch = node
-            prof._open_t0 = now
-        node.calls += 1
+        self.selfprof.dispatch(event, callbacks, _dispatch_scope)
         for callback in callbacks:
             callback(event)
         if not event.ok and not callbacks:
             # A failure nobody waits on would vanish silently; surface it.
-            if self.log is not None:
-                self.log.error(
-                    "engine",
-                    f"unwaited event failure: {event.value!r}",
-                    t=self.now,
-                )
+            self.log.error(
+                "engine",
+                f"unwaited event failure: {event.value!r}",
+                t=self.now,
+            )
             raise event.value  # type: ignore[misc]
 
     def run(self, until: float | Event | None = None) -> Any:
@@ -464,26 +404,23 @@ class Engine:
                     ]
                     if details:
                         message += "\n" + "\n".join(details)
-                    if self.log is not None:
-                        self.log.error(
-                            "engine",
-                            "deadlock: queue drained with an awaited event "
-                            "pending",
-                            t=self.now,
-                            diagnostics=len(details),
-                        )
+                    self.log.error(
+                        "engine",
+                        "deadlock: queue drained with an awaited event "
+                        "pending",
+                        t=self.now,
+                        diagnostics=len(details),
+                    )
                     raise SimulationError(message)
                 self.step()
-            if self.selfprof is not None:
-                self.selfprof.flush_dispatch()
+            self.selfprof.flush_dispatch()
             if not stop.ok:
                 raise stop.value  # type: ignore[misc]
             return stop.value
         horizon = float("inf") if until is None else float(until)
         while self._queue and self._queue[0][0] <= horizon:
             self.step()
-        if self.selfprof is not None:
-            self.selfprof.flush_dispatch()
+        self.selfprof.flush_dispatch()
         if until is not None and horizon > self.now:
             self.now = horizon
         return None

@@ -469,21 +469,20 @@ class FaultState:
         self.trace.metrics.counter(obs.RECOVERY_FAULTS_INJECTED).inc(
             1, kind=event.kind
         )
+        target = (
+            f"node {event.node}"
+            if event.kind == "rank_kill"
+            else event.device_key()
+        )
         log = self.trace.log
-        if log is not None:
-            target = (
-                f"node {event.node}"
-                if event.kind == "rank_kill"
-                else event.device_key()
-            )
-            log.error(
-                "faults",
-                f"injecting {event.kind} on {target}",
-                t=self.engine.now,
-                rank=event.node,
-                kind=event.kind,
-            )
-            log.dump("fault", f"{event.kind} on {target}", self.engine.now)
+        log.error(
+            "faults",
+            f"injecting {event.kind} on {target}",
+            t=self.engine.now,
+            rank=event.node,
+            kind=event.kind,
+        )
+        log.dump("fault", f"{event.kind} on {target}", self.engine.now)
         if event.kind == "rank_kill":
             node = event.node
             assert node is not None

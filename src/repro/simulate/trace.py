@@ -28,7 +28,6 @@ instead (snapshot-and-diff, no trace re-scans).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 from repro.obs import (
     DEVICE_BUSY_SECONDS,
@@ -40,12 +39,13 @@ from repro.obs import (
     CounterChild,
     IntervalUnion,
     MetricSampler,
+    NULL_LOG,
+    NULL_PROFILER,
     MetricsRegistry,
     Span,
     SpanTracer,
 )
 from repro.obs.analyze.audit import DecisionLog
-from repro.obs.selfprof import HostNode
 
 #: span track membership-transition spans land on (their own lane in
 #: exports, mirroring the ``alerts`` track)
@@ -157,18 +157,19 @@ class Trace:
         #: every mutation below ticks it first, so samples reflect the
         #: pre-mutation registry state at each elapsed grid instant
         self.sampler: MetricSampler | None = None
-        #: optional host-side :class:`~repro.obs.selfprof.SelfProfiler`
-        #: (attach_selfprof).  When set, the record hot path and the
-        #: sampler tick are bracketed in ``obs:`` wall-clock scopes so
-        #: the observability layer's own host cost is attributed, not
-        #: hidden inside whichever subsystem happened to call it.
-        self.selfprof = None
-        #: optional structured :class:`~repro.obs.log.EventLog`
-        #: (attach_log).  Every instrumentation site guards on
-        #: ``log is None``, and emitting is pure host bookkeeping, so
-        #: the simulated schedule is bitwise identical with or without
+        #: host-side :class:`~repro.obs.selfprof.SelfProfiler`
+        #: (attach_selfprof), else the do-nothing ``NULL_PROFILER``.
+        #: The record hot path and the sampler are bracketed in ``obs:``
+        #: wall-clock scopes so the observability layer's own host cost
+        #: is attributed, not hidden inside whichever subsystem happened
+        #: to call it.
+        self.selfprof = NULL_PROFILER
+        #: structured :class:`~repro.obs.log.EventLog` (attach_log),
+        #: else the do-nothing ``NULL_LOG``.  Sites call it
+        #: unconditionally; emitting is pure host bookkeeping, so the
+        #: simulated schedule is bitwise identical with or without
         #: logging — the same contract the sampler and selfprof keep.
-        self.log = None
+        self.log = NULL_LOG
         self._busy_union: dict[str, IntervalUnion] = {}
         #: (device, kind) -> bound per-record counters (_device_counters)
         self._counter_children: dict[tuple[str, str], tuple[CounterChild, ...]] = {}
@@ -215,21 +216,7 @@ class Trace:
         when no sampling-grid instant has elapsed)."""
         sampler = self.sampler
         if sampler is not None:
-            prof = self.selfprof
-            # Only open an ``obs:sampler`` scope when a grid instant
-            # actually elapsed (same predicate as advance()'s early
-            # exit): ticks overwhelmingly no-op, and a scope around a
-            # single comparison would drown the signal in its own cost.
-            # The early-exit comparison itself stays charged to the
-            # caller — nanoseconds, and documented in docs/PROFILING.md.
-            if prof is None or sampler._k * sampler.interval > now:
-                sampler.advance(now)
-            else:
-                prof.begin("obs:sampler")
-                try:
-                    sampler.advance(now)
-                finally:
-                    prof.end()
+            sampler.advance(now)
 
     # ------------------------------------------------------------------
     def add(self, record: TaskRecord, attrs: dict | None = None) -> None:
@@ -255,17 +242,7 @@ class Trace:
                 f"task {label!r}: end {end} precedes start {start}"
             )
         prof = self.selfprof
-        if prof is not None:
-            # Second-hottest instrumented site (once per task record):
-            # push/pop the profiler's frame stacks directly — see
-            # Engine.step for the rationale.
-            nodes = prof._nodes
-            children = nodes[-1].children
-            node = children.get("obs:trace.record")
-            if node is None:
-                node = children["obs:trace.record"] = HostNode("obs:trace.record")
-            nodes.append(node)
-            prof._t0s.append(perf_counter())
+        prof.begin("obs:trace.record")
         try:
             self.tick(end)
             counters = self._counter_children.get((device, kind))
@@ -294,10 +271,7 @@ class Trace:
                 kind, span_attrs,
             ))
         finally:
-            if prof is not None:
-                node.calls += 1
-                node.inclusive_s += perf_counter() - prof._t0s.pop()
-                nodes.pop()
+            prof.end()
 
     def _device_counters(self, device: str, kind: str) -> tuple[CounterChild, ...]:
         """The five per-record counter children of ``(device, kind)``:

@@ -1,5 +1,6 @@
-"""Host-side self-profiler: scope accounting, the zero-perturbation
-contract, schema-v2 profile round-trips, and the flamegraph exports."""
+"""Host-side self-profiler: scope accounting, coalesced engine dispatch,
+the zero-perturbation contract, schema-v2 profile round-trips, and the
+flamegraph exports."""
 
 import json
 
@@ -8,10 +9,13 @@ import pytest
 from repro.apps.cmeans import CMeansApp
 from repro.data.synth import gaussian_mixture
 from repro.hardware import delta_cluster
+from repro.obs import MetricSampler
 from repro.obs.profile import loads_profile, profile_jsonl
 from repro.obs.selfprof import ROOT_SCOPE, HostNode, HostProfile, SelfProfiler
 from repro.runtime.job import JobConfig
 from repro.runtime.prs import PRSRuntime
+from repro.simulate.engine import Engine
+from repro.simulate.trace import Trace
 
 
 def run_cmeans(**config_kwargs):
@@ -47,33 +51,16 @@ class TestSelfProfilerScopes:
     def test_same_name_under_different_parents_gets_own_node(self):
         prof = SelfProfiler()
         prof.start()
-        with prof.scope("kernel:cpu-map"):
+        for parent in ("kernel:cpu-map", "comm:deliver"):
+            prof.begin(parent)
             prof.begin("alloc:region")
             prof.end()
-        with prof.scope("comm:deliver"):
-            prof.begin("alloc:region")
             prof.end()
         prof.stop()
         a = prof.root.children["kernel:cpu-map"].children["alloc:region"]
         b = prof.root.children["comm:deliver"].children["alloc:region"]
         assert a is not b
         assert a.calls == b.calls == 1
-
-    def test_call_is_exception_safe(self):
-        prof = SelfProfiler()
-        prof.start()
-        with pytest.raises(RuntimeError, match="boom"):
-            prof.call("policy:split", self._raise)
-        # the scope still closed: the next begin lands at root depth
-        prof.begin("kernel:cpu-map")
-        prof.end()
-        prof.stop()
-        assert prof.root.children["policy:split"].calls == 1
-        assert "kernel:cpu-map" in prof.root.children
-
-    @staticmethod
-    def _raise():
-        raise RuntimeError("boom")
 
     def test_stop_unwinds_abandoned_scopes(self):
         prof = SelfProfiler()
@@ -87,23 +74,20 @@ class TestSelfProfilerScopes:
         assert prof.wall_s > 0.0
 
     def test_stop_unwinds_open_dispatch_frame(self):
-        # The engine's coalesced dispatch scope sits on the node stack
-        # without a _t0s entry; stop() must close it without
-        # double-counting a call.
+        # A coalesced dispatch scope stays open after dispatch() returns;
+        # stop() must close it without double-counting a call.
         prof = SelfProfiler()
         prof.start()
-        node = prof.node_for("engine:resume:rank")
-        from time import perf_counter
-
-        prof._nodes.append(node)
-        prof._open_dispatch = node
-        prof._open_t0 = perf_counter()
-        node.calls += 1
+        prof.dispatch(object(), [], lambda p, e, c: ("engine:resume:rank",
+                                                     False))
         prof.stop()
-        assert prof._open_dispatch is None
+        node = prof.root.children["engine:resume:rank"]
         assert node.calls == 1
         assert node.inclusive_s > 0.0
         assert prof.root.inclusive_s == pytest.approx(prof.wall_s)
+        closed = node.inclusive_s
+        prof.flush_dispatch()  # stop() left nothing open to close
+        assert node.inclusive_s == closed
 
     def test_flush_dispatch_noop_when_nothing_open(self):
         prof = SelfProfiler()
@@ -142,15 +126,97 @@ class TestSelfProfilerScopes:
         assert prof.root.children["engine:timeout"] is node
 
 
+def _workload(engine):
+    """Two process classes interleaved on one engine, plus a timeout and
+    a bare event nobody waits on."""
+
+    def sleeper(n):
+        for _ in range(n):
+            yield engine.timeout(1.0)
+
+    engine.process(sleeper(3), name="worker0")
+    engine.process(sleeper(1), name="reader0")
+    engine.process(sleeper(2), name="worker1")
+    engine.timeout(0.5)
+    engine.event().succeed()
+
+
+class TestEngineDispatch:
+    """Engine.step hands every event to SelfProfiler.dispatch."""
+
+    @pytest.mark.parametrize("until", ["drain", "event"])
+    def test_each_event_charged_to_its_class(self, until):
+        engine = Engine()
+        prof = engine.selfprof = SelfProfiler()
+        prof.start()
+        _workload(engine)
+        if until == "event":
+            engine.run(engine.timeout(10.0))
+        else:
+            engine.run()
+        # the run loop closed its dispatch scope: later work is not
+        # charged to the last dispatched event class
+        prof.begin("post")
+        prof.end()
+        prof.stop()
+        calls = {name: node.calls for name, node in prof.root.children.items()}
+        assert calls == {
+            # bootstrap + one resume per timeout, per process
+            "engine:resume:worker": (1 + 3) + (1 + 2),
+            "engine:resume:reader": 1 + 1,
+            "engine:exit:worker": 2,
+            "engine:exit:reader": 1,
+            "engine:timeout": 1 + (until == "event"),
+            "engine:event": 1,
+            "post": 1,
+        }
+        assert sum(calls.values()) - 1 == engine.events_scheduled
+        # dispatch scopes are root-level leaves
+        assert all(not node.children for name, node
+                   in prof.root.children.items() if name != "post")
+
+    def test_null_profiler_is_the_default(self):
+        engine = Engine()
+        _workload(engine)
+        engine.run()
+        assert not engine.selfprof.enabled
+        assert not Trace().selfprof.enabled
+
+
+class TestSamplerScope:
+    """MetricSampler.advance opens ``obs:sampler`` only on a grid instant."""
+
+    def test_scope_only_when_a_grid_instant_elapsed(self):
+        trace = Trace()
+        prof = SelfProfiler()
+        trace.attach_selfprof(prof)
+        trace.attach_sampler(MetricSampler(interval=1e-3))
+        prof.start()
+        trace.tick(0.0)  # grid 0
+        trace.tick(0.5e-3)  # no grid instant
+        trace.tick(5.5e-3)  # grids 1..5 in one scope
+        prof.stop()
+        assert prof.root.children["obs:sampler"].calls == 2
+
+    def test_selfprofiled_run_charges_the_sampler(self):
+        sampled = run_cmeans(selfprof=True).selfprofile
+        unsampled = run_cmeans(selfprof=True, sample_interval=None).selfprofile
+        sampler = [n for _, n in sampled.nodes() if n.name == "obs:sampler"]
+        assert sampler and all(n.calls > 0 for n in sampler)
+        assert not [n for _, n in unsampled.nodes()
+                    if n.name == "obs:sampler"]
+
+
 class TestHostProfile:
     def _profile(self):
         prof = SelfProfiler()
         prof.start()
-        with prof.scope("kernel:cpu-map"):
-            with prof.scope("alloc:region"):
-                pass
-        with prof.scope("comm:deliver"):
-            pass
+        prof.begin("kernel:cpu-map")
+        prof.begin("alloc:region")
+        prof.end()
+        prof.end()
+        prof.begin("comm:deliver")
+        prof.end()
         return prof.profile(meta={"makespan_s": 2.0, "engine_events": 1000,
                                   "app": "cmeans"})
 
@@ -231,6 +297,11 @@ class TestSelfProfiledRun:
 
     def test_disabled_by_default(self):
         assert run_cmeans().selfprofile is None
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_selfprof_must_be_a_bool(self, value):
+        with pytest.raises(TypeError, match="selfprof.*" + type(value).__name__):
+            JobConfig(selfprof=value)
 
     def test_zero_perturbation(self):
         plain = run_cmeans()

@@ -168,6 +168,14 @@ class TestSamplerGrid:
         with pytest.raises(ValueError, match="interval"):
             MetricSampler(interval=0.0)
 
+    @pytest.mark.parametrize(
+        "interval", [float("inf"), float("nan"), 0, -1e-3]
+    )
+    def test_interval_must_be_finite_and_positive(self, interval):
+        # inf used to pass and then never sample (0 * inf is NaN)
+        with pytest.raises(ValueError, match="sample interval"):
+            MetricSampler(interval=interval)
+
     def test_backfills_every_grid_instant(self):
         trace, sampler = self.make(interval=1e-3)
         trace.metrics.counter("c_total").inc(1)

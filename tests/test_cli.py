@@ -476,6 +476,7 @@ class TestSelfprofCLI:
         assert host["wall_s"] > 0
         assert host["events_per_sec"] > 0
         assert "engine" in host["sections"]
+        assert "kernel" in host["sections"]
         assert host["top_exclusive"]
 
     def test_plain_run_has_no_host_block(self, capsys):
@@ -584,6 +585,29 @@ class TestLogsCommand:
         assert logs["level"] == "info"
         assert logs["emitted"] >= logs["records"] >= 0
         assert isinstance(logs["dumps"], list)
+
+    def test_run_rank_kill_json_carries_flight_dumps(self, capsys):
+        # A rank killed mid-run with logging on: the flight recorder
+        # dumps the causally ordered log tail at the injection and at
+        # the rank-kill recovery, and the dumps ride the recovery summary.
+        import json
+
+        assert main([
+            "run", "--app", "cmeans", "--size", "600", "--nodes", "2",
+            "--iterations", "2", "--faults", "rank_kill@1:t=0.01",
+            "--fault-seed", "7", "--log-level", "info", "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        logs = payload["logs"]
+        assert logs["records"] > 0 and logs["emitted"] >= logs["records"]
+        assert logs["dumps"], "flight recorder never dumped"
+        dumps = payload["recovery"]["flight_dumps"]
+        assert any(d["trigger"] == "fault" for d in dumps)
+        for d in dumps:
+            seqs = [r["seq"] for r in d["records"]]
+            assert seqs == sorted(seqs), "dump not causally ordered"
+        messages = [r["message"] for d in dumps for r in d["records"]]
+        assert any("rank_kill" in m for m in messages), messages
 
     def test_run_text_mentions_event_log(self, capsys):
         assert main(["run", *self.RUN]) == 0
