@@ -92,19 +92,36 @@ def _labels_text(labels: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sparkline(series: Series, width: int = 220, height: int = 42) -> str:
-    """One series as an SVG polyline, y-scaled to its own [min, max]."""
-    pts = series.points()
-    if not pts:
+def _sparkline(
+    series: Series, runs: list[tuple[int, int, float]],
+    tail: list[tuple[float, float]], vmin: float, vmax: float,
+    grid_xs: dict[tuple, list[str]], width: int = 220, height: int = 42,
+) -> str:
+    """One series (its grid *runs* and off-grid *tail*) as an SVG
+    polyline, y-scaled to its own [*vmin*, *vmax*].  Each y is formatted
+    once per run; the x strings of a grid are formatted once per render
+    and shared (*grid_xs*) by every series sampled on the same instants."""
+    t0, t1 = series.first_t, series.last_t
+    if t0 is None:
         return f'<svg width="{width}" height="{height}"></svg>'
-    t0, t1 = pts[0][0], pts[-1][0]
-    vs = [v for _, v in pts]
-    vmin, vmax = min(vs), max(vs)
     tspan = (t1 - t0) or 1.0
     vspan = (vmax - vmin) or 1.0
     pad = 3
     coords = []
-    for t, v in pts:
+    if runs:
+        interval = series.interval
+        first, stop = runs[0][0], runs[-1][1]
+        key = (interval, first, stop, t1, width)
+        xs = grid_xs.get(key)
+        if xs is None:
+            xs = grid_xs[key] = [
+                f"{pad + (k * interval - t0) / tspan * (width - 2 * pad):.1f},"
+                for k in range(first, stop)
+            ]
+        for lo, hi, v in runs:
+            y = f"{height - pad - (v - vmin) / vspan * (height - 2 * pad):.1f}"
+            coords.extend([x + y for x in xs[lo - first:hi - first]])
+    for t, v in tail:
         x = pad + (t - t0) / tspan * (width - 2 * pad)
         y = height - pad - (v - vmin) / vspan * (height - 2 * pad)
         coords.append(f"{x:.1f},{y:.1f}")
@@ -300,18 +317,23 @@ def _series_section(profile: LoadedProfile) -> str:
     for series in bank:  # sorted (name, labels)
         groups.setdefault(series.name, []).append(series)
     parts = []
+    grid_xs: dict[tuple, list[str]] = {}
     for name in sorted(groups):
         parts.append(f"<h3><code>{_esc(name)}</code></h3>")
         cards = []
         for series in groups[name]:
-            last = series.points()[-1][1] if len(series) else 0.0
-            vs = [v for _, v in series.points()]
+            # One value per run: min/max/last over the runs equal those
+            # over every sample (a repeat never replaces a min or max).
+            runs, tail = series.runs(), series.tail
+            vs = [v for _, _, v in runs]
+            vs.extend(v for _, v in tail)
+            last = vs[-1] if vs else 0.0
             vmin = min(vs) if vs else 0.0
             vmax = max(vs) if vs else 0.0
             cards.append(
                 '<div class="card">'
                 f'<div class="nm">{_esc(_labels_text(series.labels) or "(no labels)")}</div>'
-                + _sparkline(series)
+                + _sparkline(series, runs, tail, vmin, vmax, grid_xs)
                 + f'<div class="lv">last {_fmt(last)} &middot; '
                 f"min {_fmt(vmin)} &middot; max {_fmt(vmax)} &middot; "
                 f"{len(series)} pts"

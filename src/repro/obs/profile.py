@@ -18,9 +18,18 @@ discriminating key —
   (:meth:`repro.obs.spans.Span.to_dict`), in recording order.  Alert
   spans ride along like any other, so the rule firings of the live run
   survive the round-trip.
-* ``{"series": ..., "labels": ..., "t": [...], "v": [...]}`` — one per
-  sampled series (:meth:`repro.obs.timeseries.Series.to_dict`), in
-  sorted (name, labels) order.
+* ``{"series": ..., "labels": ..., "grid": ..., "k": [...], "v": [...],
+  "tail": [...], "dropped": ...}`` — one per sampled series
+  (:meth:`repro.obs.timeseries.Series.to_dict`), in sorted (name,
+  labels) order.  Schema v4 stores each series as a step function:
+  ``grid`` is ``{"interval": dt, "end": n}`` (null when the series has
+  no grid samples), ``k`` the grid index where each run of equal values
+  starts and ``v`` its value — grid index ``k`` holds time ``k * dt``,
+  and the last run lasts up to ``end`` (exclusive) — and ``tail`` the
+  ``[t, v]`` points off the grid that follow it (the end-state anchor
+  the sampler writes at the makespan).  ``dropped`` counts samples the
+  ring trimmed, grid and off-grid alike.  Up to v3 the line carried
+  one ``t``/``v`` entry per sample instead of ``grid``/``k``/``tail``.
 * ``{"host_profile": {...}}`` — at most one (schema v2): the host-side
   wall-clock self-profile (:meth:`repro.obs.selfprof.HostProfile.to_dict`)
   of a run executed with ``--selfprof``.  This is the single sanctioned
@@ -37,8 +46,10 @@ discriminating key —
 
 Version history: v1 = meta + spans + series; v2 adds the optional
 ``host_profile`` line; v3 adds the optional ``log_meta`` / ``log`` /
-``log_dump`` line stream.  v1/v2 files load unchanged under the v3
-reader (the ``host`` / ``log`` attributes are simply ``None``).
+``log_dump`` line stream; v4 writes each series line as change points on
+its sampling grid.  v1-v3 files load unchanged under the v4 reader (the
+``host`` / ``log`` attributes are simply ``None`` where the file has no
+such line, and a series line without ``grid`` is read point by point).
 
 :func:`load_profile` also accepts a plain Chrome trace JSON file
 (spans only, no series) so ``repro dashboard`` works on both.
@@ -60,8 +71,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: bump when a line kind changes shape; readers reject newer majors
 #: (v2: optional ``host_profile`` line; v3: optional ``log_meta`` /
-#: ``log`` / ``log_dump`` lines)
-PROFILE_SCHEMA_VERSION = 3
+#: ``log`` / ``log_dump`` lines; v4: series lines as change points)
+PROFILE_SCHEMA_VERSION = 4
 
 
 def profile_jsonl(

@@ -44,7 +44,8 @@ instant, the signals the rule engine (:mod:`repro.obs.rules`) watches:
 from __future__ import annotations
 
 import json
-from collections import deque
+from bisect import bisect_left, bisect_right
+from math import copysign, inf, isfinite
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro._validation import require_positive
@@ -100,57 +101,179 @@ def sorted_quantile(values: list[float], q: float) -> float | None:
 
 
 class Series:
-    """A ring buffer of ``(t, value)`` samples with lazy aggregators.
+    """A step function of ``(t, value)`` samples with lazy aggregators.
+
+    Grid samples — the sampler's ``t_k = k * interval`` — are stored as
+    change points: the grid index where each run of bitwise-equal values
+    starts, the run's value, and the grid end (one past the last sampled
+    index).  A repeat only moves the end, and its time is regenerated
+    with the sampler's own expression ``k * interval``, so every time is
+    bit-identical to a per-instant store.  Off-grid points follow the
+    grid as explicit ``(t, v)`` pairs: the sampler's final end-state
+    anchor, and every point a plain :meth:`append` adds (hand-built
+    series, profiles of schema v1-v3), each its own run.
 
     Aggregation windows are inclusive on both ends: ``[t0, t1]``.
-    When the ring is full the oldest sample is dropped (``dropped``
-    counts how many); all aggregators operate on what remains.
+    The ring holds *capacity* samples, grid and off-grid alike; when it
+    is full the oldest sample is dropped (``dropped`` counts how many);
+    all aggregators operate on what remains.
     """
 
-    __slots__ = ("name", "labels", "_points", "dropped")
+    __slots__ = ("name", "labels", "interval", "capacity", "dropped",
+                 "_k", "_v", "_end", "_tail", "_last")
 
     def __init__(
         self,
         name: str,
         labels: dict[str, str] | None = None,
         capacity: int = DEFAULT_SERIES_CAPACITY,
+        interval: float | None = None,
     ) -> None:
         if capacity < 2:
             raise ValueError(f"series capacity must be >= 2, got {capacity}")
         self.name = name
         self.labels = dict(labels) if labels else {}
-        self._points: deque[tuple[float, float]] = deque(maxlen=capacity)
+        #: sampling grid pitch (None: the series holds off-grid points only)
+        self.interval = interval
+        self.capacity = capacity
         self.dropped = 0
+        self._k: list[int] = []  # grid index where each run starts
+        self._v: list[float] = []  # each run's value
+        self._end = 0  # one past the last grid index sampled
+        self._tail: list[tuple[float, float]] = []  # off-grid points
+        #: value of the open run; None before any sample and once an
+        #: off-grid point follows the grid (no run to extend)
+        self._last: float | None = None
 
     # ------------------------------------------------------------------
+    def sample(self, k: int, value: float) -> None:
+        """Record the grid sample at ``k * interval``.  A value bitwise
+        equal to the previous one (``0.0`` and ``-0.0`` differ) extends
+        its run; anything else starts a new one."""
+        last = self._last
+        if (
+            k == self._end
+            and value == last
+            and (value or copysign(1.0, value) == copysign(1.0, last))
+        ):
+            self._end = k + 1
+            if k - self._k[0] >= self.capacity:
+                self._drop_oldest()
+            return
+        if value != value:
+            raise ValueError(f"series {self.name!r}: NaN sample at grid index {k}")
+        if self._tail:
+            raise ValueError(
+                f"series {self.name!r}: grid sample {k} after an off-grid point"
+            )
+        if self.interval is None:
+            raise ValueError(f"series {self.name!r}: no sampling grid")
+        if self._k and k != self._end:
+            raise ValueError(
+                f"series {self.name!r}: grid sample {k} does not follow "
+                f"{self._end - 1}"
+            )
+        value = float(value)
+        self._k.append(k)
+        self._v.append(value)
+        self._end = k + 1
+        self._last = value
+        if k - self._k[0] >= self.capacity:
+            self._drop_oldest()
+
     def append(self, t: float, value: float) -> None:
-        points = self._points
-        if points and t < points[-1][0]:
+        """Add one off-grid point (its own run) after every sample."""
+        if not isfinite(t):
+            raise ValueError(f"series {self.name!r}: non-finite sample time {t}")
+        if value != value:
+            raise ValueError(f"series {self.name!r}: NaN value at t={t}")
+        last = self.last_t
+        if last is not None and t < last:
             raise ValueError(
                 f"series {self.name!r}: sample time {t} precedes previous "
-                f"sample {points[-1][0]}"
+                f"sample {last}"
             )
-        if len(points) == points.maxlen:
-            self.dropped += 1
-        points.append((t, float(value)))
+        self._tail.append((t, float(value)))
+        self._last = None
+        if len(self) > self.capacity:
+            self._drop_oldest()
+
+    def _drop_oldest(self) -> None:
+        """Trim the ring by one sample: the head of the oldest run."""
+        self.dropped += 1
+        ks = self._k
+        if not ks:
+            del self._tail[0]
+            return
+        head = ks[0] + 1
+        if head == self._end:
+            ks.clear()
+            self._v.clear()
+        elif len(ks) > 1 and ks[1] == head:
+            del ks[0]
+            del self._v[0]
+        else:
+            ks[0] = head
 
     def __len__(self) -> int:
-        return len(self._points)
+        grid = self._end - self._k[0] if self._k else 0
+        return grid + len(self._tail)
+
+    def runs(self) -> list[tuple[int, int, float]]:
+        """The grid samples as ``(first, stop, value)`` runs: grid
+        indices ``first <= k < stop`` all hold *value*."""
+        ks = self._k
+        stops = ks[1:] + [self._end]
+        return list(zip(ks, stops, self._v))
+
+    @property
+    def tail(self) -> list[tuple[float, float]]:
+        """The off-grid points that follow the grid samples."""
+        return list(self._tail)
 
     def points(self) -> list[tuple[float, float]]:
-        return list(self._points)
+        interval = self.interval
+        out = []
+        for first, stop, v in self.runs():
+            out.extend([(k * interval, v) for k in range(first, stop)])
+        out.extend(self._tail)
+        return out
 
     @property
     def first_t(self) -> float | None:
-        return self._points[0][0] if self._points else None
+        if self._k:
+            return self._k[0] * self.interval
+        return self._tail[0][0] if self._tail else None
 
     @property
     def last_t(self) -> float | None:
-        return self._points[-1][0] if self._points else None
+        if self._tail:
+            return self._tail[-1][0]
+        return (self._end - 1) * self.interval if self._k else None
+
+    def _grid_window(self, t0: float, t1: float) -> tuple[int, int]:
+        """Grid indices ``[lo, hi)`` of the samples with ``t0 <= t <=
+        t1``, found with the exact time expression (times are monotone
+        in k)."""
+        if not self._k:
+            return 0, 0
+        grid = range(self._k[0], self._end)
+        interval = self.interval
+        lo = bisect_left(grid, t0, key=lambda k: k * interval)
+        hi = bisect_right(grid, t1, key=lambda k: k * interval)
+        return grid.start + lo, grid.start + hi
 
     def window(self, t0: float, t1: float) -> list[tuple[float, float]]:
         """Samples with ``t0 <= t <= t1`` (inclusive both ends)."""
-        return [(t, v) for t, v in self._points if t0 <= t <= t1]
+        lo, hi = self._grid_window(t0, t1)
+        interval = self.interval
+        out = []
+        for first, stop, v in self.runs():
+            out.extend([
+                (k * interval, v) for k in range(max(first, lo), min(stop, hi))
+            ])
+        out.extend((t, v) for t, v in self._tail if t0 <= t <= t1)
+        return out
 
     # ------------------------------------------------------------------
     # Lazy windowed aggregators
@@ -158,11 +281,16 @@ class Series:
     def value(self, at: float) -> float | None:
         """Latest sampled value at or before *at* (None before data)."""
         out = None
-        for t, v in self._points:
+        for t, v in self._tail:
             if t > at:
                 break
             out = v
-        return out
+        if out is not None:
+            return out
+        lo, hi = self._grid_window(-inf, at)
+        if hi <= lo:
+            return None
+        return self._v[bisect_right(self._k, hi - 1) - 1]
 
     def increase(self, t0: float, t1: float) -> float | None:
         """Last minus first sampled value in the window (for counters)."""
@@ -204,27 +332,85 @@ class Series:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
+        """The schema-v4 profile line: grid, change points, off-grid
+        tail and ``dropped`` (see :mod:`repro.obs.profile`)."""
+        grid = None
+        if self._k:
+            grid = {"interval": self.interval, "end": self._end}
         return {
             "series": self.name,
             "labels": dict(self.labels),
-            "t": [t for t, _ in self._points],
-            "v": [v for _, v in self._points],
+            "grid": grid,
+            "k": list(self._k),
+            "v": list(self._v),
+            "tail": [[t, v] for t, v in self._tail],
             "dropped": self.dropped,
         }
+
+    def _load(self, payload: dict[str, Any]) -> None:
+        """Fill an empty series from a :meth:`to_dict` payload, or from
+        a schema v1-v3 line (``t``/``v`` per point)."""
+        name = self.name
+        if "grid" not in payload:
+            times, values = payload.get("t", []), payload.get("v", [])
+            if len(times) != len(values):
+                raise ValueError(
+                    f"series {name!r}: {len(times)} times but "
+                    f"{len(values)} values"
+                )
+            for t, v in zip(times, values):
+                self.append(float(t), float(v))
+            return
+        ks, values = payload.get("k", []), payload.get("v", [])
+        if len(ks) != len(values):
+            raise ValueError(
+                f"series {name!r}: {len(ks)} change indices but "
+                f"{len(values)} values"
+            )
+        grid = payload["grid"]
+        if ks:
+            if grid is None:
+                raise ValueError(f"series {name!r}: change points without a grid")
+            self.interval = require_positive(
+                f"series {name!r} interval", float(grid["interval"])
+            )
+            end = int(grid["end"])
+            ks = [int(k) for k in ks]
+            if any(b <= a for a, b in zip(ks, ks[1:])) or ks[-1] >= end:
+                raise ValueError(
+                    f"series {name!r}: change indices must increase "
+                    f"below the grid end {end}"
+                )
+            values = [float(v) for v in values]
+            if any(v != v for v in values):
+                raise ValueError(f"series {name!r}: NaN value")
+            self._k, self._v, self._end = ks, values, end
+            self._last = values[-1]
+        for t, v in payload.get("tail", []):
+            self.append(float(t), float(v))
+        while len(self) > self.capacity:
+            self._drop_oldest()
 
 
 class SeriesBank:
     """All sampled series of one run, keyed by (name, label set)."""
 
-    def __init__(self, capacity: int = DEFAULT_SERIES_CAPACITY) -> None:
+    def __init__(
+        self,
+        capacity: int = DEFAULT_SERIES_CAPACITY,
+        interval: float | None = None,
+    ) -> None:
         self.capacity = capacity
+        #: sampling grid pitch of the series this bank creates
+        self.interval = interval
         self._series: dict[tuple[str, LabelKey], Series] = {}
 
     # ------------------------------------------------------------------
     def get_or_create(self, name: str, key: LabelKey) -> Series:
         series = self._series.get((name, key))
         if series is None:
-            series = Series(name, dict(key), capacity=self.capacity)
+            series = Series(name, dict(key), capacity=self.capacity,
+                            interval=self.interval)
             self._series[(name, key)] = series
         return series
 
@@ -270,15 +456,15 @@ class SeriesBank:
     @classmethod
     def from_dicts(cls, payloads: list[dict[str, Any]],
                    capacity: int = DEFAULT_SERIES_CAPACITY) -> "SeriesBank":
-        """Rebuild a bank from :meth:`Series.to_dict` payloads."""
+        """Rebuild a bank from :meth:`Series.to_dict` payloads (or the
+        per-point lines of profile schema v1-v3)."""
         bank = cls(capacity=capacity)
         for payload in payloads:
             labels = {str(k): str(v) for k, v in payload.get("labels", {}).items()}
             series = bank.get_or_create(
                 payload["series"], _label_key(labels)
             )
-            for t, v in zip(payload.get("t", []), payload.get("v", [])):
-                series.append(float(t), float(v))
+            series._load(payload)
             series.dropped = int(payload.get("dropped", 0))
         return bank
 
@@ -300,7 +486,7 @@ class MetricSampler:
         capacity: int = DEFAULT_SERIES_CAPACITY,
     ) -> None:
         self.interval = require_positive("sample interval", interval)
-        self.bank = SeriesBank(capacity=capacity)
+        self.bank = SeriesBank(capacity=capacity, interval=self.interval)
         self._trace: "Trace | None" = None
         self._k = 0  # next grid index to sample (t_k = k * interval)
         self._last_t: float | None = None  # time of the latest snapshot
@@ -359,7 +545,7 @@ class MetricSampler:
     def _backfill(self, now: float) -> None:
         interval = self.interval
         while self._k * interval <= now:
-            self._snapshot(self._k * interval)
+            self._snapshot(self._k * interval, self._k)
             self._k += 1
 
     def finalize(self, end: float) -> None:
@@ -370,7 +556,7 @@ class MetricSampler:
             return
         self._backfill(end)
         if self._last_t is None or self._last_t < end:
-            self._snapshot(end)
+            self._snapshot(end, None)
         self.finalized = True
         # No snapshot follows: release the plan's references.
         self._plan = {}
@@ -449,7 +635,10 @@ class MetricSampler:
             args = [dict(key).get("link", "") for key in keys]
         return (metric._samples, keys, series, role, args)
 
-    def _snapshot(self, t: float) -> None:
+    def _snapshot(self, t: float, k: int | None) -> None:
+        """Sample every plan row and derived probe at time *t*: grid
+        instant *k*, or the off-grid end anchor when *k* is None."""
+        put, at = (Series.append, t) if k is None else (Series.sample, k)
         busy_union: list[tuple[float, tuple[str, Series, bool]]] = []
         net_busy = 0.0
         link_msgs: dict[str, float] = {}
@@ -457,11 +646,11 @@ class MetricSampler:
         for samples, keys, series, role, args in self._current_plan().values():
             if role is None:
                 for key, s in zip(keys, series):
-                    s.append(t, samples[key])
+                    put(s, at, samples[key])
                 continue
             for key, s, arg in zip(keys, series, args):
                 value = samples[key]
-                s.append(t, value)
+                put(s, at, value)
                 if role == _BUSY_UNION:
                     busy_union.append((value, arg))
                 elif role == _NET_BUSY:
@@ -471,12 +660,14 @@ class MetricSampler:
                     link_msgs[arg] = link_msgs.get(arg, 0.0) + value
                 else:
                     link_bytes[arg] = link_bytes.get(arg, 0.0) + value
-        self._derived(t, busy_union, net_busy, link_msgs, link_bytes)
+        self._derived(t, put, at, busy_union, net_busy, link_msgs, link_bytes)
         self._last_t = t
 
     def _derived(
         self,
         t: float,
+        put: Any,
+        at: int | float,
         busy_union: list[tuple[float, tuple[str, Series, bool]]],
         net_busy: float,
         link_msgs: dict[str, float],
@@ -494,7 +685,7 @@ class MetricSampler:
             raw[raw_key] = value
             delta = value - prev.get(raw_key, 0.0)
             fraction = (delta / dt) if dt > 0.0 else 0.0
-            series.append(t, fraction)
+            put(series, at, fraction)
             if counts:
                 fractions.append(fraction)
 
@@ -502,7 +693,7 @@ class MetricSampler:
         if fractions:
             mean = sum(fractions) / len(fractions)
             imbalance = (max(fractions) / mean) if mean > 0.0 else 0.0
-            self.bank.get_or_create(DEVICE_IMBALANCE, ()).append(t, imbalance)
+            put(self.bank.get_or_create(DEVICE_IMBALANCE, ()), at, imbalance)
 
         # α/β-modelled offered load and observed-vs-model ratio per
         # registered link class.
@@ -518,9 +709,9 @@ class MetricSampler:
                 + (nbytes - prev.get(f"bytes::{link}", 0.0)) / bytes_per_s
             )
             utilization = (modelled / dt) if dt > 0.0 else 0.0
-            util_series.append(t, utilization)
+            put(util_series, at, utilization)
             # Observed NIC busy over modelled wire seconds: > 1 means
             # the wire is slower than the α/β model says it should be.
             ratio = (net_delta / modelled) if modelled > 1e-12 else 0.0
-            ratio_series.append(t, ratio)
+            put(ratio_series, at, ratio)
         self._prev = raw

@@ -243,8 +243,8 @@ class TestNetSlowAlertDump:
 
 
 class TestProfileSchemaV3:
-    def test_version_is_3(self):
-        assert PROFILE_SCHEMA_VERSION == 3
+    def test_version_is_4(self):
+        assert PROFILE_SCHEMA_VERSION == 4
 
     def test_log_lines_round_trip(self):
         result = _run(

@@ -5,7 +5,9 @@ These drive :func:`evaluate_rules` against hand-built
 resolution / for_s edge is pinned without running the simulator.
 """
 
+import json
 from bisect import bisect_left, bisect_right
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from repro.obs.rules import (
     record_alerts,
 )
 from repro.obs.spans import SpanTracer
-from repro.obs.timeseries import Series, SeriesBank
+from repro.obs.timeseries import Series, SeriesBank, sorted_quantile
 
 
 def bank_with(name, points, **labels):
@@ -373,3 +375,145 @@ class TestOnePassMatchesSeriesAggregators:
                     window=2e-3)
         got = _evaluate_series(rule, func, series, 4e-3)
         assert got and got == _oracle_events(rule, func, series, 4e-3)
+
+
+# ----------------------------------------------------------------------
+# Run-length (change-point) series against a per-point store
+# ----------------------------------------------------------------------
+class PointSeries:
+    """Per-point oracle: a ring of every ``(t, v)`` sample with the
+    aggregators read straight off the stored points."""
+
+    def __init__(self, labels, capacity):
+        self.labels = dict(labels)
+        self._points = deque(maxlen=capacity)
+        self.dropped = 0
+
+    def append(self, t, v):
+        if len(self._points) == self._points.maxlen:
+            self.dropped += 1
+        self._points.append((t, float(v)))
+
+    def __len__(self):
+        return len(self._points)
+
+    def points(self):
+        return list(self._points)
+
+    def window(self, t0, t1):
+        return [(t, v) for t, v in self._points if t0 <= t <= t1]
+
+    def value(self, at):
+        out = None
+        for t, v in self._points:
+            if t > at:
+                break
+            out = v
+        return out
+
+    def increase(self, t0, t1):
+        pts = self.window(t0, t1)
+        return None if len(pts) < 2 else pts[-1][1] - pts[0][1]
+
+    def rate(self, t0, t1):
+        pts = self.window(t0, t1)
+        if len(pts) < 2 or pts[-1][0] - pts[0][0] <= 0.0:
+            return None
+        return (pts[-1][1] - pts[0][1]) / (pts[-1][0] - pts[0][0])
+
+    def mean(self, t0, t1):
+        pts = self.window(t0, t1)
+        return sum(v for _, v in pts) / len(pts) if pts else None
+
+    def vmax(self, t0, t1):
+        return max((v for _, v in self.window(t0, t1)), default=None)
+
+    def vmin(self, t0, t1):
+        return min((v for _, v in self.window(t0, t1)), default=None)
+
+    def quantile(self, q, t0, t1):
+        return sorted_quantile(sorted(v for _, v in self.window(t0, t1)), q)
+
+
+_RUN_VALUES = st.one_of(
+    # 0.0 and -0.0 compare equal but print differently: a distinct run
+    st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.7, 1 / 3]),
+    st.integers(-3, 6).map(float),
+    st.floats(-5.0, 5.0, allow_nan=False),
+)
+
+
+class TestRunLengthSeriesMatchPerPointOracle:
+    """A series sampled on a grid stores change points; read back it
+    must equal, bit for bit, a store of every sample: points, ring
+    accounting, every aggregator, the one-pass alert evaluator and the
+    profile line round trip."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        runs=st.lists(st.tuples(st.integers(1, 7), _RUN_VALUES),
+                      min_size=1, max_size=12),
+        first=st.integers(0, 5),
+        interval=st.sampled_from([1e-3, 1e-4, 0.3]),
+        tail=st.one_of(st.none(), st.tuples(st.sampled_from([0.0, 0.4, 1.7]),
+                                            _RUN_VALUES)),
+        capacity=st.sampled_from([2, 5, 16, 8192]),
+        func=st.sampled_from(_FUNC_NAMES),
+        op=st.sampled_from([">", ">=", "<", "<="]),
+        threshold=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+        span=st.sampled_from([0.0, 1.0, 2.5, 5.0]),
+        end_cut=st.sampled_from([None, 0.5]),
+    )
+    def test_equal_points_aggregators_and_alerts(
+        self, runs, first, interval, tail, capacity, func, op, threshold,
+        span, end_cut,
+    ):
+        series = Series("prs_x", {"device": "gpu"}, capacity=capacity,
+                        interval=interval)
+        oracle = PointSeries({"device": "gpu"}, capacity)
+        k = first
+        for count, value in runs:
+            for _ in range(count):
+                series.sample(k, value)
+                oracle.append(k * interval, value)
+                k += 1
+        if tail is not None:
+            # the off-grid end anchor, past the last grid instant
+            offset, value = tail
+            t_end = (k - 1 + offset) * interval
+            series.append(t_end, value)
+            oracle.append(t_end, value)
+
+        assert repr(series.points()) == repr(oracle.points())
+        assert (len(series), series.dropped) == (len(oracle), oracle.dropped)
+        times = [t for t, _ in oracle.points()]
+        assert (series.first_t, series.last_t) == (times[0], times[-1])
+
+        window = span * interval
+        for t in times + [times[0] - interval, times[-1] + interval]:
+            assert repr(series.value(t)) == repr(oracle.value(t))
+            for agg in _FUNC_NAMES[1:]:
+                assert (repr(_oracle_signal(agg, series, t, window))
+                        == repr(_oracle_signal(agg, oracle, t, window)))
+
+        end = times[-1] if end_cut is None else times[-1] * end_cut
+        rule = Rule(name="r", expr=f"{func}(prs_x)", threshold=threshold,
+                    window=window, for_s=interval, op=op)
+        assert (repr(_evaluate_series(rule, func, series, end))
+                == repr(_oracle_events(rule, func, oracle, end)))
+
+        line = json.dumps(series.to_dict(), sort_keys=True)
+        (loaded,) = SeriesBank.from_dicts([json.loads(line)])
+        assert repr(loaded.points()) == repr(oracle.points())
+        assert loaded.dropped == oracle.dropped
+        assert json.dumps(loaded.to_dict(), sort_keys=True) == line
+
+    def test_repeats_are_stored_once_per_run(self):
+        series = Series("prs_x", interval=1e-3)
+        for k, v in enumerate([0.0, 0.0, -0.0, -0.0, 0.0, 3.0, 3.0, 3.0]):
+            series.sample(k, v)
+        assert series.runs() == [(0, 2, 0.0), (2, 4, -0.0), (4, 5, 0.0),
+                                 (5, 8, 3.0)]
+        assert [repr(v) for v in (r[2] for r in series.runs())] == [
+            "0.0", "-0.0", "0.0", "3.0"]
+        assert len(series) == 8

@@ -127,6 +127,68 @@ class TestSeries:
         with pytest.raises(ValueError, match="quantile"):
             s.quantile(1.5, 0.0, 1.0)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_append_rejects_non_finite_time(self, t):
+        # a NaN time would make every later ordering check pass vacuously
+        s = Series("s_total")
+        s.append(0.0, 1.0)
+        with pytest.raises(ValueError, match="'s_total'.*non-finite"):
+            s.append(t, 2.0)
+        assert s.points() == [(0.0, 1.0)]
+
+    def test_append_rejects_nan_value(self):
+        s = Series("s_total")
+        with pytest.raises(ValueError, match="'s_total'.*NaN"):
+            s.append(0.0, float("nan"))
+        assert len(s) == 0
+
+
+class TestGridSamples:
+    def test_repeats_extend_a_run_and_count_as_samples(self):
+        s = Series("s", interval=1e-3)
+        for k, v in enumerate([1.0, 1.0, 1.0, 2.0, 2.0, 1.0]):
+            s.sample(k, v)
+        assert s.runs() == [(0, 3, 1.0), (3, 5, 2.0), (5, 6, 1.0)]
+        assert len(s) == 6
+        assert s.points() == [(k * 1e-3, v) for k, v in
+                              enumerate([1.0, 1.0, 1.0, 2.0, 2.0, 1.0])]
+
+    def test_zero_signs_are_distinct_runs(self):
+        s = Series("s", interval=1e-3)
+        for k, v in enumerate([0.0, -0.0, -0.0, 0.0]):
+            s.sample(k, v)
+        assert [repr(v) for _, _, v in s.runs()] == ["0.0", "-0.0", "0.0"]
+
+    def test_full_ring_trims_the_oldest_run_head(self):
+        s = Series("s", capacity=3, interval=1e-3)
+        for k, v in enumerate([1.0, 1.0, 2.0, 3.0, 3.0]):
+            s.sample(k, v)
+        assert s.dropped == 2 and len(s) == 3
+        assert s.runs() == [(2, 3, 2.0), (3, 5, 3.0)]
+        s.append(6e-3, 4.0)  # the off-grid anchor pushes one more out
+        assert s.points() == [(3e-3, 3.0), (4e-3, 3.0), (6e-3, 4.0)]
+        assert s.dropped == 3
+
+    def test_grid_must_be_contiguous_and_precede_off_grid_points(self):
+        s = Series("s_total", interval=1e-3)
+        s.sample(4, 1.0)
+        with pytest.raises(ValueError, match="'s_total'.*does not follow"):
+            s.sample(6, 2.0)
+        s.append(5e-3, 1.0)
+        with pytest.raises(ValueError, match="after an off-grid point"):
+            s.sample(5, 1.0)
+
+    def test_nan_sample_rejected(self):
+        s = Series("s_total", interval=1e-3)
+        s.sample(0, 1.0)
+        with pytest.raises(ValueError, match="'s_total'.*NaN"):
+            s.sample(1, float("nan"))
+        assert len(s) == 1
+
+    def test_sampling_needs_a_grid(self):
+        with pytest.raises(ValueError, match="no sampling grid"):
+            Series("s").sample(0, 1.0)
+
 
 class TestSeriesBank:
     def test_matching_selects_label_subsets_sorted(self):
@@ -149,6 +211,48 @@ class TestSeriesBank:
         rebuilt = SeriesBank.from_dicts([json.loads(x) for x in lines])
         assert rebuilt.to_jsonl_lines() == lines
         assert rebuilt.get("m", a="b").points() == [(0.0, 1.0), (1.0, 2.5)]
+
+    def test_v4_line_round_trip(self):
+        import json
+
+        bank = SeriesBank(interval=1e-4)
+        s = bank.get_or_create("m", ())
+        for k, v in zip(range(3, 9), [0.0, 0.0, 5.0, 5.0, 5.0, -0.0]):
+            s.sample(k, v)
+        s.append(9.5e-4, 7.0)
+        (line,) = bank.to_jsonl_lines()
+        payload = json.loads(line)
+        assert payload["grid"] == {"interval": 1e-4, "end": 9}
+        assert (payload["k"], payload["v"]) == ([3, 5, 8], [0.0, 5.0, -0.0])
+        assert payload["tail"] == [[9.5e-4, 7.0]]
+        rebuilt = SeriesBank.from_dicts([payload])
+        assert rebuilt.to_jsonl_lines() == [line]
+        assert repr(rebuilt.get("m").points()) == repr(s.points())
+
+    @pytest.mark.parametrize("payload, counts", [
+        ({"t": [0, 1, 2], "v": [5, 6]}, "3 times but 2 values"),
+        ({"t": [0], "v": [5, 6]}, "1 times but 2 values"),
+        ({"grid": {"interval": 1e-3, "end": 4}, "k": [0, 2], "v": [1.0],
+          "tail": []}, "2 change indices but 1 values"),
+    ])
+    def test_mismatched_lengths_rejected(self, payload, counts):
+        # zip() used to drop the tail of the longer list silently
+        with pytest.raises(ValueError, match=f"'x': {counts}"):
+            SeriesBank.from_dicts([{"series": "x", "labels": {}, **payload}])
+
+    @pytest.mark.parametrize("line", [
+        '{"series": "x", "t": [0.0, NaN], "v": [1.0, 2.0]}',
+        '{"series": "x", "t": [0.0, 1.0], "v": [1.0, NaN]}',
+        '{"series": "x", "grid": {"interval": 0.001, "end": 2}, '
+        '"k": [0], "v": [NaN], "tail": []}',
+        '{"series": "x", "grid": {"interval": 0.001, "end": 2}, '
+        '"k": [0], "v": [1.0], "tail": [[Infinity, 1.0]]}',
+    ])
+    def test_non_finite_loads_rejected(self, line):
+        import json
+
+        with pytest.raises(ValueError, match="'x'"):
+            SeriesBank.from_dicts([json.loads(line)])
 
     def test_names_and_total_points(self):
         bank = SeriesBank()
@@ -321,14 +425,16 @@ class ResortingSampler(MetricSampler):
     """Reference sampler: every snapshot re-sorts every registry series
     and re-derives the probes from scratch (no cached plan)."""
 
-    def _snapshot(self, t):
+    def _snapshot(self, t, k):
+        # grid instant k, or the off-grid end anchor at t when k is None
+        put, at = (Series.append, t) if k is None else (Series.sample, k)
         bank = self.bank
         busy_union, net_busy, link_msgs, link_bytes = {}, 0.0, {}, {}
         for metric in self._trace.metrics:  # name-sorted
             if not isinstance(metric, (Counter, Gauge)):
                 continue
             for key, value in sorted(metric._samples.items()):
-                bank.get_or_create(metric.name, key).append(t, value)
+                put(bank.get_or_create(metric.name, key), at, value)
                 labels = dict(key)
                 if metric.name == DEVICE_BUSY_UNION_SECONDS:
                     busy_union[key] = value
@@ -349,13 +455,13 @@ class ResortingSampler(MetricSampler):
             raw[f"busy::{device}"] = value
             delta = value - prev.get(f"busy::{device}", 0.0)
             fraction = (delta / dt) if dt > 0.0 else 0.0
-            bank.get_or_create(DEVICE_BUSY_FRACTION, key).append(t, fraction)
+            put(bank.get_or_create(DEVICE_BUSY_FRACTION, key), at, fraction)
             if not device.startswith("net."):
                 fractions.append(fraction)
         if fractions:
             mean = sum(fractions) / len(fractions)
-            bank.get_or_create(DEVICE_IMBALANCE, ()).append(
-                t, (max(fractions) / mean) if mean > 0.0 else 0.0)
+            put(bank.get_or_create(DEVICE_IMBALANCE, ()), at,
+                (max(fractions) / mean) if mean > 0.0 else 0.0)
         raw["net_busy"] = net_busy
         net_delta = net_busy - prev.get("net_busy", 0.0)
         for link in sorted(self._link_models):
@@ -366,10 +472,10 @@ class ResortingSampler(MetricSampler):
                         + (nbytes - prev.get(f"bytes::{link}", 0.0))
                         / bytes_per_s)
             key = _label_key({"link": link})
-            bank.get_or_create(LINK_UTILIZATION, key).append(
-                t, (modelled / dt) if dt > 0.0 else 0.0)
-            bank.get_or_create(LINK_MODEL_RATIO, key).append(
-                t, (net_delta / modelled) if modelled > 1e-12 else 0.0)
+            put(bank.get_or_create(LINK_UTILIZATION, key), at,
+                (modelled / dt) if dt > 0.0 else 0.0)
+            put(bank.get_or_create(LINK_MODEL_RATIO, key), at,
+                (net_delta / modelled) if modelled > 1e-12 else 0.0)
         self._prev = raw
         self._last_t = t
 
