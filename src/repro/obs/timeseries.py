@@ -4,10 +4,11 @@ The metrics registry (PR 2) answers "how much, in total?"; this module
 answers "how much, *when*?".  A :class:`MetricSampler` attached to a
 :class:`~repro.simulate.trace.Trace` snapshots every registered counter
 and gauge onto a fixed grid of simulated instants ``t_k = k *
-sample_interval`` and appends the values to ring-buffered
-:class:`Series`.  Windowed aggregators (rate, mean, max, interpolated
-p50/p99) are computed lazily from the rings, so sampling itself is a
-few dict walks per grid crossing and *nothing* at other times.
+sample_interval`` and records the values in ring-bounded
+:class:`Series`, which store only the instants where a value changes.
+Windowed aggregators (rate, mean, max, interpolated p50/p99) are
+computed lazily from the stored runs, so sampling itself is a few dict
+walks and comparisons per grid crossing and *nothing* at other times.
 
 Zero-perturbation contract
 --------------------------

@@ -158,6 +158,11 @@ class RegionAllocator:
             region.reset()
         self._resets += 1
 
+    def release(self) -> None:
+        """Drop every region with its backing buffer, when the daemons
+        that allocate from them are gone (the end of an epoch)."""
+        self._regions.clear()
+
     @property
     def regions(self) -> dict[str, Region]:
         return dict(self._regions)

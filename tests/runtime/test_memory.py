@@ -97,6 +97,47 @@ class TestRegionAllocator:
         alloc.reset_all()
         assert all(r.used == 0 for r in alloc.regions.values())
 
+    def test_release_drops_regions_but_keeps_block_homes(self):
+        alloc = RegionAllocator(256)
+        alloc.alloc("cpu", 10)
+        alloc.note_block((0, 4), "cpu")
+        alloc.release()
+        assert alloc.regions == {}
+        assert alloc.home_of((0, 4)) == "cpu"
+
+    def test_job_driver_releases_regions_before_the_next_epoch(
+        self, monkeypatch
+    ):
+        # Schedulers, daemons and resources form reference cycles; the
+        # driver frees an epoch's region buffers before the next epoch
+        # allocates its own instead of leaving them to the cycle
+        # collector.
+        from repro.apps.cmeans import CMeansApp
+        from repro.data.synth import gaussian_mixture
+        from repro.hardware import delta_cluster
+        from repro.runtime import prs
+        from repro.runtime.job import JobConfig
+
+        made = []
+
+        class Recording(prs.NodeResources):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(prs, "NodeResources", Recording)
+        pts, _, _ = gaussian_mixture(600, 8, 4, seed=3)
+        app = CMeansApp(pts, 4, seed=3, max_iterations=3, epsilon=1e-12)
+        config = JobConfig(faults="rank_kill@1:t=5e-3", fault_seed=7)
+        result = prs.PRSRuntime(delta_cluster(2), config).run(app)
+        assert result.recovery.rank_restarts >= 1
+        # only the last epoch's resources (at most one per node) still
+        # hold regions
+        held = [bool(res.allocator.regions) for res in made]
+        last = held.count(True)
+        assert 1 <= last <= 2 < len(made)
+        assert held == [False] * (len(made) - last) + [True] * last
+
     def test_total_stats_aggregate(self):
         alloc = RegionAllocator(1 << 16)
         for i in range(10):
