@@ -281,17 +281,8 @@ class Series:
     # ------------------------------------------------------------------
     def value(self, at: float) -> float | None:
         """Latest sampled value at or before *at* (None before data)."""
-        out = None
-        for t, v in self._tail:
-            if t > at:
-                break
-            out = v
-        if out is not None:
-            return out
-        lo, hi = self._grid_window(-inf, at)
-        if hi <= lo:
-            return None
-        return self._v[bisect_right(self._k, hi - 1) - 1]
+        pts = self.window(-inf, at)
+        return pts[-1][1] if pts else None
 
     def increase(self, t0: float, t1: float) -> float | None:
         """Last minus first sampled value in the window (for counters)."""
