@@ -507,13 +507,3 @@ class TestRunLengthSeriesMatchPerPointOracle:
         assert repr(loaded.points()) == repr(oracle.points())
         assert loaded.dropped == oracle.dropped
         assert json.dumps(loaded.to_dict(), sort_keys=True) == line
-
-    def test_repeats_are_stored_once_per_run(self):
-        series = Series("prs_x", interval=1e-3)
-        for k, v in enumerate([0.0, 0.0, -0.0, -0.0, 0.0, 3.0, 3.0, 3.0]):
-            series.sample(k, v)
-        assert series.runs() == [(0, 2, 0.0), (2, 4, -0.0), (4, 5, 0.0),
-                                 (5, 8, 3.0)]
-        assert [repr(v) for v in (r[2] for r in series.runs())] == [
-            "0.0", "-0.0", "0.0", "3.0"]
-        assert len(series) == 8
