@@ -3,10 +3,21 @@
 Each scenario runs once and is reduced to a fingerprint: a sha256 of the
 exact output bytes (and of the final model state, where the scenario
 exposes its app), ``repr(makespan)``, the engine event count, the
-iteration count, the span count and — when the job returned one — the
+iteration count, the span count, the fired alerts (rule names and
+count), the comm graph's message and byte counts, the decision-record
+and sampler-sample counts, ``repr`` of the critical path's work and
+slack, of its slack decomposition, of GFLOP/s, of the worst model drift
+and of every phase total, and — when the job returned one — the
 recovery summary's counts.  ``fingerprints.json`` holds the committed
 values and the tests only compare against it, so any refactor that moves
-a single float, event or span fails here.
+a single float, event, span, message or sample fails here.
+
+Every row also passes the three consistency checks: the trace analysis
+(critical path + slack tiles the makespan, the path is continuous, the
+slack decomposition sums, send/recv spans pair 1:1),
+``obs.check_profile`` (spans close and nest, phases tile the makespan)
+and, for rows that log, ``unpaired_errors`` (every ERROR record pairs
+with a recovery or alert span).
 
 Scenarios: the baseline sweep (``obs.analyze.baseline.DEFAULT_WORKLOADS``)
 × {fault-free, GPU kill, rank kill, dropped messages}; an obs-on twin
@@ -37,7 +48,10 @@ if __package__ in (None, ""):  # run as a script: make the packages importable
 
 import pytest
 
+from repro import obs
+from repro.obs.analyze import analyze_run
 from repro.obs.analyze.baseline import DEFAULT_WORKLOADS, _run_workload
+from repro.obs.log import unpaired_errors
 from repro.runtime.policies import available_policies
 from tests.helpers import output_digest
 
@@ -136,10 +150,24 @@ def recovery_counts(summary) -> dict[str, Any] | None:
     return out
 
 
+def _reprs(values: dict[str, float]) -> dict[str, str]:
+    return {key: repr(value) for key, value in sorted(values.items())}
+
+
 @lru_cache(maxsize=None)
 def fingerprint(name: str) -> dict[str, Any]:
-    """The exact, JSON-ready behaviour fingerprint of one scenario."""
+    """The exact, JSON-ready behaviour fingerprint of one scenario.
+
+    Runs the three consistency checks on the way: a row whose trace does
+    not tile, pair or close fails here before its fields are compared.
+    """
     result, model = run_scenario(name)
+    analysis = analyze_run(result)
+    assert analysis.check() == [], name
+    assert obs.check_profile(result.trace, result.makespan) == [], name
+    if result.logs is not None:
+        assert unpaired_errors(result.logs, result.trace.tracer) == [], name
+    path = analysis.critical_path
     return {
         "digest": output_digest(result.output),
         "model": output_digest(model) if model is not None else None,
@@ -148,7 +176,18 @@ def fingerprint(name: str) -> dict[str, Any]:
         "iterations": result.iterations,
         "spans": len(result.trace.tracer),
         "alerts": sorted({a.rule for a in result.alerts}),
+        "alerts_fired": len(result.alerts),
         "recovery": recovery_counts(result.recovery),
+        "comm_messages": len(analysis.comm),
+        "comm_bytes": analysis.comm.total_bytes,
+        "decision_records": len(result.trace.audit),
+        "sampler_samples": result.sampler_samples,
+        "critical_path_work_s": repr(path.work),
+        "critical_path_slack_s": repr(path.slack),
+        "slack_decomposition_s": _reprs(path.slack_decomposition()),
+        "gflops": repr(result.gflops),
+        "max_abs_drift": repr(analysis.max_abs_drift),
+        "phase_totals_s": _reprs(result.phase_totals()),
     }
 
 
@@ -173,7 +212,8 @@ def test_obs_twin_does_not_perturb(workload, row):
     """Observers are host bookkeeping: the simulated run is unchanged."""
     plain = fingerprint(f"{workload}/{row}")
     observed = fingerprint(f"{workload}/{row}+obs")
-    for key in ("digest", "makespan", "engine_events", "iterations"):
+    # the twin samples at 1e-4 s instead of the default 1e-3 s
+    for key in plain.keys() - {"sampler_samples"}:
         assert observed[key] == plain[key], key
 
 
