@@ -601,55 +601,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_baseline(args: argparse.Namespace) -> int:
-    """Run the standard sweep and write a schema-versioned baseline."""
-    import json
-
-    from repro.obs.analyze.baseline import collect_baseline
-
-    payload = collect_baseline()
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out == "-":
-        print(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        n = len(payload["workloads"])
-        print(f"wrote baseline ({n} workloads, schema v"
-              f"{payload['schema_version']}) to {args.out}")
-    return 0
-
-
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    """Re-run the sweep (or load --current) and gate on regressions."""
-    from repro.obs.analyze.baseline import (
-        collect_baseline,
-        compare_baselines,
-        load_baseline,
-    )
-
-    baseline = load_baseline(args.baseline)
-    if args.current is not None:
-        current = load_baseline(args.current)
-    else:
-        current = collect_baseline()
-    outcome = compare_baselines(baseline, current,
-                                tolerance=args.tolerance)
-    for name in outcome.skipped:
-        print(f"skipped: workload {name!r} in baseline but not in the "
-              "current sweep", file=sys.stderr)
-    if outcome.ok:
-        print(f"bench compare passed: {outcome.checked} metrics within "
-              f"{args.tolerance:.0%} of {args.baseline}")
-        return 0
-    for reg in outcome.regressions:
-        print(f"REGRESSION {reg.describe()}", file=sys.stderr)
-    print(f"bench compare FAILED: {len(outcome.regressions)} of "
-          f"{outcome.checked} metrics regressed beyond "
-          f"{args.tolerance:.0%}", file=sys.stderr)
-    return 1
-
-
 def cmd_dashboard(args: argparse.Namespace) -> int:
     """Render saved profile(s) into standalone HTML dashboards."""
     import pathlib
@@ -996,34 +947,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "the top hotspots + sim-s/wall-s into the "
                               "report (docs/PROFILING.md)")
     analyze.set_defaults(func=cmd_analyze)
-
-    bench = sub.add_parser(
-        "bench", help="performance baselines and regression gating"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    baseline = bench_sub.add_parser(
-        "baseline",
-        help="run the standard sweep and write a schema-versioned "
-             "BENCH_*.json baseline",
-    )
-    baseline.add_argument("--out", default="BENCH_trace_analytics.json",
-                          metavar="PATH",
-                          help="baseline destination ('-' for stdout)")
-    baseline.set_defaults(func=cmd_bench_baseline)
-    compare = bench_sub.add_parser(
-        "compare",
-        help="re-run the sweep and exit non-zero on regressions vs a "
-             "baseline",
-    )
-    compare.add_argument("--baseline", required=True, metavar="PATH",
-                         help="the reference BENCH_*.json")
-    compare.add_argument("--current", default=None, metavar="PATH",
-                         help="compare this saved sweep instead of "
-                              "re-running (for testing the gate itself)")
-    compare.add_argument("--tolerance", type=float, default=0.10,
-                         help="relative slack before a metric counts as "
-                              "regressed (default 0.10)")
-    compare.set_defaults(func=cmd_bench_compare)
 
     dashboard = sub.add_parser(
         "dashboard",

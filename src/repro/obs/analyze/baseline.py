@@ -1,57 +1,13 @@
-"""Schema-versioned performance baselines and the regression comparator.
+"""The standard sweep of small deterministic workloads.
 
-``repro bench baseline`` runs a fixed sweep of small deterministic
-workloads (the simulator charges time analytically, so identical flags
-produce bit-identical makespans) and records, per workload: makespan,
-critical-path work/slack, phase totals, throughput, and the worst
-model-drift magnitude.  The JSON it writes is the committed reference —
-``benchmarks/results/BENCH_trace_analytics.json`` seeds the repo's perf
-trajectory.
-
-``repro bench compare`` re-runs the same sweep and fails (exit non-zero)
-when any metric regresses beyond the tolerance: *higher-is-worse*
-metrics (makespan, critical-path, phase seconds, drift) may not grow by
-more than ``tolerance`` relative, *lower-is-worse* metrics (GFLOP/s) may
-not shrink by more than it.  Absolute floors keep noise in micro-metrics
-(a 2 µs phase doubling to 4 µs) from tripping the gate.
-
-The schema is versioned so a future layout change fails loudly instead
-of comparing apples to oranges.
+The golden fingerprint rows, two runtime tests and the observer-overhead
+benchmark all run these specs.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
-
-#: bump when the baseline JSON layout changes incompatibly
-#: (v2: comm-aware critical path — recv waits become attributed slack —
-#: plus per-run comm volume and the slack decomposition;
-#: v3: sampler-overhead accounting — engine_events / sampler_samples /
-#: alerts_fired per workload, runs now sample at the default interval)
-SCHEMA_VERSION = 3
-
-#: metrics where a higher current value is a regression
-#: (engine_events gates sampler overhead: the tick-driven sampler must
-#: keep scheduling zero events, so any growth is real simulator work)
-HIGHER_IS_WORSE = ("makespan_s", "critical_path_work_s",
-                   "critical_path_slack_s", "max_abs_drift", "comm_bytes",
-                   "engine_events")
-#: metrics where a lower current value is a regression
-LOWER_IS_WORSE = ("gflops",)
-
-#: ignore regressions below these absolute deltas (simulator micro-noise)
-ABSOLUTE_FLOORS = {
-    "makespan_s": 1e-6,
-    "critical_path_work_s": 1e-6,
-    "critical_path_slack_s": 1e-6,
-    "max_abs_drift": 1e-3,
-    "gflops": 1e-3,
-    "phase_s": 1e-6,
-    "comm_bytes": 1.0,
-    "engine_events": 8.0,
-}
 
 
 @dataclass(frozen=True)
@@ -68,20 +24,6 @@ class WorkloadSpec:
     nodes: int = 2
     preset: str = "delta"
     seed: int = 1
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "app": self.app,
-            "policy": self.policy,
-            "size": self.size,
-            "dims": self.dims,
-            "clusters": self.clusters,
-            "iterations": self.iterations,
-            "nodes": self.nodes,
-            "preset": self.preset,
-            "seed": self.seed,
-        }
 
 
 #: the standard sweep: the C-means flagship under three policies plus a
@@ -149,166 +91,3 @@ def _run_workload(spec: WorkloadSpec, **config_overrides: Any):
     cluster = _cluster_for(spec.preset, spec.nodes)
     config = JobConfig(scheduling=spec.policy, **config_overrides)
     return PRSRuntime(cluster, config).run(app)
-
-
-def measure_workload(spec: WorkloadSpec) -> dict[str, Any]:
-    """Run one spec and distil the baseline metrics."""
-    from repro.obs.analyze.audit import max_abs_drift, model_drift
-    from repro.obs.analyze.commgraph import build_comm_graph
-    from repro.obs.analyze.critical_path import critical_path
-
-    result = _run_workload(spec)
-    comm = build_comm_graph(result.trace.tracer)
-    path = critical_path(
-        result.trace.tracer, makespan=result.makespan, comm=comm
-    )
-    drift = model_drift(result.trace.tracer, result.trace.audit)
-    return {
-        "makespan_s": result.makespan,
-        "critical_path_work_s": path.work,
-        "critical_path_slack_s": path.slack,
-        "slack_decomposition_s": path.slack_decomposition(),
-        "gflops": result.gflops,
-        "max_abs_drift": max_abs_drift(drift),
-        "iterations": result.iterations,
-        "phase_totals_s": result.phase_totals(),
-        "decision_records": len(result.trace.audit),
-        "comm_messages": len(comm),
-        "comm_bytes": comm.total_bytes,
-        "engine_events": result.engine_events,
-        "sampler_samples": result.sampler_samples,
-        "alerts_fired": len(result.alerts),
-    }
-
-
-def collect_baseline(
-    workloads: tuple[WorkloadSpec, ...] = DEFAULT_WORKLOADS,
-) -> dict[str, Any]:
-    """Run the sweep and assemble the schema-versioned baseline payload."""
-    entries = {}
-    for spec in workloads:
-        entries[spec.name] = {
-            "spec": spec.to_dict(),
-            "metrics": measure_workload(spec),
-        }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "benchmark": "trace_analytics",
-        "workloads": entries,
-    }
-
-
-def load_baseline(path: str) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"baseline {path!r} has schema_version={version!r}, "
-            f"this tool expects {SCHEMA_VERSION}"
-        )
-    return payload
-
-
-@dataclass(frozen=True)
-class Regression:
-    """One metric that moved past tolerance in the bad direction."""
-
-    workload: str
-    metric: str
-    baseline: float
-    current: float
-
-    @property
-    def change(self) -> float:
-        if self.baseline == 0:
-            return float("inf") if self.current != 0 else 0.0
-        return (self.current - self.baseline) / abs(self.baseline)
-
-    def describe(self) -> str:
-        return (
-            f"{self.workload}.{self.metric}: baseline {self.baseline:.6g} "
-            f"-> current {self.current:.6g} ({self.change:+.1%})"
-        )
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    """Outcome of one baseline-vs-current comparison."""
-
-    regressions: tuple[Regression, ...]
-    checked: int
-    skipped: tuple[str, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-
-def _direction_regressed(
-    metric: str, base: float, cur: float, tolerance: float
-) -> bool:
-    floor = ABSOLUTE_FLOORS.get(metric, ABSOLUTE_FLOORS["phase_s"])
-    if metric in LOWER_IS_WORSE:
-        return (base - cur) > max(tolerance * abs(base), floor)
-    return (cur - base) > max(tolerance * abs(base), floor)
-
-
-def compare_baselines(
-    baseline: dict[str, Any],
-    current: dict[str, Any],
-    tolerance: float = 0.10,
-) -> ComparisonResult:
-    """Compare two baseline payloads; *tolerance* is relative slack.
-
-    Workloads present in the baseline but absent from the current sweep
-    are reported as skipped (a renamed workload should regenerate the
-    baseline, not silently drop coverage).
-    """
-    regressions: list[Regression] = []
-    skipped: list[str] = []
-    checked = 0
-    base_wl = baseline.get("workloads", {})
-    cur_wl = current.get("workloads", {})
-    for name, base_entry in sorted(base_wl.items()):
-        if name not in cur_wl:
-            skipped.append(name)
-            continue
-        base_m = base_entry["metrics"]
-        cur_m = cur_wl[name]["metrics"]
-        for metric in HIGHER_IS_WORSE + LOWER_IS_WORSE:
-            if metric not in base_m or metric not in cur_m:
-                continue
-            checked += 1
-            if _direction_regressed(
-                metric, float(base_m[metric]), float(cur_m[metric]), tolerance
-            ):
-                regressions.append(
-                    Regression(
-                        workload=name,
-                        metric=metric,
-                        baseline=float(base_m[metric]),
-                        current=float(cur_m[metric]),
-                    )
-                )
-        for phase, base_s in base_m.get("phase_totals_s", {}).items():
-            cur_s = cur_m.get("phase_totals_s", {}).get(phase)
-            if cur_s is None:
-                continue
-            checked += 1
-            if _direction_regressed(
-                "phase_s", float(base_s), float(cur_s), tolerance
-            ):
-                regressions.append(
-                    Regression(
-                        workload=name,
-                        metric=f"phase_totals_s.{phase}",
-                        baseline=float(base_s),
-                        current=float(cur_s),
-                    )
-                )
-    return ComparisonResult(
-        regressions=tuple(regressions),
-        checked=checked,
-        skipped=tuple(skipped),
-    )

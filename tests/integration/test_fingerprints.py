@@ -206,6 +206,20 @@ def test_fingerprint_matches_golden(name):
     assert fingerprint(name) == golden[name]
 
 
+@pytest.mark.parametrize("name", scenario_names())
+def test_every_row_audits_a_decision(name):
+    assert fingerprint(name)["decision_records"] >= 1
+
+
+@pytest.mark.parametrize("workload", ("cmeans-static", "cmeans-adaptive"))
+def test_pre_split_policies_track_the_model(workload):
+    """The simulator executes the roofline model Equation (8) was solved
+    against, so the pre-split policies' observed split stays close to the
+    predicted one."""
+    drift = float(fingerprint(f"{workload}/fault-free")["max_abs_drift"])
+    assert drift <= 0.05
+
+
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
 @pytest.mark.parametrize("row", OBS_ROWS)
 def test_obs_twin_does_not_perturb(workload, row):

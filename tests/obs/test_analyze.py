@@ -21,11 +21,6 @@ from repro.obs.analyze import (
     model_drift,
     observed_splits,
 )
-from repro.obs.analyze.baseline import (
-    SCHEMA_VERSION,
-    compare_baselines,
-    load_baseline,
-)
 
 
 def build_synthetic_tree() -> SpanTracer:
@@ -262,81 +257,3 @@ class TestRealRun:
         analysis = analyze_tracer(tracer)
         assert analysis.critical_path.tiling_gap <= 1e-6
         assert analysis.imbalance.devices  # device loads survive the trip
-
-
-class TestBaselineCompare:
-    @staticmethod
-    def _payload(makespan=1.0, gflops=10.0):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "benchmark": "trace_analytics",
-            "workloads": {
-                "w": {
-                    "spec": {"name": "w"},
-                    "metrics": {
-                        "makespan_s": makespan,
-                        "critical_path_work_s": makespan * 0.9,
-                        "critical_path_slack_s": makespan * 0.1,
-                        "gflops": gflops,
-                        "max_abs_drift": 0.01,
-                        "phase_totals_s": {"map": makespan * 0.8},
-                    },
-                }
-            },
-        }
-
-    def test_identical_payloads_pass(self):
-        outcome = compare_baselines(
-            self._payload(), self._payload(), tolerance=0.01
-        )
-        assert outcome.ok
-        assert outcome.checked > 0
-
-    def test_slowdown_fails(self):
-        outcome = compare_baselines(
-            self._payload(makespan=1.0), self._payload(makespan=2.0),
-            tolerance=0.25,
-        )
-        assert not outcome.ok
-        metrics = {r.metric for r in outcome.regressions}
-        assert "makespan_s" in metrics
-        assert "phase_totals_s.map" in metrics
-
-    def test_throughput_drop_fails_but_gain_passes(self):
-        drop = compare_baselines(
-            self._payload(gflops=10.0), self._payload(gflops=5.0),
-            tolerance=0.10,
-        )
-        assert any(r.metric == "gflops" for r in drop.regressions)
-        gain = compare_baselines(
-            self._payload(gflops=10.0), self._payload(gflops=20.0),
-            tolerance=0.10,
-        )
-        assert gain.ok
-
-    def test_missing_workload_reported_as_skipped(self):
-        current = self._payload()
-        current["workloads"] = {}
-        outcome = compare_baselines(self._payload(), current)
-        assert outcome.skipped == ("w",)
-
-    def test_schema_version_mismatch_rejected(self, tmp_path):
-        import json
-
-        bad = self._payload()
-        bad["schema_version"] = SCHEMA_VERSION + 1
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(bad))
-        with pytest.raises(ValueError, match="schema_version"):
-            load_baseline(str(path))
-
-    def test_committed_baseline_loads_and_self_compares(self):
-        import pathlib
-
-        committed = (
-            pathlib.Path(__file__).resolve().parents[2]
-            / "benchmarks" / "results" / "BENCH_trace_analytics.json"
-        )
-        payload = load_baseline(str(committed))
-        assert payload["schema_version"] == SCHEMA_VERSION
-        assert compare_baselines(payload, payload, tolerance=0.01).ok

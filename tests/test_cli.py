@@ -391,46 +391,6 @@ class TestAnalyzeCommand:
             main(["analyze", "/nonexistent/thing.trace.json"])
 
 
-class TestBenchCommands:
-    def test_baseline_then_compare_round_trip(self, capsys, tmp_path):
-        import json
-
-        base = tmp_path / "base.json"
-        assert main(["bench", "baseline", "--out", str(base)]) == 0
-        assert "wrote baseline" in capsys.readouterr().out
-
-        payload = json.loads(base.read_text())
-        assert payload["schema_version"] == 3
-        assert "cmeans-static" in payload["workloads"]
-        assert "gmm-multirank" in payload["workloads"]
-
-        # self-compare via --current: no sweep re-run, must pass
-        assert main([
-            "bench", "compare", "--baseline", str(base),
-            "--current", str(base), "--tolerance", "0.01",
-        ]) == 0
-        assert "bench compare passed" in capsys.readouterr().out
-
-        # synthetic 2x slowdown: halve every baseline makespan so the
-        # same current sweep looks twice as slow
-        doctored = json.loads(base.read_text())
-        for workload in doctored["workloads"].values():
-            workload["metrics"]["makespan_s"] /= 2.0
-        bad = tmp_path / "doctored.json"
-        bad.write_text(json.dumps(doctored))
-        assert main([
-            "bench", "compare", "--baseline", str(bad),
-            "--current", str(base), "--tolerance", "0.25",
-        ]) == 1
-        err = capsys.readouterr().err
-        assert "REGRESSION" in err
-        assert "bench compare FAILED" in err
-
-    def test_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            main(["bench"])
-
-
 class TestRunAnalysisSurface:
     RUN = [
         "run", "--app", "cmeans", "--size", "2000", "--nodes", "2",
