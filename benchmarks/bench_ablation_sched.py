@@ -147,7 +147,8 @@ def build_policy_sweep():
 # Cross-device traffic: the graph-partition cut vs polling (gmm-multirank)
 # ---------------------------------------------------------------------------
 
-#: the regression-baseline "gmm-multirank" workload (obs/analyze/baseline.py)
+#: sized like the "gmm-multirank" workload of ``repro.cli.DEFAULT_WORKLOADS``
+#: (1,500 points on 4 ranks for 4 iterations)
 GMM_POINTS, GMM_DIMS, GMM_K = 1500, 8, 3
 GMM_NODES, GMM_ITERS = 4, 4
 GMM_BYTES_PER_ITEM = GMM_DIMS * 8  # float64 feature rows

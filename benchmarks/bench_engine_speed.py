@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from _harness import WALL_ROUNDS, measure, save_json, save_table
 from repro.analysis.tables import format_table
-from repro.obs.analyze.baseline import DEFAULT_WORKLOADS, _run_workload
+from repro.cli import DEFAULT_WORKLOADS, _run_workload
 
 
 def _time_workload(spec):

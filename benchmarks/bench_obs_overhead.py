@@ -55,7 +55,7 @@ from time import perf_counter
 from _harness import RESULTS_DIR, once, save_json, save_table
 from e2e.run import calibrated, probe
 from repro.analysis.tables import format_table
-from repro.obs.analyze.baseline import DEFAULT_WORKLOADS, _run_workload
+from repro.cli import DEFAULT_WORKLOADS, _run_workload
 
 #: hard ceiling on relative engine-event overhead from sampling
 MAX_EVENT_OVERHEAD = 0.03

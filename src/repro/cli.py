@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -812,7 +813,57 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_app(args: argparse.Namespace):
+@dataclass(frozen=True)
+class WorkloadSpec:
+    """One deterministic point of the standard workload sweep; its fields
+    are the run options :func:`_build_app` reads."""
+
+    name: str
+    app: str
+    policy: str
+    size: int
+    dims: int = 16
+    clusters: int = 5
+    iterations: int = 5
+    nodes: int = 2
+    preset: str = "delta"
+    seed: int = 1
+
+
+#: the standard sweep: the C-means flagship under three policies plus a
+#: non-iterative staged workload and a 4-rank GMM, all small enough for
+#: tier-1 (the golden fingerprint rows run every one)
+DEFAULT_WORKLOADS: tuple[WorkloadSpec, ...] = (
+    WorkloadSpec(name="cmeans-static", app="cmeans", policy="static",
+                 size=2000),
+    WorkloadSpec(name="cmeans-dynamic", app="cmeans", policy="dynamic",
+                 size=2000),
+    WorkloadSpec(name="cmeans-adaptive", app="cmeans",
+                 policy="adaptive-feedback", size=2000),
+    WorkloadSpec(name="gemv-static", app="gemv", policy="static",
+                 size=2000, dims=256),
+    WorkloadSpec(name="gmm-multirank", app="gmm", policy="static",
+                 size=1500, nodes=4, iterations=4),
+)
+
+
+def _run_workload(spec: WorkloadSpec, **config_overrides: Any):
+    """Execute one spec; returns the finished JobResult.
+
+    *config_overrides* are passed to :class:`JobConfig` — the
+    sampler-overhead benchmark uses ``sample_interval=None`` to run the
+    identical workload without time-series sampling.
+    """
+    from repro.runtime.job import JobConfig
+    from repro.runtime.prs import PRSRuntime
+
+    app = _build_app(spec)
+    cluster = _cluster_for(spec.preset, spec.nodes)
+    config = JobConfig(scheduling=spec.policy, **config_overrides)
+    return PRSRuntime(cluster, config).run(app)
+
+
+def _build_app(args: argparse.Namespace | WorkloadSpec):
     from repro.apps.cmeans import CMeansApp
     from repro.apps.gemv import GemvApp
     from repro.apps.gmm import GMMApp
@@ -843,7 +894,7 @@ def _build_app(args: argparse.Namespace):
         return GemvApp(a, random_vector(args.dims, seed=args.seed + 1))
     if args.app == "wordcount":
         return WordCountApp(text_corpus(n, seed=args.seed))
-    raise SystemExit(f"unknown app {args.app!r}")
+    raise ValueError(f"unknown app {args.app!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,7 @@ package explains *why*:
   efficiency;
 * :mod:`~repro.obs.analyze.audit` — the scheduler-decision log (every
   Equation (1)-(8) split with its inputs and outputs) and the
-  predicted-vs-observed model-drift series;
-* :mod:`~repro.obs.analyze.baseline` — schema-versioned performance
-  baselines and the ``repro bench compare`` regression gate.  Imported
-  lazily by the CLI, never from here: baseline runs jobs, and the
-  runtime imports this package.
+  predicted-vs-observed model-drift series.
 
 :func:`analyze_run` bundles the first three for a finished
 :class:`~repro.runtime.job.JobResult`; :func:`analyze_tracer` covers

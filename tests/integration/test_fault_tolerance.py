@@ -211,7 +211,7 @@ class TestZeroFaultPath:
         import json
         from pathlib import Path
 
-        from repro.obs.analyze.baseline import DEFAULT_WORKLOADS, _run_workload
+        from repro.cli import DEFAULT_WORKLOADS, _run_workload
 
         spec = next(w for w in DEFAULT_WORKLOADS if w.name == "cmeans-static")
         golden = json.loads(

@@ -19,7 +19,7 @@ slack decomposition sums, send/recv spans pair 1:1),
 and, for rows that log, ``unpaired_errors`` (every ERROR record pairs
 with a recovery or alert span).
 
-Scenarios: the baseline sweep (``obs.analyze.baseline.DEFAULT_WORKLOADS``)
+Scenarios: the standard sweep (``repro.cli.DEFAULT_WORKLOADS``)
 × {fault-free, GPU kill, rank kill, dropped messages}; an obs-on twin
 (every host observer at its most verbose) of the fault-free and rank-kill
 rows; a fault-free row of ``cmeans-static`` and ``gmm-multirank`` under
@@ -49,8 +49,8 @@ if __package__ in (None, ""):  # run as a script: make the packages importable
 import pytest
 
 from repro import obs
+from repro.cli import DEFAULT_WORKLOADS, _run_workload
 from repro.obs.analyze import analyze_run
-from repro.obs.analyze.baseline import DEFAULT_WORKLOADS, _run_workload
 from repro.obs.log import unpaired_errors
 from repro.runtime.policies import available_policies
 from tests.helpers import output_digest
@@ -110,7 +110,7 @@ def scenario_names() -> list[str]:
 
 def run_scenario(name: str):
     """Run one named scenario; returns its ``JobResult`` and the app's
-    final model state (``None`` for the baseline sweep, whose runner
+    final model state (``None`` for the standard sweep, whose runner
     keeps the app to itself)."""
     if name in CHAOS_SCENARIOS:
         from repro.apps.gmm import GMMApp

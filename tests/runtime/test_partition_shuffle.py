@@ -197,7 +197,7 @@ class TestShuffleWire:
         import dataclasses
 
         from repro.comm.mpi import RankComm
-        from repro.obs.analyze.baseline import DEFAULT_WORKLOADS, _run_workload
+        from repro.cli import DEFAULT_WORKLOADS, _run_workload
 
         calls = []
         alltoall = RankComm.alltoall
