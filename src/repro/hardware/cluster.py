@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro._validation import require_nonempty, require_positive
+from repro._validation import (
+    require_nonempty,
+    require_nonnegative,
+    require_positive,
+)
 from repro.hardware.node import FatNode
 
 
@@ -28,8 +32,7 @@ class NetworkSpec:
 
     def __post_init__(self) -> None:
         require_positive("bandwidth", self.bandwidth)
-        if self.latency < 0:
-            raise ValueError(f"latency must be >= 0, got {self.latency}")
+        require_nonnegative("latency", self.latency)
 
     def point_to_point_time(self, nbytes: float) -> float:
         """alpha + n*beta cost of one message of *nbytes* bytes."""

@@ -49,7 +49,7 @@ from bisect import bisect_left, bisect_right
 from math import copysign, inf, isfinite
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro._validation import require_positive
+from repro._validation import require_nonnegative, require_positive
 from repro.obs.metrics import (
     COMM_BYTES,
     COMM_MESSAGES,
@@ -502,17 +502,13 @@ class MetricSampler:
     ) -> None:
         """Declare the α/β wire model of one link class (idempotent —
         rank-restart epochs re-register the same model)."""
-        if latency_s < 0.0 or bytes_per_s <= 0.0:
+        require_nonnegative(f"link {link!r} latency", latency_s)
+        if not bytes_per_s > 0.0:
             raise ValueError(
-                f"link {link!r}: need latency >= 0 and bandwidth > 0, got "
-                f"alpha={latency_s}, beta={bytes_per_s}"
+                f"link {link!r}: need bandwidth > 0, got beta={bytes_per_s}"
             )
         self._link_models[link] = (float(latency_s), float(bytes_per_s))
         self._plan_size = None
-
-    @property
-    def link_models(self) -> dict[str, tuple[float, float]]:
-        return dict(self._link_models)
 
     @property
     def total_samples(self) -> int:

@@ -33,7 +33,7 @@ __all__ = [
 
 
 class SimulationError(RuntimeError):
-    """Raised for kernel misuse (double trigger, negative delay, ...)."""
+    """Raised for kernel misuse (double trigger, negative or NaN delay...)."""
 
 
 class Interrupt(Exception):
@@ -114,8 +114,10 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:
+            raise SimulationError(
+                f"timeout delay must be >= 0, got {delay!r}"
+            )
         super().__init__(engine)
         self.delay = delay
         self._triggered = True
@@ -358,8 +360,8 @@ class Engine:
     # Scheduling / running
     # ------------------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"event delay must be >= 0, got {delay!r}")
         heapq.heappush(self._queue, (self.now + delay, self._seq, event))
         self._seq += 1
 
@@ -424,7 +426,3 @@ class Engine:
         if until is not None and horizon > self.now:
             self.now = horizon
         return None
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)

@@ -64,6 +64,11 @@ class TestNetworkSpec:
         with pytest.raises(ValueError):
             NetworkSpec(bandwidth=0.0)
 
+    @pytest.mark.parametrize("latency", [-1e-6, float("nan"), float("inf")])
+    def test_rejects_bad_latency(self, latency):
+        with pytest.raises(ValueError, match="latency"):
+            NetworkSpec(latency=latency)
+
 
 class TestCluster:
     def test_homogeneous_detection(self, delta4):

@@ -355,6 +355,12 @@ class TestSamplerGrid:
         with pytest.raises(ValueError, match="bandwidth"):
             sampler.register_link_model("x", latency_s=1e-6, bytes_per_s=0.0)
 
+    @pytest.mark.parametrize("alpha", [-1e-6, float("nan"), float("inf")])
+    def test_link_model_rejects_non_finite_or_negative_latency(self, alpha):
+        sampler = MetricSampler()
+        with pytest.raises(ValueError, match="latency"):
+            sampler.register_link_model("x", latency_s=alpha, bytes_per_s=1e9)
+
 
 class TestZeroPerturbation:
     def test_sampled_run_is_bitwise_identical(self):

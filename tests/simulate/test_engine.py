@@ -34,6 +34,32 @@ class TestClock:
         with pytest.raises(SimulationError):
             Engine().timeout(-1.0)
 
+    def test_nan_timeout_rejected(self):
+        with pytest.raises(SimulationError, match="got nan"):
+            Engine().timeout(float("nan"))
+
+    def test_nan_timeout_in_a_process_fails_the_run(self):
+        # nan <= horizon is False, so a NaN-stamped event would end the
+        # run early and silently instead of resuming the process
+        eng = Engine()
+        resumed = []
+
+        def proc():
+            yield eng.timeout(float("nan"))
+            yield eng.timeout(1.0)
+            resumed.append(eng.now)
+
+        eng.process(proc())
+        with pytest.raises(SimulationError, match="got nan"):
+            eng.run()
+        assert resumed == []
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_schedule_rejects_negative_and_nan_delays(self, delay):
+        eng = Engine()
+        with pytest.raises(SimulationError, match=repr(delay)):
+            eng._schedule(eng.event(), delay)
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=20))
     def test_clock_monotone_across_arbitrary_timeouts(self, delays):
