@@ -48,9 +48,8 @@ def save_table(name: str, text: str) -> None:
 
 def save_json(name: str, payload: dict) -> pathlib.Path:
     """Persist a machine-readable benchmark payload as
-    ``benchmarks/results/BENCH_<name>.json`` (the perf-trajectory files
-    ``repro bench compare`` gates on).  Stable key order so reruns diff
-    cleanly.
+    ``benchmarks/results/BENCH_<name>.json``.  Stable key order so
+    reruns diff cleanly.
 
     Wall-clock measurements accumulated by :func:`once` since the last
     save are attached under ``host_meta`` (and drained), so each bench
