@@ -115,9 +115,7 @@ class Timeout(Event):
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
         if not delay >= 0:
-            raise SimulationError(
-                f"timeout delay must be >= 0, got {delay!r}"
-            )
+            raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
         super().__init__(engine)
         self.delay = delay
         self._triggered = True
