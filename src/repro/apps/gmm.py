@@ -33,39 +33,44 @@ _COV_REG = 1e-6
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
-#: one component's model-derived kernel inputs: ``(log pi_m, mu_m, U_m,
-#: D log 2pi + log|R_m|)`` with ``U_m^T U_m = R_m`` (``U_m`` is the
-#: transposed Cholesky factor, Fortran-ordered for LAPACK)
+#: one component's model-derived kernel inputs: ``(log pi_m, mu_m, L_m^-1,
+#: D log 2pi + log|R_m|)`` with ``L_m L_m^T = R_m`` (``L_m`` is the lower
+#: Cholesky factor)
 Factor = tuple[float, np.ndarray, np.ndarray, float]
 
 
 @functools.cache
-def _dtrtrs():
-    """LAPACK's float64 triangular solve, looked up once per process."""
+def _dtrtri():
+    """LAPACK's float64 triangular inverse, looked up once per process."""
     from scipy.linalg import get_lapack_funcs
 
-    return get_lapack_funcs(("trtrs",), (np.empty((1, 1)),))[0]
+    return get_lapack_funcs(("trtri",), (np.empty((1, 1)),))[0]
 
 
 def _cholesky_head(cov: np.ndarray, d: int) -> tuple[np.ndarray, float]:
-    """Upper Cholesky factor of *cov* and ``D log 2pi + log|cov|``.
+    """Inverse lower Cholesky factor of *cov* and ``D log 2pi + log|cov|``.
 
     Raises ``ValueError`` if the factor holds a NaN or inf, so the apply
     step may skip its own finite checks.
     """
     chol = np.asarray_chkfinite(np.linalg.cholesky(cov))
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return chol.T, d * _LOG_2PI + logdet
-
-
-def _mahalanobis(x: np.ndarray, mean: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distance of every row of *x* (inputs pre-checked)."""
-    diff = x - mean
-    # Solve U^T z = diff^T => z = L^{-1} diff^T; Mahalanobis = ||z||^2.
-    sol, info = _dtrtrs()(upper, diff.T, lower=False, trans=True)
+    linv, info = _dtrtri()(chol, lower=1)
     if info:
         raise np.linalg.LinAlgError(f"gmm: singular covariance factor ({info})")
-    return np.sum(sol * sol, axis=0)
+    return linv, d * _LOG_2PI + logdet
+
+
+def _mahalanobis(x: np.ndarray, mean: np.ndarray, linv: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distance of every row of *x* (inputs pre-checked).
+
+    ``z_n = L^-1 (x_n - mu)`` and the distance is ``||z_n||^2``.  Each
+    row's result is the same bits whatever rows come with it: einsum
+    sums each row's products on its own, where a LAPACK solve or a BLAS
+    product over the rows changes path with the row count.
+    """
+    z = np.einsum("nd,ed->ne", x - mean, linv)
+    return np.sum(z * z, axis=1)
 
 
 def _gmm_factors(
@@ -83,8 +88,8 @@ def _gmm_factors(
     d = means.shape[1]
     factors = []
     for m in range(means.shape[0]):
-        upper, head = _cholesky_head(covariances[m], d)
-        factors.append((np.log(max(weights[m], 1e-300)), means[m], upper, head))
+        linv, head = _cholesky_head(covariances[m], d)
+        factors.append((np.log(max(weights[m], 1e-300)), means[m], linv, head))
     np.asarray_chkfinite(means)
     np.asarray_chkfinite(points)
     return factors
@@ -95,28 +100,30 @@ def log_gaussian_pdf(
 ) -> np.ndarray:
     """Log of Equation (15) for one component, for every point.
 
-    Uses a Cholesky solve rather than an explicit inverse for stability.
+    Uses the inverse of the covariance's Cholesky factor, not of the
+    covariance itself.
     """
     x = np.asarray_chkfinite(points, dtype=np.float64)
-    upper, head = _cholesky_head(cov, x.shape[1])
-    maha = _mahalanobis(x, np.asarray_chkfinite(mean), upper)
+    linv, head = _cholesky_head(cov, x.shape[1])
+    maha = _mahalanobis(x, np.asarray_chkfinite(mean), linv)
     return -0.5 * (head + maha)
 
 
 def _responsibilities(
     x: np.ndarray, factors: list[Factor]
-) -> tuple[np.ndarray, float]:
-    """Apply step: responsibilities ``(n, M)`` and the log-likelihood of
-    the float64 points *x*, which :func:`_gmm_factors` has checked."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply step: responsibilities ``(n, M)`` and per-row log-likelihood
+    ``(n,)`` of the float64 points *x*, which :func:`_gmm_factors` has
+    checked.  Every row's results are independent of the other rows."""
     log_prob = np.empty((x.shape[0], len(factors)), dtype=np.float64)
-    for m, (log_w, mean, upper, head) in enumerate(factors):
-        log_prob[:, m] = log_w + (-0.5 * (head + _mahalanobis(x, mean, upper)))
+    for m, (log_w, mean, linv, head) in enumerate(factors):
+        log_prob[:, m] = log_w + (-0.5 * (head + _mahalanobis(x, mean, linv)))
     # log-sum-exp across components
     top = np.max(log_prob, axis=1, keepdims=True)
     with np.errstate(under="ignore"):
         norm = top[:, 0] + np.log(np.sum(np.exp(log_prob - top), axis=1))
     gamma = np.exp(log_prob - norm[:, None])
-    return gamma, float(np.sum(norm))
+    return gamma, norm
 
 
 def gmm_responsibilities(
@@ -128,7 +135,8 @@ def gmm_responsibilities(
     """E step: responsibilities ``(n, M)`` and the block log-likelihood."""
     x = np.asarray(points, dtype=np.float64)
     factors = _gmm_factors(x, weights, means, covariances)
-    return _responsibilities(x, factors)
+    gamma, norm = _responsibilities(x, factors)
+    return gamma, float(np.sum(norm))
 
 
 class GMMApp(IterativeMapReduceApp):
@@ -209,7 +217,7 @@ class GMMApp(IterativeMapReduceApp):
     def cpu_map(self, block: Block) -> list[tuple[Any, Any]]:
         factors = self._model_factors()
         x = self.points[block.start : block.stop].astype(np.float64)
-        gamma, loglik = _responsibilities(x, factors)
+        gamma, norm = _responsibilities(x, factors)
         pairs: list[tuple[Any, Any]] = []
         for m in range(self.n_components):
             g = gamma[:, m]
@@ -217,7 +225,7 @@ class GMMApp(IterativeMapReduceApp):
             f_m = g @ x  # (D,)
             s_m = (x * g[:, None]).T @ x  # (D, D)
             pairs.append((m, (n_m, f_m, s_m)))
-        pairs.append((_LL_KEY, loglik))
+        pairs.append((_LL_KEY, float(np.sum(norm))))
         return pairs
 
     def cpu_reduce(self, key: Any, values: list[Any]) -> Any:

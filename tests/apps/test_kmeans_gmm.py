@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.apps.gmm import GMMApp, gmm_responsibilities, log_gaussian_pdf
+from repro.apps.gmm import (
+    GMMApp,
+    _gmm_factors,
+    _responsibilities,
+    gmm_responsibilities,
+    log_gaussian_pdf,
+)
 from repro.apps.kmeans import KMeansApp, nearest_centers
 from repro.data.synth import gaussian_mixture
 from repro.runtime.api import Block
@@ -179,6 +185,29 @@ class TestGMM:
         pts, _, _ = gaussian_mixture(100, 60, 2, seed=0)
         app = GMMApp(pts, 10, seed=0)
         assert app.intensity().at(1e6) == 11.0 * 10 * 60
+
+
+class TestGMMRowKernel:
+    """GMM's per-row products are the same bits at every block size."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        pts, _, _ = gaussian_mixture(1000, 16, 5, seed=21)
+        app = GMMApp(pts, 5, seed=21)
+        drive(app, iterations=1)  # full, fitted covariances
+        x = pts.astype(np.float64)
+        return x, _gmm_factors(x, app.weights, app.means, app.covariances)
+
+    @pytest.mark.parametrize("size", [1, 3, 7, 333, 1000])
+    def test_rows_bitwise_equal_at_every_block_size(self, model, size):
+        x, factors = model
+        blocks = [
+            _responsibilities(x[lo : lo + size], factors)
+            for lo in range(0, len(x), size)
+        ]
+        gamma, norm = _responsibilities(x, factors)
+        assert np.array_equal(np.concatenate([g for g, _ in blocks]), gamma)
+        assert np.array_equal(np.concatenate([n for _, n in blocks]), norm)
 
 
 def _public_map(app, block):
