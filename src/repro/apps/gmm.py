@@ -180,9 +180,10 @@ class GMMApp(IterativeMapReduceApp):
         global_cov = np.cov(x64, rowvar=False) + _COV_REG * np.eye(d)
         self.covariances = np.tile(global_cov, (n_components, 1, 1))
         self._converged = False
-        #: :func:`_gmm_factors` of the current model, built by the first
-        #: map of an iteration and dropped by :meth:`update`
-        self._factors: list[Factor] | None = None
+        #: ``(gamma, per-row log-likelihood)`` of every point under the
+        #: current model, built by the first map of an iteration and
+        #: dropped by :meth:`update`
+        self._rows: tuple[np.ndarray, np.ndarray] | None = None
         #: total log-likelihood after each iteration
         self.loglik_history: list[float] = []
         self._intensity = gmm_intensity(n_components, d)
@@ -207,17 +208,18 @@ class GMMApp(IterativeMapReduceApp):
         return float(len(values) * (1 + d + d * d))
 
     # ------------------------------------------------------------------
-    def _model_factors(self) -> list[Factor]:
-        if self._factors is None:
-            self._factors = _gmm_factors(
-                self.points, self.weights, self.means, self.covariances
+    def _model_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._rows is None:
+            x = self.points.astype(np.float64)
+            self._rows = _responsibilities(
+                x, _gmm_factors(x, self.weights, self.means, self.covariances)
             )
-        return self._factors
+        return self._rows
 
     def cpu_map(self, block: Block) -> list[tuple[Any, Any]]:
-        factors = self._model_factors()
+        gamma, norm = self._model_rows()
+        gamma = gamma[block.start : block.stop]
         x = self.points[block.start : block.stop].astype(np.float64)
-        gamma, norm = _responsibilities(x, factors)
         pairs: list[tuple[Any, Any]] = []
         for m in range(self.n_components):
             g = gamma[:, m]
@@ -225,7 +227,7 @@ class GMMApp(IterativeMapReduceApp):
             f_m = g @ x  # (D,)
             s_m = (x * g[:, None]).T @ x  # (D, D)
             pairs.append((m, (n_m, f_m, s_m)))
-        pairs.append((_LL_KEY, float(np.sum(norm))))
+        pairs.append((_LL_KEY, float(np.sum(norm[block.start : block.stop]))))
         return pairs
 
     def cpu_reduce(self, key: Any, values: list[Any]) -> Any:
@@ -264,7 +266,7 @@ class GMMApp(IterativeMapReduceApp):
             self.covariances[m] = cov + _COV_REG * eye
         # Renormalise weights against numerical drift.
         self.weights = self.weights / np.sum(self.weights)
-        self._factors = None
+        self._rows = None
 
         loglik = float(reduced.get(_LL_KEY, np.nan))
         if self.loglik_history:
@@ -279,10 +281,7 @@ class GMMApp(IterativeMapReduceApp):
 
     # ------------------------------------------------------------------
     def responsibilities(self) -> np.ndarray:
-        gamma, _ = _responsibilities(
-            self.points.astype(np.float64), self._model_factors()
-        )
-        return gamma
+        return self._model_rows()[0].copy()
 
     def labels(self) -> np.ndarray:
-        return np.argmax(self.responsibilities(), axis=1)
+        return np.argmax(self._model_rows()[0], axis=1)

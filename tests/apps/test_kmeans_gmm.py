@@ -211,14 +211,17 @@ class TestGMMRowKernel:
 
 
 def _public_map(app, block):
-    """``GMMApp.cpu_map`` rebuilt on the public ``gmm_responsibilities``."""
-    x = app.points[block.start : block.stop].astype(np.float64)
-    gamma, loglik = gmm_responsibilities(x, app.weights, app.means, app.covariances)
+    """``GMMApp.cpu_map`` rebuilt from the whole input's rows, sliced."""
+    x = app.points.astype(np.float64)
+    factors = _gmm_factors(x, app.weights, app.means, app.covariances)
+    gamma, norm = _responsibilities(x, factors)
+    lo, hi = block.start, block.stop
+    x, gamma = x[lo:hi], gamma[lo:hi]
     pairs = []
     for m in range(app.n_components):
         g = gamma[:, m]
         pairs.append((m, (float(np.sum(g)), g @ x, (x * g[:, None]).T @ x)))
-    return pairs + [("loglik", loglik)]
+    return pairs + [("loglik", float(np.sum(norm[lo:hi])))]
 
 
 def _assert_pairs_identical(got, want):
@@ -229,7 +232,7 @@ def _assert_pairs_identical(got, want):
 
 
 class TestGMMFactorMemo:
-    """The per-iteration Cholesky memo never serves a stale model."""
+    """The per-iteration row memo never serves a stale model."""
 
     BLOCK = Block(37, 181)
 
@@ -238,7 +241,7 @@ class TestGMMFactorMemo:
         return GMMApp(pts, 3, seed=12)
 
     def test_no_factors_after_constructor(self):
-        assert self._app()._factors is None
+        assert self._app()._rows is None
 
     def test_map_matches_public_path_across_updates(self):
         app = self._app()
@@ -247,20 +250,35 @@ class TestGMMFactorMemo:
                 app.cpu_map(self.BLOCK), _public_map(app, self.BLOCK)
             )
             drive(app, iterations=1)
-        assert app._factors is None
+            assert app._rows is None
 
     def test_map_matches_public_path_after_restore(self):
         app = self._app()
         drive(app, iterations=1)
         app.cpu_map(self.BLOCK)
         state = app.checkpoint()
-        assert state["_factors"] is not None
+        assert state["_rows"] is not None
         drive(app, iterations=1)
         app.cpu_map(self.BLOCK)  # memo of the newer model
+        newer = app.responsibilities()
         app.restore(state)
         _assert_pairs_identical(
             app.cpu_map(self.BLOCK), _public_map(app, self.BLOCK)
         )
+        assert not np.array_equal(app.responsibilities(), newer)
+
+    def test_shuffled_partition_matches_whole_input_slices(self):
+        app = self._app()
+        drive(app, iterations=1)
+        n = app.n_items()
+        rng = np.random.default_rng(14)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=40, replace=False))
+        bounds = [0, *cuts.tolist(), n]
+        blocks = [Block(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        rng.shuffle(blocks)
+        assert blocks[0].start != 0  # the memo is built from a later block
+        for block in blocks:
+            _assert_pairs_identical(app.cpu_map(block), _public_map(app, block))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
