@@ -11,6 +11,16 @@ The M step is ``update``: ``pi_m = N_m / N``, ``mu_m = F_m / N_m``,
 ``R_m`` positive definite).  Convergence is a relative log-likelihood
 test.
 
+The host computes the E step in two parts.  The factor step inverts
+each component's lower Cholesky factor ``L_m`` once per model version.
+The row kernel then gives each point its responsibilities and its
+log-likelihood, ``log sum_m pi_m N(y_n | mu_m, R_m)``.  Its
+Mahalanobis term is an einsum against ``L_m^-1``, and each row's bits
+do not depend on which other rows share the call.  So the app runs the
+kernel once per model version over all points, keeps the result in a
+memo, and each map slices its block out of the memo.  The per-block
+sums ``N_m``, ``F_m`` and ``S_m`` are still taken per block.
+
 The paper pins the arithmetic intensity at ``11 * M * D`` flops/byte
 (Table 5), which we adopt as the cost profile.
 """
@@ -81,9 +91,10 @@ def _gmm_factors(
 ) -> list[Factor]:
     """Factor step: the per-component inputs of Equation (15).
 
-    They depend only on the model, so an iteration computes them once and
-    every block reuses them.  Raises ``ValueError`` when *points*, the
-    means or a Cholesky factor is not finite.
+    They depend only on the model, so an iteration computes them once.
+    Each holds ``L_m^-1``, not ``L_m``, so that the row kernel is a
+    product with no solve in it.  Raises ``ValueError`` when *points*,
+    the means or a Cholesky factor is not finite.
     """
     d = means.shape[1]
     factors = []
@@ -93,20 +104,6 @@ def _gmm_factors(
     np.asarray_chkfinite(means)
     np.asarray_chkfinite(points)
     return factors
-
-
-def log_gaussian_pdf(
-    points: np.ndarray, mean: np.ndarray, cov: np.ndarray
-) -> np.ndarray:
-    """Log of Equation (15) for one component, for every point.
-
-    Uses the inverse of the covariance's Cholesky factor, not of the
-    covariance itself.
-    """
-    x = np.asarray_chkfinite(points, dtype=np.float64)
-    linv, head = _cholesky_head(cov, x.shape[1])
-    maha = _mahalanobis(x, np.asarray_chkfinite(mean), linv)
-    return -0.5 * (head + maha)
 
 
 def _responsibilities(
@@ -124,19 +121,6 @@ def _responsibilities(
         norm = top[:, 0] + np.log(np.sum(np.exp(log_prob - top), axis=1))
     gamma = np.exp(log_prob - norm[:, None])
     return gamma, norm
-
-
-def gmm_responsibilities(
-    points: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    covariances: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """E step: responsibilities ``(n, M)`` and the block log-likelihood."""
-    x = np.asarray(points, dtype=np.float64)
-    factors = _gmm_factors(x, weights, means, covariances)
-    gamma, norm = _responsibilities(x, factors)
-    return gamma, float(np.sum(norm))
 
 
 class GMMApp(IterativeMapReduceApp):

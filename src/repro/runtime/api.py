@@ -206,14 +206,19 @@ class IterativeMapReduceApp(MapReduceApp):
     only :meth:`iteration_state` crosses the wire each round, and the GPU
     roofline uses the resident arm (``iterative = True``).
 
-    The host analogue, for data derived from the model (GMM's Cholesky
-    factors): keep it in an instance attribute, so it lives in
-    ``__dict__``; set it to ``None`` in ``__init__`` and at the end of
-    :meth:`update`; and build it lazily in the first map of an iteration.
-    Building it in ``__init__`` would add to job set-up time.  Because
-    :meth:`checkpoint` and :meth:`restore` copy ``__dict__``, a restored
-    app carries the derived data of the model it restores.  The runtime
-    needs no hook for this.
+    The host analogue, for data derived from the model: keep it in an
+    instance attribute, so it lives in ``__dict__``; set it to ``None``
+    in ``__init__`` and at the end of :meth:`update`; and build it
+    lazily in the first map of an iteration.  Building it in
+    ``__init__`` would add to job set-up time.  Derived data can include
+    per-point products over all items: GMM keeps every point's
+    responsibilities and log-likelihood, and each map slices out its
+    block.  A slice has the same bits as a per-block computation only
+    when a row's result does not depend on the block it arrives in.  :meth:`checkpoint` and :meth:`restore`
+    deep-copy ``__dict__``, so a snapshot taken while derived data is
+    built copies those arrays too, and a restored app carries the
+    derived data of the model it restores.  The runtime needs no hook
+    for this.
     """
 
     iterative = True

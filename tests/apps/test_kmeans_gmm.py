@@ -5,15 +5,28 @@ import pytest
 
 from repro.apps.gmm import (
     GMMApp,
+    _cholesky_head,
     _gmm_factors,
+    _mahalanobis,
     _responsibilities,
-    gmm_responsibilities,
-    log_gaussian_pdf,
 )
 from repro.apps.kmeans import KMeansApp, nearest_centers
 from repro.data.synth import gaussian_mixture
 from repro.runtime.api import Block
 from repro.runtime.shuffle import group_by_key
+
+
+def log_gaussian_pdf(points, mean, cov):
+    """Log of Equation (15) for one component, for every point."""
+    x = np.asarray_chkfinite(points, dtype=np.float64)
+    linv, head = _cholesky_head(cov, x.shape[1])
+    return -0.5 * (head + _mahalanobis(x, np.asarray_chkfinite(mean), linv))
+
+
+def gmm_responsibilities(points, weights, means, covariances):
+    """E step: responsibilities ``(n, M)`` and per-row log-likelihood."""
+    x = np.asarray(points, dtype=np.float64)
+    return _responsibilities(x, _gmm_factors(x, weights, means, covariances))
 
 
 def drive(app, iterations=None, block=128):
@@ -108,11 +121,11 @@ class TestGMM:
     def test_responsibilities_sum_to_one(self):
         pts, _, _ = gaussian_mixture(200, 3, 2, seed=1)
         app = GMMApp(pts, 2, seed=1)
-        gamma, ll = gmm_responsibilities(
-            pts.astype(np.float64), app.weights, app.means, app.covariances
+        gamma, norm = gmm_responsibilities(
+            pts, app.weights, app.means, app.covariances
         )
         np.testing.assert_allclose(gamma.sum(axis=1), 1.0, rtol=1e-9)
-        assert np.isfinite(ll)
+        assert np.all(np.isfinite(norm))
 
     def test_loglik_monotone_nondecreasing(self):
         """EM guarantee: log-likelihood never drops."""
@@ -212,11 +225,11 @@ class TestGMMRowKernel:
 
 def _public_map(app, block):
     """``GMMApp.cpu_map`` rebuilt from the whole input's rows, sliced."""
-    x = app.points.astype(np.float64)
-    factors = _gmm_factors(x, app.weights, app.means, app.covariances)
-    gamma, norm = _responsibilities(x, factors)
+    gamma, norm = gmm_responsibilities(
+        app.points, app.weights, app.means, app.covariances
+    )
     lo, hi = block.start, block.stop
-    x, gamma = x[lo:hi], gamma[lo:hi]
+    x, gamma = app.points[lo:hi].astype(np.float64), gamma[lo:hi]
     pairs = []
     for m in range(app.n_components):
         g = gamma[:, m]
