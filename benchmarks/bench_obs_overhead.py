@@ -44,6 +44,7 @@ Regenerates ``benchmarks/results/BENCH_obs_overhead.json`` and
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 
@@ -89,7 +90,7 @@ def build_sweep():
         extra = sampled.engine_events - bare.engine_events
         overhead = extra / bare.engine_events if bare.engine_events else 0.0
         entries[spec.name] = {
-            "spec": spec.to_dict(),
+            "spec": dataclasses.asdict(spec),
             "engine_events_sampled": sampled.engine_events,
             "engine_events_unsampled": bare.engine_events,
             "event_overhead": overhead,
@@ -201,7 +202,7 @@ def overhead_sweep(label, entry_of, observed, columns=(), row_of=None):
     for spec in DEFAULT_WORKLOADS:
         plain, obs, timing = paired_overhead(spec, **observed)
         entry = {
-            "spec": spec.to_dict(),
+            "spec": dataclasses.asdict(spec),
             **{k: v for k, v in timing.items() if k != "ratio"},
             "overhead": timing["ratio"] - 1.0,
             "engine_events_identical": obs.engine_events == plain.engine_events,
