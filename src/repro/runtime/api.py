@@ -214,11 +214,11 @@ class IterativeMapReduceApp(MapReduceApp):
     per-point products over all items: GMM keeps every point's
     responsibilities and log-likelihood, and each map slices out its
     block.  A slice has the same bits as a per-block computation only
-    when a row's result does not depend on the block it arrives in.  :meth:`checkpoint` and :meth:`restore`
-    deep-copy ``__dict__``, so a snapshot taken while derived data is
-    built copies those arrays too, and a restored app carries the
-    derived data of the model it restores.  The runtime needs no hook
-    for this.
+    when a row's result does not depend on the block it arrives in.
+    :meth:`checkpoint` and :meth:`restore` deep-copy ``__dict__``, so a
+    snapshot taken while derived data is built copies those arrays too,
+    and a restored app carries the derived data of the model it
+    restores.  The runtime needs no hook for this.
     """
 
     iterative = True
