@@ -9,7 +9,7 @@ deep inside the simulator attributable to the user-facing call site.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def require_positive(name: str, value: float) -> float:
@@ -54,14 +54,6 @@ def require_nonnegative_int(name: str, value: int) -> int:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def require_in(name: str, value: object, allowed: Iterable[object]) -> object:
-    """Return *value* if it is a member of *allowed*, else raise ValueError."""
-    allowed = tuple(allowed)
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {allowed!r}, got {value!r}")
     return value
 
 

@@ -14,16 +14,15 @@ output sizes — the simulator charges against the roofline device models.
   block-size-dependent intensity (exercises Equations 9-11).
 * :mod:`repro.apps.da` — deterministic-annealing clustering, the quality
   yardstick of the Figure 5 comparison.
+
+Figure 4's other anchors (FFT, stencil, log analysis) need only their
+intensity, so they are profiles in :mod:`repro.core.intensity`, not apps.
 """
 
 from repro.apps.cmeans import CMeansApp, cmeans_objective, fuzzy_memberships
 from repro.apps.kmeans import KMeansApp
 from repro.apps.gmm import GMMApp
-from repro.apps.fft import FftApp
 from repro.apps.gemv import GemvApp
-from repro.apps.gemv_variants import CheckerboardGemvApp, ColumnGemvApp
-from repro.apps.loganalysis import LogAnalysisApp
-from repro.apps.stencil import Jacobi1DApp
 from repro.apps.wordcount import WordCountApp
 from repro.apps.dgemm import DgemmApp
 from repro.apps.da import deterministic_annealing
@@ -34,12 +33,7 @@ __all__ = [
     "cmeans_objective",
     "KMeansApp",
     "GMMApp",
-    "FftApp",
     "GemvApp",
-    "ColumnGemvApp",
-    "CheckerboardGemvApp",
-    "LogAnalysisApp",
-    "Jacobi1DApp",
     "WordCountApp",
     "DgemmApp",
     "deterministic_annealing",

@@ -94,25 +94,6 @@ def cmeans_objective(
     return float(np.sum(u**m * _squared_distances(x, c)))
 
 
-def cmeans_reference(
-    points: np.ndarray,
-    n_clusters: int,
-    m: float = 2.0,
-    iterations: int = 20,
-    seed: int = 0,
-) -> np.ndarray:
-    """Plain single-process FCM — the oracle distributed runs must match."""
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(points.shape[0], size=n_clusters, replace=False)
-    centers = np.asarray(points, dtype=np.float64)[idx].copy()
-    x = np.asarray(points, dtype=np.float64)
-    for _ in range(iterations):
-        u = fuzzy_memberships(x, centers, m)
-        w = u**m
-        centers = (w.T @ x) / np.sum(w, axis=0)[:, None]
-    return centers
-
-
 class CMeansApp(IterativeMapReduceApp):
     """Fuzzy C-means on the PRS runtime."""
 

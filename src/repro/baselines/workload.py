@@ -38,23 +38,6 @@ class WorkloadSpec:
         require_positive_int("iterations", self.iterations)
         require_nonnegative("state_bytes", self.state_bytes)
 
-    @classmethod
-    def from_app(cls, app, iterations: int | None = None) -> "WorkloadSpec":
-        """Derive the spec from a :class:`~repro.runtime.api.MapReduceApp`."""
-        from repro.runtime.api import IterativeMapReduceApp
-
-        iterative = isinstance(app, IterativeMapReduceApp)
-        if iterations is None:
-            iterations = app.max_iterations if iterative else 1
-        state = app.state_bytes() if iterative else 0.0
-        return cls(
-            total_bytes=app.total_bytes(),
-            intensity=app.intensity(),
-            iterations=iterations,
-            state_bytes=state,
-            resident=iterative,
-        )
-
     def flops(self) -> float:
         """Total flops per iteration."""
         return self.intensity.flops(self.total_bytes)

@@ -4,15 +4,15 @@ The paper runs PRS over MPI on a physical cluster; this subpackage provides
 an in-process, simulated equivalent with the same shape of API so the
 runtime code reads like MPI code:
 
-* :mod:`repro.comm.network` — alpha/beta cost models for point-to-point
-  messages and the closed-form collective estimates used in reports.
 * :mod:`repro.comm.mpi` — an mpi4py-flavoured communicator whose ranks are
-  DES processes; point-to-point messages pay the network cost model and
-  collectives are *built from* point-to-point messages (binomial trees), so
-  their cost emerges from the simulation rather than being asserted.
+  DES processes; point-to-point messages pay the alpha/beta cost of
+  :class:`~repro.hardware.cluster.NetworkSpec` and collectives are *built
+  from* point-to-point messages (binomial trees), so their cost emerges
+  from the simulation rather than being asserted.  The closed-form
+  collective estimates that cross-check it are in
+  ``tests/comm/network_model.py``.
 """
 
-from repro.comm.network import NetworkModel
 from repro.comm.mpi import RankComm, World, payload_nbytes
 
-__all__ = ["NetworkModel", "World", "RankComm", "payload_nbytes"]
+__all__ = ["World", "RankComm", "payload_nbytes"]

@@ -293,9 +293,6 @@ class World:
             raise ValueError(f"rank {rank} out of range for size {self.size}")
         return RankComm(self, rank)
 
-    def comms(self) -> list["RankComm"]:
-        return [self.comm(r) for r in range(self.size)]
-
     # ------------------------------------------------------------------
     def _mailbox(self, dest: int, src: int, tag: int) -> Store:
         key = (dest, src, tag)
@@ -425,7 +422,7 @@ class RankComm:
                     "tag": tag,
                     "tagc": describe_tag(tag),
                     "link": link,
-                    # Fault-free analytic wire time (NetworkModel.p2p): the
+                    # Fault-free analytic wire time (alpha + n * beta): the
                     # observed-vs-predicted ratio exposes contention,
                     # degradation windows, and retransmit storms per message.
                     "pred_s": world.wire_time(self.rank, dest, nbytes),

@@ -39,10 +39,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro._validation import require_fraction, require_positive
-from repro.core.intensity import ConstantIntensity, IntensityProfile
+from repro.core.intensity import IntensityProfile
 from repro.core.roofline import RooflineModel
 from repro.hardware.cluster import Cluster
 from repro.hardware.device import DeviceSpec
@@ -193,27 +191,6 @@ def predicted_runtime(
     t_cpu = p * nbytes * a_c / (f_c * 1e9)
     t_gpu = (1.0 - p) * nbytes * a_g / (f_g * 1e9)
     return max(t_cpu, t_gpu)
-
-
-def brute_force_split(
-    node: FatNode,
-    intensity: float | IntensityProfile,
-    nbytes: float = 1e9,
-    *,
-    gpu_intensity: float | IntensityProfile | None = None,
-    staged: bool = True,
-    grid: int = 4096,
-) -> float:
-    """Grid-search ``argmin_p T_gc(p)`` — the reference the analytic model
-    must match (used by tests and the Table 5 "profiling" column)."""
-    ps = np.linspace(0.0, 1.0, grid)
-    times = [
-        predicted_runtime(
-            node, intensity, nbytes, p, gpu_intensity=gpu_intensity, staged=staged
-        )
-        for p in ps
-    ]
-    return float(ps[int(np.argmin(times))])
 
 
 def multi_device_split(

@@ -65,11 +65,6 @@ class RooflineModel:
         """Attainable rate ``F = min(P, A * B_eff)`` in GFLOP/s."""
         return self.device.attainable_gflops(intensity, self.staged)
 
-    def is_bandwidth_bound(self, intensity: float) -> bool:
-        """True when the task sits left of the ridge point."""
-        require_positive("intensity", intensity)
-        return intensity < self.ridge
-
     def time(self, flops: float, nbytes: float) -> float:
         """Seconds to process a block of *nbytes* executing *flops*.
 
@@ -82,15 +77,6 @@ class RooflineModel:
         intensity = flops / nbytes
         return flops / (self.attainable(intensity) * 1e9)
 
-    def transfer_time(self, nbytes: float) -> float:
-        """Seconds to move *nbytes* through the device's memory path."""
-        require_positive("nbytes", nbytes)
-        return nbytes / (self.bandwidth * 1e9)
-
-    def compute_time(self, flops: float) -> float:
-        """Seconds of pure compute at the device's peak rate."""
-        require_positive("flops", flops)
-        return flops / (self.peak * 1e9)
 
 
 def roofline_curve(

@@ -6,7 +6,8 @@ flow-cytometry data (the FLAME Lymphocytes set).  This subpackage generates
 statistically equivalent inputs: seeded Gaussian mixtures, dense matrices
 for GEMV/DGEMM, token streams for word count, and a Lymphocytes-like 4-D /
 5-cluster reference set with held-out ground truth for the Figure 5
-clustering-quality comparison.
+clustering-quality comparison.  Every input is regenerated from its seed,
+so nothing is read from or written to disk.
 """
 
 from repro.data.synth import (
@@ -16,14 +17,6 @@ from repro.data.synth import (
     text_corpus,
 )
 from repro.data.flame import lymphocytes_like
-from repro.data.io import (
-    load_corpus,
-    load_lines,
-    load_points,
-    save_corpus,
-    save_lines,
-    save_points,
-)
 
 __all__ = [
     "gaussian_mixture",
@@ -31,10 +24,4 @@ __all__ = [
     "random_vector",
     "text_corpus",
     "lymphocytes_like",
-    "save_points",
-    "load_points",
-    "save_lines",
-    "load_lines",
-    "save_corpus",
-    "load_corpus",
 ]

@@ -133,10 +133,6 @@ class DeviceSpec:
     def is_gpu(self) -> bool:
         return self.kind is DeviceKind.GPU
 
-    @property
-    def is_cpu(self) -> bool:
-        return self.kind is DeviceKind.CPU
-
     def scaled(self, factor: float) -> "DeviceSpec":
         """Return a copy whose peak performance is scaled by *factor*.
 

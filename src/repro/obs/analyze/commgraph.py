@@ -67,17 +67,6 @@ class Message:
     #: analytic fault-free wire time (alpha + n*beta); 0 for local links
     pred_s: float = 0.0
 
-    @property
-    def flight_s(self) -> float:
-        """Wall seconds the message spent in delivery (send span length)."""
-        return self.visible_at - self.sent_at
-
-    @property
-    def recv_wait_s(self) -> float:
-        """Receiver blocked seconds (0 when the message was already in)."""
-        if self.recv_start is None or self.recv_end is None:
-            return 0.0
-        return self.recv_end - self.recv_start
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -146,10 +135,6 @@ class CommGraph:
 
     def __len__(self) -> int:
         return len(self.messages)
-
-    @property
-    def by_msg_id(self) -> dict[int, Message]:
-        return {m.msg_id: m for m in self.messages}
 
     @property
     def by_recv_span(self) -> dict[int, Message]:

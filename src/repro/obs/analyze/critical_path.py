@@ -180,14 +180,6 @@ class CriticalPath:
                 totals[seg.edge] = totals.get(seg.edge, 0.0) + seg.duration
         return dict(sorted(totals.items(), key=lambda kv: -kv[1]))
 
-    def rank_tracks(self) -> set[str]:
-        """Distinct per-rank tracks the path visits (``rank*``/``net.r*``)."""
-        return {
-            s.track
-            for s in self.segments
-            if s.track.startswith(("rank", "net."))
-        }
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "makespan_s": self.makespan,

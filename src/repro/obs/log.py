@@ -192,10 +192,6 @@ class EventLog:
     def wants_debug(self) -> bool:
         return self._threshold <= LEVELS["debug"]
 
-    @property
-    def wants_info(self) -> bool:
-        return self._threshold <= LEVELS["info"]
-
     def emit(
         self,
         level: str,

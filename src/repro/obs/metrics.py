@@ -203,9 +203,6 @@ class Gauge(Metric):
         key = _label_key(labels)
         self._samples[key] = self._samples.get(key, 0.0) + value
 
-    def dec(self, value: float = 1.0, **labels: Any) -> None:
-        self.inc(-value, **labels)
-
     def value(self, **labels: Any) -> float:
         return self._samples.get(_label_key(labels), 0.0)
 

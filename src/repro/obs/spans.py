@@ -185,9 +185,6 @@ class SpanTracer:
     def tracks(self) -> list[str]:
         return list(self._tracks)
 
-    def open_spans(self) -> list[Span]:
-        return [s for stack in self._stacks.values() for s in stack]
-
     def get(self, span_id: int) -> Span | None:
         return self._by_id.get(span_id)
 

@@ -38,7 +38,7 @@ the driver refits the split over the new member set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro._validation import require_positive_int
@@ -350,9 +350,6 @@ class ElasticState:
             applied.append((event, rec))
         self.applied.extend(applied)
         return applied
-
-    def note_death(self, node: int, now: float) -> EpochRecord | None:
-        return self.view.leave(node, now)
 
     def check_epoch_budget(self) -> None:
         if self.view.epoch > MAX_EPOCHS:

@@ -22,7 +22,7 @@ requests hit ``cudaMalloc``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,11 +175,6 @@ class RegionAllocator:
     def home_of(self, key: tuple[int, int]) -> str | None:
         """The daemon thread whose region last held block *key*."""
         return self._block_regions.get(key)
-
-    @property
-    def block_regions(self) -> dict[tuple[int, int], str]:
-        """Read-only view of the block -> home-region map."""
-        return dict(self._block_regions)
 
     def publish_metrics(self, metrics, **labels) -> None:
         """Flush counter deltas since the last publish into *metrics*.

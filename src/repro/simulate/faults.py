@@ -45,7 +45,7 @@ no events changes nothing at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -332,12 +332,6 @@ class FaultPlan:
             e for e in self.events if e.kind in MEMBERSHIP_KINDS
         )
 
-    def fault_events(self) -> tuple[FaultEvent, ...]:
-        """Every non-membership event (what FaultState injects/scans)."""
-        return tuple(
-            e for e in self.events if e.kind not in MEMBERSHIP_KINDS
-        )
-
     def check_targets(self, gpus_per_node: Sequence[int]) -> None:
         """Raise :class:`FaultSpecError` naming the first event whose node,
         GPU or message endpoint lies outside a cluster whose node ``i``
@@ -575,24 +569,3 @@ class FaultState:
         for link in links:
             link.time_scale = scale
 
-
-def degraded_makespan_bound(
-    fault_free_makespan: float,
-    kill_time: float,
-    lost_fraction: float,
-    overhead_s: float = 0.0,
-) -> float:
-    """Analytic upper bound on makespan after losing a device mid-run.
-
-    Work completed before ``kill_time`` is unaffected; the remaining
-    ``T0 - t`` seconds of schedule inflate by ``1 / (1 - f)`` when the
-    dead device held a fraction ``f`` of the cluster's throughput, plus
-    explicit recovery overhead (backoff waits, re-executed partial
-    blocks)::
-
-        T <= t + (T0 - t) / (1 - f) + overhead
-    """
-    if not 0.0 <= lost_fraction < 1.0:
-        raise ValueError(f"lost_fraction must be in [0, 1), got {lost_fraction}")
-    t = min(max(kill_time, 0.0), fault_free_makespan)
-    return t + (fault_free_makespan - t) / (1.0 - lost_fraction) + overhead_s

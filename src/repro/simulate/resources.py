@@ -45,10 +45,6 @@ class Resource:
 
     # ------------------------------------------------------------------
     @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
     def available(self) -> int:
         return self.capacity - self._in_use
 

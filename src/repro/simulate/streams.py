@@ -162,13 +162,3 @@ def simulate_stream_batch(
     ]
     engine.run(engine.all_of(procs))
     return engine.now
-
-
-def serialized_batch_time(gpu: DeviceSpec, blocks: list[StreamBlock]) -> float:
-    """Analytic no-overlap reference: sum of every copy and kernel time."""
-    assert gpu.pcie_bandwidth is not None
-    total = 0.0
-    for b in blocks:
-        total += (b.in_bytes + b.out_bytes) / (gpu.pcie_bandwidth * 1e9)
-        total += kernel_time(gpu, b)
-    return total

@@ -670,27 +670,6 @@ class Trace:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    _CSV_HEADER = "label,device,kind,start,end,nbytes,flops"
-
-    def to_csv(self) -> str:
-        """Render the trace as CSV (one record per line, header first).
-
-        Labels containing commas or quotes are quoted per RFC 4180.
-        """
-        def quote(text: str) -> str:
-            if "," in text or '"' in text or "\n" in text:
-                return '"' + text.replace('"', '""') + '"'
-            return text
-
-        lines = [self._CSV_HEADER]
-        for s in self._record_spans:
-            lines.append(
-                f"{quote(s.name)},{quote(s.track)},{quote(s.category)},"
-                f"{s.start!r},{s.end!r},{s.attrs['nbytes']!r},"
-                f"{s.attrs['flops']!r}"
-            )
-        return "\n".join(lines)
-
     def to_records(self) -> list[dict]:
         """Plain-dict view of every record (JSON-serializable)."""
         return [

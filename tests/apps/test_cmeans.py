@@ -8,11 +8,11 @@ from repro.apps.cmeans import (
     CMeansApp,
     _coincident,
     cmeans_objective,
-    cmeans_reference,
     fuzzy_memberships,
 )
 from repro.data.synth import gaussian_mixture
 from repro.runtime.api import Block
+from tests.helpers import cmeans_reference
 
 
 @pytest.fixture

@@ -22,17 +22,6 @@ def cmeans_workload(n_points, d=100, m=10, iterations=10):
 
 
 class TestWorkloadSpec:
-    def test_from_app(self):
-        from repro.apps.cmeans import CMeansApp
-        from repro.data.synth import gaussian_mixture
-
-        pts, _, _ = gaussian_mixture(1000, 10, 3, seed=0)
-        app = CMeansApp(pts, 3)
-        spec = WorkloadSpec.from_app(app, iterations=5)
-        assert spec.total_bytes == pytest.approx(1000 * 10 * 4)
-        assert spec.iterations == 5
-        assert spec.resident
-
     def test_flops(self):
         w = cmeans_workload(1000)
         assert w.flops() == pytest.approx(50.0 * w.total_bytes)

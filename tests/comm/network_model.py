@@ -1,11 +1,11 @@
-"""Alpha/beta network cost models for the simulated interconnect.
+"""Alpha/beta collective cost model: the oracle for the simulated MPI.
 
 ``NetworkModel`` wraps a :class:`~repro.hardware.cluster.NetworkSpec` and
 provides the textbook collective cost estimates (Hockney model with
 binomial trees).  The simulated communicator in :mod:`repro.comm.mpi`
-builds collectives from point-to-point messages, so these closed forms are
-used as cross-checks in tests and for quick analytic what-ifs — the
-simulation should agree with them to within tree-shape effects.
+builds collectives from point-to-point messages, so these closed forms
+cross-check it: the simulation should agree with them to within
+tree-shape effects.
 """
 
 from __future__ import annotations
@@ -65,20 +65,6 @@ class NetworkModel:
         return self.gather(nbytes_per_rank, ranks) + self.bcast(
             nbytes_per_rank * ranks, ranks
         )
-
-    def alltoall(self, nbytes_per_pair: float, ranks: int) -> float:
-        """Pairwise-exchange personalized all-to-all (the PRS shuffle).
-
-        The simulated communicator pairs rank ``i`` with ``i XOR r`` over
-        ``P-1`` rounds (padded to the next power of two; out-of-range
-        partners idle), exchanging one per-destination bucket each round
-        — so the closed form is ``P-1`` point-to-point costs of the
-        average bucket.  Used by the comm-trace tests to cross-check the
-        per-link busy time the message spans actually accumulate.
-        """
-        require_nonnegative("nbytes_per_pair", nbytes_per_pair)
-        require_positive_int("ranks", ranks)
-        return (ranks - 1) * self.p2p(nbytes_per_pair)
 
     def barrier(self, ranks: int) -> float:
         """Zero-byte allreduce."""

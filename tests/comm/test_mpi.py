@@ -430,7 +430,8 @@ class TestCollectiveTiming:
         assert t8 == pytest.approx(3.0, rel=0.01)
 
     def test_reduce_cost_matches_network_model(self):
-        from repro.comm.network import NetworkModel
+        from tests.comm.network_model import NetworkModel
+
         net = NetworkSpec(latency=0.0, bandwidth=1.0)
         model = NetworkModel(net)
         # 4 ranks, 1 GB: binomial reduce = 2 rounds = 2 seconds.

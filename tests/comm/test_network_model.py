@@ -1,12 +1,10 @@
-"""Tests for the closed-form collective cost models."""
-
-import math
+"""Self-consistency of the closed-form collective cost oracle."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.comm.network import NetworkModel
 from repro.hardware.cluster import NetworkSpec
+from tests.comm.network_model import NetworkModel
 
 
 @pytest.fixture

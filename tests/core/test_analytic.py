@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.analytic import (
     AnalyticModel,
     Regime,
-    brute_force_split,
     multi_device_split,
     node_partition_weights,
     predicted_runtime,
@@ -25,8 +24,19 @@ from repro.core.intensity import (
     gemv_intensity,
     gmm_intensity,
 )
-from repro.hardware import Cluster, delta_cluster
+from repro.hardware import Cluster
 from repro.hardware.presets import bigred2_node, delta_node
+
+
+def brute_force_split(node, intensity, nbytes=1e9, *, staged=True):
+    """Grid-search ``argmin_p T_gc(p)``: the reference the analytic
+    model's equal-time split must match."""
+    ps = np.linspace(0.0, 1.0, 4096)
+    times = [
+        predicted_runtime(node, intensity, nbytes, p, staged=staged)
+        for p in ps
+    ]
+    return float(ps[int(np.argmin(times))])
 
 
 class TestTable5:

@@ -4,14 +4,13 @@ import pytest
 
 from repro.hardware import Cluster, FatNode
 from repro.hardware.cluster import NetworkSpec
-from repro.hardware.device import CpuSpec, GpuSpec
-from repro.hardware.presets import delta_node, tesla_c2070, xeon_x5660_pair
+from repro.hardware.presets import tesla_c2070, xeon_x5660_pair
 
 
 class TestFatNode:
     def test_devices_order_cpu_first(self, delta_two_gpus):
         devs = delta_two_gpus.devices
-        assert devs[0].is_cpu and all(d.is_gpu for d in devs[1:])
+        assert not devs[0].is_gpu and all(d.is_gpu for d in devs[1:])
 
     def test_gpu_property_returns_first(self, delta_two_gpus):
         assert delta_two_gpus.gpu == delta_two_gpus.gpus[0]
@@ -20,17 +19,6 @@ class TestFatNode:
         node = FatNode(name="cpuonly", cpu=xeon_x5660_pair())
         with pytest.raises(ValueError, match="no GPU"):
             _ = node.gpu
-
-    def test_daemon_count_one_per_gpu_plus_one(self, delta_two_gpus):
-        # Paper §III.C.1: 2 GPUs + 12 cores -> 3 daemon threads.
-        assert delta_two_gpus.daemon_count() == 3
-
-    def test_with_gpus_restricts(self, delta_two_gpus):
-        assert delta_two_gpus.with_gpus(1).n_gpus == 1
-
-    def test_with_gpus_rejects_too_many(self, delta):
-        with pytest.raises(ValueError):
-            delta.with_gpus(5)
 
     def test_cpu_slot_type_checked(self):
         with pytest.raises(ValueError, match="cpu slot"):

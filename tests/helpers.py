@@ -1,9 +1,10 @@
-"""Shared toy applications for runtime tests."""
+"""Shared toy applications and test oracles."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.apps.cmeans import fuzzy_memberships
 from repro.core.intensity import ConstantIntensity
 from repro.runtime.api import Block, IterativeMapReduceApp, MapReduceApp
 
@@ -134,3 +135,44 @@ def output_digest(output: dict) -> str:
         h.update(repr(key).encode())
         feed(output[key])
     return h.hexdigest()
+
+
+def cmeans_reference(
+    points: np.ndarray,
+    n_clusters: int,
+    m: float = 2.0,
+    iterations: int = 20,
+    seed: int = 0,
+) -> np.ndarray:
+    """Plain single-process FCM — the oracle distributed runs must match."""
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(points.shape[0], size=n_clusters, replace=False)
+    centers = np.asarray(points, dtype=np.float64)[idx].copy()
+    x = np.asarray(points, dtype=np.float64)
+    for _ in range(iterations):
+        u = fuzzy_memberships(x, centers, m)
+        w = u**m
+        centers = (w.T @ x) / np.sum(w, axis=0)[:, None]
+    return centers
+
+
+def degraded_makespan_bound(
+    fault_free_makespan: float,
+    kill_time: float,
+    lost_fraction: float,
+    overhead_s: float = 0.0,
+) -> float:
+    """Analytic upper bound on makespan after losing a device mid-run.
+
+    Work completed before ``kill_time`` is unaffected; the remaining
+    ``T0 - t`` seconds of schedule inflate by ``1 / (1 - f)`` when the
+    dead device held a fraction ``f`` of the cluster's throughput, plus
+    explicit recovery overhead (backoff waits, re-executed partial
+    blocks)::
+
+        T <= t + (T0 - t) / (1 - f) + overhead
+    """
+    if not 0.0 <= lost_fraction < 1.0:
+        raise ValueError(f"lost_fraction must be in [0, 1), got {lost_fraction}")
+    t = min(max(kill_time, 0.0), fault_free_makespan)
+    return t + (fault_free_makespan - t) / (1.0 - lost_fraction) + overhead_s

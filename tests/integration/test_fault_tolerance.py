@@ -15,7 +15,7 @@ from repro.data.synth import gaussian_mixture
 from repro.hardware import delta_cluster
 from repro.runtime.job import JobConfig
 from repro.runtime.prs import PRSRuntime
-from repro.simulate.faults import degraded_makespan_bound
+from tests.helpers import degraded_makespan_bound
 
 KILL_T = 0.03  # lands mid-iteration for every app below (setup ends ~0.02)
 

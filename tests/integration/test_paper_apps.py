@@ -8,7 +8,7 @@ split behaviour, the §IV co-processing speedups, and weak-scaling shape.
 import numpy as np
 import pytest
 
-from repro.apps.cmeans import CMeansApp, cmeans_reference
+from repro.apps.cmeans import CMeansApp
 from repro.apps.gemv import GemvApp
 from repro.apps.gmm import GMMApp
 from repro.apps.wordcount import WordCountApp
@@ -16,6 +16,7 @@ from repro.data.synth import gaussian_mixture, random_matrix, random_vector, tex
 from repro.hardware import delta_cluster
 from repro.runtime.job import JobConfig, Overheads, Scheduling
 from repro.runtime.prs import PRSRuntime
+from tests.helpers import cmeans_reference
 
 QUIET = Overheads(0.0, 0.0, 0.0, 0.0)
 

@@ -35,7 +35,7 @@ class TestEventLogUnits:
         assert log.error("x", "kept", t=0.0) is not None
         assert len(log) == 2
         assert log.emitted == 2
-        assert not log.wants_debug and not log.wants_info
+        assert not log.wants_debug
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError, match="unknown log level"):

@@ -118,10 +118,10 @@ class TestGauge:
         g = Gauge("depth")
         g.set(4.0, node="n0")
         g.inc(2.0, node="n0")
-        g.dec(5.0, node="n0")
+        g.inc(-5.0, node="n0")  # a gauge goes down by a negative inc
         assert g.value(node="n0") == 1.0
-        g.dec()  # unlabeled series is independent
-        assert g.value() == -1.0
+        g.inc()  # unlabeled series is independent
+        assert g.value() == 1.0
 
 
 class TestHistogramBucketing:

@@ -95,7 +95,7 @@ class TestNesting:
         outer = t.begin("outer", "trk", 0.0)
         inner = t.begin("inner", "trk", 5.0)
         t.finalize(3.0)  # earlier than inner.start: clamps, never negative
-        assert not t.open_spans()
+        assert not any(s.is_open for s in t.spans)
         assert inner.end == 5.0
         assert outer.end == 3.0
 

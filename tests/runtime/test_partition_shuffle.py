@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.runtime.partition import (
-    default_partition_count,
+
     partition_range,
     weighted_partition,
 )
@@ -33,10 +33,6 @@ class TestPartitionRange:
         sizes = [hi - lo for lo, hi in parts]
         assert sum(sizes) == 2
         assert sizes.count(0) == 3
-
-    def test_default_count_is_two_per_node(self):
-        """Paper §III.B.2: default partitions = 2 x fat nodes."""
-        assert default_partition_count(4) == 8
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(0, 10_000), k=st.integers(1, 64))

@@ -69,7 +69,7 @@ class TestResource:
 
         def worker():
             yield res.request()
-            peak[0] = max(peak[0], res.in_use)
+            peak[0] = max(peak[0], res.capacity - res.available)
             yield eng.timeout(1.0)
             res.release()
 

@@ -7,7 +7,6 @@ from repro.core.granularity import overlap_percentage
 from repro.simulate.streams import (
     StreamBlock,
     kernel_time,
-    serialized_batch_time,
     simulate_stream_batch,
 )
 from repro.simulate.trace import Trace
@@ -21,6 +20,15 @@ def balanced_blocks(gpu, n=4, nbytes=1e7):
     blk = StreamBlock(in_bytes=nbytes, flops=flops)
     assert kernel_time(gpu, blk) == pytest.approx(pcie_t, rel=0.2)
     return [blk] * n
+
+
+def serialized_batch_time(gpu, blocks):
+    """Analytic no-overlap reference: sum of every copy and kernel time."""
+    total = 0.0
+    for b in blocks:
+        total += (b.in_bytes + b.out_bytes) / (gpu.pcie_bandwidth * 1e9)
+        total += kernel_time(gpu, b)
+    return total
 
 
 class TestStreamBlock:

@@ -148,18 +148,6 @@ class TestQueries:
 
 
 class TestExport:
-    def test_csv_roundtrip_structure(self):
-        t = Trace()
-        t.record("a,b", "gpu", "compute", 0.0, 1.5, nbytes=10, flops=20)
-        csv = t.to_csv()
-        lines = csv.splitlines()
-        assert lines[0] == "label,device,kind,start,end,nbytes,flops"
-        assert lines[1].startswith('"a,b",gpu,compute,')
-
-    def test_csv_quotes_embedded_quotes(self):
-        t = Trace()
-        t.record('say "hi"', "d", "net", 0, 1)
-        assert '"say ""hi"""' in t.to_csv()
 
     def test_records_json_roundtrip(self):
         import json
@@ -318,18 +306,6 @@ def _ref_gantt(recs, width):
     return "\n".join(lines)
 
 
-def _ref_csv(recs):
-    def quote(text):
-        if "," in text or '"' in text or "\n" in text:
-            return '"' + text.replace('"', '""') + '"'
-        return text
-
-    return "\n".join(["label,device,kind,start,end,nbytes,flops"] + [
-        f"{quote(r.label)},{quote(r.device)},{quote(r.kind)},"
-        f"{r.start!r},{r.end!r},{r.nbytes!r},{r.flops!r}"
-        for r in recs
-    ])
-
 
 class TestSingleStore:
     """A record is stored once, as its span; every record query must read
@@ -393,7 +369,6 @@ class TestSingleStore:
 
     def test_exports(self, trace):
         ref = trace.ref
-        assert trace.to_csv() == _ref_csv(ref)
         assert trace.gantt(width=60) == _ref_gantt(ref, 60)
         rebuilt = Trace()
         for r in ref:
