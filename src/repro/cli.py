@@ -23,8 +23,14 @@ The subcommands expose the library without writing code:
 
 ``trace export``
     Run an application and export its span hierarchy as Chrome
-    trace-event JSON (Perfetto-loadable) or JSONL; ``--check`` gates the
+    trace-event JSON (Perfetto-loadable) or as a profile JSONL (spans plus
+    sampled series, host profile and event log); ``--check`` gates the
     export on the profile self-consistency checks.
+
+``analyze``, ``dashboard``, ``selfprof``, ``logs``
+    Read a saved run.  Each opens its file with
+    :func:`repro.obs.profile.load_profile` and exits with one line naming
+    the file and the formats it accepts when the file does not load.
 
 ``policies``
     List the registered sub-task scheduling policies (selectable with
@@ -496,121 +502,24 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_paths(paths: list[str]) -> list[str]:
-    """Expand profile arguments: directories become their ``*.trace.json``
-    files, sorted for determinism."""
+#: the saved runs each reader accepts, named in its error line
+SPAN_FORMATS = (
+    "a *.profile.jsonl (trace export --format profile) or a *.trace.json "
+    "(trace export --format chrome)"
+)
+SELFPROF_FORMATS = (
+    "a *.profile.jsonl of a --selfprof run or a run --selfprof-out file"
+)
+LOG_FORMATS = "a *.profile.jsonl of a --log-level run"
+
+
+def _saved_run_paths(paths: list[str]) -> list[str]:
+    """Expand saved-run arguments: a directory becomes its
+    ``*.profile.jsonl`` and ``*.trace.json`` files, sorted."""
     import pathlib
 
     out: list[str] = []
     for raw in paths:
-        p = pathlib.Path(raw)
-        if p.is_dir():
-            found = sorted(str(f) for f in p.glob("*.trace.json"))
-            if not found:
-                raise SystemExit(f"no *.trace.json profiles under {raw!r}")
-            out.extend(found)
-        elif p.exists():
-            out.append(str(p))
-        else:
-            raise SystemExit(f"profile not found: {raw!r}")
-    return out
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    """Post-run trace analytics: live run or saved profile(s)."""
-    import json
-
-    from repro.analysis.report import render_analysis
-    from repro.obs.analyze import analyze_tracer
-    from repro.obs.spans import SpanTracer
-
-    analyses: list[tuple[str, Any]] = []
-    host = None
-    if args.profiles:
-        if args.self_host:
-            print("analyze --self: saved Chrome traces carry no host "
-                  "self-profile; run live (omit PROFILE args) to measure "
-                  "the simulator's wall clock", file=sys.stderr)
-        for path in _profile_paths(args.profiles):
-            with open(path, "r", encoding="utf-8") as fh:
-                tracer = SpanTracer.from_chrome(json.load(fh))
-            analyses.append(
-                (path, analyze_tracer(tracer, top_stragglers=args.top))
-            )
-    else:
-        _, app, _, result = _run_job(args)
-        analyses.append((app.name, result.analyze(top_stragglers=args.top)))
-        host = result.selfprofile
-
-    problems: list[str] = []
-    for label, analysis in analyses:
-        for problem in analysis.check():
-            problems.append(f"{label}: {problem}")
-    if not args.profiles and result.logs is not None:
-        # Log/span cross-validation: every ERROR record must pair with a
-        # recovery or alert span (the flight recorder narrates failures
-        # the recovery layer then acts on — an unpaired ERROR means a
-        # failure nothing handled).
-        from repro.obs.log import unpaired_errors
-
-        for record in unpaired_errors(result.logs, result.trace.tracer):
-            problems.append(
-                f"{app.name}: ERROR log record seq={record.seq} "
-                f"({record.logger}: {record.message!r} at t={record.t:.6g}) "
-                "pairs with no recovery/alert span"
-            )
-
-    if args.json or args.out is not None:
-        payload = {
-            label: analysis.to_dict() for label, analysis in analyses
-        }
-        if host is not None:
-            label = analyses[0][0]
-            payload[label]["host"] = {
-                "wall_s": host.wall_s,
-                "sim_per_wall": host.sim_per_wall,
-                "events_per_sec": host.events_per_sec,
-                "sections": host.section_shares(),
-                "top_exclusive": host.top_exclusive(args.top),
-            }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.out is not None and args.out != "-":
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            print(f"wrote analysis of {len(analyses)} run(s) to {args.out}")
-        else:
-            print(text)
-    if not args.json:
-        for label, analysis in analyses:
-            print(f"=== {label}")
-            print(render_analysis(analysis, comm=args.comm))
-            if host is not None:
-                from repro.analysis.report import render_selfprof
-
-                print(render_selfprof(host))
-            print()
-
-    if args.check and problems:
-        for problem in problems:
-            print(f"analysis check FAILED: {problem}", file=sys.stderr)
-        return 1
-    if args.check:
-        print("analysis check passed: critical path + slack tiles the "
-              "makespan, slack decomposition sums, message spans pair 1:1"
-              + (", ERROR log records pair with recovery/alert spans"
-                 if not args.profiles and result.logs is not None else ""))
-    return 0
-
-
-def cmd_dashboard(args: argparse.Namespace) -> int:
-    """Render saved profile(s) into standalone HTML dashboards."""
-    import pathlib
-
-    from repro.obs.dashboard import render_dashboard
-    from repro.obs.profile import load_profile
-
-    paths: list[str] = []
-    for raw in args.profiles:
         p = pathlib.Path(raw)
         if p.is_dir():
             found = sorted(
@@ -622,15 +531,126 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
                 raise SystemExit(
                     f"no *.profile.jsonl / *.trace.json profiles under {raw!r}"
                 )
-            paths.extend(found)
+            out.extend(found)
         elif p.exists():
-            paths.append(str(p))
+            out.append(str(p))
         else:
             raise SystemExit(f"profile not found: {raw!r}")
+    return out
+
+
+def _load_saved_run(path: str, accepts: str, spans: bool = True):
+    """Open a saved run with :func:`repro.obs.profile.load_profile`.
+
+    Exits with one line naming *path* and the formats the reader
+    *accepts* when the file does not load or, with *spans*, holds no
+    span.
+    """
+    from repro.obs.profile import load_profile
+
+    try:
+        profile = load_profile(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise SystemExit(
+            f"{path}: not a saved run ({exc}); expected {accepts}"
+        ) from None
+    if spans and not len(profile.tracer):
+        raise SystemExit(f"{path}: holds no span; expected {accepts}")
+    return profile
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    """Post-run trace analytics: live run or saved run(s)."""
+    import json
+
+    from repro.analysis.report import render_analysis, render_selfprof
+    from repro.obs.analyze import analyze_tracer
+    from repro.obs.log import unpaired_errors
+
+    # (label, analysis, tracer, event log, host self-profile) per run
+    runs: list[tuple[str, Any, Any, Any, Any]] = []
+    if args.profiles:
+        for path in _saved_run_paths(args.profiles):
+            profile = _load_saved_run(path, SPAN_FORMATS)
+            host = profile.host if args.self_host else None
+            if args.self_host and host is None:
+                print(f"analyze --self: {path} carries no host self-profile "
+                      "(save it from a --selfprof run)", file=sys.stderr)
+            analysis = analyze_tracer(profile.tracer, top_stragglers=args.top)
+            runs.append((path, analysis, profile.tracer, profile.log, host))
+    else:
+        _, app, _, result = _run_job(args)
+        analysis = result.analyze(top_stragglers=args.top)
+        runs.append((app.name, analysis, result.trace.tracer, result.logs,
+                     result.selfprofile))
+
+    problems: list[str] = []
+    logged = False
+    for label, analysis, tracer, log, _ in runs:
+        for problem in analysis.check():
+            problems.append(f"{label}: {problem}")
+        if log is None:
+            continue
+        # Log/span cross-validation: every ERROR record must pair with a
+        # recovery or alert span (the flight recorder narrates failures
+        # the recovery layer then acts on — an unpaired ERROR means a
+        # failure nothing handled).
+        logged = True
+        for record in unpaired_errors(log, tracer):
+            problems.append(
+                f"{label}: ERROR log record seq={record.seq} "
+                f"({record.logger}: {record.message!r} at t={record.t:.6g}) "
+                "pairs with no recovery/alert span"
+            )
+
+    if args.json or args.out is not None:
+        payload = {}
+        for label, analysis, _, _, host in runs:
+            payload[label] = analysis.to_dict()
+            if host is not None:
+                payload[label]["host"] = {
+                    "wall_s": host.wall_s,
+                    "sim_per_wall": host.sim_per_wall,
+                    "events_per_sec": host.events_per_sec,
+                    "sections": host.section_shares(),
+                    "top_exclusive": host.top_exclusive(args.top),
+                }
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        if args.out is not None and args.out != "-":
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            print(f"wrote analysis of {len(runs)} run(s) to {args.out}")
+        else:
+            print(text)
+    if not args.json:
+        for label, analysis, _, _, host in runs:
+            print(f"=== {label}")
+            print(render_analysis(analysis, comm=args.comm))
+            if host is not None:
+                print(render_selfprof(host))
+            print()
+
+    if args.check and problems:
+        for problem in problems:
+            print(f"analysis check FAILED: {problem}", file=sys.stderr)
+        return 1
+    if args.check:
+        print("analysis check passed: critical path + slack tiles the "
+              "makespan, slack decomposition sums, message spans pair 1:1"
+              + (", ERROR log records pair with recovery/alert spans"
+                 if logged else ""))
+    return 0
+
+
+def cmd_dashboard(args: argparse.Namespace) -> int:
+    """Render saved profile(s) into standalone HTML dashboards."""
+    from repro.obs.dashboard import render_dashboard
+
+    paths = _saved_run_paths(args.profiles)
     if args.out is not None and len(paths) > 1:
         raise SystemExit("--out needs exactly one input profile")
     for path in paths:
-        page = render_dashboard(load_profile(path))
+        page = render_dashboard(_load_saved_run(path, SPAN_FORMATS))
         if args.out == "-":
             sys.stdout.write(page)
             continue
@@ -653,26 +673,8 @@ def cmd_selfprof(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis.report import render_selfprof
-    from repro.obs.selfprof import HostProfile
 
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    host = None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        obj = None
-    if isinstance(obj, dict) and "host_profile" in obj:
-        # Standalone self-profile (run --selfprof-out).
-        host = HostProfile.from_dict(obj["host_profile"])
-    elif isinstance(obj, dict) and "tree" in obj:
-        # A bare HostProfile.to_dict dump.
-        host = HostProfile.from_dict(obj)
-    else:
-        # Full profile JSONL (schema v2 host_profile line).
-        from repro.obs.profile import loads_profile
-
-        host = loads_profile(text).host
+    host = _load_saved_run(args.file, SELFPROF_FORMATS, spans=False).host
     if host is None:
         raise SystemExit(
             f"{args.file}: no host self-profile found — produce one with "
@@ -708,9 +710,7 @@ def cmd_selfprof(args: argparse.Namespace) -> int:
 
 def cmd_logs(args: argparse.Namespace) -> int:
     """Browse the structured event log of a saved schema-v3 profile."""
-    from repro.obs.profile import load_profile
-
-    profile = load_profile(args.file)
+    profile = _load_saved_run(args.file, LOG_FORMATS)
     log = profile.log
     if log is None:
         raise SystemExit(
@@ -789,15 +789,12 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
     if args.format == "chrome":
         text = result.trace.tracer.to_chrome_json(indent=args.indent)
         default_out = f"{app.name}.trace.json"
-    elif args.format == "profile":
+    else:
         from repro.obs.profile import profile_jsonl
 
         meta = _profile_meta(args, cluster, app, config, result)
         text = profile_jsonl(result.trace, meta, host=result.selfprofile)
         default_out = f"{app.name}.profile.jsonl"
-    else:
-        text = result.trace.tracer.to_jsonl()
-        default_out = f"{app.name}.spans.jsonl"
 
     out = args.out if args.out is not None else default_out
     if out == "-":
@@ -970,10 +967,10 @@ def build_parser() -> argparse.ArgumentParser:
              "stragglers, scheduler-decision audit",
     )
     analyze.add_argument("profiles", nargs="*", metavar="PROFILE",
-                         help="saved *.trace.json profile(s) or "
-                              "directories of them; omit to run an app "
-                              "live (full analysis incl. audit + steal "
-                              "efficiency)")
+                         help="saved *.profile.jsonl / *.trace.json "
+                              "run(s) or directories of them; omit to run "
+                              "an app live (full analysis incl. audit + "
+                              "steal efficiency)")
     _add_run_options(analyze)
     analyze.add_argument("--json", action="store_true",
                          help="emit the analysis as JSON instead of text")
@@ -994,9 +991,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "and send/recv spans pair 1:1")
     analyze.add_argument("--self", dest="self_host", action="store_true",
                          help="also self-profile the simulator's host "
-                              "wall clock during the live run and merge "
-                              "the top hotspots + sim-s/wall-s into the "
-                              "report (docs/PROFILING.md)")
+                              "wall clock during the live run (or read a "
+                              "saved profile's host_profile line) and "
+                              "merge the top hotspots + sim-s/wall-s into "
+                              "the report (docs/PROFILING.md)")
     analyze.set_defaults(func=cmd_analyze)
 
     dashboard = sub.add_parser(
@@ -1067,17 +1065,17 @@ def build_parser() -> argparse.ArgumentParser:
         "export", help="run an app and export its span hierarchy"
     )
     _add_run_options(export)
-    export.add_argument("--format", choices=["chrome", "jsonl", "profile"],
+    export.add_argument("--format", choices=["chrome", "profile"],
                         default="chrome",
                         help="chrome: trace-event JSON for Perfetto / "
-                             "chrome://tracing; jsonl: one span per line; "
-                             "profile: full JSONL profile (meta + spans + "
-                             "sampled time-series) for `repro dashboard` "
-                             "and offline re-analysis")
+                             "chrome://tracing; profile: JSONL with a meta "
+                             "line, one line per span and per sampled "
+                             "series (plus host profile and event log when "
+                             "on), read by `repro analyze`, `dashboard`, "
+                             "`selfprof` and `logs`")
     export.add_argument("--out", default=None, metavar="PATH",
                         help="output file ('-' for stdout; default "
-                             "{app}.trace.json / {app}.spans.jsonl / "
-                             "{app}.profile.jsonl)")
+                             "{app}.trace.json / {app}.profile.jsonl)")
     export.add_argument("--indent", type=int, default=None,
                         help="pretty-print the chrome JSON")
     export.add_argument("--check", action="store_true",

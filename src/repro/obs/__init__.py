@@ -188,7 +188,8 @@ def phase_makespan_gap(trace, makespan: float) -> float:
     """
     sums: dict[int, float] = {}
     for span in trace.phase_spans:
-        sums[span.rank] = sums.get(span.rank, 0.0) + span.duration
+        rank = span.attrs["rank"]
+        sums[rank] = sums.get(rank, 0.0) + span.duration
     if not sums:
         return abs(makespan)
     return abs(makespan - max(sums.values()))

@@ -21,7 +21,8 @@ package explains *why*:
 
 :func:`analyze_run` bundles the first three for a finished
 :class:`~repro.runtime.job.JobResult`; :func:`analyze_tracer` covers
-span-only sources (profiles reloaded via ``SpanTracer.from_chrome``).
+saved runs (spans reloaded by ``repro.obs.profile.load_profile`` from a
+profile JSONL or a Chrome trace JSON).
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ __all__ = [
 
 def membership_from_tracer(tracer) -> list[dict[str, Any]]:
     """Plain-dict view of the ``membership``-category spans (one per
-    epoch transition); saved profiles round-trip these as spans, so this
-    works on reloaded Chrome traces too."""
+    epoch transition); saved runs round-trip these as spans, so this
+    works on reloaded profiles too."""
     out: list[dict[str, Any]] = []
     for span in tracer.find(category="membership"):
         attrs = span.attrs
@@ -187,7 +188,7 @@ def analyze_tracer(
     """Analyze a span tracer (live or rebuilt from a saved profile).
 
     Without *audit* the drift series and decision list are empty —
-    exactly what a bare Chrome trace can support.
+    exactly what a saved run supports (it keeps no decision log).
     """
     if audit is None:
         audit = DecisionLog()

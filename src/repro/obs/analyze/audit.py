@@ -24,7 +24,7 @@ the audit cannot perturb a schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 #: decision kinds that choose a CPU fraction (participate in drift)
 SPLIT_KINDS = ("static-split", "adaptive-refit", "recovery-refit")
@@ -55,17 +55,6 @@ class DecisionRecord:
             "inputs": dict(self.inputs),
             "outputs": dict(self.outputs),
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "DecisionRecord":
-        return cls(
-            kind=payload["kind"],
-            node=payload["node"],
-            time=payload["time"],
-            iteration=payload["iteration"],
-            inputs=dict(payload.get("inputs", {})),
-            outputs=dict(payload.get("outputs", {})),
-        )
 
 
 class DecisionLog:
@@ -101,35 +90,12 @@ class DecisionLog:
     def records(self) -> tuple[DecisionRecord, ...]:
         return tuple(self._records)
 
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def filter(
-        self, kind: str | None = None, node: str | None = None
-    ) -> list[DecisionRecord]:
-        out: Iterable[DecisionRecord] = self._records
-        if kind is not None:
-            out = [r for r in out if r.kind == kind]
-        if node is not None:
-            out = [r for r in out if r.node == node]
-        return list(out)
-
     def splits(self, node: str | None = None) -> list[DecisionRecord]:
         """The split-choosing decisions, in record order."""
         out = [r for r in self._records if r.kind in SPLIT_KINDS]
         if node is not None:
             out = [r for r in out if r.node == node]
         return out
-
-    def to_records(self) -> list[dict[str, Any]]:
-        return [r.to_dict() for r in self._records]
-
-    @classmethod
-    def from_records(cls, payload: list[dict[str, Any]]) -> "DecisionLog":
-        log = cls()
-        for item in payload:
-            log.append(DecisionRecord.from_dict(item))
-        return log
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ edges and derives the three views the ISSUE asks for:
   (:meth:`CommGraph.matrix`), the span-level twin of the
   ``prs_comm_bytes_total{src,dst,tag,link}`` counters;
 * a **network timeline**: per-link busy intervals and utilization
-  (:meth:`CommGraph.link_timeline` / :meth:`CommGraph.link_utilization`),
-  built from the overlap-merged send spans of each ``src_node ->
-  dst_node`` link.
+  (:meth:`CommGraph.link_timeline`, :meth:`LinkUse.utilization`), built
+  from the overlap-merged send spans of each ``src_node -> dst_node``
+  link.
 
 Everything here reads span *attrs* only — never :mod:`repro.comm.mpi`
 itself — so the module works identically on a live tracer and on one
-rebuilt from a saved Chrome profile (``SpanTracer.from_chrome``).
+reloaded from a saved run (``repro.obs.profile.load_profile``).
 """
 
 from __future__ import annotations
@@ -66,27 +66,6 @@ class Message:
     delay_s: float = 0.0
     #: analytic fault-free wire time (alpha + n*beta); 0 for local links
     pred_s: float = 0.0
-
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "msg_id": self.msg_id,
-            "src": self.src,
-            "dst": self.dst,
-            "src_node": self.src_node,
-            "dst_node": self.dst_node,
-            "tag": self.tag,
-            "tag_class": self.tag_class,
-            "nbytes": self.nbytes,
-            "link": self.link,
-            "sent_at": self.sent_at,
-            "visible_at": self.visible_at,
-            "recv_start": self.recv_start,
-            "recv_end": self.recv_end,
-            "retransmits": self.retransmits,
-            "delay_s": self.delay_s,
-            "pred_s": self.pred_s,
-        }
 
 
 @dataclass(frozen=True)
@@ -206,13 +185,6 @@ class CommGraph:
         ]
         uses.sort(key=lambda u: (-u.busy_s, u.src_node, u.dst_node))
         return uses
-
-    def link_utilization(self, makespan: float) -> dict[str, float]:
-        """Busy fraction per ``src->dst`` link over the makespan."""
-        return {
-            f"n{u.src_node}->n{u.dst_node}": u.utilization(makespan)
-            for u in self.link_timeline()
-        }
 
     def check(self, tol: float = 1e-6) -> list[str]:
         """Happens-before consistency problems (empty = healthy).

@@ -35,9 +35,10 @@ label in ``{"sender", "network", "compute"}`` and
 by construction.  Without *comm*, recv spans are treated as opaque
 leaves and all slack is ``wait_on="compute"`` — the pre-PR-5 behavior.
 
-Works on a live :class:`~repro.obs.spans.SpanTracer` or on one rebuilt
-from a Chrome export (``SpanTracer.from_chrome``), so ``repro analyze``
-can post-process saved ``*.trace.json`` profiles.
+Works on a live :class:`~repro.obs.spans.SpanTracer` or on one reloaded
+from a saved run (``repro.obs.profile.load_profile``: profile JSONL or
+Chrome trace JSON), so ``repro analyze`` can post-process saved
+``*.profile.jsonl`` and ``*.trace.json`` files.
 """
 
 from __future__ import annotations

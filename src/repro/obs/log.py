@@ -93,9 +93,6 @@ class LogRecord:
     def severity(self) -> int:
         return LEVELS[self.level]
 
-    def labels(self) -> dict[str, str]:
-        return dict(self.attrs)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "seq": self.seq,
@@ -266,10 +263,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return sum(len(ring) for ring in self._rings.values())
-
-    def ranks(self) -> list[int]:
-        """Ring keys in sorted order (-1 = driver/unattributed records)."""
-        return sorted(self._rings)
 
     # -- flight recorder -----------------------------------------------
     def dump(self, trigger: str, cause: str, t: float) -> FlightDump | None:

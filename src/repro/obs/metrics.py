@@ -123,12 +123,6 @@ class Metric:
         self.help = help
         self._samples: dict[LabelKey, Any] = {}
 
-    def labels(self) -> list[dict[str, str]]:
-        return [dict(key) for key in self._samples]
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
 
 class Counter(Metric):
     """A monotonically increasing sum per label set."""
@@ -203,9 +197,6 @@ class Gauge(Metric):
         key = _label_key(labels)
         self._samples[key] = self._samples.get(key, 0.0) + value
 
-    def value(self, **labels: Any) -> float:
-        return self._samples.get(_label_key(labels), 0.0)
-
     def samples(self) -> list[tuple[dict[str, str], float]]:
         return [(dict(k), v) for k, v in self._samples.items()]
 
@@ -226,7 +217,7 @@ class _HistogramSeries:
 
 
 class Histogram(Metric):
-    """Cumulative-bucket histogram with interpolated quantiles.
+    """Cumulative-bucket histogram (Prometheus ``_bucket``/``_sum``/``_count``).
 
     ``bounds`` are the finite upper bucket boundaries (sorted,
     deduplicated); a ``+Inf`` bucket is always appended, so every
@@ -258,42 +249,6 @@ class Histogram(Metric):
         series.bucket_counts[idx] += 1
         series.sum += value
         series.count += 1
-
-    # ------------------------------------------------------------------
-    def count(self, **labels: Any) -> int:
-        series = self._samples.get(_label_key(labels))
-        return 0 if series is None else series.count
-
-    def total(self, **labels: Any) -> float:
-        series = self._samples.get(_label_key(labels))
-        return 0.0 if series is None else series.sum
-
-    def quantile(self, q: float, **labels: Any) -> float:
-        """Estimate the *q*-quantile by linear interpolation in-bucket.
-
-        Matches PromQL's ``histogram_quantile``: the lower edge of the
-        first bucket is 0, and a target landing in the ``+Inf`` bucket
-        clamps to the highest finite bound.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        series = self._samples.get(_label_key(labels))
-        if series is None or series.count == 0:
-            return math.nan
-        target = q * series.count
-        cumulative = 0
-        for idx, n in enumerate(series.bucket_counts):
-            if n == 0:
-                continue
-            if cumulative + n >= target:
-                upper = self.bounds[idx]
-                if math.isinf(upper):
-                    return self.bounds[-2]
-                lower = 0.0 if idx == 0 else self.bounds[idx - 1]
-                fraction = (target - cumulative) / n
-                return lower + (upper - lower) * fraction
-            cumulative += n
-        return self.bounds[-2]
 
     def render(self) -> list[str]:
         lines: list[str] = []
@@ -360,9 +315,6 @@ class MetricsRegistry:
     def __iter__(self) -> Iterator[Metric]:
         for name in self.names():
             yield self._metrics[name]
-
-    def __len__(self) -> int:
-        return len(self._metrics)
 
     # ------------------------------------------------------------------
     def render(self) -> str:
@@ -455,9 +407,6 @@ class IntervalUnion:
             self._ends[lo:hi] = [new_end]
         self.total += added
         return added
-
-    def __len__(self) -> int:
-        return len(self._starts)
 
     def intervals(self) -> list[tuple[float, float]]:
         return list(zip(self._starts, self._ends))

@@ -52,7 +52,10 @@ its sampling grid.  v1-v3 files load unchanged under the v4 reader (the
 such line, and a series line without ``grid`` is read point by point).
 
 :func:`load_profile` also accepts a plain Chrome trace JSON file
-(spans only, no series) so ``repro dashboard`` works on both.
+(spans only, no series) and the one-line ``{"host_profile": ...}`` file
+``repro run --selfprof-out`` writes.  It is the one loader of every CLI
+reader of a saved run: ``analyze``, ``dashboard``, ``selfprof`` and
+``logs``.
 """
 
 from __future__ import annotations
@@ -144,25 +147,19 @@ class LoadedProfile:
 
 def _tracer_from_span_dicts(payloads: list[dict[str, Any]]) -> SpanTracer:
     """Rebuild a tracer from :meth:`Span.to_dict` payloads, keeping the
-    original span/parent ids (same fix-up :meth:`SpanTracer.from_chrome`
-    applies)."""
+    original span/parent ids."""
     tracer = SpanTracer()
     for p in payloads:
-        span = tracer.record(
+        tracer.record(
             p["name"],
             p["track"],
             p["start"],
             p["end"],
             category=p.get("category", ""),
             parent_id=p.get("parent_id"),
-            attrs=dict(p.get("attrs", {})),
+            attrs=p.get("attrs"),
+            span_id=p.get("span_id"),
         )
-        span_id = p.get("span_id")
-        if span_id is not None:
-            del tracer._by_id[span.span_id]
-            span.span_id = span_id
-            tracer._by_id[span_id] = span
-            tracer._next_id = max(tracer._next_id, span_id + 1)
     return tracer
 
 

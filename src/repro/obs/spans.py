@@ -1,4 +1,4 @@
-"""Hierarchical span tracing with Chrome trace-event and JSONL export.
+"""Hierarchical span tracing with Chrome trace-event export.
 
 A :class:`Span` is one named, timed interval on one *track* (a rank, a
 device, a NIC).  Spans nest — the runtime builds the hierarchy
@@ -16,10 +16,12 @@ Exports:
 * :meth:`SpanTracer.to_chrome` — the Chrome trace-event JSON object
   format (``{"traceEvents": [...]}`` with ``ph: "X"`` complete events and
   thread-name metadata), loadable directly in Perfetto / chrome://tracing;
-* :meth:`SpanTracer.to_jsonl` — one JSON object per span, for ad-hoc
-  ``jq``/pandas analysis;
 * :meth:`SpanTracer.from_chrome` — rebuilds a tracer from the Chrome
   export (round-trip tested).
+
+The profile JSONL format (:mod:`repro.obs.profile`) writes one
+:meth:`Span.to_dict` line per span and reloads it through the same
+id-preserving :meth:`SpanTracer.record` as :meth:`from_chrome`.
 
 All timestamps are simulated seconds; the Chrome export scales to the
 microseconds the trace-event schema expects.
@@ -91,14 +93,22 @@ class SpanTracer:
         parent_id: Any,
         category: str,
         attrs: dict[str, Any],
+        span_id: int | None = None,
     ) -> Span:
         """Append a span that adopts *attrs* (callers pass a dict they
-        own; :meth:`begin`/:meth:`record` copy the caller's)."""
+        own; :meth:`begin`/:meth:`record` copy the caller's).  A given
+        *span_id* is kept (a reloaded span); otherwise the next id is
+        taken."""
         if parent_id is AUTO:
             stack = self._stacks.get(track)
             parent_id = stack[-1].span_id if stack else None
+        if span_id is None:
+            span_id = self._next_id
+            self._next_id += 1
+        elif span_id >= self._next_id:
+            self._next_id = span_id + 1
         span = Span(
-            span_id=self._next_id,
+            span_id=span_id,
             name=name,
             track=track,
             start=start,
@@ -107,7 +117,6 @@ class SpanTracer:
             category=category,
             attrs=attrs,
         )
-        self._next_id += 1
         self._spans.append(span)
         self._by_id[span.span_id] = span
         if track not in self._stacks:
@@ -165,13 +174,18 @@ class SpanTracer:
         category: str = "",
         parent_id: Any = AUTO,
         attrs: dict[str, Any] | None = None,
+        span_id: int | None = None,
     ) -> Span:
-        """Append an already-finished span (retrospective bracketing)."""
+        """Append an already-finished span (retrospective bracketing).
+
+        *span_id* keeps the id a saved span was written with, so a
+        reloaded tracer's parent links and log correlations still hold.
+        """
         if not end >= start:  # also rejects NaN bounds
             raise ValueError(f"span {name!r}: end {end} precedes start {start}")
         return self._new_span(
             name, track, start, end, parent_id, category,
-            dict(attrs) if attrs else {},
+            dict(attrs) if attrs else {}, span_id,
         )
 
     # ------------------------------------------------------------------
@@ -182,14 +196,8 @@ class SpanTracer:
     def __len__(self) -> int:
         return len(self._spans)
 
-    def tracks(self) -> list[str]:
-        return list(self._tracks)
-
     def get(self, span_id: int) -> Span | None:
         return self._by_id.get(span_id)
-
-    def children(self, span_id: int) -> list[Span]:
-        return [s for s in self._spans if s.parent_id == span_id]
 
     def find(
         self, category: str | None = None, track: str | None = None
@@ -347,7 +355,7 @@ class SpanTracer:
             span_id = args.pop("span_id", None)
             parent_id = args.pop("parent_id", None)
             start = ev["ts"] / 1e6
-            span = tracer.record(
+            tracer.record(
                 ev["name"],
                 track_of.get(ev["tid"], f"tid{ev['tid']}"),
                 start,
@@ -355,16 +363,6 @@ class SpanTracer:
                 category="" if ev.get("cat") == "span" else ev.get("cat", ""),
                 parent_id=parent_id,
                 attrs=args,
+                span_id=span_id,
             )
-            if span_id is not None:  # keep original ids stable
-                del tracer._by_id[span.span_id]
-                span.span_id = span_id
-                tracer._by_id[span_id] = span
-                tracer._next_id = max(tracer._next_id, span_id + 1)
         return tracer
-
-    def to_jsonl(self) -> str:
-        """One JSON object per span, in recording order."""
-        return "\n".join(json.dumps(s.to_dict()) for s in self._spans) + (
-            "\n" if self._spans else ""
-        )

@@ -6,9 +6,10 @@ answers "how much, *when*?".  A :class:`MetricSampler` attached to a
 and gauge onto a fixed grid of simulated instants ``t_k = k *
 sample_interval`` and records the values in ring-bounded
 :class:`Series`, which store only the instants where a value changes.
-Windowed aggregators (rate, mean, max, interpolated p50/p99) are
-computed lazily from the stored runs, so sampling itself is a few dict
-walks and comparisons per grid crossing and *nothing* at other times.
+Windowed aggregates (the alert rules' rate, mean, max, p50/p99; the
+autoscaler's mean and max) are computed lazily from the stored runs, so
+sampling itself is a few dict walks and comparisons per grid crossing
+and *nothing* at other times.
 
 Zero-perturbation contract
 --------------------------
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from math import copysign, inf, isfinite
+from math import copysign, isfinite
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro._validation import require_nonnegative, require_positive
@@ -279,29 +280,6 @@ class Series:
     # ------------------------------------------------------------------
     # Lazy windowed aggregators
     # ------------------------------------------------------------------
-    def value(self, at: float) -> float | None:
-        """Latest sampled value at or before *at* (None before data)."""
-        pts = self.window(-inf, at)
-        return pts[-1][1] if pts else None
-
-    def increase(self, t0: float, t1: float) -> float | None:
-        """Last minus first sampled value in the window (for counters)."""
-        pts = self.window(t0, t1)
-        if len(pts) < 2:
-            return None
-        return pts[-1][1] - pts[0][1]
-
-    def rate(self, t0: float, t1: float) -> float | None:
-        """Per-second increase over the window, using actual sample
-        timestamps (None with fewer than two samples or zero elapsed)."""
-        pts = self.window(t0, t1)
-        if len(pts) < 2:
-            return None
-        dt = pts[-1][0] - pts[0][0]
-        if dt <= 0.0:
-            return None
-        return (pts[-1][1] - pts[0][1]) / dt
-
     def mean(self, t0: float, t1: float) -> float | None:
         pts = self.window(t0, t1)
         if not pts:
@@ -311,16 +289,6 @@ class Series:
     def vmax(self, t0: float, t1: float) -> float | None:
         pts = self.window(t0, t1)
         return max((v for _, v in pts), default=None)
-
-    def vmin(self, t0: float, t1: float) -> float | None:
-        pts = self.window(t0, t1)
-        return min((v for _, v in pts), default=None)
-
-    def quantile(self, q: float, t0: float, t1: float) -> float | None:
-        """Interpolated quantile of the sampled values in the window."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        return sorted_quantile(sorted(v for _, v in self.window(t0, t1)), q)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
@@ -406,9 +374,6 @@ class SeriesBank:
             self._series[(name, key)] = series
         return series
 
-    def get(self, name: str, **labels: Any) -> Series | None:
-        return self._series.get((name, _label_key(labels)))
-
     def matching(self, name: str, labels: dict[str, str] | None = None) -> list[Series]:
         """All series of *name* whose labels contain *labels* as a
         subset, in sorted label order (deterministic)."""
@@ -421,9 +386,6 @@ class SeriesBank:
             if all(have.get(k) == v for k, v in want.items()):
                 out.append(series)
         return out
-
-    def names(self) -> list[str]:
-        return sorted({name for name, _ in self._series})
 
     def __iter__(self) -> Iterator[Series]:
         for key in sorted(self._series):

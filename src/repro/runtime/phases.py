@@ -122,8 +122,8 @@ class PhaseContext:
 class Phase(abc.ABC):
     """One named step of the per-rank job lifecycle.
 
-    :meth:`run` brackets :meth:`body` with a :class:`PhaseSpan` in the
-    trace.  ``body`` may be a process fragment (a generator yielding
+    :meth:`run` brackets :meth:`body` with a ``phase``-category span in
+    the trace.  ``body`` may be a process fragment (a generator yielding
     simulation events) or a plain method returning ``None`` for purely
     functional steps — either way the span covers exactly the simulated
     time the step consumed.

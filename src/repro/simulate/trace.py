@@ -4,7 +4,7 @@ Every simulated activity (kernel, memory copy, network message, CPU block)
 is recorded once, as a device-block span; :class:`Trace` aggregates those
 record spans into the utilization and timeline views the benchmarks
 report.  A :class:`TaskRecord` is a read-side view built on demand from a
-record span (:attr:`Trace.records`, :meth:`Trace.filter`), never stored.
+record span (:attr:`Trace.records`), never stored.
 
 Since the observability layer landed, a trace is also the front door to
 it: each trace owns a :class:`~repro.obs.MetricsRegistry` and a
@@ -15,11 +15,11 @@ it: each trace owns a :class:`~repro.obs.MetricsRegistry` and a
   counts) and emits the record's device-block span, parented under the
   rank's currently open phase when the device has been bound to a rank;
 * :meth:`begin_phase` / :meth:`end_phase` bracket runtime phases live,
-  maintaining the job -> iteration -> phase span hierarchy per rank
-  (:meth:`record_phase` is the retrospective equivalent).
+  maintaining the job -> iteration -> phase span hierarchy per rank.
 
-``phase_breakdown`` / ``phase_spans`` / ``phases`` are thin compatibility
-views derived from the span tracer, so existing callers are unchanged.
+``phase_spans`` is the tracer's closed phase spans (each carries its
+``rank`` and ``iteration`` attrs) and ``phase_breakdown`` sums them per
+iteration.
 The windowed queries (``since=``) remain for ad-hoc analysis; online
 consumers like the adaptive-feedback policy read the monotonic counters
 instead (snapshot-and-diff, no trace re-scans).
@@ -97,10 +97,6 @@ class TaskRecord:
                 f"task {self.label!r}: end {self.end} precedes start {self.start}"
             )
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 def _record_of(span: Span) -> TaskRecord:
     """The view of one record span: label/device/kind are its
@@ -108,32 +104,6 @@ def _record_of(span: Span) -> TaskRecord:
     a = span.attrs
     return TaskRecord(span.name, span.track, span.category, span.start,
                       span.end, a["nbytes"], a["flops"])
-
-
-@dataclass(frozen=True)
-class PhaseSpan:
-    """One runtime phase executed on one rank during one iteration.
-
-    ``iteration`` is ``-1`` for the pre-loop setup phase (daemon spawn,
-    partition-descriptor scatter).  Compatibility view: the authoritative
-    store is the span tracer's ``phase``-category spans.
-    """
-
-    phase: str
-    rank: int
-    iteration: int
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        if not self.end >= self.start:  # also rejects NaN bounds
-            raise ValueError(
-                f"phase {self.phase!r}: end {self.end} precedes start {self.start}"
-            )
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 class Trace:
@@ -333,14 +303,12 @@ class Trace:
         """Every record, in insertion order (views built on each call)."""
         return tuple(map(_record_of, self._record_spans))
 
-    def __len__(self) -> int:
-        return len(self._record_spans)
-
     def _spans_where(
         self, device: str | None = None, kind: str | None = None,
         since: float = 0.0,
     ) -> list[Span]:
-        """The record spans matching a :meth:`filter` query."""
+        """The record spans on *device*, of *kind*, starting at or after
+        *since* (``None`` matches any)."""
         out = self._record_spans
         if device is not None:
             out = [s for s in out if s.track == device]
@@ -349,12 +317,6 @@ class Trace:
         if since > 0.0:
             out = [s for s in out if s.start >= since]
         return out
-
-    def filter(
-        self, device: str | None = None, kind: str | None = None,
-        since: float = 0.0,
-    ) -> list[TaskRecord]:
-        return [_record_of(s) for s in self._spans_where(device, kind, since)]
 
     @property
     def makespan(self) -> float:
@@ -502,16 +464,6 @@ class Trace:
         if span is not None and span.is_open:
             span.attrs.update(attrs)
 
-    def record_phase(
-        self, phase: str, rank: int, iteration: int, start: float, end: float
-    ) -> None:
-        """Append one finished phase span (retrospective bracketing)."""
-        if not end >= start:
-            raise ValueError(
-                f"phase {phase!r}: end {end} precedes start {start}"
-            )
-        self.end_phase(self.begin_phase(phase, rank, iteration, start), end)
-
     def record_recovery(
         self, label: str, rank: int, start: float, end: float, **attrs
     ) -> None:
@@ -581,28 +533,12 @@ class Trace:
         self._job_span.clear()
 
     @property
-    def phase_spans(self) -> tuple[PhaseSpan, ...]:
+    def phase_spans(self) -> tuple[Span, ...]:
+        """The closed ``phase``-category spans, in recording order; each
+        carries its ``rank`` and ``iteration`` attrs (``-1`` = setup)."""
         return tuple(
-            PhaseSpan(
-                phase=s.name,
-                rank=s.attrs["rank"],
-                iteration=s.attrs["iteration"],
-                start=s.start,
-                end=s.end,
-            )
-            for s in self.tracer.find(category="phase")
-            if s.end is not None
+            s for s in self.tracer.find(category="phase") if s.end is not None
         )
-
-    def phases(
-        self, rank: int | None = None, iteration: int | None = None
-    ) -> list[PhaseSpan]:
-        out = list(self.phase_spans)
-        if rank is not None:
-            out = [s for s in out if s.rank == rank]
-        if iteration is not None:
-            out = [s for s in out if s.iteration == iteration]
-        return out
 
     def phase_breakdown(self, rank: int = 0) -> dict[int, dict[str, float]]:
         """Per-iteration ``{phase: seconds}`` for one rank.
@@ -615,10 +551,10 @@ class Trace:
         """
         out: dict[int, dict[str, float]] = {}
         for span in self.phase_spans:
-            if span.rank != rank:
+            if span.attrs["rank"] != rank:
                 continue
-            per_iter = out.setdefault(span.iteration, {})
-            per_iter[span.phase] = per_iter.get(span.phase, 0.0) + span.duration
+            per_iter = out.setdefault(span.attrs["iteration"], {})
+            per_iter[span.name] = per_iter.get(span.name, 0.0) + span.duration
         return out
 
     # ------------------------------------------------------------------
@@ -666,29 +602,3 @@ class Trace:
                 "utilization": self.utilization(device),
             }
         return out
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-    def to_records(self) -> list[dict]:
-        """Plain-dict view of every record (JSON-serializable)."""
-        return [
-            {
-                "label": s.name,
-                "device": s.track,
-                "kind": s.category,
-                "start": s.start,
-                "end": s.end,
-                "nbytes": s.attrs["nbytes"],
-                "flops": s.attrs["flops"],
-            }
-            for s in self._record_spans
-        ]
-
-    @classmethod
-    def from_records(cls, records: list[dict]) -> "Trace":
-        """Rebuild a trace from :meth:`to_records` output."""
-        trace = cls()
-        for rec in records:
-            trace.record(**rec)
-        return trace

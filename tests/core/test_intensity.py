@@ -54,10 +54,6 @@ class TestConstantIntensity:
         prof = ConstantIntensity(3.0)
         assert prof.flops(10.0) == 30.0
 
-    def test_is_constant(self):
-        assert ConstantIntensity(1.0).is_constant()
-        assert not dgemm_intensity().is_constant()
-
     def test_inverse_when_reachable(self):
         assert ConstantIntensity(5.0).inverse(3.0) == 1.0
 

@@ -176,3 +176,14 @@ def degraded_makespan_bound(
         raise ValueError(f"lost_fraction must be in [0, 1), got {lost_fraction}")
     t = min(max(kill_time, 0.0), fault_free_makespan)
     return t + (fault_free_makespan - t) / (1.0 - lost_fraction) + overhead_s
+
+
+def phase_spans(trace, rank: int | None = None,
+                iteration: int | None = None) -> list:
+    """The closed phase spans of *trace* on *rank* in *iteration*
+    (``None`` matches any; iteration ``-1`` is the setup phase)."""
+    return [
+        s for s in trace.phase_spans
+        if (rank is None or s.attrs["rank"] == rank)
+        and (iteration is None or s.attrs["iteration"] == iteration)
+    ]

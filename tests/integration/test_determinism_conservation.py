@@ -96,7 +96,7 @@ class TestDeterminism:
         r1, a1 = self.run_once(scheduling)
         r2, a2 = self.run_once(scheduling)
         assert r1.makespan == r2.makespan  # exact, not approx
-        assert len(r1.trace) == len(r2.trace)
+        assert len(r1.trace.records) == len(r2.trace.records)
         np.testing.assert_array_equal(a1.centers, a2.centers)
         assert r1.network_bytes == r2.network_bytes
 

@@ -169,7 +169,7 @@ class TestFaultedDeterminism:
         assert r1.makespan == r2.makespan  # exact, not approx
         assert r1.recovery == r2.recovery
         np.testing.assert_array_equal(a1.centers, a2.centers)
-        assert len(r1.trace) == len(r2.trace)
+        assert len(r1.trace.records) == len(r2.trace.records)
         for rec1, rec2 in zip(r1.trace.records, r2.trace.records):
             assert rec1 == rec2
 

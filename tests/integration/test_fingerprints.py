@@ -180,7 +180,7 @@ def fingerprint(name: str) -> dict[str, Any]:
         "recovery": recovery_counts(result.recovery),
         "comm_messages": len(analysis.comm),
         "comm_bytes": analysis.comm.total_bytes,
-        "decision_records": len(result.trace.audit),
+        "decision_records": len(result.trace.audit.records),
         "sampler_samples": result.sampler_samples,
         "critical_path_work_s": repr(path.work),
         "critical_path_slack_s": repr(path.slack),

@@ -169,13 +169,6 @@ class TestAuditSynthetic:
         assert entries[0]["drift"] == pytest.approx(-0.05)
         assert "observed_p" not in entries[1]  # not a split kind
 
-    def test_log_round_trip(self):
-        audit = DecisionLog()
-        audit.record("static-split", "n0", 0.0, -1,
-                     inputs={"a": 1.0}, outputs={"p": 0.5})
-        clone = DecisionLog.from_records(audit.to_records())
-        assert clone.records == audit.records
-
 
 @pytest.fixture(scope="module")
 def cmeans_result():
@@ -200,8 +193,8 @@ class TestRealRun:
 
     def test_audit_has_static_split_and_refits(self, cmeans_result):
         audit = cmeans_result.trace.audit
-        statics = audit.filter(kind="static-split")
-        refits = audit.filter(kind="adaptive-refit")
+        statics = [r for r in audit.records if r.kind == "static-split"]
+        refits = [r for r in audit.records if r.kind == "adaptive-refit"]
         assert len(statics) == 2  # one per co-processing node
         assert len(refits) == 2 * cmeans_result.iterations
         for rec in statics + refits:

@@ -61,13 +61,12 @@ class TestEventLogUnits:
         seqs = [r.seq for r in log.records()]
         assert seqs == sorted(seqs)
         assert [r.message for r in log.records()] == ["first", "second"]
-        assert log.ranks() == [-1, 1]
 
     def test_labels_sorted_and_stringified(self):
         log = EventLog()
         rec = log.info("x", "m", t=0.0, zeta=1, alpha=2.5)
         assert rec.attrs == (("alpha", "2.5"), ("zeta", "1"))
-        assert rec.labels() == {"alpha": "2.5", "zeta": "1"}
+        assert dict(rec.attrs) == {"alpha": "2.5", "zeta": "1"}
 
     def test_span_inheritance_from_bound_phases(self):
         class FakeSpan:
@@ -78,8 +77,8 @@ class TestEventLogUnits:
         log.bind_phases({0: FakeSpan()})
         rec = log.info("x", "inside", t=0.0, rank=0)
         assert rec.span_id == 42
-        assert rec.labels()["iteration"] == "3"
-        assert rec.labels()["dag_node"] == "map"
+        assert dict(rec.attrs)["iteration"] == "3"
+        assert dict(rec.attrs)["dag_node"] == "map"
         # Explicit span_id and rankless records bypass inheritance.
         assert log.info("x", "explicit", t=0.0, rank=0, span_id=7).span_id == 7
         assert log.info("x", "driver", t=0.0).span_id is None

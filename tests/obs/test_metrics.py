@@ -34,7 +34,7 @@ class TestCounter:
         c.inc(1.0, a="1", b="2")
         c.inc(1.0, b="2", a="1")
         assert c.value(a="1", b="2") == 2.0
-        assert len(c) == 1
+        assert len(c.samples()) == 1
 
     def test_negative_increment_rejected(self):
         c = Counter("x_total")
@@ -46,7 +46,7 @@ class TestCounter:
         c = Counter("x_total")
         with pytest.raises(ValueError, match="x_total.*NaN"):
             c.inc(math.nan, device="cpu")
-        assert len(c) == 0
+        assert c.samples() == []
 
     def test_invalid_metric_name_rejected(self):
         with pytest.raises(ValueError, match="invalid metric name"):
@@ -60,7 +60,7 @@ class TestCounterChild:
     def test_unused_child_registers_nothing(self):
         r = MetricsRegistry()
         r.counter_child("x_total", device="cpu")
-        assert len(r) == 0
+        assert r.names() == []
         assert r.get("x_total") is None
         assert r.render() == ""
 
@@ -86,7 +86,8 @@ class TestCounterChild:
             children[key].inc(value)
         assert bound.render() == plain.render()
         assert bound.to_dict() == plain.to_dict()
-        assert [m.labels() for m in bound] == [m.labels() for m in plain]
+        assert ([[k for k, _ in m.samples()] for m in bound]
+                == [[k for k, _ in m.samples()] for m in plain])
 
     def test_child_and_labels_path_share_one_series(self):
         r = MetricsRegistry()
@@ -95,7 +96,7 @@ class TestCounterChild:
         r.counter("x_total").inc(3, device="cpu")
         child.inc()
         assert r.counter("x_total").value(device="cpu") == 6.0
-        assert len(r.counter("x_total")) == 1
+        assert len(r.counter("x_total").samples()) == 1
 
     @pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan])
     def test_negative_and_nan_increments_raise(self, value):
@@ -103,7 +104,7 @@ class TestCounterChild:
         child = r.counter_child("x_total", device="cpu")
         with pytest.raises(ValueError, match="x_total"):
             child.inc(value)
-        assert len(r) == 0  # a rejected first inc registers nothing
+        assert r.names() == []  # a rejected first inc registers nothing
 
     def test_gauge_name_raises_type_error_on_first_inc(self):
         r = MetricsRegistry()
@@ -119,9 +120,9 @@ class TestGauge:
         g.set(4.0, node="n0")
         g.inc(2.0, node="n0")
         g.inc(-5.0, node="n0")  # a gauge goes down by a negative inc
-        assert g.value(node="n0") == 1.0
+        assert g.samples() == [({"node": "n0"}, 1.0)]
         g.inc()  # unlabeled series is independent
-        assert g.value() == 1.0
+        assert g.samples() == [({"node": "n0"}, 1.0), ({}, 1.0)]
 
 
 class TestHistogramBucketing:
@@ -157,33 +158,9 @@ class TestHistogramBucketing:
         h = Histogram("h", buckets=COUNT_BUCKETS)
         for depth in (0, 1, 1, 7):
             h.observe(depth, policy="dynamic")
-        assert h.count(policy="dynamic") == 4
-        assert h.total(policy="dynamic") == 9.0
-        assert h.count(policy="static") == 0
-
-
-class TestHistogramQuantiles:
-    def test_interpolated_median(self):
-        h = Histogram("h", buckets=(1.0, 2.0, 4.0))
-        for v in (0.5, 1.5, 3.0, 3.5):
-            h.observe(v)
-        # target = 2 observations; cumulative hits 2 inside (1, 2]:
-        # lower 1.0 + (2-1)/1 * (2.0-1.0) = 2.0
-        assert h.quantile(0.5) == pytest.approx(2.0)
-
-    def test_inf_bucket_clamps_to_highest_finite_bound(self):
-        h = Histogram("h", buckets=(1.0, 2.0))
-        h.observe(50.0)
-        assert h.quantile(0.99) == 2.0
-
-    def test_empty_series_is_nan(self):
-        h = Histogram("h", buckets=(1.0,))
-        assert math.isnan(h.quantile(0.5))
-
-    def test_out_of_range_q_rejected(self):
-        h = Histogram("h", buckets=(1.0,))
-        with pytest.raises(ValueError, match="outside"):
-            h.quantile(1.5)
+        series = h._samples[(("policy", "dynamic"),)]
+        assert (series.count, series.sum) == (4, 9.0)
+        assert list(h._samples) == [(("policy", "dynamic"),)]
 
 
 class TestRegistry:
@@ -192,7 +169,7 @@ class TestRegistry:
         assert reg.counter("a_total") is reg.counter("a_total")
         assert reg.gauge("g") is reg.gauge("g")
         assert reg.histogram("h") is reg.histogram("h")
-        assert len(reg) == 3
+        assert reg.names() == ["a_total", "g", "h"]
 
     def test_type_conflict_rejected(self):
         reg = MetricsRegistry()
@@ -315,7 +292,7 @@ class TestIntervalUnion:
         u = IntervalUnion()
         u.add(0.0, 1.0)
         assert u.add(1.0, 2.0) == pytest.approx(1.0)
-        assert len(u) == 1
+        assert len(u.intervals()) == 1
 
     def test_contained_interval_adds_nothing(self):
         u = IntervalUnion()
@@ -326,7 +303,7 @@ class TestIntervalUnion:
     def test_zero_length_is_noop(self):
         u = IntervalUnion()
         assert u.add(5.0, 5.0) == 0.0
-        assert len(u) == 0
+        assert len(u.intervals()) == 0
 
     def test_reversed_interval_rejected(self):
         u = IntervalUnion()
@@ -344,7 +321,7 @@ class TestIntervalUnion:
         u = IntervalUnion()
         for i in range(10):
             assert u.add(float(i), float(i + 1)) == pytest.approx(1.0)
-        assert len(u) == 1
+        assert len(u.intervals()) == 1
         assert u.intervals() == [(0.0, 10.0)]
         assert u.total == pytest.approx(10.0)
 
@@ -362,10 +339,10 @@ class TestIntervalUnion:
         u.add(0.0, 1.0)
         u.add(2.0, 3.0)
         u.add(4.0, 5.0)
-        assert len(u) == 3
+        assert len(u.intervals()) == 3
         # spans the interior intervals entirely
         assert u.add(0.5, 4.5) == pytest.approx(2.0)
-        assert len(u) == 1
+        assert len(u.intervals()) == 1
         assert u.total == pytest.approx(5.0)
 
     def test_matches_brute_force_union(self):

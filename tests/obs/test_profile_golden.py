@@ -25,6 +25,7 @@ from repro.data.synth import gaussian_mixture
 from repro.hardware import delta_cluster
 from repro.runtime.job import JobConfig
 from repro.runtime.prs import PRSRuntime
+from tests.helpers import phase_spans
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_cmeans_phases.json"
 
@@ -48,7 +49,7 @@ class TestAcceptance:
         # Phases run back-to-back per rank, so each rank's span sum is
         # its finish time; no rank outlives the makespan.
         for rank in range(2):
-            spans = result.trace.phases(rank=rank)
+            spans = phase_spans(result.trace, rank=rank)
             assert spans, f"rank {rank} recorded no phases"
             total = sum(s.duration for s in spans)
             finish = max(s.end for s in spans)
@@ -81,8 +82,8 @@ class TestMetricsAgreeWithTrace:
     def test_job_gauges_set(self, result):
         makespan = result.trace.metrics.gauge(obs.JOB_MAKESPAN_SECONDS)
         iterations = result.trace.metrics.gauge(obs.JOB_ITERATIONS)
-        assert makespan.value() == pytest.approx(result.makespan)
-        assert iterations.value() == result.iterations
+        assert makespan.samples() == [({}, pytest.approx(result.makespan))]
+        assert iterations.samples() == [({}, result.iterations)]
 
     def test_policy_dispatch_counted(self, result):
         blocks = result.trace.metrics.counter(obs.POLICY_BLOCKS)
@@ -92,9 +93,10 @@ class TestMetricsAgreeWithTrace:
 class TestGoldenPhaseStructure:
     def test_rank0_phase_sequence_matches_golden(self, result):
         observed = [
-            {"iteration": s.iteration, "phase": s.phase}
+            {"iteration": s.attrs["iteration"], "phase": s.name}
             for s in sorted(
-                result.trace.phases(rank=0), key=lambda s: (s.start, s.iteration)
+                phase_spans(result.trace, rank=0),
+                key=lambda s: (s.start, s.attrs["iteration"]),
             )
         ]
         golden = json.loads(GOLDEN.read_text())

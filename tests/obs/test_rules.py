@@ -27,7 +27,8 @@ from repro.obs.rules import (
     record_alerts,
 )
 from repro.obs.spans import SpanTracer
-from repro.obs.timeseries import Series, SeriesBank, sorted_quantile
+from repro.obs.timeseries import Series, SeriesBank
+from tests.obs import series_oracle as windowed
 
 
 def bank_with(name, points, **labels):
@@ -253,22 +254,22 @@ class TestRecordAlerts:
 # The one-pass evaluator against a brute-force oracle
 # ----------------------------------------------------------------------
 def _oracle_signal(func, series, t, window):
-    """The signal at sample instant *t*, read through the Series
+    """The signal at sample instant *t*, read through the windowed
     aggregators (each rescans the whole ring)."""
     t0 = t - window
     if func == "value":
-        return series.value(t)
+        return windowed.value(series, t)
     if func == "rate":
-        return series.rate(t0, t)
+        return windowed.rate(series, t0, t)
     if func == "increase":
-        return series.increase(t0, t)
+        return windowed.increase(series, t0, t)
     if func == "mean":
         return series.mean(t0, t)
     if func == "max":
         return series.vmax(t0, t)
     if func == "min":
-        return series.vmin(t0, t)
-    return series.quantile(0.5 if func == "p50" else 0.99, t0, t)
+        return windowed.vmin(series, t0, t)
+    return windowed.quantile(series, 0.5 if func == "p50" else 0.99, t0, t)
 
 
 def _oracle_events(rule, func, series, end):
@@ -380,8 +381,8 @@ class TestOnePassMatchesSeriesAggregators:
 # Run-length (change-point) series against a per-point store
 # ----------------------------------------------------------------------
 class PointSeries:
-    """Per-point oracle: a ring of every ``(t, v)`` sample with the
-    aggregators read straight off the stored points."""
+    """Per-point oracle: a ring of every ``(t, v)`` sample, windowed and
+    aggregated straight off the stored points."""
 
     def __init__(self, labels, capacity):
         self.labels = dict(labels)
@@ -402,36 +403,12 @@ class PointSeries:
     def window(self, t0, t1):
         return [(t, v) for t, v in self._points if t0 <= t <= t1]
 
-    def value(self, at):
-        out = None
-        for t, v in self._points:
-            if t > at:
-                break
-            out = v
-        return out
-
-    def increase(self, t0, t1):
-        pts = self.window(t0, t1)
-        return None if len(pts) < 2 else pts[-1][1] - pts[0][1]
-
-    def rate(self, t0, t1):
-        pts = self.window(t0, t1)
-        if len(pts) < 2 or pts[-1][0] - pts[0][0] <= 0.0:
-            return None
-        return (pts[-1][1] - pts[0][1]) / (pts[-1][0] - pts[0][0])
-
     def mean(self, t0, t1):
         pts = self.window(t0, t1)
         return sum(v for _, v in pts) / len(pts) if pts else None
 
     def vmax(self, t0, t1):
         return max((v for _, v in self.window(t0, t1)), default=None)
-
-    def vmin(self, t0, t1):
-        return min((v for _, v in self.window(t0, t1)), default=None)
-
-    def quantile(self, q, t0, t1):
-        return sorted_quantile(sorted(v for _, v in self.window(t0, t1)), q)
 
 
 _RUN_VALUES = st.one_of(
@@ -490,7 +467,7 @@ class TestRunLengthSeriesMatchPerPointOracle:
 
         window = span * interval
         for t in times + [times[0] - interval, times[-1] + interval]:
-            assert repr(series.value(t)) == repr(oracle.value(t))
+            assert repr(windowed.value(series, t)) == repr(windowed.value(oracle, t))
             for agg in _FUNC_NAMES[1:]:
                 assert (repr(_oracle_signal(agg, series, t, window))
                         == repr(_oracle_signal(agg, oracle, t, window)))

@@ -51,7 +51,8 @@ class TestNesting:
             "blk", "gpu0", 0.1, 0.2, parent_id=phase.span_id
         )
         assert block.parent_id == phase.span_id
-        assert [s.span_id for s in t.children(phase.span_id)] == [block.span_id]
+        assert [s.span_id for s in t.spans if s.parent_id == phase.span_id] \
+            == [block.span_id]
 
     def test_end_enforces_lifo_per_track(self):
         t = SpanTracer()
@@ -110,7 +111,11 @@ class TestOrderingAndQueries:
 
     def test_tracks_in_first_seen_order(self):
         t = build_small_trace()
-        assert t.tracks() == ["rank0", "node.cpu"]
+        threads = [
+            e["args"]["name"] for e in t.to_chrome()["traceEvents"]
+            if e["name"] == "thread_name"
+        ]
+        assert threads == ["rank0", "node.cpu"]
 
     def test_find_by_category_and_track(self):
         t = build_small_trace()
@@ -188,16 +193,12 @@ class TestChromeExport:
         assert rebuilt.check_consistency(tol=1e-9) == []
 
 
-class TestJsonl:
-    def test_one_object_per_span(self):
-        t = build_small_trace()
-        lines = t.to_jsonl().splitlines()
-        assert len(lines) == 4
-        objs = [json.loads(line) for line in lines]
-        assert [o["name"] for o in objs] == [
-            "job", "iteration 0", "map", "map[0:8]",
-        ]
-        assert objs[3]["parent_id"] == objs[2]["span_id"]
+class TestRestoredIds:
+    """A reloaded span keeps the id it was saved with (one constructor,
+    :meth:`SpanTracer.record`, serves both loaders)."""
 
-    def test_empty_tracer_renders_empty(self):
-        assert SpanTracer().to_jsonl() == ""
+    def test_record_keeps_a_given_id(self):
+        t = SpanTracer()
+        s = t.record("s", "trk", 0.0, 1.0, span_id=7)
+        assert s.span_id == 7 and t.get(7) is s
+        assert t.record("n", "trk", 1.0, 2.0).span_id == 8  # ids stay unique

@@ -3,7 +3,8 @@
 Three layers:
 
 * :class:`Series` / :class:`SeriesBank` ring-buffer and aggregator
-  semantics on hand-built data;
+  semantics on hand-built data (the windowed aggregators the alert
+  rules are checked against live in ``tests/obs/series_oracle.py``);
 * :class:`MetricSampler` grid mechanics driven through a bare
   :class:`Trace` (no simulation) — back-fill, pre-mutation snapshots,
   the end anchor, derived probes;
@@ -38,6 +39,8 @@ from repro.obs.timeseries import (
     SeriesBank,
 )
 from repro.simulate.trace import Trace
+from tests.obs import series_oracle as oracle
+from tests.obs.series_oracle import series_of
 
 
 def run_cmeans(n_nodes=2, sample_interval=1e-3, faults=None, fault_seed=0,
@@ -87,17 +90,17 @@ class TestSeries:
         s = Series("s")
         s.append(1.0, 10.0)
         s.append(2.0, 20.0)
-        assert s.value(0.5) is None
-        assert s.value(1.5) == 10.0
-        assert s.value(2.0) == 20.0
+        assert oracle.value(s, 0.5) is None
+        assert oracle.value(s, 1.5) == 10.0
+        assert oracle.value(s, 2.0) == 20.0
 
     def test_increase_and_rate(self):
         s = Series("s")
         s.append(0.0, 100.0)
         s.append(2.0, 106.0)
-        assert s.increase(0.0, 2.0) == pytest.approx(6.0)
-        assert s.rate(0.0, 2.0) == pytest.approx(3.0)
-        assert s.rate(0.0, 0.5) is None  # single sample in window
+        assert oracle.increase(s, 0.0, 2.0) == pytest.approx(6.0)
+        assert oracle.rate(s, 0.0, 2.0) == pytest.approx(3.0)
+        assert oracle.rate(s, 0.0, 0.5) is None  # single sample in window
 
     def test_mean_max_min(self):
         s = Series("s")
@@ -105,27 +108,27 @@ class TestSeries:
             s.append(t, v)
         assert s.mean(0.0, 2.0) == pytest.approx(2.0)
         assert s.vmax(0.0, 2.0) == 3.0
-        assert s.vmin(0.0, 2.0) == 1.0
+        assert oracle.vmin(s, 0.0, 2.0) == 1.0
         assert s.mean(5.0, 6.0) is None
 
     def test_quantile_interpolates(self):
         s = Series("s")
         for t, v in enumerate((10.0, 20.0, 30.0, 40.0)):
             s.append(float(t), v)
-        assert s.quantile(0.5, 0.0, 3.0) == pytest.approx(25.0)
-        assert s.quantile(0.0, 0.0, 3.0) == 10.0
-        assert s.quantile(1.0, 0.0, 3.0) == 40.0
+        assert oracle.quantile(s, 0.5, 0.0, 3.0) == pytest.approx(25.0)
+        assert oracle.quantile(s, 0.0, 0.0, 3.0) == 10.0
+        assert oracle.quantile(s, 1.0, 0.0, 3.0) == 40.0
 
     def test_quantile_single_sample_and_empty(self):
         s = Series("s")
-        assert s.quantile(0.9, 0.0, 1.0) is None
+        assert oracle.quantile(s, 0.9, 0.0, 1.0) is None
         s.append(0.5, 7.0)
-        assert s.quantile(0.99, 0.0, 1.0) == 7.0
+        assert oracle.quantile(s, 0.99, 0.0, 1.0) == 7.0
 
     def test_quantile_range_checked(self):
         s = Series("s")
         with pytest.raises(ValueError, match="quantile"):
-            s.quantile(1.5, 0.0, 1.0)
+            oracle.quantile(s, 1.5, 0.0, 1.0)
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
     def test_append_rejects_non_finite_time(self, t):
@@ -210,7 +213,7 @@ class TestSeriesBank:
         lines = bank.to_jsonl_lines()
         rebuilt = SeriesBank.from_dicts([json.loads(x) for x in lines])
         assert rebuilt.to_jsonl_lines() == lines
-        assert rebuilt.get("m", a="b").points() == [(0.0, 1.0), (1.0, 2.5)]
+        assert series_of(rebuilt, "m", a="b").points() == [(0.0, 1.0), (1.0, 2.5)]
 
     def test_v4_line_round_trip(self):
         import json
@@ -227,7 +230,7 @@ class TestSeriesBank:
         assert payload["tail"] == [[9.5e-4, 7.0]]
         rebuilt = SeriesBank.from_dicts([payload])
         assert rebuilt.to_jsonl_lines() == [line]
-        assert repr(rebuilt.get("m").points()) == repr(s.points())
+        assert repr(series_of(rebuilt, "m").points()) == repr(s.points())
 
     @pytest.mark.parametrize("payload, counts", [
         ({"t": [0, 1, 2], "v": [5, 6]}, "3 times but 2 values"),
@@ -258,7 +261,7 @@ class TestSeriesBank:
         bank = SeriesBank()
         bank.get_or_create("b", ()).append(0.0, 1.0)
         bank.get_or_create("a", ()).append(0.0, 1.0)
-        assert bank.names() == ["a", "b"]
+        assert [series.name for series in bank] == ["a", "b"]
         assert bank.total_points == 2
 
 
@@ -285,7 +288,7 @@ class TestSamplerGrid:
         trace.metrics.counter("c_total").inc(1)
         trace.tick(0.0)  # grid 0
         trace.tick(5.5e-3)  # grids 1..5 back-filled in one tick
-        series = sampler.bank.get("c_total")
+        series = series_of(sampler.bank, "c_total")
         assert [t for t, _ in series.points()] == pytest.approx(
             [0.0, 1e-3, 2e-3, 3e-3, 4e-3, 5e-3]
         )
@@ -300,7 +303,7 @@ class TestSamplerGrid:
         trace.tick(1e-3)  # grid instant 1e-3 sampled pre-mutation
         counter.inc(100)  # the mutation dated 1e-3
         trace.tick(2e-3)
-        series = sampler.bank.get("c_total")
+        series = series_of(sampler.bank, "c_total")
         assert series.points() == [(0.0, 1.0), (1e-3, 1.0), (2e-3, 101.0)]
 
     def test_finalize_adds_end_anchor_and_freezes(self):
@@ -308,7 +311,7 @@ class TestSamplerGrid:
         trace.metrics.counter("c_total").inc(1)
         trace.tick(0.0)
         sampler.finalize(2.5e-3)
-        series = sampler.bank.get("c_total")
+        series = series_of(sampler.bank, "c_total")
         assert [t for t, _ in series.points()] == pytest.approx(
             [0.0, 1e-3, 2e-3, 2.5e-3]
         )
@@ -325,9 +328,9 @@ class TestSamplerGrid:
         busy.inc(1e-3, device="n0.cpu")
         busy.inc(0.0, device="n0.gpu")
         trace.tick(1e-3 + 1e-9)
-        frac = sampler.bank.get(DEVICE_BUSY_FRACTION, device="n0.cpu")
+        frac = series_of(sampler.bank, DEVICE_BUSY_FRACTION, device="n0.cpu")
         assert frac.points()[-1][1] == pytest.approx(1.0, rel=1e-3)
-        imb = sampler.bank.get(DEVICE_IMBALANCE)
+        imb = series_of(sampler.bank, DEVICE_IMBALANCE)
         # one busy + one idle device: max/mean = 1.0/0.5 = 2.0
         assert imb.points()[-1][1] == pytest.approx(2.0, rel=1e-3)
 
@@ -345,9 +348,9 @@ class TestSamplerGrid:
         nbytes.inc(1e6, src="r0", dst="r1", tag="data", link="remote")
         busy.inc(3.3e-3, device="net.r1", kind="net")
         trace.tick(1e-3 + 1e-9)
-        util = sampler.bank.get(LINK_UTILIZATION, link="remote")
+        util = series_of(sampler.bank, LINK_UTILIZATION, link="remote")
         assert util.points()[-1][1] == pytest.approx(1.1, rel=1e-3)
-        ratio = sampler.bank.get(LINK_MODEL_RATIO, link="remote")
+        ratio = series_of(sampler.bank, LINK_MODEL_RATIO, link="remote")
         assert ratio.points()[-1][1] == pytest.approx(3.0, rel=1e-6)
 
     def test_link_model_validation(self):
@@ -369,9 +372,9 @@ class TestZeroPerturbation:
         assert sampled.makespan == bare.makespan
         assert sampled.engine_events == bare.engine_events
         assert sampled.sampler_samples > 0 and bare.sampler_samples == 0
-        spans_a = [(s.phase, s.rank, s.start, s.end)
+        spans_a = [(s.name, s.attrs["rank"], s.start, s.end)
                    for s in sampled.trace.phase_spans]
-        spans_b = [(s.phase, s.rank, s.start, s.end)
+        spans_b = [(s.name, s.attrs["rank"], s.start, s.end)
                    for s in bare.trace.phase_spans]
         assert spans_a == spans_b
         assert sorted(map(str, sampled.output.items())) == sorted(
@@ -528,12 +531,12 @@ class TestSnapshotPlan:
         assert planned.bank.to_jsonl_lines() == resorted.bank.to_jsonl_lines()
         # the late label set starts at the first grid instant after it
         # appeared, and its busy fraction is derived from then on
-        late = planned.bank.get(DEVICE_BUSY_UNION_SECONDS, device="n0.cpu")
+        late = series_of(planned.bank, DEVICE_BUSY_UNION_SECONDS, device="n0.cpu")
         assert late.first_t == pytest.approx(3e-3)
-        frac = planned.bank.get(DEVICE_BUSY_FRACTION, device="n0.cpu")
+        frac = series_of(planned.bank, DEVICE_BUSY_FRACTION, device="n0.cpu")
         assert len(frac) == len(late)
-        assert planned.bank.get("prs_q", node="a").first_t == pytest.approx(7e-3)
-        local = planned.bank.get(LINK_UTILIZATION, link="local")
+        assert series_of(planned.bank, "prs_q", node="a").first_t == pytest.approx(7e-3)
+        local = series_of(planned.bank, LINK_UTILIZATION, link="local")
         assert local.first_t == pytest.approx(6e-3)
 
     def test_plan_is_released_by_finalize(self):

@@ -8,7 +8,12 @@ from repro.runtime.job import JobConfig
 from repro.runtime.phases import ITERATION_PHASES
 from repro.runtime.prs import PRSRuntime
 
-from tests.helpers import CombinerModSumApp, CountdownApp, ModSumApp
+from tests.helpers import (
+    CombinerModSumApp,
+    CountdownApp,
+    ModSumApp,
+    phase_spans,
+)
 
 PHASE_ORDER = [
     "broadcast",
@@ -41,7 +46,7 @@ class TestBreakdownTotals:
     def test_every_rank_sums_to_its_finish_time(self, delta4):
         result = PRSRuntime(delta4, JobConfig()).run(CountdownApp(n=2000))
         for rank in range(delta4.n_nodes):
-            spans = result.trace.phases(rank=rank)
+            spans = phase_spans(result.trace, rank=rank)
             assert spans, f"rank {rank} recorded no phases"
             finish = max(s.end for s in spans)
             assert phase_sum(result, rank=rank) == pytest.approx(finish)
@@ -55,21 +60,21 @@ class TestBreakdownTotals:
 class TestSpanStructure:
     def test_setup_recorded_as_iteration_minus_one(self, delta4):
         result = PRSRuntime(delta4, JobConfig()).run(ModSumApp(n=500))
-        setup = result.trace.phases(rank=0, iteration=-1)
-        assert [s.phase for s in setup] == ["setup"]
+        setup = phase_spans(result.trace, rank=0, iteration=-1)
+        assert [s.name for s in setup] == ["setup"]
         assert setup[0].start == 0.0
 
     def test_iteration_phases_in_execution_order(self, delta4):
         result = PRSRuntime(delta4, JobConfig()).run(CountdownApp(n=2000))
         for iteration in range(result.iterations):
             names = [
-                s.phase for s in result.trace.phases(rank=0, iteration=iteration)
+                s.name for s in phase_spans(result.trace, rank=0, iteration=iteration)
             ]
             assert names == PHASE_ORDER
 
     def test_spans_are_contiguous_per_rank(self, delta4):
         result = PRSRuntime(delta4, JobConfig()).run(CountdownApp(n=2000))
-        spans = sorted(result.trace.phases(rank=0), key=lambda s: s.start)
+        spans = sorted(phase_spans(result.trace, rank=0), key=lambda s: s.start)
         for prev, nxt in zip(spans, spans[1:]):
             assert nxt.start == pytest.approx(prev.end)
 

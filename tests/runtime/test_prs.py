@@ -81,8 +81,10 @@ class TestIterativeDriver:
         later = [s.duration for s in log.stats[1:]]
         assert first > max(later) * 1.05
         # h2d traffic happens only once per node
-        h2d = result.trace.filter(kind="h2d")
-        later_h2d = [r for r in h2d if r.start >= log.stats[1].start]
+        later_h2d = [
+            r for r in result.trace.records
+            if r.kind == "h2d" and r.start >= log.stats[1].start
+        ]
         assert not any(r.nbytes > 1e5 for r in later_h2d)
 
 

@@ -101,15 +101,6 @@ class TestGpuDaemon:
         # A different span is not covered by the cache.
         assert not daemon.is_cached(Block(100, 200))
 
-    def test_invalidate_cache(self, delta):
-        app = CountdownApp(n=1000)
-        engine = Engine()
-        daemon = GpuDaemon(NodeResources(engine, delta), 0, app, QUIET_CONFIG, Trace())
-        sink = []
-        engine.run(engine.process(daemon.run_map_block(Block(0, 50), sink)))
-        daemon.invalidate_cache()
-        assert not daemon.is_cached(Block(0, 50))
-
     def test_gpu_index_bounds(self, delta):
         engine = Engine()
         res = NodeResources(engine, delta, n_gpus=1)
@@ -206,7 +197,7 @@ class TestSubTaskScheduler:
         sink = {}
         engine.run(engine.process(sched.run_reduce({"k": [1, 2]}, sink)))
         assert sink == {"k": 3}
-        assert trace.filter(kind="reduce")  # ran on the CPU daemon
+        assert any(r.kind == "reduce" for r in trace.records)  # on the CPU daemon
 
     def test_reduce_routes_to_gpu_when_cpu_off(self, delta):
         app = ModSumApp()

@@ -227,17 +227,6 @@ class TestTraceExport:
         payload = json.loads(target.read_text())
         assert payload["traceEvents"]
 
-    def test_jsonl_export(self, capsys, tmp_path):
-        import json
-
-        target = tmp_path / "spans.jsonl"
-        assert main(
-            self.RUN + ["--format", "jsonl", "--out", str(target)]
-        ) == 0
-        lines = target.read_text().splitlines()
-        assert lines
-        assert all(json.loads(line)["name"] for line in lines)
-
     def test_stdout_export(self, capsys):
         import json
 
@@ -390,6 +379,91 @@ class TestAnalyzeCommand:
         with pytest.raises(SystemExit, match="not found"):
             main(["analyze", "/nonexistent/thing.trace.json"])
 
+    def _export_profile(self, capsys, target, *extra):
+        assert main([
+            "trace", "export", "--app", "cmeans", "--size", "1000",
+            "--nodes", "2", "--iterations", "2", *extra,
+            "--format", "profile", "--out", str(target),
+        ]) == 0
+        capsys.readouterr()
+
+    def test_saved_profile_jsonl_check(self, capsys, tmp_path):
+        target = tmp_path / "run.profile.jsonl"
+        self._export_profile(capsys, target)
+        assert main(["analyze", str(target), "--check"]) == 0
+        out = capsys.readouterr().out
+        assert f"=== {target}" in out
+        assert "analysis check passed" in out
+
+    def test_directory_of_profile_jsonl(self, capsys, tmp_path):
+        target = tmp_path / "a.profile.jsonl"
+        self._export_profile(capsys, target)
+        assert main(["analyze", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"=== {target}" in out
+        assert "critical path" in out
+
+    @pytest.mark.parametrize("app, nodes", [("cmeans", "2"), ("gmm", "4")])
+    def test_saved_profile_jsonl_matches_live_json(
+        self, capsys, tmp_path, app, nodes
+    ):
+        import json
+
+        run = ["--app", app, "--size", "1000", "--nodes", nodes,
+               "--iterations", "2"]
+        target = tmp_path / "run.profile.jsonl"
+        assert main(["trace", "export", *run, "--format", "profile",
+                     "--out", str(target)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", *run, "--json"]) == 0
+        (live,) = json.loads(capsys.readouterr().out).values()
+        assert main(["analyze", str(target), "--json"]) == 0
+        (saved,) = json.loads(capsys.readouterr().out).values()
+        assert saved["critical_path"] == live["critical_path"]
+        assert saved["comm"] == live["comm"]
+        assert live["comm"]["messages"] > 0
+
+    def test_saved_profile_with_log_pairs_errors(self, capsys, tmp_path):
+        target = tmp_path / "logged.profile.jsonl"
+        self._export_profile(capsys, target, "--log-level", "info",
+                             "--faults", "gpu_kill@0:t=0.01")
+        assert main(["analyze", str(target), "--check"]) == 0
+        assert "ERROR log records pair" in capsys.readouterr().out
+
+
+class TestBadSavedRuns:
+    """Every reader of a saved run fails with one line naming the file
+    and the formats it accepts, never a traceback or a vacuous pass."""
+
+    READERS = [
+        (["analyze"], "profile.jsonl"),
+        (["analyze", "--check"], "profile.jsonl"),
+        (["dashboard"], "profile.jsonl"),
+        (["selfprof"], "selfprof-out"),
+        (["logs"], "log-level"),
+    ]
+
+    @pytest.mark.parametrize("content", ['{"a": 1}\n', "hello\n", ""])
+    @pytest.mark.parametrize("reader, accepts", READERS)
+    def test_unreadable_file_exits_naming_it(
+        self, tmp_path, reader, accepts, content
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main([reader[0], str(bad), *reader[1:]])
+        message = str(exc.value.code)
+        assert message.startswith(f"{bad}: not a saved run")
+        assert accepts in message and "\n" not in message
+
+    @pytest.mark.parametrize("reader", [["analyze", "--check"], ["dashboard"],
+                                        ["logs"]])
+    def test_file_without_spans_exits(self, tmp_path, reader):
+        empty = tmp_path / "empty.trace.json"
+        empty.write_text('{"traceEvents": []}')
+        with pytest.raises(SystemExit, match="holds no span"):
+            main([reader[0], str(empty), *reader[1:]])
+
 
 class TestRunAnalysisSurface:
     RUN = [
@@ -503,6 +577,19 @@ class TestSelfprofCLI:
             "analyze", "--app", "cmeans", "--size", "600", "--nodes", "2",
             "--iterations", "2", "--self",
         ]) == 0
+        out = capsys.readouterr().out
+        assert "critical path" in out
+        assert "host self-profile" in out
+
+    def test_analyze_self_saved_profile(self, capsys, tmp_path):
+        profile = tmp_path / "run.profile.jsonl"
+        assert main([
+            "trace", "export", "--app", "cmeans", "--size", "600",
+            "--nodes", "2", "--iterations", "2", "--selfprof",
+            "--format", "profile", "--out", str(profile),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(profile), "--self"]) == 0
         out = capsys.readouterr().out
         assert "critical path" in out
         assert "host self-profile" in out

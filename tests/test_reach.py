@@ -1,4 +1,5 @@
-"""Every ``src/repro`` module is reached by the paper's tools.
+"""Every ``src/repro`` module is reached by the paper's tools, and every
+public function of the observability layer is referenced by name.
 
 A static import graph is built over every ``import`` and ``from ...
 import`` statement, including those inside functions (the CLI imports
@@ -13,12 +14,22 @@ is imported by name (``import repro.apps`` or ``from repro.apps import
 CMeansApp``).  Importing a submodule runs its parents' ``__init__`` too,
 but following their re-exports would make every re-exported module look
 reached.
+
+Below modules, the check is by name: every public function, method and
+property defined in ``src/repro/obs/**`` and ``simulate/trace.py`` must
+be referenced somewhere in ``src/``, ``benchmarks/`` or ``examples/``
+outside its own ``def``.  A reference is an attribute ``.name``, a read
+of ``name`` (a call, or the function passed on), or a
+``"module:Class.name"`` entry-point string.  Names are not resolved to
+their class, so a common name (``to_dict``) is never flagged; the check
+catches a function whose name nothing uses any more.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
 
 REPO = pathlib.Path(__file__).parent.parent
 SRC = REPO / "src"
@@ -131,3 +142,94 @@ def test_import_statements_resolve(tmp_path):
     rel = tmp_path / "rel.py"
     rel.write_text("from .gmm import GMMApp\nfrom .. import obs\n")
     assert _imports(rel, "repro.apps", modules) == {"repro.apps.gmm", "repro.obs"}
+
+
+#: the files whose public functions must each be referenced by name
+NAME_CHECKED = (SRC / "repro" / "obs", SRC / "repro" / "simulate" / "trace.py")
+
+#: an entry-point string such as ``"repro.simulate.trace:Trace.add"``
+_ENTRY_POINT = re.compile(r"^[\w.]+:[\w.]+$")
+
+
+def _public_defs(path: pathlib.Path) -> list[tuple[str, str, int, int]]:
+    """(name, qualified name, first line, last line) of every public
+    module-level function and method of a module-level class."""
+    out = []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, functions):
+            items = [(node, node.name)]
+        elif isinstance(node, ast.ClassDef):
+            items = [(item, f"{node.name}.{item.name}") for item in node.body
+                     if isinstance(item, functions)]
+        else:
+            continue
+        out.extend(
+            (item.name, qualname, item.lineno, item.end_lineno)
+            for item, qualname in items if not item.name.startswith("_")
+        )
+    return out
+
+
+def _name_references(path: pathlib.Path) -> list[tuple[str, int]]:
+    """(name, line) of every reference in *path* (see module docstring)."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node.lineno))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _ENTRY_POINT.match(node.value)):
+            out.append((re.split(r"[:.]", node.value)[-1], node.lineno))
+    return out
+
+
+def unreferenced_functions() -> list[str]:
+    """``file: Class.name`` of every name-checked public function that
+    nothing outside its own ``def`` references."""
+    files = [p for root in ("src", "benchmarks", "examples")
+             for p in sorted((REPO / root).rglob("*.py"))]
+    refs: dict[str, list[tuple[pathlib.Path, int]]] = {}
+    for path in files:
+        for name, line in _name_references(path):
+            refs.setdefault(name, []).append((path, line))
+    checked = [p for root in NAME_CHECKED
+               for p in ([root] if root.is_file() else sorted(root.rglob("*.py")))]
+    missing = []
+    for path in checked:
+        for name, qualname, first, last in _public_defs(path):
+            if not any(ref != path or not first <= line <= last
+                       for ref, line in refs.get(name, ())):
+                missing.append(f"{path.relative_to(SRC)}: {qualname}")
+    return missing
+
+
+def test_every_obs_function_is_referenced():
+    missing = unreferenced_functions()
+    assert not missing, (
+        "public functions nothing in src/, benchmarks/ or examples/ "
+        "references (delete them, or move a test oracle into tests/): "
+        + ", ".join(missing)
+    )
+
+
+def test_name_references_resolve(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "class C:\n"
+        "    def walk(self):\n"
+        "        return self.walk()\n"
+        "def helper():\n"
+        "    return helper\n"
+        "ENTRY = 'pkg.mod:C.run'\n"
+        "x = obj.attr\n"
+        "_private = 'not:an entry'\n"
+    )
+    assert _public_defs(mod) == [("walk", "C.walk", 2, 3), ("helper", "helper", 4, 5)]
+    # self-references are collected here; unreferenced_functions drops
+    # those that lie inside the def they name
+    assert sorted(_name_references(mod)) == [
+        ("attr", 7), ("helper", 5), ("obj", 7), ("run", 6), ("self", 3),
+        ("walk", 3),
+    ]
