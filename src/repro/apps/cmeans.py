@@ -15,6 +15,14 @@ of the paper's membership test ``max_ij |u_ij^(k+1) - u_ij^(k)| < eps``
 (tracking the full membership matrix across iterations would need O(N*M)
 state on the master; centers determine memberships, so center convergence
 implies membership convergence).
+
+The distance and membership matrices of one point depend only on that
+point and the centers, and :func:`_squared_distances` gives each row
+the same bits whatever rows share the call.  So the app computes the
+weights ``u_ij^m`` and each row's objective term
+``sum_j u_ij^m ||x_i - c_j||^2`` once per model version over all
+points, keeps them in a memo, and each map slices its block out of the
+memo.  The per-block sums of Equation (14) are still taken per block.
 """
 
 from __future__ import annotations
@@ -32,11 +40,17 @@ _OBJECTIVE_KEY = "objective"
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """``||x_i - c_j||^2`` of shape ``(n, M)`` via the expansion trick,
-    clipped at 0 so rounding never makes it negative."""
+    clipped at 0 so rounding never makes it negative.
+
+    Each row's result is the same bits whatever rows come with it:
+    einsum (without ``optimize``, so never BLAS) sums each row's
+    products on its own, where ``points @ centers.T`` changes path with
+    the row count.
+    """
     d2 = (
-        np.sum(points * points, axis=1)[:, None]
-        - 2.0 * points @ centers.T
-        + np.sum(centers * centers, axis=1)[None, :]
+        np.einsum("nd,nd->n", points, points)[:, None]
+        - 2.0 * np.einsum("nd,md->nm", points, centers)
+        + np.einsum("md,md->m", centers, centers)[None, :]
     )
     np.clip(d2, 0.0, None, out=d2)
     return d2
@@ -132,6 +146,10 @@ class CMeansApp(IterativeMapReduceApp):
         #: current cluster centers (float64 for stable accumulation)
         self.centers = points[idx].astype(np.float64).copy()
         self._converged = False
+        #: ``(u^m, per-row objective)`` of every point under the current
+        #: centers, built by the first map of an iteration and dropped by
+        #: :meth:`update`
+        self._rows: tuple[np.ndarray, np.ndarray] | None = None
         #: J_m after each completed iteration
         self.objective_history: list[float] = []
         self._intensity = cmeans_intensity(n_clusters)
@@ -160,13 +178,21 @@ class CMeansApp(IterativeMapReduceApp):
     # ------------------------------------------------------------------
     # MapReduce kernels
     # ------------------------------------------------------------------
+    def _model_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._rows is None:
+            d2 = _squared_distances(self.points.astype(np.float64), self.centers)
+            w = _memberships_from_d2(d2, self.m) ** self.m
+            self._rows = w, np.sum(w * d2, axis=1)
+        return self._rows
+
     def cpu_map(self, block: Block) -> list[tuple[Any, Any]]:
-        x = self.points[block.start : block.stop].astype(np.float64)
-        d2 = _squared_distances(x, self.centers)
-        w = _memberships_from_d2(d2, self.m) ** self.m
+        w, objective = self._model_rows()
+        lo, hi = block.start, block.stop
+        w = w[lo:hi]
+        x = self.points[lo:hi].astype(np.float64)
         numerators = w.T @ x  # (M, D)
         denominators = np.sum(w, axis=0)  # (M,)
-        objective = float(np.sum(w * d2))
+        objective = float(np.sum(objective[lo:hi]))
 
         pairs: list[tuple[Any, Any]] = [
             (j, (numerators[j], float(denominators[j])))
@@ -214,6 +240,7 @@ class CMeansApp(IterativeMapReduceApp):
                 new_centers[j] = np.asarray(numerator) / denominator
         delta = float(np.max(np.linalg.norm(new_centers - self.centers, axis=1)))
         self.centers = new_centers
+        self._rows = None
         if objective is not None:
             self.objective_history.append(float(objective))
         self._converged = delta < self.epsilon

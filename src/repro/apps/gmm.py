@@ -19,7 +19,10 @@ Mahalanobis term is an einsum against ``L_m^-1``, and each row's bits
 do not depend on which other rows share the call.  So the app runs the
 kernel once per model version over all points, keeps the result in a
 memo, and each map slices its block out of the memo.  The per-block
-sums ``N_m``, ``F_m`` and ``S_m`` are still taken per block.
+sums ``N_m``, ``F_m`` and ``S_m`` are still taken per block, for all
+components in three NumPy calls: the column sums of ``gamma``, the
+product ``gamma^T Y``, and the product of the block's ``(n, M*D)``
+matrix of ``gamma_nm y_n`` rows with ``Y``.
 
 The paper pins the arithmetic intensity at ``11 * M * D`` flops/byte
 (Table 5), which we adopt as the cost profile.
@@ -204,13 +207,14 @@ class GMMApp(IterativeMapReduceApp):
         gamma, norm = self._model_rows()
         gamma = gamma[block.start : block.stop]
         x = self.points[block.start : block.stop].astype(np.float64)
-        pairs: list[tuple[Any, Any]] = []
-        for m in range(self.n_components):
-            g = gamma[:, m]
-            n_m = float(np.sum(g))
-            f_m = g @ x  # (D,)
-            s_m = (x * g[:, None]).T @ x  # (D, D)
-            pairs.append((m, (n_m, f_m, s_m)))
+        (n, d), k = x.shape, self.n_components
+        n_m = gamma.sum(axis=0)  # (M,)
+        f_m = gamma.T @ x  # (M, D)
+        gx = (gamma[:, :, None] * x[:, None, :]).reshape(n, k * d)
+        s_m = (gx.T @ x).reshape(k, d, d)  # (M, D, D)
+        pairs: list[tuple[Any, Any]] = [
+            (m, (float(n_m[m]), f_m[m], s_m[m])) for m in range(k)
+        ]
         pairs.append((_LL_KEY, float(np.sum(norm[block.start : block.stop]))))
         return pairs
 

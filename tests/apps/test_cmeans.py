@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.cmeans import (
     CMeansApp,
     _coincident,
+    _memberships_from_d2,
+    _squared_distances,
     cmeans_objective,
     fuzzy_memberships,
 )
@@ -247,3 +249,99 @@ def _drive(app, iterations=None):
         if iterations is None and app.converged:
             break
     return done
+
+
+class TestCMeansRowKernel:
+    """C-means' per-row distances and weights are the same bits at every
+    block size."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        pts, _, _ = gaussian_mixture(1000, 16, 5, seed=21)
+        app = CMeansApp(pts, 5, seed=21)
+        _drive(app, iterations=1)
+        return pts.astype(np.float64), app.centers, app.m
+
+    @pytest.mark.parametrize("size", [1, 3, 7, 333, 1000])
+    def test_rows_bitwise_equal_at_every_block_size(self, model, size):
+        x, centers, m = model
+        d2 = [
+            _squared_distances(x[lo : lo + size], centers)
+            for lo in range(0, len(x), size)
+        ]
+        w = [_memberships_from_d2(b, m) ** m for b in d2]
+        whole = _squared_distances(x, centers)
+        assert np.array_equal(np.concatenate(d2), whole)
+        assert np.array_equal(
+            np.concatenate(w), _memberships_from_d2(whole, m) ** m
+        )
+
+
+def _public_map(app, block):
+    """``CMeansApp.cpu_map`` rebuilt from the whole input's rows, sliced."""
+    x = app.points.astype(np.float64)
+    w = fuzzy_memberships(x, app.centers, app.m) ** app.m
+    objective = np.sum(w * _squared_distances(x, app.centers), axis=1)
+    lo, hi = block.start, block.stop
+    x, w = x[lo:hi], w[lo:hi]
+    numerators, denominators = w.T @ x, w.sum(0)
+    pairs = [
+        (j, (numerators[j], float(denominators[j])))
+        for j in range(app.n_clusters)
+    ]
+    return pairs + [("objective", float(np.sum(objective[lo:hi])))]
+
+
+def _assert_pairs_identical(got, want):
+    assert [k for k, _ in got] == [k for k, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        g, w = (g, w) if isinstance(w, tuple) else ((g,), (w,))
+        assert all(np.array_equal(a, b) for a, b in zip(g, w, strict=True))
+
+
+class TestCMeansRowMemo:
+    """The per-iteration row memo never serves stale centers."""
+
+    BLOCK = Block(37, 181)
+
+    def _app(self):
+        pts, _, _ = gaussian_mixture(300, 4, 3, seed=12)
+        return CMeansApp(pts, 3, seed=12)
+
+    def test_no_memo_after_constructor(self):
+        assert self._app()._rows is None
+
+    def test_map_matches_public_path_across_updates(self):
+        app = self._app()
+        for _ in range(3):  # iteration 0, after one and after two updates
+            _assert_pairs_identical(
+                app.cpu_map(self.BLOCK), _public_map(app, self.BLOCK)
+            )
+            _drive(app, iterations=1)
+            assert app._rows is None
+
+    def test_map_matches_public_path_after_restore(self):
+        app = self._app()
+        _drive(app, iterations=1)
+        app.cpu_map(self.BLOCK)
+        state = app.checkpoint()
+        assert state["_rows"] is not None
+        _drive(app, iterations=1)
+        newer = app.cpu_map(self.BLOCK)  # memo of the newer centers
+        app.restore(state)
+        restored = app.cpu_map(self.BLOCK)
+        _assert_pairs_identical(restored, _public_map(app, self.BLOCK))
+        assert not np.array_equal(restored[0][1][0], newer[0][1][0])
+
+    def test_shuffled_partition_matches_whole_input_slices(self):
+        app = self._app()
+        _drive(app, iterations=1)
+        n = app.n_items()
+        rng = np.random.default_rng(14)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=40, replace=False))
+        bounds = [0, *cuts.tolist(), n]
+        blocks = [Block(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        rng.shuffle(blocks)
+        assert blocks[0].start != 0  # the memo is built from a later block
+        for block in blocks:
+            _assert_pairs_identical(app.cpu_map(block), _public_map(app, block))

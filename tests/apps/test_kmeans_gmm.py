@@ -229,11 +229,11 @@ def _public_map(app, block):
         app.points, app.weights, app.means, app.covariances
     )
     lo, hi = block.start, block.stop
-    x, gamma = app.points[lo:hi].astype(np.float64), gamma[lo:hi]
-    pairs = []
-    for m in range(app.n_components):
-        g = gamma[:, m]
-        pairs.append((m, (float(np.sum(g)), g @ x, (x * g[:, None]).T @ x)))
+    x, g = app.points[lo:hi].astype(np.float64), gamma[lo:hi]
+    (n, d), k = x.shape, app.n_components
+    s = ((g[:, :, None] * x[:, None, :]).reshape(n, k * d).T @ x).reshape(k, d, d)
+    n_m, f_m = g.sum(0), g.T @ x
+    pairs = [(m, (float(n_m[m]), f_m[m], s[m])) for m in range(k)]
     return pairs + [("loglik", float(np.sum(norm[lo:hi])))]
 
 
