@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, Mapping
 
 __all__ = [
@@ -151,6 +152,21 @@ class FlightDump:
         )
 
 
+def _record(raw: tuple) -> LogRecord:
+    """The :class:`LogRecord` of one raw ring entry."""
+    seq, t, level, logger, message, rank, span_id, labels = raw
+    return LogRecord(
+        seq=seq,
+        t=t,
+        level=level,
+        logger=logger,
+        message=message,
+        rank=rank,
+        span_id=span_id,
+        attrs=tuple(sorted((k, str(v)) for k, v in labels.items())),
+    )
+
+
 class EventLog:
     """Leveled event log over per-rank bounded rings.
 
@@ -171,7 +187,9 @@ class EventLog:
             raise ValueError(f"ring_size must be positive, got {ring_size}")
         self.level = level
         self.ring_size = ring_size
-        self._rings: dict[int, deque[LogRecord]] = {}
+        #: rank (-1: driver) -> raw ``(seq, t, level, logger, message,
+        #: rank, span_id, labels)`` entries, oldest first
+        self._rings: dict[int, deque[tuple]] = {}
         self._seq = 0
         #: records that passed the level filter (retained or since evicted)
         self.emitted = 0
@@ -199,50 +217,47 @@ class EventLog:
         rank: int | None = None,
         span_id: int | None = None,
         **labels: Any,
-    ) -> LogRecord | None:
-        """Append one record; returns it, or None when level-filtered."""
-        if _check_level(level) < self._threshold:
-            return None
-        attrs = {k: str(v) for k, v in labels.items()}
+    ) -> None:
+        """Append one record unless it is below the log's level.
+
+        The ring keeps the record's fields as a plain tuple, its labels
+        unconverted; the :class:`LogRecord` with sorted ``str()`` labels
+        is built only when something reads it (:meth:`records`).
+        """
+        severity = LEVELS.get(level)
+        if severity is None:
+            _check_level(level)  # raises, naming the known levels
+        if severity < self._threshold:
+            return
         if rank is not None and span_id is None and self._open_phase:
             span = self._open_phase.get(rank)
             if span is not None:
                 span_id = span.span_id
                 for key in ("iteration", "dag_node"):
                     value = span.attrs.get(key)
-                    if value is not None and key not in attrs:
-                        attrs[key] = str(value)
-        record = LogRecord(
-            seq=self._seq,
-            t=t,
-            level=level,
-            logger=logger,
-            message=message,
-            rank=rank,
-            span_id=span_id,
-            attrs=tuple(sorted(attrs.items())),
-        )
-        self._seq += 1
-        self.emitted += 1
+                    if value is not None and key not in labels:
+                        labels[key] = value
         key = rank if rank is not None else -1
         ring = self._rings.get(key)
         if ring is None:
-            ring = deque(maxlen=self.ring_size)
-            self._rings[key] = ring
-        ring.append(record)
-        return record
+            ring = self._rings[key] = deque(maxlen=self.ring_size)
+        ring.append(
+            (self._seq, t, level, logger, message, rank, span_id, labels)
+        )
+        self._seq += 1
+        self.emitted += 1
 
-    def debug(self, logger: str, message: str, **kw: Any):
-        return self.emit("debug", logger, message, **kw)
+    def debug(self, logger: str, message: str, **kw: Any) -> None:
+        self.emit("debug", logger, message, **kw)
 
-    def info(self, logger: str, message: str, **kw: Any):
-        return self.emit("info", logger, message, **kw)
+    def info(self, logger: str, message: str, **kw: Any) -> None:
+        self.emit("info", logger, message, **kw)
 
-    def warning(self, logger: str, message: str, **kw: Any):
-        return self.emit("warning", logger, message, **kw)
+    def warning(self, logger: str, message: str, **kw: Any) -> None:
+        self.emit("warning", logger, message, **kw)
 
-    def error(self, logger: str, message: str, **kw: Any):
-        return self.emit("error", logger, message, **kw)
+    def error(self, logger: str, message: str, **kw: Any) -> None:
+        self.emit("error", logger, message, **kw)
 
     # -- read ----------------------------------------------------------
     def records(
@@ -252,14 +267,17 @@ class EventLog:
     ) -> list[LogRecord]:
         """The retained tail, merged across rings in causal (seq) order."""
         floor = _check_level(min_level) if min_level is not None else 0
-        out = [
-            r
-            for key, ring in self._rings.items()
-            for r in ring
-            if r.severity >= floor and (rank is None or r.rank == rank)
+        return [
+            _record(raw)
+            for raw in self._merged()
+            if LEVELS[raw[2]] >= floor and (rank is None or raw[5] == rank)
         ]
-        out.sort(key=lambda r: r.seq)
-        return out
+
+    def _merged(self) -> list[tuple]:
+        """Every ring's raw records in seq order."""
+        merged = [raw for ring in self._rings.values() for raw in ring]
+        merged.sort(key=itemgetter(0))
+        return merged
 
     def __len__(self) -> int:
         return sum(len(ring) for ring in self._rings.values())
@@ -270,7 +288,7 @@ class EventLog:
         records across every ring); None once :data:`MAX_DUMPS` is hit."""
         if len(self.dumps) >= MAX_DUMPS:
             return None
-        tail = tuple(self.records()[-DUMP_TAIL:])
+        tail = tuple(_record(raw) for raw in self._merged()[-DUMP_TAIL:])
         flight = FlightDump(trigger=trigger, cause=cause, t=t, records=tail)
         self.dumps.append(flight)
         return flight
@@ -299,9 +317,12 @@ class EventLog:
             key = record.rank if record.rank is not None else -1
             ring = log._rings.get(key)
             if ring is None:
-                ring = deque(maxlen=log.ring_size)
-                log._rings[key] = ring
-            ring.append(record)
+                ring = log._rings[key] = deque(maxlen=log.ring_size)
+            ring.append((
+                record.seq, record.t, record.level, record.logger,
+                record.message, record.rank, record.span_id,
+                dict(record.attrs),
+            ))
             log._seq = max(log._seq, record.seq + 1)
         log.emitted = int(meta.get("emitted", len(log)))
         log.dumps = [d for d in dumps]
@@ -329,8 +350,8 @@ class NullLog:
         rank: int | None = None,
         span_id: int | None = None,
         **labels: Any,
-    ) -> LogRecord | None:
-        return None
+    ) -> None:
+        pass
 
     # the level shorthands forward to the no-op emit above
     debug, info = EventLog.debug, EventLog.info

@@ -29,10 +29,13 @@ from tests.helpers import CountdownApp, ModSumApp
 class TestEventLogUnits:
     def test_level_filtering(self):
         log = EventLog(level="warning")
-        assert log.debug("x", "dropped", t=0.0) is None
-        assert log.info("x", "dropped", t=0.0) is None
-        assert log.warning("x", "kept", t=0.0) is not None
-        assert log.error("x", "kept", t=0.0) is not None
+        log.debug("x", "dropped", t=0.0)
+        log.info("x", "dropped", t=0.0)
+        log.warning("x", "kept", t=0.0)
+        log.error("x", "kept", t=0.0)
+        assert [(r.level, r.message) for r in log.records()] == [
+            ("warning", "kept"), ("error", "kept"),
+        ]
         assert len(log) == 2
         assert log.emitted == 2
         assert not log.wants_debug
@@ -64,7 +67,8 @@ class TestEventLogUnits:
 
     def test_labels_sorted_and_stringified(self):
         log = EventLog()
-        rec = log.info("x", "m", t=0.0, zeta=1, alpha=2.5)
+        log.info("x", "m", t=0.0, zeta=1, alpha=2.5)
+        (rec,) = log.records()
         assert rec.attrs == (("alpha", "2.5"), ("zeta", "1"))
         assert dict(rec.attrs) == {"alpha": "2.5", "zeta": "1"}
 
@@ -75,13 +79,16 @@ class TestEventLogUnits:
 
         log = EventLog()
         log.bind_phases({0: FakeSpan()})
-        rec = log.info("x", "inside", t=0.0, rank=0)
+        log.info("x", "inside", t=0.0, rank=0)
+        # Explicit span_id and rankless records bypass inheritance.
+        log.info("x", "explicit", t=0.0, rank=0, span_id=7)
+        log.info("x", "driver", t=0.0)
+        rec, explicit, driver = log.records()
         assert rec.span_id == 42
         assert dict(rec.attrs)["iteration"] == "3"
         assert dict(rec.attrs)["dag_node"] == "map"
-        # Explicit span_id and rankless records bypass inheritance.
-        assert log.info("x", "explicit", t=0.0, rank=0, span_id=7).span_id == 7
-        assert log.info("x", "driver", t=0.0).span_id is None
+        assert explicit.span_id == 7
+        assert driver.span_id is None
 
     def test_record_round_trip(self):
         rec = LogRecord(
