@@ -134,7 +134,8 @@ class SelfProfiler:
     enabled = True
 
     __slots__ = ("root", "_nodes", "_t0s", "_started_at", "_stopped_at",
-                 "_dispatch_keys", "_resumed", "_open_dispatch", "_open_t0")
+                 "_dispatch_keys", "_resumed", "_passive", "_exited",
+                 "_open_dispatch", "_open_t0")
 
     def __init__(self) -> None:
         self.root = HostNode(ROOT_SCOPE)
@@ -153,6 +154,11 @@ class SelfProfiler:
         #: by name, not by the process, so no process is held alive
         #: (a bigger GC live set would tax every collection)
         self._resumed: dict[type, dict[str, HostNode]] = {}
+        #: callback-owner classes that classify as not resuming, and the
+        #: exit nodes of events dispatched under them, keyed like
+        #: ``_resumed`` but by the exiting process's class and name
+        self._passive: set[type] = set()
+        self._exited: dict[type, dict[str, HostNode]] = {}
         #: deferred engine-dispatch frame (coalesced dispatch scopes,
         #: see :meth:`dispatch`).  The open frame sits on ``_nodes``
         #: without a ``_t0s`` entry; its entry time lives here and
@@ -227,8 +233,11 @@ class SelfProfiler:
     ) -> None:
         """Charge one engine event, about to run *callbacks*, to its
         class's root-level scope: ``classify(self, event, callbacks)``
-        returns the scope name and whether it names the resumed process
-        (then it is cached per owner class and name).
+        returns the scope name and the process it is named after — the
+        callbacks' owner (a resume) or the event itself (an exit) — or
+        ``None``.  A named scope is cached per class and process name;
+        once an owner class has classified as not resuming, exits under
+        it are looked up by the exiting process's class and name.
 
         Scopes are *coalesced*, since this runs once per event: the
         dispatch scope stays open across events, so a run of same-class
@@ -237,13 +246,26 @@ class SelfProfiler:
         extends; the engine calls :meth:`flush_dispatch` on loop exit.
         """
         owner = getattr(callbacks[0], "__self__", None) if callbacks else None
-        by_name = self._resumed.get(owner.__class__)
-        node = by_name.get(owner.name) if by_name is not None else None
+        cls = owner.__class__
+        by_name = self._resumed.get(cls)
+        if by_name is not None:
+            node = by_name.get(owner.name)
+        elif cls in self._passive:
+            by_name = self._exited.get(event.__class__)
+            node = by_name.get(event.name) if by_name is not None else None
+        else:
+            node = None
         if node is None:
-            scope, resumed = classify(self, event, callbacks)
+            scope, named = classify(self, event, callbacks)
             node = self.node_for(scope)
-            if resumed:
-                self._resumed.setdefault(owner.__class__, {})[owner.name] = node
+            if named is not None and named is owner:
+                self._resumed.setdefault(cls, {})[owner.name] = node
+            else:
+                self._passive.add(cls)
+                if named is not None and named is event:
+                    self._exited.setdefault(event.__class__, {})[
+                        event.name
+                    ] = node
         open_ = self._open_dispatch
         if open_ is not node:
             now = perf_counter()

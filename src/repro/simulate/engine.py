@@ -279,10 +279,10 @@ class AnyOf(_Condition):
 
 def _dispatch_scope(
     profiler: Any, event: Event, callbacks: list
-) -> tuple[str, bool]:
+) -> tuple[str, "Process | None"]:
     """Scope name charging this dispatch to an event/process class, and
-    whether it names the resumed process (so the profiler may cache it
-    per process name).
+    the process it is named after: the resumed owner, the exiting event,
+    or ``None`` (so the profiler may cache it per process name).
 
     When the first callback resumes a process, the dispatch is charged
     to that process's class (``engine:resume:<name-sans-digits>``) — in
@@ -294,12 +294,12 @@ def _dispatch_scope(
     if callbacks:
         owner = getattr(callbacks[0], "__self__", None)
         if isinstance(owner, Process):
-            return profiler.dispatch_key(owner.name, "resume"), True
+            return profiler.dispatch_key(owner.name, "resume"), owner
     if isinstance(event, Process):
-        return profiler.dispatch_key(event.name, "exit"), False
+        return profiler.dispatch_key(event.name, "exit"), event
     if isinstance(event, Timeout):
-        return "engine:timeout", False
-    return "engine:event", False
+        return "engine:timeout", None
+    return "engine:event", None
 
 
 class Engine:

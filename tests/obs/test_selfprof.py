@@ -175,6 +175,31 @@ class TestEngineDispatch:
         assert all(not node.children for name, node
                    in prof.root.children.items() if name != "post")
 
+    def test_cached_scopes_match_a_fresh_classification(self, monkeypatch):
+        # The per-name caches (resumes by owner, exits by the exiting
+        # process) charge each event where classifying it afresh would.
+        fresh: dict[str, int] = {}
+        real = SelfProfiler.dispatch
+
+        def spy(self, event, callbacks, classify):
+            scope = classify(self, event, callbacks)[0]
+            fresh[scope] = fresh.get(scope, 0) + 1
+            real(self, event, callbacks, classify)
+
+        monkeypatch.setattr(SelfProfiler, "dispatch", spy)
+        pts, _, _ = gaussian_mixture(2000, 8, 4, seed=3)
+        config = JobConfig(selfprof=True, scheduling="dynamic")
+        result = PRSRuntime(delta_cluster(n_nodes=2), config).run(
+            CMeansApp(pts, 4, seed=3, max_iterations=3)
+        )
+        calls = {
+            name: node.calls
+            for name, node in result.selfprofile.root.children.items()
+            if name.startswith("engine:")
+        }
+        assert any(name.startswith("engine:exit:") for name in calls)
+        assert calls == fresh
+
     def test_null_profiler_is_the_default(self):
         engine = Engine()
         _workload(engine)
