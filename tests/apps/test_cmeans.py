@@ -14,7 +14,7 @@ from repro.apps.cmeans import (
 )
 from repro.data.synth import gaussian_mixture
 from repro.runtime.api import Block
-from tests.helpers import cmeans_reference
+from tests.helpers import assert_pairs_identical, cmeans_reference
 
 
 @pytest.fixture
@@ -292,13 +292,6 @@ def _public_map(app, block):
     return pairs + [("objective", float(np.sum(objective[lo:hi])))]
 
 
-def _assert_pairs_identical(got, want):
-    assert [k for k, _ in got] == [k for k, _ in want]
-    for (_, g), (_, w) in zip(got, want):
-        g, w = (g, w) if isinstance(w, tuple) else ((g,), (w,))
-        assert all(np.array_equal(a, b) for a, b in zip(g, w, strict=True))
-
-
 class TestCMeansRowMemo:
     """The per-iteration row memo never serves stale centers."""
 
@@ -314,7 +307,7 @@ class TestCMeansRowMemo:
     def test_map_matches_public_path_across_updates(self):
         app = self._app()
         for _ in range(3):  # iteration 0, after one and after two updates
-            _assert_pairs_identical(
+            assert_pairs_identical(
                 app.cpu_map(self.BLOCK), _public_map(app, self.BLOCK)
             )
             _drive(app, iterations=1)
@@ -330,7 +323,7 @@ class TestCMeansRowMemo:
         newer = app.cpu_map(self.BLOCK)  # memo of the newer centers
         app.restore(state)
         restored = app.cpu_map(self.BLOCK)
-        _assert_pairs_identical(restored, _public_map(app, self.BLOCK))
+        assert_pairs_identical(restored, _public_map(app, self.BLOCK))
         assert not np.array_equal(restored[0][1][0], newer[0][1][0])
 
     def test_shuffled_partition_matches_whole_input_slices(self):
@@ -344,4 +337,4 @@ class TestCMeansRowMemo:
         rng.shuffle(blocks)
         assert blocks[0].start != 0  # the memo is built from a later block
         for block in blocks:
-            _assert_pairs_identical(app.cpu_map(block), _public_map(app, block))
+            assert_pairs_identical(app.cpu_map(block), _public_map(app, block))

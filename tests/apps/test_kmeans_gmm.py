@@ -14,6 +14,7 @@ from repro.apps.kmeans import KMeansApp, nearest_centers
 from repro.data.synth import gaussian_mixture
 from repro.runtime.api import Block
 from repro.runtime.shuffle import group_by_key
+from tests.helpers import assert_pairs_identical
 
 
 def log_gaussian_pdf(points, mean, cov):
@@ -237,13 +238,6 @@ def _public_map(app, block):
     return pairs + [("loglik", float(np.sum(norm[lo:hi])))]
 
 
-def _assert_pairs_identical(got, want):
-    assert [k for k, _ in got] == [k for k, _ in want]
-    for (_, g), (_, w) in zip(got, want):
-        g, w = (g, w) if isinstance(w, tuple) else ((g,), (w,))
-        assert all(np.array_equal(a, b) for a, b in zip(g, w, strict=True))
-
-
 class TestGMMFactorMemo:
     """The per-iteration row memo never serves a stale model."""
 
@@ -259,7 +253,7 @@ class TestGMMFactorMemo:
     def test_map_matches_public_path_across_updates(self):
         app = self._app()
         for _ in range(3):  # iteration 0, after one and after two updates
-            _assert_pairs_identical(
+            assert_pairs_identical(
                 app.cpu_map(self.BLOCK), _public_map(app, self.BLOCK)
             )
             drive(app, iterations=1)
@@ -275,7 +269,7 @@ class TestGMMFactorMemo:
         app.cpu_map(self.BLOCK)  # memo of the newer model
         newer = app.responsibilities()
         app.restore(state)
-        _assert_pairs_identical(
+        assert_pairs_identical(
             app.cpu_map(self.BLOCK), _public_map(app, self.BLOCK)
         )
         assert not np.array_equal(app.responsibilities(), newer)
@@ -291,7 +285,7 @@ class TestGMMFactorMemo:
         rng.shuffle(blocks)
         assert blocks[0].start != 0  # the memo is built from a later block
         for block in blocks:
-            _assert_pairs_identical(app.cpu_map(block), _public_map(app, block))
+            assert_pairs_identical(app.cpu_map(block), _public_map(app, block))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

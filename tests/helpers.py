@@ -137,6 +137,15 @@ def output_digest(output: dict) -> str:
     return h.hexdigest()
 
 
+def assert_pairs_identical(got: list, want: list) -> None:
+    """Two ``cpu_map`` outputs hold the same keys and bitwise-equal values
+    (a value is a scalar or a tuple of scalars and arrays)."""
+    assert [k for k, _ in got] == [k for k, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        g, w = (g, w) if isinstance(w, tuple) else ((g,), (w,))
+        assert all(np.array_equal(a, b) for a, b in zip(g, w, strict=True))
+
+
 def cmeans_reference(
     points: np.ndarray,
     n_clusters: int,
