@@ -28,12 +28,10 @@ from repro.core.intensity import (
 from repro.core.roofline import RooflineModel, roofline_curve
 from repro.core.analytic import (
     AnalyticModel,
-    RateObservation,
     Regime,
     SplitDecision,
     feedback_split,
     multi_device_split,
-    observe_device_rate,
     predicted_runtime,
     workload_split,
 )
@@ -73,8 +71,6 @@ __all__ = [
     "SplitDecision",
     "workload_split",
     "multi_device_split",
-    "RateObservation",
-    "observe_device_rate",
     "feedback_split",
     "predicted_runtime",
     "NetworkAwareSplit",

@@ -259,42 +259,6 @@ def node_partition_weights(
     return [w / total for w in weights]
 
 
-@dataclass(frozen=True)
-class RateObservation:
-    """Measured activity of one device over a trace window.
-
-    The online counterpart of the roofline-attainable rates: where
-    Equations (6)/(7) *predict* ``F_c``/``F_g`` from hardware parameters,
-    an observation *measures* them from executed work — the basis of the
-    ``adaptive-feedback`` scheduling policy (the Qilin-style profiling
-    contrast of §II.B made online, with no training jobs).
-    """
-
-    flops: float
-    busy_seconds: float
-
-    @property
-    def gflops(self) -> float:
-        """Observed rate in GFLOP/s; 0 when the device was idle."""
-        if self.busy_seconds <= 0.0:
-            return 0.0
-        return self.flops / self.busy_seconds / 1e9
-
-
-def observe_device_rate(trace, device: str, since: float = 0.0) -> RateObservation:
-    """Measure one device's achieved rate from an execution trace.
-
-    *trace* is a :class:`repro.simulate.trace.Trace` (duck-typed to avoid
-    a core -> simulate dependency); *since* restricts the window to
-    records starting at or after that instant, which is how a policy
-    observes a single iteration.
-    """
-    return RateObservation(
-        flops=trace.total_flops(device, since=since),
-        busy_seconds=trace.busy_time(device, since=since),
-    )
-
-
 def feedback_split(
     a_c: float,
     a_g: float,

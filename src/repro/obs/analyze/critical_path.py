@@ -80,9 +80,9 @@ class PathSegment:
     #: for slack segments: what the path was waiting on — ``"sender"``,
     #: ``"network"``, or ``"compute"``; always ``None`` for work
     wait_on: str | None = None
-    #: the task-DAG edge this stretch sits behind (the owning phase
+    #: the phase-chain link this stretch sits behind (the owning phase
     #: span's ``dag_edge`` attribute, e.g. ``"shuffle->reduce"``), when
-    #: the run came from the DAG runtime; ``None`` otherwise
+    #: the span carries one; ``None`` otherwise
     edge: str | None = None
 
     @property
@@ -168,12 +168,11 @@ class CriticalPath:
         return sum(1 for s in self.segments if s.wait_on == "network")
 
     def slack_by_edge(self) -> dict[str, float]:
-        """Slack seconds per task-DAG edge, largest first.
+        """Slack seconds per phase-chain link, largest first.
 
-        Only covers slack segments whose owning phase span carries the
-        DAG executor's ``dag_edge`` attribute — i.e. the concrete
-        dependency the blocked phase was waiting behind.  Empty for
-        profiles recorded before the DAG runtime.
+        Only covers slack segments whose owning phase span carries a
+        ``dag_edge`` attribute — the link the blocked phase was waiting
+        behind.  Empty for profiles recorded before that attribute.
         """
         totals: dict[str, float] = {}
         for seg in self.segments:
@@ -286,7 +285,7 @@ def critical_path(
     segments: list[PathSegment] = []
 
     def owning_edge(span: Span) -> str | None:
-        """The task-DAG edge this span sits behind: its own ``dag_edge``
+        """The phase-chain link this span sits behind: its own ``dag_edge``
         attribute or the nearest annotated ancestor's (leaf task/net
         spans inherit from their phase envelope)."""
         cur: Span | None = span
@@ -315,8 +314,8 @@ def critical_path(
                     span_id=span.span_id,
                     is_work=is_work,
                     wait_on=None if is_work else (wait_on or "compute"),
-                    # Slack inside a DAG-annotated phase envelope sits
-                    # behind that phase's concrete blocking edge.
+                    # Slack inside an annotated phase envelope sits
+                    # behind the link that phase waited on.
                     edge=owning_edge(span),
                 )
             )

@@ -32,7 +32,7 @@ from repro.hardware.node import FatNode
 from repro.runtime.api import Block, MapReduceApp
 from repro.runtime.job import JobConfig, Overheads
 from repro.runtime.memory import MALLOC_OVERHEAD_S, RegionAllocator
-from repro.runtime.shuffle import KeyValue
+from repro.runtime.shuffle import BlockOrderedSink
 from repro.simulate.engine import Engine, Event, Interrupt
 from repro.simulate.faults import DeviceFault
 from repro.simulate.resources import CorePool
@@ -64,20 +64,6 @@ class NodeResources:
         #: physical node index this resource set represents (stable across
         #: rank-restart incarnations)
         self.node_index = -1
-
-
-def _deliver(sink: Any, block: Block, pairs: list[KeyValue]) -> None:
-    """Hand a finished block's pairs to the sink.
-
-    Sinks that define ``record_block`` (the scheduler's block-ordered
-    sink) receive the block identity too, so emission order can be
-    canonicalized regardless of which device finished first.
-    """
-    record = getattr(sink, "record_block", None)
-    if record is not None:
-        record(block, pairs)
-    else:
-        sink.extend(pairs)
 
 
 def _log_failure(daemon: Any, block: Block, fatal: bool) -> None:
@@ -115,7 +101,7 @@ def _log_kernel(daemon: Any, kind: str, block: Block, n_pairs: int) -> None:
 
 
 def _guarded_body(
-    daemon: Any, block: Block, sink: Any
+    daemon: Any, block: Block, sink: BlockOrderedSink
 ) -> Generator[Event, Any, Any]:
     """Run one map block, converting a fault Interrupt into a return value
     (so resource cleanup runs and the parent can report the failure)."""
@@ -130,7 +116,7 @@ def _guarded_body(
 
 
 def _run_guarded(
-    daemon: Any, block: Block, sink: Any
+    daemon: Any, block: Block, sink: BlockOrderedSink
 ) -> Generator[Event, Any, None]:
     """Fault-aware wrapper: race the block against the device's disruption
     event; on a fault, interrupt the in-flight work and report the failed
@@ -167,7 +153,7 @@ class _MapDaemon:
             self.fault_listener(self, block, fatal)
 
     def run_map_block(
-        self, block: Block, sink: list[KeyValue]
+        self, block: Block, sink: BlockOrderedSink
     ) -> Generator[Event, Any, None]:
         """Process fragment: one map sub-task on this daemon's device —
         raced against the device's faults once they are wired."""
@@ -231,7 +217,7 @@ class CpuDaemon(_MapDaemon):
         return flops / (per_core * 1e9)
 
     def _map_block(
-        self, block: Block, sink: list[KeyValue]
+        self, block: Block, sink: BlockOrderedSink
     ) -> Generator[Event, Any, None]:
         engine = self.res.engine
         yield from self.res.cpu_pool.acquire()
@@ -267,7 +253,7 @@ class CpuDaemon(_MapDaemon):
                 duration *= faults.compute_scale(self.fault_key, start)
             yield engine.timeout(duration)
             _log_kernel(self, "cpu-map", block, len(pairs))
-            _deliver(sink, block, pairs)
+            sink.record_block(block, pairs)
             self.res.allocator.note_block(
                 (block.start, block.stop), self.device_name
             )
@@ -284,7 +270,7 @@ class CpuDaemon(_MapDaemon):
             self.res.cpu_pool.release()
 
     def run_map_blocks(
-        self, blocks: list[Block], sink: list[KeyValue]
+        self, blocks: list[Block], sink: BlockOrderedSink
     ) -> Generator[Event, Any, None]:
         """Process fragment: run *blocks* across the core pool, await all."""
         engine = self.res.engine
@@ -405,7 +391,7 @@ class GpuDaemon(_MapDaemon):
         )
 
     def _map_block(
-        self, block: Block, sink: list[KeyValue]
+        self, block: Block, sink: BlockOrderedSink
     ) -> Generator[Event, Any, None]:
         engine = self.res.engine
         if not self.config.single_gpu_context:
@@ -467,7 +453,7 @@ class GpuDaemon(_MapDaemon):
         if alloc > 0:
             yield engine.timeout(alloc)
         _log_kernel(self, "gpu-map", block, len(pairs))
-        _deliver(sink, block, pairs)
+        sink.record_block(block, pairs)
         self.res.allocator.note_block(
             (block.start, block.stop), self.device_name
         )
@@ -475,7 +461,7 @@ class GpuDaemon(_MapDaemon):
     def run_map_blocks(
         self,
         blocks: list[Block],
-        sink: list[KeyValue],
+        sink: BlockOrderedSink,
         n_streams: int | None = None,
     ) -> Generator[Event, Any, None]:
         """Process fragment: issue *blocks* as (possibly overlapping)

@@ -1,44 +1,18 @@
-"""The task-DAG runtime: phases as nodes of an explicit dependency graph.
+"""One SPMD iteration as the phase chain it is.
 
-``runtime/phases.py`` used to hard-code the paper's SPMD iteration shape
-— broadcast → map → combine → shuffle → reduce → gather → convergence —
-as a Python list walked in order.  That linear pipeline is only one
-shape of heterogeneous computation: dataflow runtimes (XKaapi,
-arXiv:1402.6601; StarPU, arXiv:1304.0878) schedule an explicit task
-graph whose *data edges* carry the sizes the scheduling policies need,
-and the graph-partition policy of Wu et al. (arXiv:1502.07451) min-cuts
-exactly such a graph across devices.
-
-This module is that graph, kept deliberately small:
-
-* :class:`TaskNode` — one named unit of work wrapping a
-  :class:`~repro.runtime.phases.Phase` (or, for policy-side block
-  graphs, an arbitrary payload);
-* :class:`DataEdge` — a directed dependency annotated with the bytes
-  that flow across it (``None`` when unknown);
-* :class:`TaskGraph` — validation (cycle and dangling-edge rejection via
-  Kahn's algorithm), deterministic topological order, a ``linear(...)``
-  constructor that reproduces the old pipeline exactly, and a
-  **ready-set executor** :meth:`TaskGraph.run`.
-
-The executor dispatches from the ready set — a node runs as soon as
-every predecessor finished — instead of walking a fixed list.  Ready
-nodes are executed in deterministic insertion order, serially per rank:
-the span tracer keeps one open-phase stack per rank track, so two phases
-of one rank can never overlap (and for the linear chain this reduces to
-exactly the old ``for phase in pipeline`` loop — bitwise-identical
-schedules).  Each phase span is annotated with its graph position
-(``dag_node``, ``dag_deps``) and, once the predecessors' finish times
-are known, with the **concrete blocking edge** ``dag_edge`` (+
-``dag_edge_bytes``): the in-edge from the latest-finishing predecessor,
-i.e. the dependency this node was actually waiting on.  The critical-path
-engine surfaces that attribute, so ``repro analyze`` can name the DAG
-edge the makespan was blocked behind.
+The paper's worker runs the same iteration every pass (§III.A.2):
+broadcast → map → combine → shuffle → reduce → gather → convergence.
+:class:`TaskGraph` holds those phases in order together with the
+modelled bytes on each link, and :meth:`TaskGraph.run` runs them back to
+back on one rank.  Each phase span is annotated with its place in the
+chain (``dag_node``, ``dag_deps``, ``dag_edge``, ``dag_edge_bytes``); the
+critical-path engine reads ``dag_edge`` to name the link the makespan
+was blocked behind.  The bytes are annotations only: the phases already
+pay every simulated cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -46,288 +20,31 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulate.engine import Event
 
 
-class GraphValidationError(ValueError):
-    """A structurally invalid task graph (cycle or dangling edge)."""
-
-
-@dataclass(frozen=True)
-class DataEdge:
-    """A directed dependency ``src -> dst`` with its data-flow size.
-
-    ``nbytes`` is the modelled volume crossing the edge (``None`` when
-    the producer's output size is unknown); policies and the critical
-    path read it, the executor never charges time for it — edges order
-    work, the phases themselves already pay every simulated cost.
-    """
-
-    src: str
-    dst: str
-    nbytes: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise GraphValidationError(f"self-edge on node {self.src!r}")
-        if self.nbytes is not None and self.nbytes < 0:
-            raise GraphValidationError(
-                f"edge {self.src}->{self.dst}: negative nbytes {self.nbytes}"
-            )
-
-    @property
-    def label(self) -> str:
-        return f"{self.src}->{self.dst}"
-
-
-@dataclass
-class TaskNode:
-    """One unit of work in a :class:`TaskGraph`.
-
-    ``phase`` is the executable payload for the runtime's iteration
-    graph; policy-side graphs (e.g. the graph-partition policy's block
-    graph) leave it ``None`` and attach their own ``payload`` instead.
-    """
-
-    name: str
-    phase: "Phase | None" = None
-    payload: Any = None
-    #: modelled weight of the node itself (items, flops, ...); graph
-    #: partitioners balance on this
-    weight: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise GraphValidationError("task node must have a non-empty name")
-
-
-@dataclass
 class TaskGraph:
-    """A validated DAG of :class:`TaskNode` joined by :class:`DataEdge`."""
+    """The per-iteration phases, in order, with ``(prev, name) -> bytes``
+    for the links whose data volume is known."""
 
-    _nodes: dict[str, TaskNode] = field(default_factory=dict)
-    _edges: list[DataEdge] = field(default_factory=list)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def add_node(self, node: TaskNode) -> TaskNode:
-        if node.name in self._nodes:
-            raise GraphValidationError(f"duplicate task node {node.name!r}")
-        self._nodes[node.name] = node
-        return node
-
-    def add_edge(
-        self, src: str, dst: str, nbytes: float | None = None
-    ) -> DataEdge:
-        """Append ``src -> dst``; endpoints are checked at :meth:`validate`
-        so graphs can be built in any order."""
-        edge = DataEdge(src, dst, nbytes)
-        self._edges.append(edge)
-        return edge
-
-    @classmethod
-    def linear(
-        cls,
+    def __init__(
+        self,
         phases: Sequence["Phase"],
-        edge_bytes: dict[tuple[str, str], float] | None = None,
-    ) -> "TaskGraph":
-        """The old pipeline as a chain: each phase depends on the previous.
+        edge_bytes: dict[tuple[str, str], float],
+    ) -> None:
+        self.phases = tuple(phases)
+        self.edge_bytes = edge_bytes
 
-        *edge_bytes* annotates chain edges by ``(src_name, dst_name)``;
-        missing pairs get ``nbytes=None``.  Executing the result is
-        bitwise identical to ``for phase in phases: yield from
-        phase.run(ctx)``.
-        """
-        graph = cls()
-        prev: "Phase | None" = None
-        for phase in phases:
-            graph.add_node(TaskNode(phase.name, phase=phase))
-            if prev is not None:
-                key = (prev.name, phase.name)
-                nbytes = edge_bytes.get(key) if edge_bytes else None
-                graph.add_edge(prev.name, phase.name, nbytes=nbytes)
-            prev = phase
-        graph.validate()
-        return graph
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    @property
-    def nodes(self) -> tuple[TaskNode, ...]:
-        return tuple(self._nodes.values())
-
-    @property
-    def edges(self) -> tuple[DataEdge, ...]:
-        return tuple(self._edges)
-
-    def node(self, name: str) -> TaskNode:
-        return self._nodes[name]
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def predecessors(self, name: str) -> list[str]:
-        return [e.src for e in self._edges if e.dst == name]
-
-    def successors(self, name: str) -> list[str]:
-        return [e.dst for e in self._edges if e.src == name]
-
-    def edge(self, src: str, dst: str) -> DataEdge | None:
-        for e in self._edges:
-            if e.src == src and e.dst == dst:
-                return e
-        return None
-
-    def total_edge_bytes(self) -> float:
-        """Sum of every annotated edge size (unannotated edges count 0)."""
-        return sum(e.nbytes or 0.0 for e in self._edges)
-
-    # ------------------------------------------------------------------
-    # Validation + scheduling order
-    # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Reject dangling edges and cycles (Kahn's algorithm).
-
-        Raises :class:`GraphValidationError` naming the offending edge or
-        the nodes left on the cycle.
-        """
-        for e in self._edges:
-            for end in (e.src, e.dst):
-                if end not in self._nodes:
-                    raise GraphValidationError(
-                        f"edge {e.label} references unknown node {end!r}"
-                    )
-        self._kahn_order()
-
-    def _kahn_order(self) -> list[str]:
-        indegree = {name: 0 for name in self._nodes}
-        for e in self._edges:
-            indegree[e.dst] += 1
-        # Ready set in insertion order: deterministic, and for a chain it
-        # reproduces the construction order exactly.
-        ready = [name for name in self._nodes if indegree[name] == 0]
-        order: list[str] = []
-        while ready:
-            name = ready.pop(0)
-            order.append(name)
-            for succ in self.successors(name):
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
-        if len(order) != len(self._nodes):
-            stuck = sorted(n for n, d in indegree.items() if d > 0)
-            raise GraphValidationError(
-                f"task graph has a cycle through {', '.join(stuck)}"
-            )
-        return order
-
-    def topo_order(self) -> list[TaskNode]:
-        """Deterministic topological order (validates as a side effect)."""
-        self.validate()
-        return [self._nodes[name] for name in self._kahn_order()]
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def run(self, ctx: "PhaseContext") -> Generator["Event", Any, None]:
-        """Ready-set execution of every node's phase on one rank.
-
-        A node is *ready* once all predecessors finished; ready nodes run
-        serially in deterministic insertion order (one open-phase stack
-        per rank track — see the module docstring).  Each phase span gets
-        the node's graph attributes, including the concrete blocking edge
-        from the latest-finishing predecessor.  Re-runnable: the driver
-        calls this once per iteration.
-        """
-        preds: dict[str, list[str]] = {
-            name: self.predecessors(name) for name in self._nodes
-        }
-        finish: dict[str, float] = {}
-        for node in self.topo_order():
-            if node.phase is None:
-                raise GraphValidationError(
-                    f"node {node.name!r} has no phase to execute"
-                )
-            attrs: dict[str, Any] = {"dag_node": node.name}
-            dep_names = preds[node.name]
-            if dep_names:
-                attrs["dag_deps"] = ",".join(dep_names)
-                # The dependency this node actually waited on: the
-                # predecessor that finished last (ties: later in the
-                # ready order, i.e. the last listed).
-                blocking = max(dep_names, key=lambda n: finish[n])
-                edge = self.edge(blocking, node.name)
-                attrs["dag_edge"] = f"{blocking}->{node.name}"
-                if edge is not None and edge.nbytes is not None:
-                    attrs["dag_edge_bytes"] = edge.nbytes
-            yield from node.phase.run(ctx, attrs=attrs)
-            finish[node.name] = ctx.engine.now
-
-
-def contiguous_min_cut(
-    weights: Sequence[float],
-    edge_bytes: Sequence[float],
-    shares: Sequence[float],
-    slack: int = 1,
-) -> tuple[list[tuple[int, int]], float]:
-    """Cut a weighted path graph into ``len(shares)`` contiguous ranges.
-
-    *weights* are per-node work weights, *edge_bytes* the ``n-1`` edge
-    sizes between consecutive nodes, *shares* the target work fraction
-    per part (the Equation (8) device weights).  Boundaries start at the
-    largest-remainder weighted positions — the load-balance optimum —
-    then each may slide up to *slack* nodes to land on a cheaper edge,
-    which is the exact min-cut on a path graph subject to that balance
-    tolerance.  Returns ``(ranges, cut_bytes)`` with half-open node
-    ranges per part.
-    """
-    n = len(weights)
-    if len(edge_bytes) != max(n - 1, 0):
-        raise GraphValidationError(
-            f"path graph of {n} nodes needs {n - 1} edges, "
-            f"got {len(edge_bytes)}"
-        )
-    if not shares:
-        raise GraphValidationError("need at least one share")
-    total_w = sum(weights)
-    total_s = sum(shares)
-    if total_s <= 0:
-        raise GraphValidationError("shares must not all be zero")
-
-    def cost(b: int) -> float:
-        """Bytes cut by a boundary between node ``b-1`` and node ``b``
-        (graph ends are free)."""
-        return edge_bytes[b - 1] if 0 < b < n else 0.0
-
-    # Ideal boundaries by cumulative weight (the load-balance optimum).
-    nominal: list[int] = []
-    target = 0.0
-    acc = 0.0
-    idx = 0
-    for share in shares[:-1]:
-        target += share / total_s * total_w
-        while idx < n and acc + weights[idx] <= target + 1e-12:
-            acc += weights[idx]
-            idx += 1
-        nominal.append(idx)
-
-    # Each boundary may slide +-slack nodes onto a cheaper edge; ties
-    # prefer the nominal position (balance), then the lower index.
-    bounds: list[int] = []
-    prev = 0
-    for j, b in enumerate(nominal):
-        upper = nominal[j + 1] if j + 1 < len(nominal) else n
-        lo = max(prev, b - slack)
-        hi = min(upper, b + slack)
-        cands = list(range(lo, hi + 1)) or [max(prev, min(b, upper))]
-        best = min(cands, key=lambda c: (cost(c), abs(c - b), c))
-        bounds.append(best)
-        prev = best
-
-    ranges: list[tuple[int, int]] = []
-    prev = 0
-    for b in bounds:
-        ranges.append((prev, b))
-        prev = b
-    ranges.append((prev, n))
-    cut = sum(cost(b) for b in sorted(set(bounds)))
-    return ranges, cut
+        """Run every phase on one rank, in order; the driver calls this
+        once per iteration.  Each phase after the first names its
+        predecessor (``dag_deps``), the link from it (``dag_edge``) and,
+        when known, the link's bytes (``dag_edge_bytes``)."""
+        prev: str | None = None
+        for phase in self.phases:
+            attrs: dict[str, Any] = {"dag_node": phase.name}
+            if prev is not None:
+                attrs["dag_deps"] = prev
+                attrs["dag_edge"] = f"{prev}->{phase.name}"
+                nbytes = self.edge_bytes.get((prev, phase.name))
+                if nbytes is not None:
+                    attrs["dag_edge_bytes"] = nbytes
+            yield from phase.run(ctx, attrs=attrs)
+            prev = phase.name

@@ -5,12 +5,12 @@ loop-invariant input caching — lives in
 :class:`~repro.runtime.daemons.GpuDaemon` (``input_cached``).  This module
 provides the per-iteration bookkeeping the :class:`ConvergencePhase` of
 :mod:`repro.runtime.phases` records on the master.  Each driver
-iteration is one execution of the task graph built by
+iteration is one run of the phase chain built by
 :func:`repro.runtime.phases.iteration_graph` (see ``docs/DAG.md``); for
 the *intra*-iteration time breakdown (map vs shuffle vs reduce ...) see
-the DAG-annotated phase spans on :class:`~repro.simulate.trace.Trace` —
-an :class:`IterationStats` covers one whole driver iteration, a phase
-span one node of the graph.
+the phase spans on :class:`~repro.simulate.trace.Trace` — an
+:class:`IterationStats` covers one whole driver iteration, a phase span
+one link of the chain.
 """
 
 from __future__ import annotations

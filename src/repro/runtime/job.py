@@ -145,10 +145,6 @@ class JobConfig:
     #: sampler is tick-driven pure bookkeeping — schedules, spans and
     #: app outputs are bitwise identical either way.
     sample_interval: float | None = DEFAULT_SAMPLE_INTERVAL
-    #: alert rules evaluated over the sampled series after the run
-    #: (:func:`repro.obs.rules.builtin_rules` when ``None``); only
-    #: consulted when sampling is enabled
-    alert_rules: Any = None
     #: elastic membership: start the job on the first N pool nodes
     #: instead of all of them (``join``/``drain`` events and the
     #: autoscaler then walk the live set within the pool).  ``None``

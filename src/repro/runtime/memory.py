@@ -75,14 +75,6 @@ class Region:
     def capacity(self) -> int:
         return int(self._buffer.size)
 
-    @property
-    def used(self) -> int:
-        return self._top
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self._top
-
     # ------------------------------------------------------------------
     def alloc(self, nbytes: int) -> tuple[int, np.ndarray]:
         """Reserve *nbytes*; grows the backing buffer when full."""
@@ -162,10 +154,6 @@ class RegionAllocator:
         """Drop every region with its backing buffer, when the daemons
         that allocate from them are gone (the end of an epoch)."""
         self._regions.clear()
-
-    @property
-    def regions(self) -> dict[str, Region]:
-        return dict(self._regions)
 
     def note_block(self, key: tuple[int, int], thread_id: str) -> None:
         """Record that block *key*'s intermediates live in *thread_id*'s

@@ -72,9 +72,8 @@ def blocks_nbytes(blocks, bytes_of) -> float:
     *bytes_of* (e.g. ``app.block_bytes`` for input volume,
     ``app.map_output_bytes`` for the emitted intermediates).
 
-    This is the data-size annotation the task-DAG runtime puts on its
-    edges (:func:`repro.runtime.phases.iteration_graph`) and the
-    graph-partition policy balances its min-cut on — bookkeeping only,
-    never a simulated cost.
+    This is the data-size annotation on the links of the iteration's
+    phase chain (:func:`repro.runtime.phases.iteration_graph`) —
+    bookkeeping only, never a simulated cost.
     """
     return float(sum(bytes_of(block) for block in blocks))

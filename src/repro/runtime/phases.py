@@ -17,15 +17,10 @@ previous one ended), so a rank's span sum equals its finish time; rank
 0's sum matches the job makespan up to the final convergence-broadcast
 latency on the other ranks.
 
-Since the task-DAG runtime landed, every :class:`Phase` subclass is also
-a **node-builder**: :func:`iteration_graph` assembles one instance of
-each into a :class:`~repro.runtime.dag.TaskGraph` whose edges carry the
-modelled data-flow sizes (from :func:`repro.runtime.partition.blocks_nbytes`
-over the rank's partitions), and the driver executes the graph's
-ready-set schedule instead of a hard-coded list.  The default iteration
-graph is exactly ``TaskGraph.linear(ITERATION_PHASES)`` — a chain — so
-schedules stay bitwise identical to the pipeline era; richer shapes only
-need a different builder, not a different driver.
+:func:`iteration_graph` chains one instance of each iteration phase into
+a :class:`~repro.runtime.dag.TaskGraph` whose links carry the modelled
+data-flow sizes (from :func:`repro.runtime.partition.blocks_nbytes` over
+the rank's partitions); the driver runs that chain once per iteration.
 """
 
 from __future__ import annotations
@@ -38,8 +33,10 @@ from typing import TYPE_CHECKING, Any, ClassVar, Generator
 from repro import obs
 from repro.comm.mpi import RankComm, World
 from repro.runtime.api import Block, MapReduceApp
+from repro.runtime.dag import TaskGraph
 from repro.runtime.iterative import IterationLog, IterationStats
 from repro.runtime.job import JobConfig
+from repro.runtime.partition import blocks_nbytes
 from repro.runtime.shuffle import (
     apply_combiner,
     group_by_key,
@@ -52,7 +49,6 @@ from repro.simulate.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.daemons import NodeResources
-    from repro.runtime.dag import TaskGraph
     from repro.runtime.scheduler import SubTaskScheduler
 
 
@@ -129,22 +125,8 @@ class Phase(abc.ABC):
     time the step consumed.
     """
 
-    #: span label; also the key in ``JobResult.phase_breakdown``.
-    #: Subclasses that do not set one get a kebab-case name derived from
-    #: the class name (``PrefetchInputPhase`` -> ``prefetch-input``), so
-    #: DAG-introduced phase kinds never show up as an anonymous ``"?"``.
-    name: ClassVar[str] = "?"
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        if "name" not in cls.__dict__ and cls.name == "?":
-            stem = cls.__name__
-            if stem.endswith("Phase") and len(stem) > len("Phase"):
-                stem = stem[: -len("Phase")]
-            cls.name = "".join(
-                ("-" + ch.lower()) if ch.isupper() and i > 0 else ch.lower()
-                for i, ch in enumerate(stem)
-            )
+    #: span label; also the key in ``JobResult.phase_breakdown``
+    name: ClassVar[str]
 
     def run(
         self, ctx: PhaseContext, attrs: dict[str, Any] | None = None
@@ -408,26 +390,20 @@ ITERATION_PHASES: tuple[type[Phase], ...] = (
 )
 
 
-def iteration_graph(ctx: PhaseContext) -> "TaskGraph":
-    """Build one rank's per-iteration task graph (the node-builder API).
+def iteration_graph(ctx: PhaseContext) -> TaskGraph:
+    """Chain one rank's per-iteration phases.
 
     Called by the driver once per job, after :class:`SetupPhase` has
     scattered the partition descriptors (``ctx.my_parts`` is known), so
-    the chain edges can be annotated with the modelled data-flow sizes:
+    the links can be annotated with the modelled data-flow sizes:
 
     * ``broadcast -> map``: the input bytes the map kernels consume;
     * ``map -> combine -> shuffle``: the emitted intermediate volume;
     * ``shuffle -> reduce``: the bucket volume crossing the network.
 
-    The sizes are annotations for the scheduling policies and the
-    critical-path engine — the executor charges no time for them.  The
-    default shape is the paper's linear SPMD chain; apps with different
-    dependency structure supply their own builder and the driver is
-    unchanged (``TaskGraph.run`` handles any DAG).
+    The sizes are annotations for the critical-path engine — running the
+    chain charges no time for them.
     """
-    from repro.runtime.dag import TaskGraph
-    from repro.runtime.partition import blocks_nbytes
-
     in_bytes = blocks_nbytes(ctx.my_parts, ctx.app.block_bytes)
     out_bytes = blocks_nbytes(ctx.my_parts, ctx.app.map_output_bytes)
     edge_bytes = {
@@ -436,7 +412,6 @@ def iteration_graph(ctx: PhaseContext) -> "TaskGraph":
         ("combine", "shuffle"): out_bytes,
         ("shuffle", "reduce"): out_bytes,
     }
-    return TaskGraph.linear(
-        [phase_cls() for phase_cls in ITERATION_PHASES],
-        edge_bytes=edge_bytes,
+    return TaskGraph(
+        [phase_cls() for phase_cls in ITERATION_PHASES], edge_bytes
     )

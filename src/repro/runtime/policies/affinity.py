@@ -34,7 +34,7 @@ from repro.runtime.partition import weighted_partition
 from repro.runtime.policies.base import SchedulingPolicy
 from repro.runtime.policies.dynamic import dynamic_block_count
 from repro.runtime.policies.registry import register_policy
-from repro.runtime.shuffle import KeyValue
+from repro.runtime.shuffle import BlockOrderedSink
 from repro.simulate.engine import Event
 
 
@@ -45,7 +45,7 @@ class AffinityPolicy(SchedulingPolicy):
     name = "affinity"
 
     def run_map_partition(
-        self, partition: Block, sink: list[KeyValue]
+        self, partition: Block, sink: BlockOrderedSink
     ) -> Generator[Event, Any, None]:
         sched = self.sched
         engine = sched.res.engine

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, ClassVar, Generator
 
 from repro import obs
 from repro.runtime.api import Block
-from repro.runtime.shuffle import KeyValue
+from repro.runtime.shuffle import BlockOrderedSink
 from repro.simulate.engine import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -149,13 +149,13 @@ class SchedulingPolicy(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def run_map_partition(
-        self, partition: Block, sink: list[KeyValue]
+        self, partition: Block, sink: BlockOrderedSink
     ) -> Generator[Event, Any, None]:
         """Process fragment: map *partition* on this node's daemons.
 
         Called once per node-level partition per iteration with a
-        non-empty *partition*; implementations append the emitted
-        key/value pairs to *sink*.
+        non-empty *partition*; the daemons it drives hand each block's
+        key/value pairs to *sink* (``record_block``).
         """
 
     def on_iteration_end(self, iteration: int) -> None:

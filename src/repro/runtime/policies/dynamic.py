@@ -19,7 +19,7 @@ from repro.runtime.api import Block
 from repro.runtime.daemons import CpuDaemon, GpuDaemon
 from repro.runtime.policies.base import SchedulingPolicy
 from repro.runtime.policies.registry import register_policy
-from repro.runtime.shuffle import KeyValue
+from repro.runtime.shuffle import BlockOrderedSink
 from repro.simulate.engine import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -76,7 +76,7 @@ class DynamicPolicy(SchedulingPolicy):
     name = "dynamic"
 
     def run_map_partition(
-        self, partition: Block, sink: list[KeyValue]
+        self, partition: Block, sink: BlockOrderedSink
     ) -> Generator[Event, Any, None]:
         sched = self.sched
         engine = sched.res.engine

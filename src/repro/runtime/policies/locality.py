@@ -22,7 +22,7 @@ from repro.runtime.daemons import CpuDaemon, GpuDaemon
 from repro.runtime.policies.base import SchedulingPolicy
 from repro.runtime.policies.dynamic import dynamic_block_count
 from repro.runtime.policies.registry import register_policy
-from repro.runtime.shuffle import KeyValue
+from repro.runtime.shuffle import BlockOrderedSink
 from repro.simulate.engine import Event
 
 
@@ -33,7 +33,7 @@ class LocalityDynamicPolicy(SchedulingPolicy):
     name = "locality-dynamic"
 
     def run_map_partition(
-        self, partition: Block, sink: list[KeyValue]
+        self, partition: Block, sink: BlockOrderedSink
     ) -> Generator[Event, Any, None]:
         sched = self.sched
         engine = sched.res.engine

@@ -15,7 +15,7 @@ from repro.runtime.api import Block
 from repro.runtime.partition import weighted_partition
 from repro.runtime.policies.base import SchedulingPolicy
 from repro.runtime.policies.registry import register_policy
-from repro.runtime.shuffle import KeyValue
+from repro.runtime.shuffle import BlockOrderedSink
 from repro.simulate.engine import Event
 
 
@@ -68,7 +68,7 @@ class StaticPolicy(SchedulingPolicy):
         )
 
     def run_map_partition(
-        self, partition: Block, sink: list[KeyValue]
+        self, partition: Block, sink: BlockOrderedSink
     ) -> Generator[Event, Any, None]:
         sched = self.sched
         engine = sched.res.engine

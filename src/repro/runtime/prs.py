@@ -6,16 +6,16 @@ plus the job driver of §III.A.2:
 * the master splits the input into ``2 x n_nodes`` partitions (weighted by
   node capability for inhomogeneous clusters) and assigns them to worker
   sub-task schedulers;
-* each iteration executes the task graph built by
-  :func:`repro.runtime.phases.iteration_graph` through the ready-set
-  executor of :mod:`repro.runtime.dag` — broadcast of the loop state
+* each iteration runs the phase chain built by
+  :func:`repro.runtime.phases.iteration_graph` — broadcast of the loop state
   (iterative apps), map on every node's devices, optional combiner,
   cross-cluster shuffle of the intermediate buckets, distributed reduce,
   gather of the reduce outputs at the master, and a convergence step
   (state update + stop broadcast for iterative apps).  Every phase
-  brackets itself in the trace (annotated with its DAG node and blocking
-  edge), so the returned :class:`~repro.runtime.job.JobResult` carries a
-  per-iteration, per-phase time breakdown;
+  brackets itself in the trace (annotated with its place in the chain
+  and the link it waited on), so the returned
+  :class:`~repro.runtime.job.JobResult` carries a per-iteration,
+  per-phase time breakdown;
 * the job runs as epochs over the live nodes of one engine — a fault-free
   job is the single epoch, and fault tolerance / elastic membership add
   epochs only when the job arms them (:meth:`PRSRuntime.run`).
@@ -98,9 +98,7 @@ class PRSRuntime:
         sampler.finalize(engine.now)
         from repro.obs.rules import evaluate_rules, record_alerts
 
-        alerts = evaluate_rules(
-            sampler.bank, rules=self.config.alert_rules, end=engine.now
-        )
+        alerts = evaluate_rules(sampler.bank, end=engine.now)
         record_alerts(trace.tracer, trace.metrics, alerts)
         # Alert rules evaluate retrospectively over the sampled series,
         # so the flight recorder fires here — one dump per firing,
@@ -454,9 +452,8 @@ class PRSRuntime:
                 ctx.iteration = start_iteration
                 try:
                     yield from SetupPhase().run(ctx)
-                    # The per-iteration lifecycle is an explicit task
-                    # graph; the ready-set executor replays it each
-                    # iteration.
+                    # The per-iteration lifecycle is one phase chain,
+                    # run once per iteration.
                     graph = iteration_graph(ctx)
                     while True:
                         ctx.iter_start = engine.now

@@ -38,36 +38,9 @@ from repro.runtime.job import JobConfig
 from repro.runtime.partition import weighted_partition
 from repro.runtime.policies import SchedulingPolicy, get_policy
 from repro.runtime.recovery import JobAbortedError, NodeDeadError
-from repro.runtime.shuffle import KeyValue
+from repro.runtime.shuffle import BlockOrderedSink, KeyValue
 from repro.simulate.engine import Event
 from repro.simulate.trace import Trace
-
-
-class _BlockOrderedSink:
-    """Collects per-block emissions and flushes them in block order.
-
-    Completion order varies once a block can fail and re-run elsewhere;
-    flushing in ``(start, stop)`` order makes the pair stream — and every
-    float reduction over it — bit-identical to the fault-free run.  Pure
-    bookkeeping: no simulated events, so fault-free schedules are
-    unchanged.
-    """
-
-    def __init__(self, target: list[KeyValue]) -> None:
-        self._target = target
-        self._chunks: dict[tuple[int, int], list[KeyValue]] = {}
-
-    def record_block(self, block: Block, pairs: list[KeyValue]) -> None:
-        self._chunks[(block.start, block.stop)] = list(pairs)
-
-    def extend(self, pairs: list[KeyValue]) -> None:  # pragma: no cover
-        # Fallback for sinks fed outside the block protocol.
-        self._target.extend(pairs)
-
-    def flush(self) -> None:
-        for key in sorted(self._chunks):
-            self._target.extend(self._chunks[key])
-        self._chunks.clear()
 
 
 class SubTaskScheduler:
@@ -423,7 +396,7 @@ class SubTaskScheduler:
         then re-execute any blocks lost to device faults."""
         if partition.n_items == 0:
             return
-        ordered = _BlockOrderedSink(sink)
+        ordered = BlockOrderedSink(sink)
         yield from self.policy.run_map_partition(partition, ordered)
         # The retry budget is per map pass: an iterative app routes a dead
         # device's blocks through recovery every iteration, and that
@@ -438,7 +411,7 @@ class SubTaskScheduler:
         self._failed_blocks.append(block)
 
     def _recover_failed_blocks(
-        self, ordered: _BlockOrderedSink
+        self, ordered: BlockOrderedSink
     ) -> Generator[Event, Any, None]:
         """Retry failed blocks on survivors with exponential backoff."""
         engine = self.res.engine

@@ -6,8 +6,9 @@ Then the PRS scheduler shuffles all intermediate key/value pairs across the
 cluster so that the pairs with the same key are stored consecutively in a
 bucket on the same node."
 
-Functionally this module provides deterministic group-by-key, hash
-partitioning of keys onto nodes, and the optional combiner pass; the
+Functionally this module provides the block-ordered map sink,
+deterministic group-by-key, hash partitioning of keys onto nodes, and
+the optional combiner pass; the
 timing of the exchange itself is paid through :mod:`repro.comm.mpi`
 messages by the runtime.
 """
@@ -15,10 +16,13 @@ messages by the runtime.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro._validation import require_positive_int
 from repro.comm.mpi import payload_nbytes
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.runtime.api import Block
 
 KeyValue = tuple[Any, Any]
 
@@ -31,15 +35,28 @@ def group_by_key(pairs: Iterable[KeyValue]) -> dict[Any, list[Any]]:
     return dict(groups)
 
 
-def bucket_of(key: Any, n_buckets: int) -> int:
-    """Deterministic bucket (node) index for *key*.
+class BlockOrderedSink:
+    """The map sink: collects per-block emissions and flushes them in
+    block order.
 
-    Uses a string-based hash rather than :func:`hash` so the placement is
-    stable across processes and Python hash randomization — simulations
-    must be reproducible.
+    Completion order varies once a block can fail and re-run elsewhere;
+    flushing in ``(start, stop)`` order makes the pair stream — and every
+    float reduction over it — bit-identical to the fault-free run.  Pure
+    bookkeeping: no simulated events, so fault-free schedules are
+    unchanged.
     """
-    require_positive_int("n_buckets", n_buckets)
-    return _key_hash(key) % n_buckets
+
+    def __init__(self, target: list[KeyValue]) -> None:
+        self._target = target
+        self._chunks: dict[tuple[int, int], list[KeyValue]] = {}
+
+    def record_block(self, block: Block, pairs: list[KeyValue]) -> None:
+        self._chunks[(block.start, block.stop)] = list(pairs)
+
+    def flush(self) -> None:
+        for key in sorted(self._chunks):
+            self._target.extend(self._chunks[key])
+        self._chunks.clear()
 
 
 def _key_hash(key: Any) -> int:
@@ -52,8 +69,12 @@ def _key_hash(key: Any) -> int:
 def hash_partition(
     pairs: Iterable[KeyValue], n_buckets: int
 ) -> list[list[KeyValue]]:
-    """Split *pairs* into per-node buckets by key hash (same placement as
-    :func:`bucket_of`, with *n_buckets* validated once per call)."""
+    """Split *pairs* into per-node buckets by key hash.
+
+    The hash is of ``repr(key)``, not :func:`hash`, so the placement is
+    stable across processes and Python hash randomization — simulations
+    must be reproducible.
+    """
     require_positive_int("n_buckets", n_buckets)
     buckets: list[list[KeyValue]] = [[] for _ in range(n_buckets)]
     for key, value in pairs:

@@ -19,10 +19,9 @@ it: each trace owns a :class:`~repro.obs.MetricsRegistry` and a
 
 ``phase_spans`` is the tracer's closed phase spans (each carries its
 ``rank`` and ``iteration`` attrs) and ``phase_breakdown`` sums them per
-iteration.
-The windowed queries (``since=``) remain for ad-hoc analysis; online
-consumers like the adaptive-feedback policy read the monotonic counters
-instead (snapshot-and-diff, no trace re-scans).
+iteration.  The record queries cover the whole trace; online consumers
+like the adaptive-feedback policy read the monotonic counters instead
+(snapshot-and-diff, no trace re-scans).
 """
 
 from __future__ import annotations
@@ -304,18 +303,15 @@ class Trace:
         return tuple(map(_record_of, self._record_spans))
 
     def _spans_where(
-        self, device: str | None = None, kind: str | None = None,
-        since: float = 0.0,
+        self, device: str | None = None, kind: str | None = None
     ) -> list[Span]:
-        """The record spans on *device*, of *kind*, starting at or after
-        *since* (``None`` matches any)."""
+        """The record spans on *device*, of *kind* (``None`` matches
+        any)."""
         out = self._record_spans
         if device is not None:
             out = [s for s in out if s.track == device]
         if kind is not None:
             out = [s for s in out if s.category == kind]
-        if since > 0.0:
-            out = [s for s in out if s.start >= since]
         return out
 
     @property
@@ -323,70 +319,46 @@ class Trace:
         """Latest end time across all records (0 for an empty trace)."""
         return max((s.end for s in self._record_spans), default=0.0)
 
-    def busy_time(
-        self, device: str, kind: str | None = None, since: float = 0.0
-    ) -> float:
+    def busy_time(self, device: str) -> float:
         """Union length of the busy intervals of *device*.
 
         Overlapping records (e.g. two streams on one GPU) are merged so a
-        device can never appear more than 100 % utilized.  *since*
-        restricts the query to records starting at or after that instant.
-        The full-trace no-kind union is also maintained incrementally as
-        the ``prs_device_busy_union_seconds_total`` counter.
+        device can never appear more than 100 % utilized.  The union is
+        kept incrementally as records arrive (and exported as the
+        ``prs_device_busy_union_seconds_total`` counter).
         """
-        if kind is None and since <= 0.0:
-            union = self._busy_union.get(device)
-            return union.total if union is not None else 0.0
-        intervals = sorted(
-            (s.start, s.end)
-            for s in self._spans_where(device, kind, since)
-        )
-        total = 0.0
-        cur_start: float | None = None
-        cur_end = 0.0
-        for start, end in intervals:
-            if cur_start is None:
-                cur_start, cur_end = start, end
-            elif start <= cur_end:
-                cur_end = max(cur_end, end)
-            else:
-                total += cur_end - cur_start
-                cur_start, cur_end = start, end
-        if cur_start is not None:
-            total += cur_end - cur_start
-        return total
+        union = self._busy_union.get(device)
+        return union.total if union is not None else 0.0
 
-    def utilization(self, device: str, kind: str | None = None) -> float:
+    def utilization(self, device: str) -> float:
         """Busy fraction of *device* over the whole makespan."""
         span = self.makespan
         if span <= 0:
             return 0.0
-        return self.busy_time(device, kind) / span
+        return self.busy_time(device) / span
 
     def devices(self) -> list[str]:
         return list(dict.fromkeys(s.track for s in self._record_spans))
 
-    def total_flops(self, device: str | None = None, since: float = 0.0) -> float:
-        return sum(
-            s.attrs["flops"] for s in self._spans_where(device, since=since)
-        )
+    def total_flops(self, device: str | None = None) -> float:
+        return sum(s.attrs["flops"] for s in self._spans_where(device))
 
     def total_bytes(self, device: str | None = None, kind: str | None = None) -> float:
         return sum(s.attrs["nbytes"] for s in self._spans_where(device, kind))
 
-    def observed_gflops(self, device: str, since: float = 0.0) -> float:
+    def observed_gflops(self, device: str) -> float:
         """Achieved device-level rate: executed flops over busy wall time.
 
         This is the *measured* counterpart of the roofline-attainable
         ``F_c`` / ``F_g`` of Equations (6)/(7): everything the device did
         (kernels, staging, dispatch) counts toward busy time, so the rate
         reflects what the device actually delivers per busy second.
-        Returns 0 when the device was idle over the window.
+        Returns 0 when the device was idle.
         """
-        busy = self.busy_time(device, since=since)
+        busy = self.busy_time(device)
         if busy <= 0.0:
             return 0.0
-        return self.total_flops(device, since=since) / busy / 1e9
+        return self.total_flops(device) / busy / 1e9
 
     # ------------------------------------------------------------------
     # Phase spans (job -> iteration -> phase hierarchy per rank)
@@ -402,8 +374,8 @@ class Trace:
         """Open a live phase span, creating the enclosing job/iteration
         spans of *rank* as needed.  Pair with :meth:`end_phase`.
 
-        *attrs* merges extra attributes into the phase span (the task-DAG
-        executor passes the node's graph position and blocking edge);
+        *attrs* merges extra attributes into the phase span (the phase
+        chain passes the phase's place in it and the link it waited on);
         ``rank``/``iteration`` are reserved keys and always win.
         """
         self.tick(start)
@@ -566,10 +538,10 @@ class Trace:
         glyph = GANTT_GLYPHS
 
         def glyph_for(kind: str) -> str:
-            # Unknown kinds (DAG-introduced phase categories, custom
-            # record tags) render as their first alphanumeric character
-            # — stable and distinguishable — instead of collapsing every
-            # novel kind onto an anonymous "*".
+            # Unknown kinds (custom record tags) render as their first
+            # alphanumeric character — stable and distinguishable —
+            # instead of collapsing every novel kind onto an anonymous
+            # "*".
             ch = glyph.get(kind)
             if ch is not None:
                 return ch

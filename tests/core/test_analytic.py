@@ -243,32 +243,3 @@ class TestFeedbackSplit:
         assert 0.0 < p < 1.0
         faster_cpu = feedback_split(a, a, cpu * 2.0, gpu)
         assert faster_cpu > p
-
-
-class TestObserveDeviceRate:
-    def test_observation_from_trace(self):
-        from repro.core.analytic import observe_device_rate
-        from repro.simulate.trace import Trace
-
-        t = Trace()
-        t.record("k", "n.cpu", "compute", 0.0, 2.0, flops=6e9)
-        obs = observe_device_rate(t, "n.cpu")
-        assert obs.flops == 6e9
-        assert obs.busy_seconds == 2.0
-        assert obs.gflops == pytest.approx(3.0)
-
-    def test_windowed_observation(self):
-        from repro.core.analytic import observe_device_rate
-        from repro.simulate.trace import Trace
-
-        t = Trace()
-        t.record("old", "n.cpu", "compute", 0.0, 1.0, flops=1e9)
-        t.record("new", "n.cpu", "compute", 4.0, 5.0, flops=8e9)
-        obs = observe_device_rate(t, "n.cpu", since=4.0)
-        assert obs.gflops == pytest.approx(8.0)
-
-    def test_idle_device_zero_rate(self):
-        from repro.core.analytic import observe_device_rate
-        from repro.simulate.trace import Trace
-
-        assert observe_device_rate(Trace(), "n.gpu0").gflops == 0.0

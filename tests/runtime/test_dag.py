@@ -1,6 +1,7 @@
-"""Tests for the task-DAG runtime: graph validation, the linear-pipeline
-equivalence guarantee, the contiguous min-cut, and fault-plan determinism
-of the two graph-driven policies."""
+"""Tests for the per-iteration phase chain (its span attrs and its
+equivalence to a plain phase loop), the graph-partition policy's
+contiguous min-cut and audit record, and fault-plan determinism of the
+two graph-driven policies."""
 
 from __future__ import annotations
 
@@ -11,75 +12,12 @@ import pytest
 from repro.apps.cmeans import CMeansApp
 from repro.apps.gmm import GMMApp
 from repro.data.synth import gaussian_mixture
-from repro.runtime.dag import (
-    DataEdge,
-    GraphValidationError,
-    TaskGraph,
-    TaskNode,
-    contiguous_min_cut,
-)
 from repro.runtime.job import JobConfig
 from repro.runtime.phases import ITERATION_PHASES
+from repro.runtime.policies.graph_partition import contiguous_min_cut
 from repro.runtime.prs import PRSRuntime
 
 from tests.helpers import CountdownApp
-
-
-def graph_of(names, edges):
-    g = TaskGraph()
-    for name in names:
-        g.add_node(TaskNode(name))
-    for src, dst in edges:
-        g.add_edge(src, dst)
-    return g
-
-
-class TestGraphValidation:
-    def test_cycle_rejected(self):
-        g = graph_of("abc", [("a", "b"), ("b", "c"), ("c", "a")])
-        with pytest.raises(GraphValidationError, match="cycle"):
-            g.validate()
-
-    def test_self_edge_rejected(self):
-        with pytest.raises(GraphValidationError, match="self"):
-            DataEdge("a", "a")
-
-    def test_dangling_edge_rejected(self):
-        g = graph_of("ab", [("a", "b")])
-        g.add_edge("b", "ghost")
-        with pytest.raises(GraphValidationError, match="ghost"):
-            g.validate()
-
-    def test_duplicate_node_rejected(self):
-        g = graph_of("a", [])
-        with pytest.raises(GraphValidationError, match="duplicate"):
-            g.add_node(TaskNode("a"))
-
-    def test_negative_edge_bytes_rejected(self):
-        with pytest.raises(GraphValidationError, match="negative"):
-            DataEdge("a", "b", nbytes=-1.0)
-
-    def test_topo_order_respects_dependencies(self):
-        g = graph_of("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
-        order = [n.name for n in g.topo_order()]
-        assert order.index("a") < order.index("b") < order.index("d")
-        assert order.index("a") < order.index("c") < order.index("d")
-
-    def test_topo_order_is_deterministic_insertion_order(self):
-        # Independent ready nodes run in insertion order — the property
-        # that keeps the DAG executor bitwise-identical to the pipeline.
-        g = graph_of(["z", "m", "a"], [])
-        assert [n.name for n in g.topo_order()] == ["z", "m", "a"]
-
-    def test_linear_builds_a_chain_with_edge_bytes(self):
-        phases = [cls() for cls in ITERATION_PHASES]
-        g = TaskGraph.linear(phases, edge_bytes={("map", "combine"): 64.0})
-        assert len(g) == len(phases)
-        assert [e.label for e in g.edges] == [
-            f"{a.name}->{b.name}" for a, b in zip(phases, phases[1:])
-        ]
-        assert g.edge("map", "combine").nbytes == 64.0
-        assert g.edge("broadcast", "map").nbytes is None
 
 
 class TestContiguousMinCut:
@@ -104,7 +42,7 @@ class TestContiguousMinCut:
         assert cut == 0.0
 
     def test_edge_count_must_match(self):
-        with pytest.raises(GraphValidationError, match="needs 1 edge"):
+        with pytest.raises(ValueError, match="needs 1 edge"):
             contiguous_min_cut([1.0, 1.0], [1.0, 1.0], [0.5, 0.5])
 
 
@@ -123,7 +61,7 @@ def gmm_app():
 
 
 class _LegacyPipeline:
-    """The pre-refactor linear loop, bypassing the TaskGraph executor."""
+    """A plain loop over the phases, bypassing ``TaskGraph.run``."""
 
     def run(self, ctx):
         for phase_cls in ITERATION_PHASES:
@@ -131,7 +69,7 @@ class _LegacyPipeline:
 
 
 class TestLinearEquivalence:
-    """The DAG executor reproduces the linear pipeline bit for bit."""
+    """The phase chain reproduces a plain phase loop bit for bit."""
 
     @pytest.mark.parametrize("app_factory", [cmeans_app, gmm_app])
     def test_outputs_and_spans_match_legacy_pipeline(
@@ -155,17 +93,62 @@ class TestLinearEquivalence:
         ]
 
     def test_dag_attrs_present_on_phase_spans(self, delta4):
+        # CountdownApp on four ranks: 500 four-byte items (2,000 input
+        # bytes) and 2,048 map-output bytes per rank.
         result = run_job(lambda: CountdownApp(n=2000), delta4)
+        links = {
+            "map": ("broadcast", 2000.0),
+            "combine": ("map", 2048.0),
+            "shuffle": ("combine", 2048.0),
+            "reduce": ("shuffle", 2048.0),
+            "gather": ("reduce", None),
+            "convergence": ("gather", None),
+        }
         spans = [
             s
             for s in result.trace.tracer.find(category="phase")
-            if s.attrs.get("iteration") == 0 and s.name == "map"
+            if s.attrs.get("iteration") == 0
         ]
-        assert spans
+        assert sorted(s.name for s in spans) == sorted(
+            cls.name for cls in ITERATION_PHASES for _ in range(4)
+        )
         for span in spans:
-            assert span.attrs["dag_node"] == "map"
-            assert span.attrs["dag_edge"] == "broadcast->map"
-            assert span.attrs["dag_edge_bytes"] > 0
+            expected = {"dag_node": span.name}
+            if span.name in links:
+                prev, nbytes = links[span.name]
+                expected["dag_deps"] = prev
+                expected["dag_edge"] = f"{prev}->{span.name}"
+                if nbytes is not None:
+                    expected["dag_edge_bytes"] = nbytes
+            dag = {k: v for k, v in span.attrs.items() if k.startswith("dag_")}
+            assert dag == expected
+            # dag_* first, in chain order, then the trace's own keys
+            assert list(span.attrs)[: len(expected) + 2] == [
+                *expected, "rank", "iteration",
+            ]
+
+
+class TestGraphPartitionAudit:
+    def test_cut_record_inputs_and_outputs(self, delta4):
+        result = run_job(gmm_app, delta4, scheduling="graph-partition")
+        cuts = [
+            d for d in result.trace.audit.records
+            if d.kind == "graph-partition-cut"
+        ]
+        assert len(cuts) == 8
+        first = cuts[0]
+        assert (first.node, first.iteration) == ("delta00", -1)
+        assert repr(first.inputs) == repr({
+            "blocks": 50,
+            "graph_edges": 49,
+            "total_edge_bytes": 2336.0,
+            "shares": [0.11206896551724138, 0.8879310344827587],
+            "partition_items": 75,
+        })
+        assert repr(first.outputs) == repr({
+            "cut_bytes": 64.0,
+            "ranges": {"delta00.cpu": [0, 4], "delta00.gpu0": [4, 50]},
+        })
 
 
 class TestGraphPolicyFaultDeterminism:

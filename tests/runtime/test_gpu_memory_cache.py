@@ -8,6 +8,7 @@ from repro.hardware.device import CpuSpec, GpuSpec
 from repro.runtime.api import Block
 from repro.runtime.daemons import GpuDaemon, NodeResources
 from repro.runtime.job import JobConfig, Overheads
+from repro.runtime.shuffle import BlockOrderedSink
 from repro.simulate.engine import Engine
 from repro.simulate.trace import Trace
 
@@ -33,7 +34,7 @@ def run_block_twice(node, app, block):
     engine = Engine()
     trace = Trace()
     daemon = GpuDaemon(NodeResources(engine, node), 0, app, QUIET_CONFIG, trace)
-    sink = []
+    sink = BlockOrderedSink([])
     engine.run(engine.process(daemon.run_map_block(block, sink)))
     engine.run(engine.process(daemon.run_map_block(block, sink)))
     return daemon, trace
@@ -64,7 +65,7 @@ class TestCapacityBoundedCache:
         daemon = GpuDaemon(
             NodeResources(engine, node), 0, app, QUIET_CONFIG, Trace()
         )
-        sink = []
+        sink = BlockOrderedSink([])
         blocks = Block(0, 1000).split(4)
         for block in blocks:
             engine.run(engine.process(daemon.run_map_block(block, sink)))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.runtime.memory import (
     ALIGNMENT,
+    AllocationStats,
     MALLOC_OVERHEAD_S,
     Region,
     RegionAllocator,
@@ -53,10 +54,9 @@ class TestRegion:
         for _ in range(10):
             region.alloc(50)
         region.reset()
-        assert region.used == 0
-        # Buffer is reused: no new backing allocation after reset.
+        # Buffer is reused from its start: no new backing allocation.
         before = region.stats.backing_allocs
-        region.alloc(50)
+        assert region.alloc(50)[0] == 0
         assert region.stats.backing_allocs == before
 
     def test_view_bounds_checked(self):
@@ -87,22 +87,23 @@ class TestRegionAllocator:
         alloc = RegionAllocator(256)
         alloc.alloc("cpu", 100)
         alloc.alloc("gpu0", 100)
-        assert set(alloc.regions) == {"cpu", "gpu0"}
-        assert alloc.regions["cpu"].used >= 100
+        assert alloc.region("cpu") is not alloc.region("gpu0")
+        assert alloc.region("cpu").stats.bytes_served == 100
+        assert alloc.total_stats().object_allocs == 2
 
     def test_reset_all(self):
         alloc = RegionAllocator(256)
         alloc.alloc("a", 10)
         alloc.alloc("b", 10)
         alloc.reset_all()
-        assert all(r.used == 0 for r in alloc.regions.values())
+        assert alloc.alloc("a", 10)[0] == alloc.alloc("b", 10)[0] == 0
 
     def test_release_drops_regions_but_keeps_block_homes(self):
         alloc = RegionAllocator(256)
         alloc.alloc("cpu", 10)
         alloc.note_block((0, 4), "cpu")
         alloc.release()
-        assert alloc.regions == {}
+        assert alloc.total_stats() == AllocationStats(backing_allocs=0)
         assert alloc.home_of((0, 4)) == "cpu"
 
     def test_job_driver_releases_regions_before_the_next_epoch(
@@ -133,7 +134,9 @@ class TestRegionAllocator:
         assert result.recovery.rank_restarts >= 1
         # only the last epoch's resources (at most one per node) still
         # hold regions
-        held = [bool(res.allocator.regions) for res in made]
+        held = [
+            res.allocator.total_stats().backing_allocs > 0 for res in made
+        ]
         last = held.count(True)
         assert 1 <= last <= 2 < len(made)
         assert held == [False] * (len(made) - last) + [True] * last

@@ -7,6 +7,7 @@ from repro.runtime.api import Block
 from repro.runtime.daemons import CpuDaemon, GpuDaemon, NodeResources
 from repro.runtime.job import JobConfig, Overheads, Scheduling
 from repro.runtime.scheduler import SubTaskScheduler
+from repro.runtime.shuffle import BlockOrderedSink
 from repro.simulate.engine import Engine
 from repro.simulate.trace import Trace
 
@@ -50,7 +51,7 @@ class TestCpuDaemon:
         engine = Engine()
         res = NodeResources(engine, delta)
         daemon = CpuDaemon(res, app, QUIET_CONFIG, Trace())
-        sink = []
+        sink = BlockOrderedSink([])
         blocks = Block(0, 24_000).split(24)  # 2 waves on 12 cores
         proc = engine.process(daemon.run_map_blocks(blocks, sink))
         engine.run(proc)
@@ -86,7 +87,7 @@ class TestGpuDaemon:
         daemon = GpuDaemon(NodeResources(engine, delta), 0, app, QUIET_CONFIG, Trace())
         block = Block(0, 100)
         assert not daemon.is_cached(block)
-        sink = []
+        sink = BlockOrderedSink([])
         engine.run(engine.process(daemon.run_map_block(block, sink)))
         assert not daemon.is_cached(block)  # iterative=False: never cached
 
@@ -95,7 +96,7 @@ class TestGpuDaemon:
         engine = Engine()
         daemon = GpuDaemon(NodeResources(engine, delta), 0, app, QUIET_CONFIG, Trace())
         block = Block(0, 100)
-        sink = []
+        sink = BlockOrderedSink([])
         engine.run(engine.process(daemon.run_map_block(block, sink)))
         assert daemon.is_cached(block)
         # A different span is not covered by the cache.

@@ -193,13 +193,6 @@ class TestObservedRates:
         t = Trace()
         assert t.observed_gflops("n.cpu") == 0.0
 
-    def test_since_window_restricts_observation(self):
-        t = Trace()
-        t.record("slow", "n.gpu0", "compute", 0.0, 2.0, flops=2e9)  # 1 GF/s
-        t.record("fast", "n.gpu0", "compute", 5.0, 6.0, flops=4e9)  # 4 GF/s
-        assert t.observed_gflops("n.gpu0") == pytest.approx(2.0)
-        assert t.observed_gflops("n.gpu0", since=5.0) == pytest.approx(4.0)
-
     def test_overhead_counts_toward_busy_not_flops(self):
         t = Trace()
         t.record("k", "n.cpu", "compute", 0.0, 1.0, flops=1e9)
@@ -220,19 +213,18 @@ class _ReferenceTrace(Trace):
         super().record(label, device, kind, start, end, nbytes, flops, attrs)
 
 
-def _ref_filter(recs, device=None, kind=None, since=0.0):
+def _ref_filter(recs, device=None, kind=None):
     return [
         r for r in recs
         if (device is None or r.device == device)
         and (kind is None or r.kind == kind)
-        and r.start >= since
     ]
 
 
-def _ref_busy_time(recs, device, kind=None, since=0.0):
+def _ref_busy_time(recs, device):
     total, cur_start, cur_end = 0.0, None, 0.0
     for start, end in sorted(
-        (r.start, r.end) for r in _ref_filter(recs, device, kind, since)
+        (r.start, r.end) for r in _ref_filter(recs, device)
     ):
         if cur_start is None:
             cur_start, cur_end = start, end
@@ -305,22 +297,16 @@ class TestSingleStore:
 
     def test_totals_and_busy_time(self, trace):
         ref = trace.ref
-        since = ref[len(ref) // 3].start  # an exact record start
         assert repr(trace.total_flops()) == repr(sum(r.flops for r in ref))
         assert repr(trace.total_bytes()) == repr(sum(r.nbytes for r in ref))
         for device in trace.devices():
             recs = _ref_filter(ref, device)
             assert repr(trace.total_flops(device)) == repr(
                 sum(r.flops for r in recs))
-            assert repr(trace.total_flops(device, since=since)) == repr(
-                sum(r.flops for r in _ref_filter(ref, device, since=since)))
             assert repr(trace.total_bytes(device, "net")) == repr(
                 sum(r.nbytes for r in _ref_filter(ref, device, "net")))
             assert repr(trace.busy_time(device)) == repr(
                 _ref_busy_time(ref, device))
-            for kind, at in [("compute", 0.0), (None, since)]:
-                assert repr(trace.busy_time(device, kind, at)) == repr(
-                    _ref_busy_time(ref, device, kind, at))
 
     def test_exports(self, trace):
         ref = trace.ref

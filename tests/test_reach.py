@@ -1,5 +1,6 @@
 """Every ``src/repro`` module is reached by the paper's tools, and every
-public function of the observability layer is referenced by name.
+public function of the observability and runtime layers is referenced
+by name.
 
 A static import graph is built over every ``import`` and ``from ...
 import`` statement, including those inside functions (the CLI imports
@@ -16,8 +17,9 @@ but following their re-exports would make every re-exported module look
 reached.
 
 Below modules, the check is by name: every public function, method and
-property defined in ``src/repro/obs/**`` and ``simulate/trace.py`` must
-be referenced somewhere in ``src/``, ``benchmarks/`` or ``examples/``
+property defined in ``src/repro/obs/**``, ``src/repro/runtime/**`` and
+``simulate/trace.py`` must be referenced somewhere in ``src/``,
+``benchmarks/`` or ``examples/``
 outside its own ``def``.  A reference is an attribute ``.name``, a read
 of ``name`` (a call, or the function passed on), or a
 ``"module:Class.name"`` entry-point string.  Names are not resolved to
@@ -145,7 +147,11 @@ def test_import_statements_resolve(tmp_path):
 
 
 #: the files whose public functions must each be referenced by name
-NAME_CHECKED = (SRC / "repro" / "obs", SRC / "repro" / "simulate" / "trace.py")
+NAME_CHECKED = (
+    SRC / "repro" / "obs",
+    SRC / "repro" / "runtime",
+    SRC / "repro" / "simulate" / "trace.py",
+)
 
 #: an entry-point string such as ``"repro.simulate.trace:Trace.add"``
 _ENTRY_POINT = re.compile(r"^[\w.]+:[\w.]+$")
@@ -206,6 +212,7 @@ def unreferenced_functions() -> list[str]:
 
 
 def test_every_obs_function_is_referenced():
+    """Covers ``runtime/**`` too (see ``NAME_CHECKED``)."""
     missing = unreferenced_functions()
     assert not missing, (
         "public functions nothing in src/, benchmarks/ or examples/ "
