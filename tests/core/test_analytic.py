@@ -243,3 +243,30 @@ class TestFeedbackSplit:
         assert 0.0 < p < 1.0
         faster_cpu = feedback_split(a, a, cpu * 2.0, gpu)
         assert faster_cpu > p
+
+
+class TestObserveDeviceRate:
+    """Equation (5) fed with rates the trace observed, as the adaptive
+    feedback policy feeds it."""
+
+    def test_observation_from_trace(self):
+        from repro.core.analytic import feedback_split
+        from repro.simulate.trace import Trace
+
+        t = Trace()
+        t.record("k", "n.cpu", "compute", 0.0, 2.0, flops=6e9)
+        t.record("k", "n.gpu0", "compute", 0.0, 2.0, flops=40e9)
+        cpu = t.observed_gflops("n.cpu")
+        gpu = t.observed_gflops("n.gpu0")
+        assert cpu == pytest.approx(3.0)
+        assert gpu == pytest.approx(20.0)
+        assert feedback_split(1.0, 1.0, cpu, gpu) == pytest.approx(3.0 / 23.0)
+
+    def test_idle_device_zero_rate(self):
+        from repro.core.analytic import feedback_split
+        from repro.simulate.trace import Trace
+
+        t = Trace()
+        t.record("k", "n.cpu", "compute", 0.0, 1.0, flops=2e9)
+        assert t.observed_gflops("n.gpu0") == 0.0
+        assert feedback_split(1.0, 1.0, t.observed_gflops("n.cpu"), 0.0) == 1.0

@@ -12,12 +12,45 @@ import pytest
 from repro.apps.cmeans import CMeansApp
 from repro.apps.gmm import GMMApp
 from repro.data.synth import gaussian_mixture
+from repro.runtime.dag import TaskGraph
 from repro.runtime.job import JobConfig
 from repro.runtime.phases import ITERATION_PHASES
 from repro.runtime.policies.graph_partition import contiguous_min_cut
 from repro.runtime.prs import PRSRuntime
 
 from tests.helpers import CountdownApp
+
+
+class _RecordingPhase:
+    """Stands in for a phase: keeps the attrs the chain hands it."""
+
+    def __init__(self, name, seen):
+        self.name = name
+        self._seen = seen
+
+    def run(self, ctx, attrs):
+        self._seen.append(attrs)
+        yield from ()
+
+
+class TestGraphValidation:
+    def test_linear_builds_a_chain_with_edge_bytes(self):
+        seen = []
+        names = [cls.name for cls in ITERATION_PHASES]
+        g = TaskGraph(
+            [_RecordingPhase(n, seen) for n in names],
+            edge_bytes={("map", "combine"): 64.0},
+        )
+        assert [p.name for p in g.phases] == names
+        assert list(g.run(ctx=None)) == []
+        assert [a["dag_node"] for a in seen] == names
+        assert "dag_edge" not in seen[0]
+        assert [a["dag_edge"] for a in seen[1:]] == [
+            f"{a}->{b}" for a, b in zip(names, names[1:])
+        ]
+        by_node = {a["dag_node"]: a for a in seen}
+        assert by_node["combine"]["dag_edge_bytes"] == 64.0
+        assert "dag_edge_bytes" not in by_node["map"]
 
 
 class TestContiguousMinCut:
