@@ -122,6 +122,9 @@ class Metric:
         self.name = name
         self.help = help
         self._samples: dict[LabelKey, Any] = {}
+        #: the registry's write set while a sampler watches it (see
+        #: :meth:`MetricsRegistry.track_writes`), else None
+        self._dirty: set[Any] | None = None
 
 
 class Counter(Metric):
@@ -134,6 +137,8 @@ class Counter(Metric):
             raise ValueError(f"counter {self.name}: negative or NaN increment {value}")
         key = _label_key(labels)
         self._samples[key] = self._samples.get(key, 0.0) + value
+        if self._dirty is not None:
+            self._dirty.add((self.name, key))
 
     def value(self, **labels: Any) -> float:
         return self._samples.get(_label_key(labels), 0.0)
@@ -183,6 +188,9 @@ class CounterChild:
             samples = self._samples = self._registry.counter(self.name)._samples
         key = self.key
         samples[key] = samples.get(key, 0.0) + value
+        dirty = self._registry._dirty
+        if dirty is not None:
+            dirty.add(self)  # hashed by identity: cheaper than (name, key)
 
 
 class Gauge(Metric):
@@ -191,11 +199,16 @@ class Gauge(Metric):
     type_name = "gauge"
 
     def set(self, value: float, **labels: Any) -> None:
-        self._samples[_label_key(labels)] = float(value)
+        key = _label_key(labels)
+        self._samples[key] = float(value)
+        if self._dirty is not None:
+            self._dirty.add((self.name, key))
 
     def inc(self, value: float = 1.0, **labels: Any) -> None:
         key = _label_key(labels)
         self._samples[key] = self._samples.get(key, 0.0) + value
+        if self._dirty is not None:
+            self._dirty.add((self.name, key))
 
     def samples(self) -> list[tuple[dict[str, str], float]]:
         return [(dict(k), v) for k, v in self._samples.items()]
@@ -271,12 +284,45 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
+        #: the counter/gauge series written since the watcher last
+        #: cleared it (see track_writes); None when nothing watches
+        self._dirty: set[Any] | None = None
 
     # ------------------------------------------------------------------
+    def track_writes(self) -> set[Any]:
+        """Start recording which counter/gauge series are written.
+
+        Returns the write set, seeded with every series that already
+        exists; the watcher (the time-series sampler) reads and clears
+        it at each snapshot.  A ``Counter.inc``/``Gauge.set``/
+        ``Gauge.inc`` adds its ``(name, label key)`` pair, a
+        :class:`CounterChild` adds itself (its ``name`` and ``key``
+        name the series).  Until this is called, and again after
+        :meth:`untrack_writes`, a write pays one ``is None`` test.
+        """
+        dirty = {
+            (metric.name, key)
+            for metric in self._metrics.values()
+            if isinstance(metric, (Counter, Gauge))
+            for key in metric._samples
+        }
+        self._set_dirty(dirty)
+        return dirty
+
+    def untrack_writes(self) -> None:
+        """Stop recording writes and drop the write set."""
+        self._set_dirty(None)
+
+    def _set_dirty(self, dirty: set[Any] | None) -> None:
+        self._dirty = dirty
+        for metric in self._metrics.values():
+            metric._dirty = dirty
+
     def _get_or_create(self, cls: type, name: str, **kwargs: Any) -> Any:
         metric = self._metrics.get(name)
         if metric is None:
             metric = cls(name, **kwargs)
+            metric._dirty = self._dirty
             self._metrics[name] = metric
         elif not isinstance(metric, cls):
             raise TypeError(

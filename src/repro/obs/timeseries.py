@@ -7,9 +7,12 @@ and gauge onto a fixed grid of simulated instants ``t_k = k *
 sample_interval`` and records the values in ring-bounded
 :class:`Series`, which store only the instants where a value changes.
 Windowed aggregates (the alert rules' rate, mean, max, p50/p99; the
-autoscaler's mean and max) are computed lazily from the stored runs, so
-sampling itself is a few dict walks and comparisons per grid crossing
-and *nothing* at other times.
+autoscaler's mean and max) are computed lazily from the stored runs.
+A snapshot writes only the series the registry reports written since
+the previous one, plus the derived probes that can have moved; every
+other series keeps its open run, which the bank extends before any
+read.  So sampling costs per change, not per series per grid instant,
+and *nothing* between grid crossings.
 
 Zero-perturbation contract
 --------------------------
@@ -46,7 +49,7 @@ instant, the signals the rule engine (:mod:`repro.obs.rules`) watches:
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from math import copysign, isfinite
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -54,12 +57,10 @@ from repro._validation import require_nonnegative, require_positive
 from repro.obs.metrics import (
     COMM_BYTES,
     COMM_MESSAGES,
-    Counter,
+    CounterChild,
     DEVICE_BUSY_SECONDS,
     DEVICE_BUSY_UNION_SECONDS,
-    Gauge,
     LabelKey,
-    MetricsRegistry,
     _label_key,
 )
 
@@ -68,8 +69,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: default sampling grid pitch in simulated seconds.  The bundled
 #: workloads have makespans in the 0.02-1 s range, so 1 ms yields tens
-#: to hundreds of samples — enough for the built-in rules' windows
-#: while keeping snapshot work negligible.
+#: to hundreds of grid instants per series — enough for the built-in
+#: rules' windows.  Snapshot work grows with the series written per
+#: instant, not with the series count (see MetricSampler).
 DEFAULT_SAMPLE_INTERVAL = 1e-3
 
 #: default ring capacity per series.  At the default interval this
@@ -86,6 +88,12 @@ LINK_MODEL_RATIO = "prs_link_model_ratio"
 
 #: snapshot-plan roles: the derived probe a sampled value feeds
 _BUSY_UNION, _NET_BUSY, _LINK_MSGS, _LINK_BYTES = range(4)
+_ROLES = {
+    DEVICE_BUSY_UNION_SECONDS: _BUSY_UNION,
+    DEVICE_BUSY_SECONDS: _NET_BUSY,  # sums its kind="net" series only
+    COMM_MESSAGES: _LINK_MSGS,
+    COMM_BYTES: _LINK_BYTES,
+}
 
 
 def sorted_quantile(values: list[float], q: float) -> float | None:
@@ -182,6 +190,22 @@ class Series:
         self._last = value
         if k - self._k[0] >= self.capacity:
             self._drop_oldest()
+
+    def extend(self, stop: int) -> None:
+        """Repeat the open run's value at every grid index below *stop*:
+        the store, ring trims included, that one :meth:`sample` per index
+        would leave.  No-op without an open run."""
+        if self._last is None or not self._k or stop <= self._end:
+            return
+        self._end = stop
+        excess = stop - self._k[0] - self.capacity
+        if excess > 0:  # trim the oldest run heads in one step
+            self.dropped += excess
+            ks, head = self._k, self._k[0] + excess
+            first = bisect_right(ks, head) - 1
+            del ks[:first]
+            del self._v[:first]
+            ks[0] = head
 
     def append(self, t: float, value: float) -> None:
         """Add one off-grid point (its own run) after every sample."""
@@ -353,7 +377,13 @@ class Series:
 
 
 class SeriesBank:
-    """All sampled series of one run, keyed by (name, label set)."""
+    """All sampled series of one run, keyed by (name, label set).
+
+    A sampler writes a series only when its value may have changed and
+    leaves the others' runs open; ``grid_end`` is one past the last grid
+    index it has covered.  Every read below first extends the open runs
+    to ``grid_end``, so readers see exactly the per-instant store.
+    """
 
     def __init__(
         self,
@@ -363,7 +393,11 @@ class SeriesBank:
         self.capacity = capacity
         #: sampling grid pitch of the series this bank creates
         self.interval = interval
+        #: one past the last grid index the owning sampler has covered
+        self.grid_end = 0
         self._series: dict[tuple[str, LabelKey], Series] = {}
+        #: the keys of ``_series`` in sorted order (None: to sort again)
+        self._order: list[tuple[str, LabelKey]] | None = None
 
     # ------------------------------------------------------------------
     def get_or_create(self, name: str, key: LabelKey) -> Series:
@@ -372,31 +406,49 @@ class SeriesBank:
             series = Series(name, dict(key), capacity=self.capacity,
                             interval=self.interval)
             self._series[(name, key)] = series
+            self._order = None
+        else:
+            series.extend(self.grid_end)
         return series
+
+    def _sorted_keys(self) -> list[tuple[str, LabelKey]]:
+        """The series keys in (name, labels) order, sorted once per
+        batch of new series: readers ask many times per run."""
+        if self._order is None:
+            self._order = sorted(self._series)
+        return self._order
 
     def matching(self, name: str, labels: dict[str, str] | None = None) -> list[Series]:
         """All series of *name* whose labels contain *labels* as a
         subset, in sorted label order (deterministic)."""
         want = {k: str(v) for k, v in (labels or {}).items()}
         out = []
-        for (sname, key), series in sorted(self._series.items()):
+        for sname, key in self._sorted_keys():
             if sname != name:
                 continue
             have = dict(key)
             if all(have.get(k) == v for k, v in want.items()):
+                series = self._series[(sname, key)]
+                series.extend(self.grid_end)
                 out.append(series)
         return out
 
     def __iter__(self) -> Iterator[Series]:
-        for key in sorted(self._series):
-            yield self._series[key]
+        for key in self._sorted_keys():
+            series = self._series[key]
+            series.extend(self.grid_end)
+            yield series
 
     def __len__(self) -> int:
         return len(self._series)
 
     @property
     def total_points(self) -> int:
-        return sum(len(s) for s in self._series.values())
+        total = 0
+        for series in self._series.values():
+            series.extend(self.grid_end)
+            total += len(series)
+        return total
 
     # ------------------------------------------------------------------
     def to_jsonl_lines(self) -> list[str]:
@@ -432,6 +484,13 @@ class MetricSampler:
     at grid time *g* therefore reflects every update applied strictly
     before the first mutation at simulated time ``>= g`` — a
     deterministic function of the (deterministic) event stream.
+
+    A snapshot writes only what may have changed since the previous
+    one: the series the registry reports written
+    (:meth:`MetricsRegistry.track_writes`), and the derived probes whose
+    inputs were written or whose last value was not ``0.0``.  Every
+    other series repeats its value, which its open run already says
+    (:class:`SeriesBank` extends open runs before any read).
     """
 
     def __init__(
@@ -446,18 +505,33 @@ class MetricSampler:
         self._last_t: float | None = None  # time of the latest snapshot
         #: α/β wire models per link class: link -> (alpha_s, bytes_per_s)
         self._link_models: dict[str, tuple[float, float]] = {}
+        #: the registry's write set while bound (see
+        #: :meth:`MetricsRegistry.track_writes`)
+        self._dirty: set[Any] | None = None
+        #: snapshot plan: the bank series of every write-set entry seen,
+        #: planned the first time it is written
+        self._plan: dict[Any, Series] = {}
+        #: busy-union devices: key -> [samples, prev key, fraction
+        #: series, counts toward the imbalance]
+        self._devices: dict[LabelKey, list] = {}
+        self._counted: list[LabelKey] = []  # sorted non-NIC device keys
+        #: summed roles: role -> (samples, [sorted keys], [their sum names])
+        self._terms: dict[int, tuple[dict, list[LabelKey], list[str]]] = {}
+        self._link_plan: list[tuple] = []
+        self._links_stale = False  # a link model changed since the last snapshot
         #: previous raw values backing the derived probes
         self._prev: dict[str, float] = {}
-        #: cached snapshot plan (see _current_plan) and the registry
-        #: size it was built for; None forces a rebuild
-        self._plan: dict[str, tuple] = {}
-        self._link_plan: list[tuple] = []
-        self._plan_size: tuple[int, int] | None = None
+        #: last busy fraction per device, and the devices where it was
+        #: not 0.0 (they must be re-derived even when idle)
+        self._fractions: dict[LabelKey, float] = {}
+        self._hot: set[LabelKey] = set()
+        self._links_hot = False  # some link utilization/ratio was not 0.0
         self.finalized = False
 
     # ------------------------------------------------------------------
     def bind(self, trace: "Trace") -> None:
         self._trace = trace
+        self._dirty = trace.metrics.track_writes()
 
     def register_link_model(
         self, link: str, latency_s: float, bytes_per_s: float
@@ -470,7 +544,7 @@ class MetricSampler:
                 f"link {link!r}: need bandwidth > 0, got beta={bytes_per_s}"
             )
         self._link_models[link] = (float(latency_s), float(bytes_per_s))
-        self._plan_size = None
+        self._links_stale = True
 
     @property
     def total_samples(self) -> int:
@@ -494,9 +568,24 @@ class MetricSampler:
 
     def _backfill(self, now: float) -> None:
         interval = self.interval
-        while self._k * interval <= now:
-            self._snapshot(self._k * interval, self._k)
-            self._k += 1
+        k = self._k
+        if k * interval > now:
+            return
+        self._snapshot(k * interval, k)
+        k += 1
+        if k * interval <= now:
+            # The registry cannot change within one call, so this
+            # instant only drops the derived probes to 0.0, and every
+            # later one repeats it: the open runs already say so.
+            self._snapshot(k * interval, k)
+            last = max(k, int(now / interval))
+            while last * interval > now:
+                last -= 1
+            while (last + 1) * interval <= now:
+                last += 1
+            self._last_t = last * interval
+            k = last + 1
+        self._k = self.bank.grid_end = k
 
     def finalize(self, end: float) -> None:
         """Emit the remaining grid instants up to *end* plus one final
@@ -508,45 +597,59 @@ class MetricSampler:
         if self._last_t is None or self._last_t < end:
             self._snapshot(end, None)
         self.finalized = True
-        # No snapshot follows: release the plan's references.
+        # No snapshot follows: stop tracking writes and release the plan.
+        self._trace.metrics.untrack_writes()
+        self._dirty = None
         self._plan = {}
+        self._devices = {}
+        self._terms = {}
         self._link_plan = []
-        self._plan_size = None
 
     # ------------------------------------------------------------------
-    def _current_plan(self) -> dict[str, tuple]:
-        """The cached snapshot plan, rebuilt when the registry grew.
+    def _plan_entry(
+        self, entry: tuple[str, LabelKey] | CounterChild, name: str, key: LabelKey
+    ) -> Series:
+        """The bank series of a write-set entry seen for the first time:
+        a ``(metric, key)`` pair or the counter child that wrote.  A
+        series new to the bank is filed under the derived probe it
+        feeds, in sorted key order, so sums add in the order of a sorted
+        registry walk."""
+        assert self._trace is not None
+        bank = self.bank
+        series = bank._series.get((name, key))  # planned via another handle?
+        if series is None:
+            series = bank.get_or_create(name, key)
+            role = _ROLES.get(name)
+            labels = dict(key) if role is not None else {}
+            if role == _BUSY_UNION:
+                device = labels.get("device", "")
+                counts = not device.startswith("net.")
+                self._devices[key] = [
+                    self._trace.metrics._metrics[name]._samples,
+                    f"busy::{device}",
+                    bank.get_or_create(DEVICE_BUSY_FRACTION, key),
+                    counts,
+                ]
+                if counts:
+                    insort(self._counted, key)
+            elif role == _NET_BUSY and labels.get("kind") == "net":
+                self._add_term(role, name, key, "")
+            elif role in (_LINK_MSGS, _LINK_BYTES):
+                self._add_term(role, name, key, labels.get("link", ""))
+        self._plan[entry] = series
+        return series
 
-        Metrics and label sets are only ever added, never removed, so a
-        plan built for the same (metric count, label-set count) covers
-        exactly the series a fresh sorted walk of the registry would,
-        and so does a per-metric group whose label-set count still
-        matches its metric's.
-        """
-        trace = self._trace
-        assert trace is not None
-        metrics = trace.metrics._metrics
-        size = (len(metrics), sum(len(m._samples) for m in metrics.values()))
-        if size != self._plan_size:
-            self._build_plan(trace.metrics)
-            self._plan_size = size
-        return self._plan
+    def _add_term(self, role: int, metric: str, key: LabelKey, name: str) -> None:
+        """File *key* of *metric* under sum *name* of *role*."""
+        assert self._trace is not None
+        samples = self._trace.metrics._metrics[metric]._samples
+        _, keys, names = self._terms.setdefault(role, (samples, [], []))
+        at = bisect_left(keys, key)
+        keys.insert(at, key)
+        names.insert(at, name)
 
-    def _build_plan(self, registry: MetricsRegistry) -> None:
-        """One group per counter/gauge, in name order, each listing its
-        label sets in sorted order, so the snapshot appends and the
-        derived sums run in the same order as a sorted registry walk;
-        plus one row per registered link model.  Groups whose metric
-        gained no label set are reused as they are."""
-        old = self._plan
-        plan = {}
-        for metric in registry:  # name-sorted
-            if isinstance(metric, (Counter, Gauge)):
-                group = old.get(metric.name)
-                if group is None or len(group[1]) != len(metric._samples):
-                    group = self._plan_group(metric)
-                plan[metric.name] = group
-        self._plan = plan
+    def _build_link_plan(self) -> None:
+        """One row per registered link model, in link order."""
         bank = self.bank
         self._link_plan = []
         for link in sorted(self._link_models):
@@ -558,110 +661,138 @@ class MetricSampler:
                 bank.get_or_create(LINK_MODEL_RATIO, key),
             ))
 
-    def _plan_group(self, metric: Counter | Gauge) -> tuple:
-        """``(samples, keys, series, role, args)`` of one metric: its
-        sorted label keys with their bank series, and which derived
-        probe (``role``) the values feed, with a per-key argument."""
-        bank = self.bank
-        name = metric.name
-        keys = sorted(metric._samples)
-        series = [bank.get_or_create(name, key) for key in keys]
-        role: int | None = None
-        args: list[Any] | None = None
-        if name == DEVICE_BUSY_UNION_SECONDS:
-            role, args = _BUSY_UNION, []
-            for key in keys:
-                device = dict(key).get("device", "")
-                args.append((
-                    f"busy::{device}",
-                    bank.get_or_create(DEVICE_BUSY_FRACTION, key),
-                    not device.startswith("net."),
-                ))
-        elif name == DEVICE_BUSY_SECONDS:
-            role = _NET_BUSY
-            args = [dict(key).get("kind") == "net" for key in keys]
-        elif name in (COMM_MESSAGES, COMM_BYTES):
-            role = _LINK_MSGS if name == COMM_MESSAGES else _LINK_BYTES
-            args = [dict(key).get("link", "") for key in keys]
-        return (metric._samples, keys, series, role, args)
+    def _sums(self, role: int) -> dict[str, float]:
+        """The values of one summed role, added per sum name in sorted
+        key order."""
+        samples, keys, names = self._terms.get(role, ({}, (), ()))
+        out: dict[str, float] = {}
+        for key, name in zip(keys, names):
+            out[name] = out.get(name, 0.0) + samples[key]
+        return out
 
     def _snapshot(self, t: float, k: int | None) -> None:
-        """Sample every plan row and derived probe at time *t*: grid
-        instant *k*, or the off-grid end anchor when *k* is None."""
-        put, at = (Series.append, t) if k is None else (Series.sample, k)
-        busy_union: list[tuple[float, tuple[str, Series, bool]]] = []
-        net_busy = 0.0
-        link_msgs: dict[str, float] = {}
-        link_bytes: dict[str, float] = {}
-        for samples, keys, series, role, args in self._current_plan().values():
-            if role is None:
-                for key, s in zip(keys, series):
-                    put(s, at, samples[key])
+        """Sample what changed at grid instant *k*, or every series at
+        the off-grid end anchor *t* when *k* is None."""
+        assert self._dirty is not None and self._trace is not None
+        metrics = self._trace.metrics._metrics
+        plan = self._plan
+        busy: set[LabelKey] = set()
+        roles: set[int] = set()
+        if k is None:
+            stop = self._k
+
+            def put(series: Series, value: float) -> None:
+                series.extend(stop)
+                series.append(t, value)
+        else:
+            def put(series: Series, value: float) -> None:
+                if series._end < k:
+                    series.extend(k)
+                series.sample(k, value)
+
+        for entry in self._dirty:
+            if isinstance(entry, tuple):
+                name, key = entry
+            else:
+                name, key = entry.name, entry.key
+            series = plan.get(entry)
+            if series is None:
+                series = self._plan_entry(entry, name, key)
+            if k is None or series._end > k:  # also written via another handle
                 continue
-            for key, s, arg in zip(keys, series, args):
-                value = samples[key]
-                put(s, at, value)
-                if role == _BUSY_UNION:
-                    busy_union.append((value, arg))
-                elif role == _NET_BUSY:
-                    if arg:
-                        net_busy += value
-                elif role == _LINK_MSGS:
-                    link_msgs[arg] = link_msgs.get(arg, 0.0) + value
-                else:
-                    link_bytes[arg] = link_bytes.get(arg, 0.0) + value
-        self._derived(t, put, at, busy_union, net_busy, link_msgs, link_bytes)
+            put(series, metrics[name]._samples[key])
+            role = _ROLES.get(name)
+            if role == _BUSY_UNION:
+                busy.add(key)
+            elif role is not None:
+                roles.add(role)
+        self._dirty.clear()
+        if k is None:  # every registry series, once
+            for (name, key), series in self.bank._series.items():
+                metric = metrics.get(name)
+                if metric is not None:
+                    put(series, metric._samples[key])
+        full = k is None or self._links_stale
+        if self._links_stale:
+            self._build_link_plan()
+            self._links_stale = False
+        self._derived(t, put, busy, roles, full)
         self._last_t = t
 
     def _derived(
         self,
         t: float,
         put: Any,
-        at: int | float,
-        busy_union: list[tuple[float, tuple[str, Series, bool]]],
-        net_busy: float,
-        link_msgs: dict[str, float],
-        link_bytes: dict[str, float],
+        busy: set[LabelKey],
+        roles: set[int],
+        full: bool,
     ) -> None:
+        """Re-derive the probes whose inputs were written (*busy*
+        devices, summed *roles*) or whose last value was not 0.0; every
+        probe when *full*.  A skipped probe would read exactly 0.0
+        again."""
         prev = self._prev
-        raw: dict[str, float] = {}
         last_t = self._last_t
         dt = (t - last_t) if last_t is not None else 0.0
 
-        # Per-device busy fraction from the incremental union counter
-        # (the plan lists the devices in sorted label order).
-        fractions: list[float] = []
-        for value, (raw_key, series, counts) in busy_union:
-            raw[raw_key] = value
-            delta = value - prev.get(raw_key, 0.0)
+        # Per-device busy fraction from the incremental union counter.
+        fractions, hot = self._fractions, self._hot
+        counted = False
+        for key in (list(self._devices) if full else busy | hot):
+            samples, prev_key, series, counts = self._devices[key]
+            value = samples[key]
+            delta = value - prev.get(prev_key, 0.0)
             fraction = (delta / dt) if dt > 0.0 else 0.0
-            put(series, at, fraction)
-            if counts:
-                fractions.append(fraction)
+            prev[prev_key] = value
+            put(series, fraction)
+            fractions[key] = fraction
+            if _is_zero(fraction):
+                hot.discard(key)
+            else:
+                hot.add(key)
+            counted = counted or counts
 
-        # Imbalance across the co-processing devices (NICs excluded).
-        if fractions:
-            mean = sum(fractions) / len(fractions)
-            imbalance = (max(fractions) / mean) if mean > 0.0 else 0.0
-            put(self.bank.get_or_create(DEVICE_IMBALANCE, ()), at, imbalance)
+        # Imbalance across the co-processing devices (NICs excluded),
+        # summed in sorted device order.
+        if counted:
+            values = [fractions[key] for key in self._counted]
+            mean = sum(values) / len(values)
+            imbalance = (max(values) / mean) if mean > 0.0 else 0.0
+            put(self.bank.get_or_create(DEVICE_IMBALANCE, ()), imbalance)
 
         # α/β-modelled offered load and observed-vs-model ratio per
         # registered link class.
-        raw["net_busy"] = net_busy
+        if full or _NET_BUSY in roles:
+            net_busy = self._sums(_NET_BUSY).get("", 0.0)
+        else:
+            net_busy = prev.get("net_busy", 0.0)
         net_delta = net_busy - prev.get("net_busy", 0.0)
+        prev["net_busy"] = net_busy
+        if not (full or self._links_hot or _LINK_MSGS in roles
+                or _LINK_BYTES in roles):
+            return
+        link_msgs = self._sums(_LINK_MSGS)
+        link_bytes = self._sums(_LINK_BYTES)
+        self._links_hot = False
         for link, alpha, bytes_per_s, util_series, ratio_series in self._link_plan:
             msgs = link_msgs.get(link, 0.0)
             nbytes = link_bytes.get(link, 0.0)
-            raw[f"msgs::{link}"] = msgs
-            raw[f"bytes::{link}"] = nbytes
             modelled = (
                 (msgs - prev.get(f"msgs::{link}", 0.0)) * alpha
                 + (nbytes - prev.get(f"bytes::{link}", 0.0)) / bytes_per_s
             )
+            prev[f"msgs::{link}"] = msgs
+            prev[f"bytes::{link}"] = nbytes
             utilization = (modelled / dt) if dt > 0.0 else 0.0
-            put(util_series, at, utilization)
+            put(util_series, utilization)
             # Observed NIC busy over modelled wire seconds: > 1 means
             # the wire is slower than the α/β model says it should be.
             ratio = (net_delta / modelled) if modelled > 1e-12 else 0.0
-            put(ratio_series, at, ratio)
-        self._prev = raw
+            put(ratio_series, ratio)
+            if not (_is_zero(utilization) and _is_zero(ratio)):
+                self._links_hot = True
+
+
+def _is_zero(value: float) -> bool:
+    """Whether *value* is bitwise ``0.0`` (``-0.0`` is not)."""
+    return value == 0.0 and copysign(1.0, value) > 0.0

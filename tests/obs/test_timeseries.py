@@ -11,7 +11,10 @@ Three layers:
 * whole-runtime invariants: sampling must not perturb the schedule
   (bitwise-identical makespans/spans/outputs), sample times must stay
   monotone across rank-restart incarnations, and a fixed fault seed
-  must reproduce the exact series and alerts.
+  must reproduce the exact series and alerts;
+* the sampler against ``ResortingSampler``, a reference that snapshots
+  every series at every grid instant, and a bound on the series writes
+  it makes.
 """
 
 from __future__ import annotations
@@ -428,11 +431,17 @@ class TestSamplingUnderFaults:
 
 
 # ----------------------------------------------------------------------
-# The cached snapshot plan against a fresh sorted walk per snapshot
+# The write-set sampler against a full sorted snapshot per grid instant
 # ----------------------------------------------------------------------
 class ResortingSampler(MetricSampler):
-    """Reference sampler: every snapshot re-sorts every registry series
-    and re-derives the probes from scratch (no cached plan)."""
+    """Reference sampler: every grid instant is a full snapshot that
+    re-sorts every registry series and re-derives every probe from
+    scratch (no plan, no write set, no skipped instants)."""
+
+    def _backfill(self, now):
+        while self._k * self.interval <= now:
+            self._snapshot(self._k * self.interval, self._k)
+            self._k += 1
 
     def _snapshot(self, t, k):
         # grid instant k, or the off-grid end anchor at t when k is None
@@ -519,9 +528,65 @@ def _scripted(sampler_cls):
     # give 0.1 + 0.6 + 0.2 == 0.8999999999999999
     nbytes.inc(0.2, link="remote", src="r1")
     busy.inc(0.1e-3, device="n1.gpu")
+    # one series written through a counter child and by labels alike
+    trace.metrics.counter_child(COMM_MESSAGES, link="remote", src="r0").inc(4)
+    msgs.inc(1, link="remote", src="r0")
     trace.tick(8e-3)
     sampler.finalize(8.5e-3)
     return sampler
+
+
+def _idle_gap(sampler_cls):
+    """A ring of 4 samples per series across a 50-instant idle stretch
+    that one tick back-fills, with busy devices and a link on either
+    side of it."""
+    trace = Trace()
+    sampler = trace.attach_sampler(sampler_cls(interval=1e-3, capacity=4))
+    busy = trace.metrics.counter(DEVICE_BUSY_UNION_SECONDS)
+    msgs = trace.metrics.counter(COMM_MESSAGES)
+    sampler.register_link_model("remote", latency_s=1e-5, bytes_per_s=1e9)
+    busy.inc(0.4e-3, device="n0.cpu")
+    busy.inc(0.1e-3, device="n0.gpu")
+    msgs.inc(3, link="remote", src="r0")
+    trace.tick(1.5e-3)
+    busy.inc(0.9e-3, device="n0.cpu")
+    trace.metrics.gauge("prs_q").set(2, node="a")
+    trace.tick(52.5e-3)  # instants 2..52 in one call
+    # what the autoscaler reads mid-run
+    reads = [(s.labels, len(s), s.mean(0.0, 1.0), s.vmax(0.0, 1.0))
+             for s in sampler.bank.matching(DEVICE_BUSY_FRACTION)]
+    busy.inc(0.5e-3, device="n0.gpu")
+    msgs.inc(1, link="remote", src="r0")
+    trace.tick(54e-3)
+    sampler.finalize(54.5e-3)
+    return sampler, reads
+
+
+#: the end-to-end benchmark's workloads (the 1e-3 and 1e-4 grids and the
+#: chaos fault plan), plus an autoscaled GMM run whose autoscaler reads
+#: the bank at every iteration boundary
+E2E_RUNS = ("gmm-kernel", "gemv-dispatch", "cmeans-chaos", "cmeans-observe",
+            "gmm-kernel+autoscale")
+AUTOSCALED = {"initial_nodes": 4, "autoscale": {
+    "min_nodes": 2, "scale_down_busy_fraction": 1.1, "cooldown_s": 1e-3}}
+
+
+def _run_e2e(name):
+    """Op 0 at seed 7 of an ``E2E_RUNS`` entry."""
+    import dataclasses
+
+    from benchmarks.e2e.workloads import WORKLOADS, build_app, make_inputs
+    from repro.runtime.job import JobConfig
+    from repro.runtime.prs import PRSRuntime
+
+    base, _, variant = name.partition("+")
+    wl = WORKLOADS[base]
+    config = dict(wl.config)
+    if variant:
+        wl = dataclasses.replace(wl, iterations=6)
+        config.update(AUTOSCALED)
+    app = build_app(wl, make_inputs(wl, 7, 0))
+    return PRSRuntime(delta_cluster(wl.nodes), JobConfig(**config)).run(app)
 
 
 class TestSnapshotPlan:
@@ -543,6 +608,46 @@ class TestSnapshotPlan:
         sampler = _scripted(MetricSampler)
         assert sampler.finalized
         assert sampler._plan == {} and sampler._link_plan == []
+        # the write set is dropped too: later writes record nothing
+        registry = sampler._trace.metrics
+        assert sampler._dirty is None and registry._dirty is None
+        assert all(m._dirty is None for m in registry)
+        registry.counter(COMM_MESSAGES).inc(1, link="remote", src="r0")
+        assert registry._dirty is None
+
+    def test_idle_gap_through_a_full_ring_matches_a_full_snapshot_per_instant(self):
+        fast, fast_reads = _idle_gap(MetricSampler)
+        full, full_reads = _idle_gap(ResortingSampler)
+        assert fast_reads == full_reads
+        assert fast.bank.to_jsonl_lines() == full.bank.to_jsonl_lines()
+        assert fast.total_samples == full.total_samples
+        cpu = series_of(fast.bank, DEVICE_BUSY_FRACTION, device="n0.cpu")
+        # 55 grid instants and the end anchor written, 4 kept
+        assert cpu.dropped == 52 and len(cpu) == 4
+        assert [s.dropped for s in fast.bank] == [s.dropped for s in full.bank]
+        assert [s.runs() for s in fast.bank] == [s.runs() for s in full.bank]
+
+    @pytest.mark.parametrize("name", E2E_RUNS)
+    def test_e2e_workloads_match_a_full_snapshot_per_instant(self, name, monkeypatch):
+        from repro import obs
+
+        fast = _run_e2e(name)
+        monkeypatch.setattr(obs, "MetricSampler", ResortingSampler)
+        full = _run_e2e(name)
+        assert isinstance(full.trace.sampler, ResortingSampler)
+        assert fast.makespan == full.makespan
+        assert (fast.trace.sampler.bank.to_jsonl_lines()
+                == full.trace.sampler.bank.to_jsonl_lines())
+        assert ([a.to_dict() for a in fast.alerts]
+                == [a.to_dict() for a in full.alerts])
+        assert fast.sampler_samples == full.sampler_samples
+        if "autoscale" in name:
+            # each decision records the windowed means it read mid-run
+            def decisions(result):
+                return [(r.kind, r.inputs) for r in result.trace.audit.records
+                        if r.kind.startswith("autoscale-")]
+            assert fast.recovery.autoscale_decisions >= 1
+            assert decisions(fast) == decisions(full)
 
     def test_faulted_elastic_run_matches_a_resort_per_snapshot(self, monkeypatch):
         # Joins, a GPU kill, dropped messages and a rank restart add
@@ -562,3 +667,50 @@ class TestSnapshotPlan:
                 == resorted.trace.sampler.bank.to_jsonl_lines())
         assert ([a.to_dict() for a in planned.alerts]
                 == [a.to_dict() for a in resorted.alerts])
+
+
+class TestSamplerWork:
+    """The sampler writes a series when it may have changed, not once
+    per series per grid instant."""
+
+    @pytest.mark.parametrize("name", ["cmeans-chaos", "cmeans-observe"])
+    def test_series_writes_are_bounded_by_runs_and_derived_probes(
+        self, name, monkeypatch
+    ):
+        writes = []
+        for method in ("sample", "append"):
+            def counted(series, *args, _write=getattr(Series, method)):
+                writes.append(series)
+                return _write(series, *args)
+            monkeypatch.setattr(Series, method, counted)
+        result = _run_e2e(name)
+        sampler = result.trace.sampler
+        runs = sum(len(s.runs()) + len(s.tail) for s in sampler.bank)
+        derived = sum(
+            1 for s in sampler.bank
+            if s.name in (DEVICE_BUSY_FRACTION, DEVICE_IMBALANCE,
+                          LINK_UTILIZATION, LINK_MODEL_RATIO)
+        )
+        snapshots = sampler._k + 1  # grid instants and the end anchor
+        # a write per series per instant is over three times this bound
+        assert len(writes) <= runs + derived * snapshots
+        # repeats dominate these runs, so the bound is not vacuous
+        assert result.sampler_samples > 3 * len(writes)
+
+    def test_unsampled_registry_records_no_writes(self):
+        trace = Trace()
+        registry = trace.metrics
+        registry.counter("c_total").inc(1, node="a")
+        registry.counter_child("c_total", node="b").inc(2)
+        registry.gauge("g").set(3)
+        registry.gauge("g").inc(1)
+        assert registry._dirty is None
+        assert all(m._dirty is None for m in registry)
+
+    def test_series_written_before_attach_are_sampled(self):
+        trace = Trace()
+        trace.metrics.counter("c_total").inc(5, node="a")
+        sampler = trace.attach_sampler(MetricSampler(interval=1e-3))
+        trace.tick(1e-3)
+        series = series_of(sampler.bank, "c_total", node="a")
+        assert series.points() == [(0.0, 5.0), (1e-3, 5.0)]
