@@ -69,7 +69,9 @@ from repro.obs.metrics import (
     Counter,
     CounterChild,
     Gauge,
+    GaugeChild,
     Histogram,
+    HistogramChild,
     IntervalUnion,
     MetricsRegistry,
 )
@@ -107,7 +109,9 @@ __all__ = [
     "EventLog",
     "FlightDump",
     "Gauge",
+    "GaugeChild",
     "Histogram",
+    "HistogramChild",
     "HostNode",
     "HostProfile",
     "IntervalUnion",

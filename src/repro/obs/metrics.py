@@ -193,6 +193,31 @@ class CounterChild:
             dirty.add(self)  # hashed by identity: cheaper than (name, key)
 
 
+class GaugeChild:
+    """One gauge series bound to a fixed label set: :class:`CounterChild`'s
+    twin for :meth:`Gauge.set`.  The gauge is registered on the first
+    :meth:`set`, and each set adds the same ``(name, label key)`` pair
+    to the write set that ``Gauge.set`` would."""
+
+    __slots__ = ("_registry", "name", "key", "_entry", "_samples")
+
+    def __init__(self, registry: "MetricsRegistry", name: str, key: LabelKey) -> None:
+        self._registry = registry
+        self.name = name
+        self.key = key
+        self._entry = (name, key)
+        self._samples: dict[LabelKey, float] | None = None
+
+    def set(self, value: float) -> None:
+        samples = self._samples
+        if samples is None:
+            samples = self._samples = self._registry.gauge(self.name)._samples
+        samples[self.key] = float(value)
+        dirty = self._registry._dirty
+        if dirty is not None:
+            dirty.add(self._entry)
+
+
 class Gauge(Metric):
     """A value that can go up and down per label set."""
 
@@ -228,6 +253,11 @@ class _HistogramSeries:
         self.sum = 0.0
         self.count = 0
 
+    def add(self, bounds: tuple[float, ...], value: float) -> None:
+        self.bucket_counts[bisect.bisect_left(bounds, value)] += 1
+        self.sum += value
+        self.count += 1
+
 
 class Histogram(Metric):
     """Cumulative-bucket histogram (Prometheus ``_bucket``/``_sum``/``_count``).
@@ -253,15 +283,13 @@ class Histogram(Metric):
         self.bounds: tuple[float, ...] = (*finite, math.inf)
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
+        self._series(_label_key(labels)).add(self.bounds, value)
+
+    def _series(self, key: LabelKey) -> _HistogramSeries:
         series = self._samples.get(key)
         if series is None:
-            series = _HistogramSeries(len(self.bounds))
-            self._samples[key] = series
-        idx = bisect.bisect_left(self.bounds, value)
-        series.bucket_counts[idx] += 1
-        series.sum += value
-        series.count += 1
+            series = self._samples[key] = _HistogramSeries(len(self.bounds))
+        return series
 
     def render(self) -> list[str]:
         lines: list[str] = []
@@ -277,6 +305,36 @@ class Histogram(Metric):
             )
             lines.append(f"{self.name}_count{_format_labels(key)} {series.count}")
         return lines
+
+
+class HistogramChild:
+    """One histogram series bound to a fixed label set (see
+    :class:`CounterChild`): the histogram and its series are created on
+    the first :meth:`observe`, as ``Histogram.observe`` would."""
+
+    __slots__ = ("_registry", "name", "key", "_buckets", "_bounds", "_series")
+
+    def __init__(
+        self,
+        registry: "MetricsRegistry",
+        name: str,
+        key: LabelKey,
+        buckets: tuple[float, ...],
+    ) -> None:
+        self._registry = registry
+        self.name = name
+        self.key = key
+        self._buckets = buckets
+        self._bounds: tuple[float, ...] = ()
+        self._series: _HistogramSeries | None = None
+
+    def observe(self, value: float) -> None:
+        series = self._series
+        if series is None:
+            metric = self._registry.histogram(self.name, buckets=self._buckets)
+            self._bounds = metric.bounds
+            series = self._series = metric._series(self.key)
+        series.add(self._bounds, value)
 
 
 class MetricsRegistry:
@@ -343,6 +401,11 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create(Gauge, name, help=help)
 
+    def gauge_child(self, name: str, **labels: Any) -> GaugeChild:
+        """A handle on the *labels* series of gauge *name* (see
+        :class:`GaugeChild`); registers nothing until its first ``set``."""
+        return GaugeChild(self, name, _label_key(labels))
+
     def histogram(
         self,
         name: str,
@@ -350,6 +413,14 @@ class MetricsRegistry:
         buckets: tuple[float, ...] = DEFAULT_BUCKETS,
     ) -> Histogram:
         return self._get_or_create(Histogram, name, help=help, buckets=buckets)
+
+    def histogram_child(
+        self, name: str, buckets: tuple[float, ...], **labels: Any
+    ) -> HistogramChild:
+        """A handle on the *labels* series of histogram *name* (see
+        :class:`HistogramChild`); registers nothing until its first
+        ``observe``."""
+        return HistogramChild(self, name, _label_key(labels), buckets)
 
     # ------------------------------------------------------------------
     def get(self, name: str) -> Metric | None:

@@ -205,12 +205,11 @@ class CpuDaemon(_MapDaemon):
         self.device_name = f"{resources.node.name}.cpu"
 
     # ------------------------------------------------------------------
-    def block_seconds(self, block: Block) -> float:
-        """Simulated seconds one core needs for *block* (excl. dispatch)."""
-        flops = self.app.map_flops(block)
+    def block_seconds(self, flops: float, nbytes: float) -> float:
+        """Simulated seconds one core needs for a block of *flops* over
+        *nbytes* input bytes (excl. dispatch)."""
         if flops <= 0:
             return 0.0
-        nbytes = self.app.block_bytes(block)
         intensity = self.app.intensity().at(nbytes)
         cpu = self.res.node.cpu
         per_core = cpu.attainable_gflops(intensity) / cpu.cores
@@ -243,9 +242,13 @@ class CpuDaemon(_MapDaemon):
                 )
             finally:
                 prof.end()
+            # The block's cost-model inputs, asked once per block (apps
+            # may override these callbacks) and reused by its record.
+            flops = self.app.map_flops(block)
+            nbytes = self.app.block_bytes(block)
             duration = (
                 self.overheads.cpu_task_dispatch_s
-                + self.block_seconds(block)
+                + self.block_seconds(flops, nbytes)
                 + alloc_s
             )
             faults = self.res.faults
@@ -263,8 +266,8 @@ class CpuDaemon(_MapDaemon):
                 "compute",
                 start,
                 engine.now,
-                nbytes=self.app.block_bytes(block),
-                flops=self.app.map_flops(block),
+                nbytes=nbytes,
+                flops=flops,
             )
         finally:
             self.res.cpu_pool.release()
@@ -355,12 +358,11 @@ class GpuDaemon(_MapDaemon):
         self.cache_capacity_fraction: float = 0.9
 
     # ------------------------------------------------------------------
-    def kernel_seconds(self, block: Block) -> float:
-        """Kernel time for *block* from the resident-arm roofline."""
-        flops = self.app.gpu_map_flops(block)
+    def kernel_seconds(self, flops: float, nbytes: float) -> float:
+        """Kernel time for a block of *flops* over *nbytes* input bytes
+        from the resident-arm roofline."""
         if flops <= 0:
             return 0.0
-        nbytes = self.app.block_bytes(block)
         intensity = self.app.gpu_intensity().at(nbytes)
         rate = self.gpu.attainable_gflops(intensity, staged=False)
         return flops / (rate * 1e9)
@@ -381,13 +383,13 @@ class GpuDaemon(_MapDaemon):
             and (block.start, block.stop) in self._cached_blocks
         )
 
-    def _stream_block(self, block: Block) -> StreamBlock:
-        in_bytes = 0.0 if self.is_cached(block) else self.app.block_bytes(block)
+    def _stream_block(self, block: Block, nbytes: float) -> StreamBlock:
+        flops = self.app.gpu_map_flops(block)
         return StreamBlock(
-            in_bytes=in_bytes,
-            flops=self.app.gpu_map_flops(block),
+            in_bytes=0.0 if self.is_cached(block) else nbytes,
+            flops=flops,
             out_bytes=self.app.map_output_bytes(block),
-            kernel_seconds=self.kernel_seconds(block),
+            kernel_seconds=self.kernel_seconds(flops, nbytes),
         )
 
     def _map_block(
@@ -404,7 +406,9 @@ class GpuDaemon(_MapDaemon):
         # Same dispatch-time sampler flush as the CPU daemon: coarse
         # stream blocks should not leave grid instants back-filled late.
         self.trace.tick(engine.now)
-        stream_block = self._stream_block(block)
+        # asked once per block (apps may override the callback)
+        nbytes = self.app.block_bytes(block)
+        stream_block = self._stream_block(block, nbytes)
         faults = self.res.faults
         if faults is not None:
             scale = faults.compute_scale(self.fault_key, engine.now)
@@ -427,7 +431,6 @@ class GpuDaemon(_MapDaemon):
             # memory" (§IV.A.1) because it fits; oversized inputs must
             # re-stage every iteration.
             key = (block.start, block.stop)
-            nbytes = self.app.block_bytes(block)
             budget = self.cache_capacity_fraction * self.gpu.memory_bytes
             if key not in self._cached_blocks and (
                 self.cached_bytes + nbytes <= budget

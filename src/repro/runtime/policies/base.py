@@ -39,6 +39,9 @@ class SchedulingPolicy(abc.ABC):
         #: per-block dispatch and steal counters
         self._dispatched: dict[str, obs.CounterChild] = {}
         self._stolen: dict[str, obs.CounterChild] = {}
+        #: the bound queue-depth gauge and histogram series, made on
+        #: the first :meth:`note_queue_depth`
+        self._queue_depth: tuple[obs.GaugeChild, obs.HistogramChild] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -63,12 +66,23 @@ class SchedulingPolicy(abc.ABC):
         pending sampling-grid instant sees the fresh value.  Pure
         bookkeeping — never perturbs the simulated schedule."""
         sched = self.sched
-        self.metrics.gauge(obs.POLICY_QUEUE_DEPTH_CURRENT).set(
-            depth, policy=self.name, node=sched.res.node.name
-        )
-        self.metrics.histogram(
-            obs.POLICY_QUEUE_DEPTH, buckets=obs.COUNT_BUCKETS
-        ).observe(depth, policy=self.name)
+        bound = self._queue_depth
+        if bound is None:
+            metrics = self.metrics
+            bound = self._queue_depth = (
+                metrics.gauge_child(
+                    obs.POLICY_QUEUE_DEPTH_CURRENT,
+                    policy=self.name,
+                    node=sched.res.node.name,
+                ),
+                metrics.histogram_child(
+                    obs.POLICY_QUEUE_DEPTH,
+                    buckets=obs.COUNT_BUCKETS,
+                    policy=self.name,
+                ),
+            )
+        bound[0].set(depth)
+        bound[1].observe(depth)
         sched.trace.tick(sched.res.engine.now)
 
     def count_steal(self, device_name: str) -> None:

@@ -114,6 +114,65 @@ class TestCounterChild:
             child.inc()
 
 
+class TestGaugeAndHistogramChildren:
+    """Bound gauge and histogram series are the ``set(**labels)`` and
+    ``observe(**labels)`` paths with the label key built once."""
+
+    def test_unused_children_register_nothing(self):
+        r = MetricsRegistry()
+        r.gauge_child("depth", node="n0")
+        r.histogram_child("depth_hist", COUNT_BUCKETS, policy="dynamic")
+        assert r.names() == []
+
+    def test_render_dicts_and_write_set_match_the_labels_path(self):
+        rng = random.Random(7)
+        ops = [
+            (rng.choice(["g", "h"]),
+             {"policy": rng.choice(["dynamic", "locality"]),
+              "node": rng.choice(["n0", "n1", 2])},
+             rng.choice([0, 1, 3, 17, 0.5, 200]))
+            for _ in range(200)
+        ]
+        plain, bound = MetricsRegistry(), MetricsRegistry()
+        dirty_plain, dirty_bound = plain.track_writes(), bound.track_writes()
+        children = {}
+        for kind, labels, value in ops:
+            key = (kind, tuple(labels.items()))
+            if kind == "g":
+                plain.gauge("depth").set(value, **labels)
+                if key not in children:
+                    children[key] = bound.gauge_child(
+                        "depth", **dict(reversed(list(labels.items())))
+                    )
+                children[key].set(value)
+            else:
+                plain.histogram("depth_hist", buckets=COUNT_BUCKETS).observe(
+                    value, **labels
+                )
+                if key not in children:
+                    children[key] = bound.histogram_child(
+                        "depth_hist", COUNT_BUCKETS,
+                        **dict(reversed(list(labels.items()))),
+                    )
+                children[key].observe(value)
+        assert bound.render() == plain.render()
+        assert repr(bound.to_dict()) == repr(plain.to_dict())  # float bits too
+        assert dirty_bound == dirty_plain  # the gauge writes, as (name, key)
+
+    def test_child_and_labels_path_share_one_series(self):
+        r = MetricsRegistry()
+        gauge = r.gauge_child("depth", node="n0")
+        hist = r.histogram_child("depth_hist", COUNT_BUCKETS, node="n0")
+        gauge.set(2)
+        hist.observe(2)
+        r.gauge("depth").set(5, node="n0")
+        r.histogram("depth_hist", buckets=COUNT_BUCKETS).observe(5, node="n0")
+        hist.observe(1)
+        assert r.gauge("depth").samples() == [({"node": "n0"}, 5.0)]
+        (entry,) = r.to_dict()["depth_hist"]
+        assert (entry["count"], entry["sum"]) == (3, 8.0)
+
+
 class TestGauge:
     def test_set_inc_dec(self):
         g = Gauge("depth")

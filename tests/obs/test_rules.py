@@ -6,6 +6,7 @@ resolution / for_s edge is pinned without running the simulator.
 """
 
 import json
+import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 
@@ -483,3 +484,80 @@ class TestRunLengthSeriesMatchPerPointOracle:
         assert repr(loaded.points()) == repr(oracle.points())
         assert loaded.dropped == oracle.dropped
         assert json.dumps(loaded.to_dict(), sort_keys=True) == line
+
+
+class TestStretchesMatchPerPointOracle:
+    """Long runs under wide windows: `_evaluate_series` steps whole
+    stretches of points at once, and must still give the alert events
+    of a per-point rescan, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        runs=st.lists(st.tuples(st.integers(1, 50), _RUN_VALUES),
+                      min_size=1, max_size=6),
+        first=st.integers(0, 5),
+        interval=st.sampled_from([1e-3, 1e-4, 0.3]),
+        tail=st.one_of(st.none(), st.tuples(st.sampled_from([0.0, 0.4]),
+                                            _RUN_VALUES)),
+        func=st.sampled_from(_FUNC_NAMES),
+        op=st.sampled_from([">", ">=", "<", "<="]),
+        threshold=st.sampled_from([-1.0, 0.0, 0.1, 1 / 3, 0.7, 1.0]),
+        span=st.sampled_from(
+            [0.0, 0.5, 1.0, 2.0, 3.0, 10.0, 25.5, 50.0, 200.0, math.inf]
+        ),
+        end_cut=st.sampled_from([None, 0.5, 0.9]),
+    )
+    def test_equal_alert_events(self, runs, first, interval, tail, func, op,
+                                threshold, span, end_cut):
+        series = Series("prs_x", {"device": "gpu"}, interval=interval)
+        oracle = PointSeries({"device": "gpu"}, 8192)
+        k = first
+        for count, value in runs:
+            for _ in range(count):
+                series.sample(k, value)
+                oracle.append(k * interval, value)
+                k += 1
+        if tail is not None:
+            offset, value = tail
+            series.append((k - 1 + offset) * interval, value)
+            oracle.append((k - 1 + offset) * interval, value)
+        times = [t for t, _ in oracle.points()]
+        end = times[-1] if end_cut is None else times[-1] * end_cut
+        rule = Rule(name="r", expr=f"{func}(prs_x)", threshold=threshold,
+                    window=span * interval, for_s=0.0, op=op)
+        assert (repr(_evaluate_series(rule, func, series, end))
+                == repr(_oracle_events(rule, func, oracle, end)))
+
+    def test_mean_whose_last_bit_follows_the_window_count(self):
+        # 0.7 summed 50 times and divided reads 0.6999999999999998, 51
+        # times 0.7: a 5 ms window on a 0.1 ms grid holds 50 or 51
+        # points, so `mean >= 0.7` flips inside one run.
+        interval = 1e-4
+        series = Series("prs_x", interval=interval)
+        oracle = PointSeries({}, 8192)
+        for k in range(300):
+            series.sample(k, 0.7)
+            oracle.append(k * interval, 0.7)
+        rule = Rule(name="r", expr="mean(prs_x)", threshold=0.7,
+                    window=5e-3, op=">=")
+        end = 299 * interval
+        got = _evaluate_series(rule, "mean", series, end)
+        assert repr(got) == repr(_oracle_events(rule, "mean", oracle, end))
+        assert len(got) > 1
+
+    @pytest.mark.parametrize("func", _FUNC_NAMES)
+    def test_end_anchor_at_the_last_grid_instant(self, func):
+        # The off-grid anchor shares the last grid point's time, so that
+        # point's window reaches the anchor's value (which cuts the run
+        # short of for_s).
+        series = Series("prs_x", interval=1e-3)
+        oracle = PointSeries({}, 8192)
+        for k in range(3):
+            series.sample(k, 1.0)
+            oracle.append(k * 1e-3, 1.0)
+        series.append(2e-3, -1.0)
+        oracle.append(2e-3, -1.0)
+        rule = Rule(name="r", expr=f"{func}(prs_x)", threshold=0.5,
+                    window=0.0, for_s=1.5e-3, op=">")
+        got = _evaluate_series(rule, func, series, 2e-3)
+        assert repr(got) == repr(_oracle_events(rule, func, oracle, 2e-3))

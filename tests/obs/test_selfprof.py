@@ -142,7 +142,7 @@ def _workload(engine):
 
 
 class TestEngineDispatch:
-    """Engine.step hands every event to SelfProfiler.dispatch."""
+    """Engine.run hands every event to SelfProfiler.dispatch."""
 
     @pytest.mark.parametrize("until", ["drain", "event"])
     def test_each_event_charged_to_its_class(self, until):

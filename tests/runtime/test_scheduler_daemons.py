@@ -34,7 +34,9 @@ class TestCpuDaemon:
         block = Block(0, 100)  # 800 bytes, 80k flops
         per_core = delta.cpu.peak_gflops / delta.cpu.cores
         expected = app.map_flops(block) / (per_core * 1e9)
-        assert daemon.block_seconds(block) == pytest.approx(expected)
+        assert daemon.block_seconds(
+            app.map_flops(block), app.block_bytes(block)
+        ) == pytest.approx(expected)
 
     def test_bandwidth_bound_block(self, delta):
         app = ModSumApp(n=1000, intensity=1.0)  # below A_cr
@@ -42,9 +44,9 @@ class TestCpuDaemon:
         daemon = CpuDaemon(NodeResources(engine, delta), app, QUIET_CONFIG, Trace())
         block = Block(0, 100)
         per_core = delta.cpu.attainable_gflops(1.0) / delta.cpu.cores
-        assert daemon.block_seconds(block) == pytest.approx(
-            app.map_flops(block) / (per_core * 1e9)
-        )
+        assert daemon.block_seconds(
+            app.map_flops(block), app.block_bytes(block)
+        ) == pytest.approx(app.map_flops(block) / (per_core * 1e9))
 
     def test_map_blocks_fill_core_pool(self, delta):
         app = ModSumApp(n=24_000, intensity=100.0)
@@ -55,7 +57,9 @@ class TestCpuDaemon:
         blocks = Block(0, 24_000).split(24)  # 2 waves on 12 cores
         proc = engine.process(daemon.run_map_blocks(blocks, sink))
         engine.run(proc)
-        one = daemon.block_seconds(blocks[0])
+        one = daemon.block_seconds(
+            app.map_flops(blocks[0]), app.block_bytes(blocks[0])
+        )
         assert engine.now == pytest.approx(2 * one, rel=1e-6)
 
     def test_reduce_collects_all_keys(self, delta):
@@ -77,9 +81,9 @@ class TestGpuDaemon:
         daemon = GpuDaemon(NodeResources(engine, delta), 0, app, QUIET_CONFIG, Trace())
         block = Block(0, 500)
         rate = delta.gpu.attainable_gflops(500.0, staged=False)
-        assert daemon.kernel_seconds(block) == pytest.approx(
-            app.map_flops(block) / (rate * 1e9)
-        )
+        assert daemon.kernel_seconds(
+            app.gpu_map_flops(block), app.block_bytes(block)
+        ) == pytest.approx(app.map_flops(block) / (rate * 1e9))
 
     def test_non_iterative_app_always_staged(self, delta):
         app = ModSumApp(n=1000)
