@@ -529,16 +529,23 @@ class TestStretchesMatchPerPointOracle:
                 == repr(_oracle_events(rule, func, oracle, end)))
 
     def test_mean_whose_last_bit_follows_the_window_count(self):
-        # 0.7 summed 50 times and divided reads 0.6999999999999998, 51
-        # times 0.7: a 5 ms window on a 0.1 ms grid holds 50 or 51
-        # points, so `mean >= 0.7` flips inside one run.
+        # A 5 ms window on a 0.1 ms grid holds 50 or 51 points.  For a
+        # value whose mean over 50 copies and over 51 copies differ in
+        # the last bit (0.7 under Python 3.11's sum(), 1/3 under 3.12's
+        # compensated one), `mean >= the larger` flips inside one run.
+        def mean(v, c):
+            return sum([v] * c) / c
+
+        value = next(v for v in (0.7, 1 / 3, 2 / 3)
+                     if mean(v, 50) != mean(v, 51))
         interval = 1e-4
         series = Series("prs_x", interval=interval)
         oracle = PointSeries({}, 8192)
         for k in range(300):
-            series.sample(k, 0.7)
-            oracle.append(k * interval, 0.7)
-        rule = Rule(name="r", expr="mean(prs_x)", threshold=0.7,
+            series.sample(k, value)
+            oracle.append(k * interval, value)
+        rule = Rule(name="r", expr="mean(prs_x)",
+                    threshold=max(mean(value, 50), mean(value, 51)),
                     window=5e-3, op=">=")
         end = 299 * interval
         got = _evaluate_series(rule, "mean", series, end)
