@@ -19,7 +19,7 @@ Figure 4's other anchors (FFT, stencil, log analysis) need only their
 intensity, so they are profiles in :mod:`repro.core.intensity`, not apps.
 """
 
-from repro.apps.cmeans import CMeansApp, cmeans_objective, fuzzy_memberships
+from repro.apps.cmeans import CMeansApp, fuzzy_memberships
 from repro.apps.kmeans import KMeansApp
 from repro.apps.gmm import GMMApp
 from repro.apps.gemv import GemvApp
@@ -30,7 +30,6 @@ from repro.apps.da import deterministic_annealing
 __all__ = [
     "CMeansApp",
     "fuzzy_memberships",
-    "cmeans_objective",
     "KMeansApp",
     "GMMApp",
     "GemvApp",

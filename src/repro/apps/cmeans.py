@@ -98,16 +98,6 @@ def fuzzy_memberships(
     return _memberships_from_d2(_squared_distances(x, c), m)
 
 
-def cmeans_objective(
-    points: np.ndarray, centers: np.ndarray, m: float = 2.0
-) -> float:
-    """Equation (12): ``J_m = sum_i sum_j u_ij^m ||x_i - c_j||^2``."""
-    x = np.asarray(points, dtype=np.float64)
-    c = np.asarray(centers, dtype=np.float64)
-    u = fuzzy_memberships(x, c, m)
-    return float(np.sum(u**m * _squared_distances(x, c)))
-
-
 class CMeansApp(IterativeMapReduceApp):
     """Fuzzy C-means on the PRS runtime."""
 

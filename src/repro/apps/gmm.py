@@ -268,8 +268,5 @@ class GMMApp(IterativeMapReduceApp):
         return self._converged
 
     # ------------------------------------------------------------------
-    def responsibilities(self) -> np.ndarray:
-        return self._model_rows()[0].copy()
-
     def labels(self) -> np.ndarray:
         return np.argmax(self._model_rows()[0], axis=1)

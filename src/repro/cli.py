@@ -206,7 +206,6 @@ def _run_job(args: argparse.Namespace):
 
     cluster = _cluster_for(args.node, args.nodes)
     app = _build_app(args)
-    policy = args.policy if args.policy is not None else args.scheduling
     fault_seed = args.fault_seed if args.fault_seed is not None else args.seed
     if args.no_sample:
         sample_interval = None
@@ -220,7 +219,7 @@ def _run_job(args: argparse.Namespace):
         or getattr(args, "self_host", False)
     )
     config = JobConfig(
-        scheduling=policy,
+        scheduling=args.policy,
         use_cpu=not args.gpu_only,
         use_gpu=not args.cpu_only,
         faults=args.faults or None,
@@ -1099,13 +1098,11 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--clusters", type=int, default=5)
     parser.add_argument("--iterations", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--scheduling", choices=["static", "dynamic"],
-                        default="static")
     from repro.runtime.policies import available_policies
 
-    parser.add_argument("--policy", default=None, metavar="POLICY",
-                        help="scheduling policy from the registry (overrides "
-                             f"--scheduling): {', '.join(available_policies())}"
+    parser.add_argument("--policy", default="static", metavar="POLICY",
+                        help="scheduling policy from the registry: "
+                             f"{', '.join(available_policies())}"
                              "; see `repro policies`")
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--gpu-only", action="store_true")

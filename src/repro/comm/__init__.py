@@ -7,7 +7,8 @@ runtime code reads like MPI code:
 * :mod:`repro.comm.mpi` — an mpi4py-flavoured communicator whose ranks are
   DES processes; point-to-point messages pay the alpha/beta cost of
   :class:`~repro.hardware.cluster.NetworkSpec` and collectives are *built
-  from* point-to-point messages (binomial trees), so their cost emerges
+  from* point-to-point messages (a binomial-tree broadcast, linear
+  gather/scatter, pairwise all-to-all), so their cost emerges
   from the simulation rather than being asserted.  The closed-form
   collective estimates that cross-check it are in
   ``tests/comm/network_model.py``.

@@ -12,7 +12,8 @@ Semantics follow MPI closely where it matters to the runtime:
   the modest message sizes PRS exchanges;
 * ``recv`` blocks until a matching message arrives; messages between one
   (source, destination, tag) pair are non-overtaking, as MPI guarantees;
-* collectives are built from point-to-point binomial trees, so their
+* collectives (binomial-tree ``bcast``, linear ``gather``/``scatter``,
+  pairwise ``alltoall``) are built from point-to-point messages, so their
   simulated cost emerges from message timing rather than being asserted.
 
 Message timing: a message of ``n`` bytes from one node to another becomes
@@ -211,7 +212,6 @@ class World:
         network: NetworkSpec | None = None,
         node_of: Callable[[int], int] | None = None,
         trace: Trace | None = None,
-        contended: bool = False,
     ) -> None:
         if size < 1:
             raise ValueError(f"world size must be >= 1, got {size}")
@@ -220,21 +220,6 @@ class World:
         self.network = network if network is not None else NetworkSpec()
         self.node_of = node_of if node_of is not None else (lambda rank: rank)
         self.trace = trace
-        #: model per-node ingress NIC contention: concurrent messages into
-        #: one rank serialize on its link (the gather-hotspot effect).
-        #: Egress is already serial — a rank's sends occupy its process.
-        self.contended = contended
-        self._ingress: dict[int, "Link"] = {}
-        if contended:
-            from repro.simulate.resources import Link
-
-            for rank in range(size):
-                self._ingress[rank] = Link(
-                    engine,
-                    bandwidth_gbps=self.network.bandwidth,
-                    latency=self.network.latency,
-                    name=f"nic{rank}",
-                )
         if trace is not None and trace.sampler is not None:
             # Declare the α/β wire model of the inter-node link so the
             # sampler can derive offered-load and observed-vs-model
@@ -272,9 +257,6 @@ class World:
         self.faults = faults
         self.abort_event = abort_event
         self.comm_timeout = comm_timeout
-        if faults is not None and self.contended:
-            for link in self._ingress.values():
-                link.time_scale = faults.net_scale
 
     def _blocked_report(self) -> str | None:
         pairs = sorted(key for key, n in self._blocked.items() if n > 0)
@@ -355,15 +337,11 @@ class RankComm:
         retransmits = 0
         while True:
             if not same_node:
-                if world.contended:
-                    # Serialize on the destination's ingress NIC.
-                    yield from world._ingress[dest].transfer(nbytes)
-                else:
-                    delay = world.wire_time(self.rank, dest, nbytes)
-                    if faults is not None and delay > 0:
-                        delay *= faults.net_scale(self.engine.now)
-                    if delay > 0:
-                        yield self.engine.timeout(delay)
+                delay = world.wire_time(self.rank, dest, nbytes)
+                if faults is not None and delay > 0:
+                    delay *= faults.net_scale(self.engine.now)
+                if delay > 0:
+                    yield self.engine.timeout(delay)
             if (
                 faults is not None
                 and not same_node
@@ -620,7 +598,7 @@ class RankComm:
         return raw.payload
 
     # ------------------------------------------------------------------
-    # Collectives (binomial trees rooted at *root*)
+    # Collectives (built from send/recv)
     # ------------------------------------------------------------------
     def _vrank(self, rank: int, root: int) -> int:
         return (rank - root) % self.size
@@ -655,95 +633,6 @@ class RankComm:
             mask >>= 1
         return payload
 
-    def reduce(
-        self,
-        payload: Any,
-        op: Callable[[Any, Any], Any],
-        root: int = 0,
-        tag: int = -2,
-    ) -> Generator[Event, Any, Any]:
-        """Binomial-tree reduction; returns the result at *root*, else None.
-
-        *op* must be associative and commutative (e.g. ``operator.add`` or
-        ``np.add``); reduction order follows the tree.
-        """
-        me = self._vrank(self.rank, root)
-        size = self.size
-        acc = payload
-        bit = 1
-        while bit < size:
-            if me & bit:
-                parent = self._rrank(me & ~bit, root)
-                yield from self.send(acc, parent, tag)
-                return None
-            partner = me | bit
-            if partner < size:
-                other = yield from self.recv(self._rrank(partner, root), tag)
-                acc = op(acc, other)
-            bit <<= 1
-        return acc if me == 0 else None
-
-    def allreduce(
-        self, payload: Any, op: Callable[[Any, Any], Any], tag: int = -3
-    ) -> Generator[Event, Any, Any]:
-        """Reduce to rank 0 then broadcast (every rank returns the result)."""
-        reduced = yield from self.reduce(payload, op, root=0, tag=tag)
-        result = yield from self.bcast(reduced, root=0, tag=tag - 100)
-        return result
-
-    def allreduce_ring(
-        self, payload: "np.ndarray", tag: int = -9
-    ) -> Generator[Event, Any, "np.ndarray"]:
-        """Segmented ring allreduce (sum) for NumPy arrays.
-
-        The classic bandwidth-optimal algorithm: split the array into
-        ``P`` segments; a reduce-scatter phase circulates accumulating
-        segments for ``P-1`` steps, then an allgather phase circulates the
-        finished segments for another ``P-1`` steps.  Every step moves
-        only ``1/P`` of the data and all ring links work concurrently, so
-        total time approaches ``2 * nbytes / bandwidth`` — independent of
-        ``P`` — versus the binomial tree's ``2 ceil(log2 P)`` full-payload
-        rounds.  The tree (:meth:`allreduce`) stays preferable for small
-        payloads, where its fewer latency terms dominate.
-        """
-        if not isinstance(payload, np.ndarray):
-            raise TypeError("allreduce_ring requires a numpy array")
-        size = self.size
-        if size == 1:
-            return payload.copy()
-        right = (self.rank + 1) % size
-        left = (self.rank - 1) % size
-
-        flat = payload.reshape(-1).astype(np.float64, copy=True)
-        bounds = np.linspace(0, flat.size, size + 1).astype(int)
-
-        def segment(i: int) -> slice:
-            i %= size
-            return slice(bounds[i], bounds[i + 1])
-
-        # Reduce-scatter: after step s, rank r has accumulated segment
-        # (r - s - 1); after P-1 steps it owns segment (r + 1) fully.
-        for step in range(size - 1):
-            send_idx = self.rank - step
-            recv_idx = self.rank - step - 1
-            yield from self.send(
-                flat[segment(send_idx)].copy(), right, tag + step
-            )
-            incoming = yield from self.recv(left, tag + step)
-            flat[segment(recv_idx)] += incoming
-
-        # Allgather: circulate the finished segments.
-        for step in range(size - 1):
-            send_idx = self.rank + 1 - step
-            recv_idx = self.rank - step
-            yield from self.send(
-                flat[segment(send_idx)].copy(), right, tag + size + step
-            )
-            incoming = yield from self.recv(left, tag + size + step)
-            flat[segment(recv_idx)] = incoming
-
-        return flat.reshape(payload.shape)
-
     def gather(
         self, payload: Any, root: int = 0, tag: int = -4
     ) -> Generator[Event, Any, Any]:
@@ -775,12 +664,6 @@ class RankComm:
             return payloads[root]
         item = yield from self.recv(root, tag)
         return item
-
-    def allgather(self, payload: Any, tag: int = -6) -> Generator[Event, Any, Any]:
-        """Gather at rank 0 + broadcast of the list."""
-        gathered = yield from self.gather(payload, root=0, tag=tag)
-        result = yield from self.bcast(gathered, root=0, tag=tag - 100)
-        return result
 
     def alltoall(
         self,
@@ -832,10 +715,6 @@ class RankComm:
                 result[partner] = yield from self.recv(partner, tag + r)
                 yield from self.send(out, partner, tag + r, out_nbytes)
         return result
-
-    def barrier(self, tag: int = -7) -> Generator[Event, Any, None]:
-        """All ranks synchronize (zero-byte allreduce)."""
-        yield from self.allreduce(0, lambda a, b: 0, tag=tag)
 
 
 def heartbeat_sender(

@@ -146,9 +146,7 @@ def plan_granularity(
     profile: IntensityProfile,
     gpu_partition_bytes: float,
     *,
-    cpu_multiplier: int = DEFAULT_CPU_BLOCK_MULTIPLIER,
     overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD,
-    max_streams: int | None = None,
 ) -> GranularityPlan:
     """Produce the full §III.B.3b granularity plan for one partition.
 
@@ -159,7 +157,7 @@ def plan_granularity(
     subject to every block staying above ``MinBs``.
     """
     require_positive("gpu_partition_bytes", gpu_partition_bytes)
-    cpu_blocks = cpu_block_count(cpu_cores, cpu_multiplier)
+    cpu_blocks = cpu_block_count(cpu_cores)
 
     use = should_use_streams(gpu, profile, gpu_partition_bytes, overlap_threshold)
     try:
@@ -170,8 +168,7 @@ def plan_granularity(
     if not use:
         gpu_blocks = 1
     else:
-        limit = gpu.work_queues + 1 if max_streams is None else max_streams
-        gpu_blocks = max(1, limit)
+        gpu_blocks = gpu.work_queues + 1
         if minbs is not None and minbs > 0:
             # Never split below the saturation size.
             gpu_blocks = min(gpu_blocks, max(1, int(gpu_partition_bytes // minbs)))

@@ -20,7 +20,6 @@ from repro.hardware.presets import (
     bigred2_cluster,
     delta_node,
     delta_cluster,
-    generic_node,
     mic_node,
     xeon_phi_5110p,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "delta_cluster",
     "bigred2_node",
     "bigred2_cluster",
-    "generic_node",
     "mic_node",
     "xeon_phi_5110p",
 ]

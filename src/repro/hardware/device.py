@@ -24,7 +24,7 @@ seconds``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro._validation import require_positive, require_positive_int
 
@@ -132,15 +132,6 @@ class DeviceSpec:
     @property
     def is_gpu(self) -> bool:
         return self.kind is DeviceKind.GPU
-
-    def scaled(self, factor: float) -> "DeviceSpec":
-        """Return a copy whose peak performance is scaled by *factor*.
-
-        Used by ablation benchmarks that perturb device speeds to stress
-        the static scheduler's sensitivity to mis-calibration.
-        """
-        require_positive("factor", factor)
-        return replace(self, peak_gflops=self.peak_gflops * factor)
 
 
 def CpuSpec(

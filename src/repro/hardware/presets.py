@@ -162,31 +162,3 @@ def bigred2_cluster(n_nodes: int = 4) -> Cluster:
         name="bigred2", nodes=nodes, network=NetworkSpec(latency=1.5e-6, bandwidth=6.0)
     )
 
-
-def generic_node(
-    name: str = "generic",
-    cpu_gflops: float = 100.0,
-    cpu_bandwidth: float = 30.0,
-    cpu_cores: int = 8,
-    gpu_gflops: float = 1000.0,
-    gpu_bandwidth: float = 150.0,
-    pcie_bandwidth: float = 4.0,
-    gpu_cores: int = 512,
-    work_queues: int = 1,
-) -> FatNode:
-    """A parameterised fat node for tests and what-if studies."""
-    cpu = CpuSpec(
-        name=f"{name}-cpu",
-        peak_gflops=cpu_gflops,
-        dram_bandwidth=cpu_bandwidth,
-        cores=cpu_cores,
-    )
-    gpu = GpuSpec(
-        name=f"{name}-gpu",
-        peak_gflops=gpu_gflops,
-        dram_bandwidth=gpu_bandwidth,
-        pcie_bandwidth=pcie_bandwidth,
-        cores=gpu_cores,
-        work_queues=work_queues,
-    )
-    return FatNode(name=name, cpu=cpu, gpus=(gpu,))

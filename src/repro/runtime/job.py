@@ -100,8 +100,6 @@ class JobConfig:
     gpus_per_node: int = 1
     #: master-level partitions per node (paper default 2)
     partitions_per_node: int = 2
-    #: CPU blocks per partition = multiplier x cores (§III.B.3b)
-    cpu_block_multiplier: int = 4
     #: total dynamic blocks per partition (polling policies only).
     #: ``None`` derives the count from ``MinBs`` of Equation (11): enough
     #: blocks for load balance, but never so many that a GPU block drops
@@ -125,11 +123,6 @@ class JobConfig:
     #: with heterogeneous key types (e.g. C-means' cluster ids + the
     #: objective key) have no total order.
     sort_intermediate: bool = False
-    #: serialize concurrent messages into a node on its ingress NIC (the
-    #: gather-hotspot effect).  Off by default: the paper's cost analysis
-    #: uses uncontended alpha/beta messages; turn on for fidelity studies
-    #: of the global-reduction droop.
-    contended_network: bool = False
     #: fixed runtime overheads charged by the simulator
     overheads: Overheads = field(default_factory=Overheads)
     #: fault injection plan: a :class:`repro.simulate.faults.FaultPlan`,
@@ -173,7 +166,6 @@ class JobConfig:
     def __post_init__(self) -> None:
         require_positive_int("gpus_per_node", self.gpus_per_node)
         require_positive_int("partitions_per_node", self.partitions_per_node)
-        require_positive_int("cpu_block_multiplier", self.cpu_block_multiplier)
         if self.dynamic_blocks is not None:
             require_positive_int("dynamic_blocks", self.dynamic_blocks)
         require_fraction("overlap_threshold", self.overlap_threshold)

@@ -45,9 +45,7 @@ def dynamic_block_count(sched: "SubTaskScheduler", partition: Block) -> int:
 
     target = 0
     if sched.cpu_daemon is not None:
-        target += cpu_block_count(
-            sched.res.node.cpu.cores, config.cpu_block_multiplier
-        )
+        target += cpu_block_count(sched.res.node.cpu.cores)
     for daemon in sched.gpu_daemons:
         target += daemon.gpu.work_queues + 1
     target = max(target, 1)

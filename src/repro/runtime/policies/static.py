@@ -10,7 +10,11 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.core.granularity import cpu_block_count, plan_granularity
+from repro.core.granularity import (
+    DEFAULT_CPU_BLOCK_MULTIPLIER,
+    cpu_block_count,
+    plan_granularity,
+)
 from repro.runtime.api import Block
 from repro.runtime.partition import weighted_partition
 from repro.runtime.policies.base import SchedulingPolicy
@@ -56,7 +60,7 @@ class StaticPolicy(SchedulingPolicy):
                 "device": daemon.device_name,
                 "block_bytes": sched.app.block_bytes(gpu_part),
                 "overlap_threshold": sched.config.overlap_threshold,
-                "cpu_block_multiplier": sched.config.cpu_block_multiplier,
+                "cpu_block_multiplier": DEFAULT_CPU_BLOCK_MULTIPLIER,
             },
             outputs={
                 "cpu_blocks": plan.cpu_blocks,
@@ -89,9 +93,7 @@ class StaticPolicy(SchedulingPolicy):
             cpu_part = sub_parts[idx]
             idx += 1
             if cpu_part.n_items > 0:
-                n_blocks = cpu_block_count(
-                    sched.res.node.cpu.cores, sched.config.cpu_block_multiplier
-                )
+                n_blocks = cpu_block_count(sched.res.node.cpu.cores)
                 blocks = cpu_part.split(min(n_blocks, cpu_part.n_items))
                 if sched.daemon_active(cpu_daemon):
                     self.count_dispatch(cpu_daemon.device_name, len(blocks))
@@ -113,7 +115,6 @@ class StaticPolicy(SchedulingPolicy):
                 sched.res.node.cpu.cores,
                 sched.app.gpu_intensity(),
                 sched.app.block_bytes(gpu_part),
-                cpu_multiplier=sched.config.cpu_block_multiplier,
                 overlap_threshold=sched.config.overlap_threshold,
             )
             self._audit_granularity(daemon, gpu_part, plan)

@@ -381,7 +381,6 @@ class PRSRuntime:
                 network=cluster.network,
                 node_of=lambda r, s=tuple(surviving): s[r],
                 trace=trace,
-                contended=config.contended_network,
             )
             abort_event = engine.event()
             if faults is not None:

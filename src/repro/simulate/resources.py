@@ -44,14 +44,6 @@ class Resource:
         self.grants = 0
 
     # ------------------------------------------------------------------
-    @property
-    def available(self) -> int:
-        return self.capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def request(self) -> Event:
         """Return an event that fires when one unit is granted."""
         evt = self.engine.event()
@@ -166,10 +158,6 @@ class Link:
             self.busy_time += duration
         finally:
             self._channel.release()
-
-    @property
-    def queue_length(self) -> int:
-        return self._channel.queue_length
 
 
 class Store:

@@ -93,11 +93,6 @@ class GpuStreamEngine:
             engine, capacity=gpu.work_queues + 1, name=f"{name}.queues"
         )
 
-    @property
-    def pcie(self) -> Link:
-        """The inbound link (kept for call sites predating dual engines)."""
-        return self.h2d
-
     def run_block(
         self, block: StreamBlock, trace: Trace | None = None, label: str = "blk"
     ) -> Generator[Event, Any, None]:

@@ -9,7 +9,6 @@ from repro.apps.cmeans import (
     _coincident,
     _memberships_from_d2,
     _squared_distances,
-    cmeans_objective,
     fuzzy_memberships,
 )
 from repro.data.synth import gaussian_mixture
@@ -74,6 +73,12 @@ class TestMemberships:
         spread_soft = np.mean(np.max(u_soft, axis=1))
         spread_hard = np.mean(np.max(u_hard, axis=1))
         assert spread_hard > spread_soft
+
+
+def cmeans_objective(x, centers, m=2.0):
+    """Equation (12): ``J_m = sum_i sum_j u_ij^m ||x_i - c_j||^2``."""
+    u = fuzzy_memberships(x, centers, m)
+    return float(np.sum(u**m * _squared_distances(x, centers)))
 
 
 class TestObjective:

@@ -42,7 +42,7 @@ class NetworkModel:
         return self.bcast(nbytes, ranks)
 
     def allreduce(self, nbytes: float, ranks: int) -> float:
-        """Reduce followed by broadcast (the simulated implementation)."""
+        """Reduce followed by broadcast."""
         return self.reduce(nbytes, ranks) + self.bcast(nbytes, ranks)
 
     def gather(self, nbytes_per_rank: float, ranks: int) -> float:

@@ -1,6 +1,5 @@
 """Tests for the simulated MPI communicator: semantics and timing."""
 
-import operator
 from collections import namedtuple
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.comm.mpi import World, payload_nbytes, run_spmd
 from repro.hardware.cluster import NetworkSpec
 from repro.simulate.engine import Engine, SimulationError
+from tests.comm.network_model import NetworkModel
 
 
 def make_world(size, latency=0.0, bandwidth=1.0, same_node=False):
@@ -204,6 +204,22 @@ class TestPointToPoint:
 
         assert run_spmd(world, main)[1] == 0.0
 
+    def test_messages_into_one_rank_overlap(self):
+        """Messages to one destination do not queue at its NIC: seven
+        simultaneous 1 GB sends into rank 0 over 1 GB/s links all land
+        after one wire time, as the alpha/beta model charges them."""
+        world = make_world(8)
+
+        def main(comm):
+            if comm.rank == 0:
+                for src in range(1, comm.size):
+                    yield from comm.recv(source=src)
+            else:
+                yield from comm.send(Sized(1e9), dest=0)
+            return comm.engine.now
+
+        assert run_spmd(world, main)[0] == pytest.approx(1.0, rel=0.01)
+
     def test_non_overtaking_order(self):
         world = make_world(2)
 
@@ -270,40 +286,6 @@ class TestCollectives:
 
         assert run_spmd(world, main) == [root] * 4
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 8])
-    def test_reduce_sum(self, size):
-        world = make_world(size)
-
-        def main(comm):
-            result = yield from comm.reduce(comm.rank + 1, operator.add)
-            return result
-
-        results = run_spmd(world, main)
-        assert results[0] == size * (size + 1) // 2
-        assert all(r is None for r in results[1:])
-
-    @pytest.mark.parametrize("size", [1, 2, 5, 8])
-    def test_allreduce_everyone_gets_sum(self, size):
-        world = make_world(size)
-
-        def main(comm):
-            result = yield from comm.allreduce(comm.rank, operator.add)
-            return result
-
-        expected = size * (size - 1) // 2
-        assert run_spmd(world, main) == [expected] * size
-
-    def test_allreduce_numpy_arrays(self):
-        world = make_world(4)
-
-        def main(comm):
-            vec = np.full(3, float(comm.rank))
-            result = yield from comm.allreduce(vec, np.add)
-            return result
-
-        for r in run_spmd(world, main):
-            np.testing.assert_allclose(r, [6.0, 6.0, 6.0])
-
     @pytest.mark.parametrize("size", [1, 2, 3, 6])
     def test_gather_ordered(self, size):
         world = make_world(size)
@@ -336,15 +318,6 @@ class TestCollectives:
 
         with pytest.raises(ValueError, match="payloads"):
             run_spmd(world, main)
-
-    def test_allgather(self):
-        world = make_world(4)
-
-        def main(comm):
-            result = yield from comm.allgather(comm.rank)
-            return result
-
-        assert run_spmd(world, main) == [[0, 1, 2, 3]] * 4
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8])
     def test_alltoall_personalized_exchange(self, size):
@@ -382,31 +355,6 @@ class TestCollectives:
         run_spmd(world, main)
         assert world.messages_sent == size * (size - 1)
 
-    def test_barrier_synchronizes(self):
-        world = make_world(4, latency=1e-6)
-
-        def main(comm):
-            # Rank r works r seconds, then all must leave barrier together.
-            yield comm.engine.timeout(float(comm.rank))
-            yield from comm.barrier()
-            return comm.engine.now
-
-        results = run_spmd(world, main)
-        assert min(results) >= 3.0
-
-    @settings(max_examples=15, deadline=None)
-    @given(size=st.integers(1, 12), seed=st.integers(0, 2**16))
-    def test_allreduce_matches_numpy(self, size, seed):
-        rng = np.random.default_rng(seed)
-        values = rng.normal(size=size)
-        world = make_world(size)
-
-        def main(comm):
-            result = yield from comm.allreduce(float(values[comm.rank]), operator.add)
-            return result
-
-        for r in run_spmd(world, main):
-            assert r == pytest.approx(values.sum(), rel=1e-9)
 
 
 class TestCollectiveTiming:
@@ -428,23 +376,9 @@ class TestCollectiveTiming:
         # Binomial tree: root sends 3 sequential messages; depth-3 path
         # means the last leaf hears at 3 message times, not 7.
         assert t8 == pytest.approx(3.0, rel=0.01)
+        model = NetworkModel(NetworkSpec(latency=0.0, bandwidth=1.0))
+        assert t8 == pytest.approx(model.bcast(nbytes, 8), rel=0.01)
 
-    def test_reduce_cost_matches_network_model(self):
-        from tests.comm.network_model import NetworkModel
-
-        net = NetworkSpec(latency=0.0, bandwidth=1.0)
-        model = NetworkModel(net)
-        # 4 ranks, 1 GB: binomial reduce = 2 rounds = 2 seconds.
-        assert model.reduce(1e9, 4) == pytest.approx(2.0)
-
-        world = make_world(4, latency=0.0, bandwidth=1.0)
-
-        def main(comm):
-            data = np.zeros(125_000_000)  # 1 GB
-            yield from comm.reduce(data, np.add)
-            return comm.engine.now
-
-        assert max(run_spmd(world, main)) == pytest.approx(2.0, rel=0.01)
 
 
 class TestWorldAccounting:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
-from repro.hardware import bigred2_node, delta_cluster, delta_node, generic_node
+from repro.hardware import bigred2_node, delta_cluster, delta_node
 
 # Hardware fixtures are frozen dataclasses: sharing one instance across the
 # examples hypothesis generates is safe, so the function-scoped-fixture
@@ -46,18 +46,3 @@ def delta4():
 def delta8():
     """The 8-node Delta cluster of Figure 6."""
     return delta_cluster(n_nodes=8, n_gpus=1)
-
-
-@pytest.fixture
-def toy_node():
-    """A small generic fat node with easy round numbers."""
-    return generic_node(
-        name="toy",
-        cpu_gflops=100.0,
-        cpu_bandwidth=25.0,
-        cpu_cores=4,
-        gpu_gflops=1000.0,
-        gpu_bandwidth=100.0,
-        pcie_bandwidth=10.0,
-        gpu_cores=256,
-    )

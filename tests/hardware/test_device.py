@@ -110,16 +110,3 @@ class TestRidgeAndAttainable:
     def test_attainable_monotone_in_intensity(self, ai):
         gpu = make_gpu()
         assert gpu.attainable_gflops(ai * 2) >= gpu.attainable_gflops(ai)
-
-
-class TestScaled:
-    def test_scaled_changes_only_peak(self):
-        gpu = make_gpu(peak=1000.0)
-        faster = gpu.scaled(2.0)
-        assert faster.peak_gflops == 2000.0
-        assert faster.dram_bandwidth == gpu.dram_bandwidth
-        assert faster.pcie_bandwidth == gpu.pcie_bandwidth
-
-    def test_scaled_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            make_gpu().scaled(0.0)

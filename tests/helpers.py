@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.apps.cmeans import fuzzy_memberships
 from repro.core.intensity import ConstantIntensity
+from repro.hardware import CpuSpec, FatNode, GpuSpec
 from repro.runtime.api import Block, IterativeMapReduceApp, MapReduceApp
 
 
@@ -144,6 +145,29 @@ def assert_pairs_identical(got: list, want: list) -> None:
     for (_, g), (_, w) in zip(got, want):
         g, w = (g, w) if isinstance(w, tuple) else ((g,), (w,))
         assert all(np.array_equal(a, b) for a, b in zip(g, w, strict=True))
+
+
+def generic_node(
+    name: str = "generic",
+    cpu_gflops: float = 100.0,
+    cpu_bandwidth: float = 30.0,
+    gpu_gflops: float = 1000.0,
+) -> FatNode:
+    """A fat node with round-number specs: an 8-core CPU and one GPU."""
+    cpu = CpuSpec(
+        name=f"{name}-cpu",
+        peak_gflops=cpu_gflops,
+        dram_bandwidth=cpu_bandwidth,
+        cores=8,
+    )
+    gpu = GpuSpec(
+        name=f"{name}-gpu",
+        peak_gflops=gpu_gflops,
+        dram_bandwidth=150.0,
+        pcie_bandwidth=4.0,
+        cores=512,
+    )
+    return FatNode(name=name, cpu=cpu, gpus=(gpu,))
 
 
 def cmeans_reference(

@@ -2,6 +2,8 @@
 K-means performance ratios, multi-GPU nodes, perturbed-device dynamic
 scheduling, and the iteration log plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,10 +98,11 @@ class TestDynamicAdaptsToPerturbedDevices:
         base = delta_node(n_gpus=1)
         from repro.hardware import FatNode
 
+        gpu = base.gpu
         slow = FatNode(
             name="slow",
             cpu=base.cpu,
-            gpus=(base.gpu.scaled(gpu_factor),),
+            gpus=(replace(gpu, peak_gflops=gpu.peak_gflops * gpu_factor),),
         )
         return Cluster(name="slow", nodes=(slow,))
 

@@ -96,7 +96,6 @@ class TestJobConfig:
     @pytest.mark.parametrize("field,value", [
         ("gpus_per_node", 0),
         ("partitions_per_node", 0),
-        ("cpu_block_multiplier", 0),
         ("dynamic_blocks", 0),
         ("overlap_threshold", 1.5),
         ("force_cpu_fraction", -0.1),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware import Cluster, FatNode, generic_node
+from repro.hardware import Cluster, FatNode
 from repro.hardware.cluster import NetworkSpec
 from repro.hardware.device import CpuSpec, GpuSpec
 from repro.runtime.api import Block

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from repro.apps.cmeans import CMeansApp
 from repro.core.analytic import workload_split
 from repro.data.synth import gaussian_mixture
-from repro.hardware import Cluster, delta_cluster, generic_node
+from repro.core.granularity import DEFAULT_CPU_BLOCK_MULTIPLIER
+from repro.hardware import Cluster, delta_cluster
 from repro.runtime.job import JobConfig, Overheads, Scheduling
 from repro.runtime.policies import (
     AdaptiveFeedbackPolicy,
@@ -24,7 +25,7 @@ from repro.runtime.policies import (
 )
 from repro.runtime.prs import PRSRuntime
 
-from tests.helpers import CountdownApp, ModSumApp
+from tests.helpers import CountdownApp, ModSumApp, generic_node
 
 #: near-zero fixed costs: expose the scheduling decision itself
 LEAN = Overheads(
@@ -171,7 +172,7 @@ class TestDynamicBlockDerivation:
         # CountdownApp's intensity (500) is far above every ridge: MinBs
         # imposes no cap, so the count is the pure load-balance target.
         expected = (
-            node.cpu.cores * config.cpu_block_multiplier
+            node.cpu.cores * DEFAULT_CPU_BLOCK_MULTIPLIER
             + node.gpus[0].work_queues
             + 1
         )

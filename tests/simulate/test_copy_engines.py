@@ -57,11 +57,6 @@ class TestCopyEngines:
         se = GpuStreamEngine(engine, make_gpu(2))
         assert se.d2h is not se.h2d
 
-    def test_pcie_alias_points_to_h2d(self):
-        engine = Engine()
-        se = GpuStreamEngine(engine, make_gpu(2))
-        assert se.pcie is se.h2d
-
     def test_validation(self):
         with pytest.raises((ValueError, TypeError)):
             make_gpu(0)

@@ -53,7 +53,7 @@ class HeapEngine(Engine):
 
     def run(self, until: float | Event | None = None) -> Any:
         if isinstance(until, Event):
-            while not until.processed:
+            while not until._processed:
                 if not self._heap:
                     self._deadlock()
                 self.step()

@@ -69,7 +69,7 @@ class TestResource:
 
         def worker():
             yield res.request()
-            peak[0] = max(peak[0], res.capacity - res.available)
+            peak[0] = max(peak[0], res._in_use)
             yield eng.timeout(1.0)
             res.release()
 

@@ -70,7 +70,7 @@ class TestRun:
     def test_wordcount_dynamic(self, capsys):
         code = main([
             "run", "--app", "wordcount", "--size", "50",
-            "--scheduling", "dynamic",
+            "--policy", "dynamic",
         ])
         assert code == 0
 
