@@ -204,6 +204,25 @@ class TestPointToPoint:
 
         assert run_spmd(world, main)[1] == 0.0
 
+    def test_same_node_bypasses_nic(self):
+        """A co-located sender's message lands at once even while a
+        1 GB cross-node message into the same rank is on the wire."""
+        net = NetworkSpec(latency=0.0, bandwidth=1.0)
+        world = World(Engine(), 3, network=net, node_of=lambda r: r // 2)
+
+        def main(comm):
+            if comm.rank == 0:
+                yield from comm.recv(source=1)
+                local = comm.engine.now
+                yield from comm.recv(source=2)
+                return local, comm.engine.now
+            yield from comm.send(Sized(1e9), dest=0)
+            return None
+
+        local, remote = run_spmd(world, main)[0]
+        assert local == 0.0
+        assert remote == pytest.approx(1.0)
+
     def test_messages_into_one_rank_overlap(self):
         """Messages to one destination do not queue at its NIC: seven
         simultaneous 1 GB sends into rank 0 over 1 GB/s links all land
