@@ -122,6 +122,12 @@ _WORD_ITEM = 8.0 + 8.0
 
 _INF = float("inf")
 
+#: nesting levels :func:`_walk_nbytes` sizes before it hands back
+_WALK_LEVELS = 4
+
+#: below this, sums of whole-byte float terms are exact
+_EXACT = float(1 << 53)
+
 
 def payload_nbytes(obj: Any) -> float:
     """Wire-size estimate (bytes) of a message payload.
@@ -130,14 +136,15 @@ def payload_nbytes(obj: Any) -> float:
     recursively with a small per-item framing overhead; scalars cost a
     machine word.  This mirrors what mpi4py's buffer path would move.
 
-    One pass over the payload: the common types (``list``/``tuple``,
-    ``ndarray``, numeric scalars) are dispatched on their exact type and
-    word-sized container items are framed inline; everything else
-    (subclasses, dicts, sets, bytes, objects with an ``nbytes``
-    attribute) takes the general ``isinstance`` path.  Container sizes
-    are ``sum`` over the same per-item terms in item order, so an empty
-    container sizes as ``int`` 0.  Raises :class:`ValueError` naming the
-    payload type when a size is negative, NaN or infinite.
+    The common types (``list``/``tuple``, ``ndarray``, numeric scalars)
+    are dispatched on their exact type, and a list or tuple whose leaves
+    are words, arrays and strings is sized in one loop with no call per
+    item (:func:`_walk_nbytes`); everything else (subclasses, dicts,
+    sets, bytes, objects with an ``nbytes`` attribute) takes the general
+    ``isinstance`` path.  Container sizes equal ``sum`` over the same
+    per-item terms in item order, so an empty container sizes as ``int``
+    0.  Raises :class:`ValueError` naming the payload type when a size is
+    negative, NaN or infinite.
     """
     nbytes = _nbytes(obj)
     if not 0 <= nbytes < _INF:  # also rejects NaN
@@ -150,6 +157,9 @@ def payload_nbytes(obj: Any) -> float:
 def _nbytes(obj: Any) -> float:
     t = type(obj)
     if t is list or t is tuple:
+        size = _walk_nbytes(obj)
+        if size is not None:
+            return size
         return sum([
             _WORD_ITEM if type(item) in _WORD_TYPES else _nbytes(item) + 8.0
             for item in obj
@@ -161,6 +171,41 @@ def _nbytes(obj: Any) -> float:
     if obj is None:
         return 0.0
     return _nbytes_general(obj)
+
+
+def _walk_nbytes(obj: list | tuple) -> float | None:
+    """Size of *obj* in one loop over its nesting levels, or None.
+
+    Covers lists and tuples nested at most ``_WALK_LEVELS`` deep whose
+    leaves are words, arrays and strings (a bucket of ``(key, (array,
+    word))`` pairs is three levels).  Every term is then a whole number
+    of bytes, so while the running total stays below 2**53 each addition
+    is exact and the total equals the recursive ``sum`` of per-item
+    terms, whatever the order.  Any other payload returns None and is
+    sized recursively.
+    """
+    total = 0
+    level = [obj]
+    for _ in range(_WALK_LEVELS):
+        below = []
+        for container in level:
+            for item in container:
+                t = type(item)
+                if t in _WORD_TYPES:
+                    total += _WORD_ITEM
+                elif t is tuple or t is list:
+                    total += 8.0
+                    below.append(item)
+                elif t is np.ndarray:
+                    total += item.nbytes + 8.0
+                elif t is str:
+                    total += len(item.encode("utf-8")) + 8.0
+                else:
+                    return None
+        if not below:
+            return total if total < _EXACT else None
+        level = below
+    return None
 
 
 def _nbytes_general(obj: Any) -> float:

@@ -182,8 +182,7 @@ def _alloc_seconds(
         return n_objects * MALLOC_OVERHEAD_S
     region = resources.allocator.region(thread_id)
     before = region.stats.backing_allocs
-    for _ in range(n_objects):
-        region.alloc(_KV_OBJECT_BYTES)
+    region.reserve(n_objects, _KV_OBJECT_BYTES)
     return (region.stats.backing_allocs - before) * MALLOC_OVERHEAD_S
 
 

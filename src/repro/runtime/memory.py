@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._validation import require_positive_int
+from repro._validation import require_nonnegative_int, require_positive_int
 
 #: Simulated cost of one device-memory allocation (cudaMalloc-class call).
 MALLOC_OVERHEAD_S = 1e-4
@@ -87,6 +87,28 @@ class Region:
         self.stats.object_allocs += 1
         self.stats.bytes_served += nbytes
         return offset, self._buffer[offset : offset + nbytes]
+
+    def reserve(self, count: int, nbytes: int) -> None:
+        """Reserve *count* spans of *nbytes* each, with no views.
+
+        Leaves ``_top``, the capacity and every :class:`AllocationStats`
+        field exactly as ``count`` calls of :meth:`alloc` would: the
+        region grows at the same fill levels, so each growth copies the
+        same bytes.  One loop turn per growth step, not per object.
+        """
+        require_nonnegative_int("count", count)
+        require_positive_int("nbytes", nbytes)
+        aligned = -(-nbytes // ALIGNMENT) * ALIGNMENT
+        left = count
+        while True:
+            fits = min(left, (self.capacity - self._top) // aligned)
+            self._top += fits * aligned
+            left -= fits
+            if not left:
+                break
+            self._grow(self._top + aligned)
+        self.stats.object_allocs += count
+        self.stats.bytes_served += count * nbytes
 
     def _grow(self, needed: int) -> None:
         """Geometric growth with copy, as the paper describes."""

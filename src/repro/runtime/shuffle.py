@@ -59,9 +59,9 @@ class BlockOrderedSink:
         self._chunks.clear()
 
 
-def _key_hash(key: Any) -> int:
+def _key_hash(text: str) -> int:
     h = 0
-    for ch in repr(key):
+    for ch in text:
         h = (h * 131 + ord(ch)) % (1 << 31)
     return h
 
@@ -73,12 +73,19 @@ def hash_partition(
 
     The hash is of ``repr(key)``, not :func:`hash`, so the placement is
     stable across processes and Python hash randomization — simulations
-    must be reproducible.
+    must be reproducible.  Each distinct ``repr`` is hashed once per
+    call; keys that compare equal but print differently (``1``, ``1.0``,
+    ``True``) keep their own buckets.
     """
     require_positive_int("n_buckets", n_buckets)
     buckets: list[list[KeyValue]] = [[] for _ in range(n_buckets)]
+    slots: dict[str, int] = {}
     for key, value in pairs:
-        buckets[_key_hash(key) % n_buckets].append((key, value))
+        text = repr(key)
+        slot = slots.get(text)
+        if slot is None:
+            slot = slots[text] = _key_hash(text) % n_buckets
+        buckets[slot].append((key, value))
     return buckets
 
 

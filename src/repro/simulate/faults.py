@@ -407,11 +407,14 @@ class FaultState:
         #: device key -> pending disruption event (created lazily; replaced
         #: after each firing so hiccups can strike the same device again)
         self._disruptions: dict[str, Event] = {}
+        #: kind -> (plan index, event) pairs in plan order, so each
+        #: window query scans only the events of its own kind
+        self._by_kind: dict[str, list[tuple[int, FaultEvent]]] = {}
+        for index, event in enumerate(plan.events):
+            self._by_kind.setdefault(event.kind, []).append((index, event))
         #: remaining drop budget per msg_drop event (keyed by plan index)
         self._drops_left: dict[int, int] = {
-            i: ev.count
-            for i, ev in enumerate(plan.events)
-            if ev.kind == "msg_drop"
+            i: ev.count for i, ev in self._by_kind.get("msg_drop", ())
         }
         self._started = False
 
@@ -501,42 +504,33 @@ class FaultState:
     def compute_scale(self, key: str, now: float) -> float:
         """Duration multiplier for a block starting on device *key* now."""
         scale = 1.0
-        for event in self.plan.events:
-            if (
-                event.kind == "straggler"
-                and event.device_key() == key
-                and event.time <= now < event.until
-            ):
+        for _, event in self._by_kind.get("straggler", ()):
+            if event.device_key() == key and event.time <= now < event.until:
                 scale *= max(event.factor, 1.0)
         return scale
 
     def net_scale(self, now: float) -> float:
         """Wire-time multiplier for the shared network at time *now*."""
         scale = 1.0
-        for event in self.plan.events:
-            if event.kind == "net_slow" and event.time <= now < event.until:
+        for _, event in self._by_kind.get("net_slow", ()):
+            if event.time <= now < event.until:
                 scale *= max(event.factor, 1.0)
         return scale
 
     def pcie_scale(self, node: int, now: float) -> float:
         """PCI-E occupancy multiplier for *node* at time *now*."""
         scale = 1.0
-        for event in self.plan.events:
-            if (
-                event.kind == "pcie_slow"
-                and event.node == node
-                and event.time <= now < event.until
-            ):
+        for _, event in self._by_kind.get("pcie_slow", ()):
+            if event.node == node and event.time <= now < event.until:
                 scale *= max(event.factor, 1.0)
         return scale
 
     def msg_delay(self, src: int, dest: int, now: float) -> float:
         """Extra latency for one src->dest message sent at time *now*."""
         total = 0.0
-        for event in self.plan.events:
+        for _, event in self._by_kind.get("msg_delay", ()):
             if (
-                event.kind == "msg_delay"
-                and (event.src is None or event.src == src)
+                (event.src is None or event.src == src)
                 and (event.dest is None or event.dest == dest)
                 and event.time <= now < event.until
             ):
@@ -545,13 +539,12 @@ class FaultState:
 
     def consume_drop(self, src: int, dest: int, now: float) -> bool:
         """True if a src->dest message sent now should be dropped."""
-        for index, event in enumerate(self.plan.events):
+        for index, event in self._by_kind.get("msg_drop", ()):
             if (
-                event.kind == "msg_drop"
-                and (event.src is None or event.src == src)
+                (event.src is None or event.src == src)
                 and (event.dest is None or event.dest == dest)
                 and event.time <= now < event.until
-                and self._drops_left.get(index, 0) > 0
+                and self._drops_left[index] > 0
             ):
                 self._drops_left[index] -= 1
                 return True
@@ -560,7 +553,7 @@ class FaultState:
     # -- helpers -------------------------------------------------------
     def wire_node_links(self, node: int, links: Iterable[Any]) -> None:
         """Install the PCI-E degradation hook on a node's GPU links."""
-        if not any(e.kind == "pcie_slow" for e in self.plan.events):
+        if not self._by_kind.get("pcie_slow", ()):
             return
 
         def scale(now: float, _node: int = node) -> float:

@@ -37,14 +37,6 @@ class NetworkModel:
         rounds = math.ceil(math.log2(ranks))
         return rounds * self.p2p(nbytes)
 
-    def reduce(self, nbytes: float, ranks: int) -> float:
-        """Binomial-tree reduction (same round structure as bcast)."""
-        return self.bcast(nbytes, ranks)
-
-    def allreduce(self, nbytes: float, ranks: int) -> float:
-        """Reduce followed by broadcast."""
-        return self.reduce(nbytes, ranks) + self.bcast(nbytes, ranks)
-
     def gather(self, nbytes_per_rank: float, ranks: int) -> float:
         """Linear gather at the root: ``P-1`` incoming messages.
 
@@ -59,13 +51,3 @@ class NetworkModel:
     def scatter(self, nbytes_per_rank: float, ranks: int) -> float:
         """Linear scatter from the root: ``P-1`` outgoing messages."""
         return self.gather(nbytes_per_rank, ranks)
-
-    def allgather(self, nbytes_per_rank: float, ranks: int) -> float:
-        """Gather to root + broadcast of the concatenation."""
-        return self.gather(nbytes_per_rank, ranks) + self.bcast(
-            nbytes_per_rank * ranks, ranks
-        )
-
-    def barrier(self, ranks: int) -> float:
-        """Zero-byte allreduce."""
-        return self.allreduce(0.0, ranks)

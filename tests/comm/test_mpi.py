@@ -18,9 +18,37 @@ def make_world(size, latency=0.0, bandwidth=1.0, same_node=False):
     return World(Engine(), size, network=net, node_of=node_of)
 
 
-def _reference_nbytes(obj):
-    """The recursive wire-size model ``payload_nbytes`` must reproduce
-    bit for bit (sizes, types and summation order)."""
+_ORACLE_WORDS = frozenset(
+    t
+    for t in (bool, int, float, complex, *np.sctypeDict.values())
+    if not issubclass(t, (str, bytes))
+)
+
+
+def _recursive_payload_nbytes(obj):
+    """Oracle: ``payload_nbytes`` sized recursively, one call per nested
+    item.  The sizer must equal it in value, type, float bits (summation
+    order) and error message."""
+    nbytes = _recursive_nbytes(obj)
+    if not 0 <= nbytes < float("inf"):
+        raise ValueError(
+            f"payload {type(obj).__name__} has invalid size {nbytes!r}"
+        )
+    return nbytes
+
+
+def _recursive_nbytes(obj):
+    t = type(obj)
+    if t is list or t is tuple:
+        return sum([
+            16.0 if type(item) in _ORACLE_WORDS
+            else _recursive_nbytes(item) + 8.0
+            for item in obj
+        ])
+    if t in _ORACLE_WORDS:
+        return 8.0
+    if t is np.ndarray:
+        return float(obj.nbytes)
     if obj is None:
         return 0.0
     if isinstance(obj, np.ndarray):
@@ -33,13 +61,17 @@ def _reference_nbytes(obj):
         return 8.0
     if isinstance(obj, dict):
         return sum(
-            _reference_nbytes(k) + _reference_nbytes(v) + 8.0
+            _recursive_nbytes(k) + _recursive_nbytes(v) + 8.0
             for k, v in obj.items()
         )
     if isinstance(obj, (list, tuple, set, frozenset)):
-        return sum(_reference_nbytes(item) + 8.0 for item in obj)
+        return sum(_recursive_nbytes(item) + 8.0 for item in obj)
     nbytes = getattr(obj, "nbytes", None)
     if isinstance(nbytes, (int, float)):
+        if not 0 <= nbytes < float("inf"):
+            raise ValueError(
+                f"payload {type(obj).__name__} has invalid size {nbytes!r}"
+            )
         return float(nbytes)
     return 64.0
 
@@ -143,9 +175,65 @@ class TestPayloadNbytes:
     @settings(max_examples=300, deadline=None)
     def test_matches_recursive_reference(self, payload):
         # Same value, same type, same float bits (summation order).
-        got, want = payload_nbytes(payload), _reference_nbytes(payload)
+        got, want = payload_nbytes(payload), _recursive_payload_nbytes(payload)
         assert type(got) is type(want)
         assert repr(got) == repr(want)
+
+
+class Pairs(list):
+    """A list subclass: sized on the general path, not the walk."""
+
+
+_ARR = np.arange(6, dtype=np.float64)
+
+#: payloads of every shape the walk handles or hands back
+_WALK_PAYLOADS = [
+    [(j, (_ARR, float(j))) for j in range(5)] + [("objective", 1.5)],
+    [(m, (1.0, _ARR, _ARR.reshape(2, 3))) for m in range(3)],
+    [((0, 16), _ARR.astype(np.float32))],
+    [[[[1, 2], (3.0, [4])]]],
+    [[[[[[1]]]]]],  # deeper than the walk goes
+    ([], (), [()], ([], [[]])),
+    [], (), {}, set(), frozenset(),
+    [np.float32(1.5), np.int8(3), np.bool_(True), np.complex64(1j)],
+    np.float64(2.5),
+    b"bytes", [b"ab", bytearray(b"c"), memoryview(b"def")],
+    "caf\u00e9", ["", "\u00e9", np.str_("ab")],
+    {"a": 1, 2: (_ARR, "x")}, [{"k": [1.0]}],
+    {1, 2.5, "s"}, [frozenset({1})],
+    None, [None, (None,)],
+    Pairs([(1, 2.0)]), [Pairs([(1, _ARR)])],
+    Sized(12), [Sized(0.5), 1, (Sized(1e16), 1.0)],
+    [object(), (1, object())],
+    # a 2**56-byte view: past 2**53 the sum rounds, so order matters
+    [(1, 1), (np.broadcast_to(np.float64(0), (1 << 53,)),), 1, 1, 1],
+]
+
+
+class TestWalkedSizes:
+    @pytest.mark.parametrize(
+        "payload", _WALK_PAYLOADS, ids=range(len(_WALK_PAYLOADS))
+    )
+    def test_equals_recursive_sizing(self, payload):
+        got, want = payload_nbytes(payload), _recursive_payload_nbytes(payload)
+        assert type(got) is type(want)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            Sized(-1),
+            [1, (Sized(float("nan")), 2.0)],
+            [(0, (_ARR, Sized(float("inf"))))],
+            [Sized(1e308), (Sized(1e308),)],
+        ],
+    )
+    def test_invalid_sizes_raise_the_same_message(self, payload):
+        with pytest.raises(ValueError) as want:
+            _recursive_payload_nbytes(payload)
+        with pytest.raises(ValueError) as got:
+            payload_nbytes(payload)
+        assert str(got.value) == str(want.value)
 
 
 class TestPointToPoint:

@@ -1,5 +1,8 @@
 """Tests for region-based memory management (§III.C.2)."""
 
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +83,124 @@ class TestRegion:
             total += size
         assert region.stats.bytes_served == total
         assert region.stats.object_allocs == len(sizes)
+
+
+def _grow_log(region):
+    """Record ``(fill level, needed)`` at each growth of *region*."""
+    log = []
+    grow = region._grow
+
+    def spy(needed):
+        log.append((region._top, needed))
+        grow(needed)
+
+    region._grow = spy
+    return log
+
+
+def _state(region):
+    return (region._top, region.capacity, dataclasses.astuple(region.stats))
+
+
+class TestReserve:
+    """``reserve(count, n)`` must leave a region exactly as ``count``
+    calls of ``alloc(n)`` do, growth steps included."""
+
+    @staticmethod
+    def _twins(capacity):
+        fast, slow = Region(capacity), Region(capacity)
+        return fast, slow, _grow_log(fast), _grow_log(slow)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.sampled_from([16, 100, 4096]),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([1, 15, 16, 17, 96, 300]),
+                st.integers(0, 300),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_matches_alloc_loop(self, capacity, steps):
+        fast, slow, fast_log, slow_log = self._twins(capacity)
+        for nbytes, count in steps:
+            fast.reserve(count, nbytes)
+            for _ in range(count):
+                slow.alloc(nbytes)
+            assert _state(fast) == _state(slow)
+            assert fast_log == slow_log
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            [(256, 16)],  # fills 4096 bytes exactly: no growth
+            [(256, 16), (1, 1)],  # one more object on a full region
+            [(255, 16), (1, 17)],  # last object ends one byte past
+            [(128, 17)],  # 17 bytes align to 32: exactly full again
+            [(1, 4096), (1, 4097)],
+        ],
+    )
+    def test_exact_fill_and_one_past(self, steps):
+        fast, slow, fast_log, slow_log = self._twins(4096)
+        for count, nbytes in steps:
+            fast.reserve(count, nbytes)
+            for _ in range(count):
+                slow.alloc(nbytes)
+        assert _state(fast) == _state(slow)
+        assert fast_log == slow_log
+
+    def test_exact_fill_does_not_grow_and_one_past_does(self):
+        full = Region(4096)
+        full.reserve(256, 16)
+        assert (full._top, full.capacity) == (4096, 4096)
+        assert full.stats.grow_copies == 0
+        over = Region(4096)
+        over.reserve(255, 16)
+        over.reserve(1, 17)
+        assert (over._top, over.capacity) == (4112, 8192)
+        assert over.stats.bytes_copied == 4080
+
+    def test_validates_arguments(self):
+        region = Region(64)
+        with pytest.raises(ValueError, match="count"):
+            region.reserve(-1, 16)
+        with pytest.raises(ValueError, match="nbytes"):
+            region.reserve(1, 0)
+        region.reserve(0, 16)
+        assert _state(region) == _state(Region(64))
+
+    def test_alloc_seconds_reserves_once_per_block(self, monkeypatch):
+        from repro.runtime import daemons
+
+        def loop_alloc_seconds(allocator, thread_id, n_objects):
+            # oracle: one alloc per KV record
+            region = allocator.region(thread_id)
+            before = region.stats.backing_allocs
+            for _ in range(n_objects):
+                region.alloc(daemons._KV_OBJECT_BYTES)
+            return (region.stats.backing_allocs - before) * MALLOC_OVERHEAD_S
+
+        blocks = [0, 3, 10, 1, 200, 7, 1000, 64]
+        loop_alloc = RegionAllocator(1024)
+        want = [loop_alloc_seconds(loop_alloc, "t", n) for n in blocks]
+
+        reserves = []
+        reserve = Region.reserve
+
+        def counting_reserve(self, count, nbytes):
+            reserves.append((count, nbytes))
+            reserve(self, count, nbytes)
+
+        monkeypatch.setattr(Region, "reserve", counting_reserve)
+        monkeypatch.setattr(Region, "alloc", None)  # must not be reached
+        alloc = RegionAllocator(1024)
+        res = types.SimpleNamespace(allocator=alloc)
+        got = [daemons._alloc_seconds(res, "t", n, True) for n in blocks]
+        assert got == want
+        assert reserves == [(n, daemons._KV_OBJECT_BYTES) for n in blocks if n]
+        assert _state(alloc.region("t")) == _state(loop_alloc.region("t"))
 
 
 class TestRegionAllocator:

@@ -1,5 +1,6 @@
 """Tests for input partitioning and the shuffle machinery."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -169,6 +170,46 @@ class TestShuffle:
         placed = hash_partition([(k, None) for k in keys], buckets)
         for index, bucket in enumerate(placed):
             assert all(bucket_of(k, buckets) == index for k, _ in bucket)
+
+    #: keys equal as dict keys but printing differently, plus two
+    #: equal floats whose reprs differ in sign
+    MIXED_KEYS = (1, 1.0, True, np.int64(1), "1", (0, 1), 0.0, -0.0,
+                  np.float64(1.0))
+
+    @pytest.mark.parametrize("n_buckets", [1, 2, 3, 5, 8, 16])
+    def test_mixed_keys_place_like_a_per_pair_hash(self, n_buckets):
+        pairs = [(key, i) for i, key in enumerate(self.MIXED_KEYS * 3)]
+        expected = [[] for _ in range(n_buckets)]
+        for key, value in pairs:
+            expected[bucket_of(key, n_buckets)].append((key, value))
+        placed = hash_partition(pairs, n_buckets)
+        # 1 == True == 1.0, so compare reprs: equal keys must not share
+        # one cached bucket when their reprs differ
+        as_reprs = [[(repr(k), v) for k, v in b] for b in placed]
+        assert as_reprs == [[(repr(k), v) for k, v in b] for b in expected]
+
+    def test_mixed_keys_spread_over_buckets(self):
+        # the check above would pass vacuously if equal keys hashed alike
+        assert len({bucket_of(k, 8) for k in self.MIXED_KEYS[:3]}) == 3
+
+    def test_hashes_each_distinct_repr_once(self, monkeypatch):
+        from repro.runtime import shuffle
+
+        hashed = []
+        key_hash = shuffle._key_hash
+
+        def counting_hash(text):
+            hashed.append(text)
+            return key_hash(text)
+
+        monkeypatch.setattr(shuffle, "_key_hash", counting_hash)
+        pairs = [(key, i) for i, key in enumerate(self.MIXED_KEYS * 40)]
+        hash_partition(pairs, 4)
+        distinct = sorted({repr(k) for k in self.MIXED_KEYS})
+        assert sorted(hashed) == distinct
+        hashed.clear()
+        hash_partition(pairs, 4)  # no cache survives the call
+        assert sorted(hashed) == distinct
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_hash_partition_validates_bucket_count(self, n):

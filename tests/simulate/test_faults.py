@@ -211,6 +211,158 @@ class TestFaultStateWindows:
         assert st.device_dead("n1.cpu") and st.device_dead("n1.gpu0")
 
 
+#: every kind, with overlapping windows and two drop events on 0->1
+_MIXED_PLAN = (
+    "join@2:t=0.005",
+    "straggler@1.cpu:factor=3,t0=0.1,t1=0.4",
+    "msg_drop@0-1:count=2,t0=0.1,t1=0.6",
+    "net_slow@*:factor=2,t0=0,t1=0.3",
+    "gpu_kill@0:t=0.01",
+    "msg_delay@0-2:delay=5e-3,t0=0,t1=1",
+    "straggler@1.cpu:factor=0.5,t0=0.2,t1=0.9",
+    "cpu_hiccup@1:t=0.2",
+    "pcie_slow@2:factor=2,t0=0,t1=1",
+    "msg_drop@0-1:count=1,t0=0.1",
+    "net_slow@*:factor=1.5,t0=0.25,t1=0.7",
+    "cpu_kill@2:t=0.3",
+    "gpu_hiccup@1.0:t=0.15",
+    "msg_delay@*-1:delay=1e-3~2e-3,t0=0.2,t1=0.5",
+    "straggler@0.gpu0:factor=4,t0=0.05,t1=0.5",
+    "rank_kill@2:t=0.5",
+    "msg_drop@*-1:count=1,t0=0.3",
+    "pcie_slow@2:factor=3,t0=0.4,t1=0.8",
+    "drain@1:t=0.7",
+)
+
+
+class ScanOracle:
+    """The window queries as full scans over ``plan.events``."""
+
+    def __init__(self, plan):
+        self.events = plan.events
+        self.drops_left = {
+            i: e.count for i, e in enumerate(plan.events)
+            if e.kind == "msg_drop"
+        }
+
+    def _active(self, kind, now):
+        return [
+            (i, e) for i, e in enumerate(self.events)
+            if e.kind == kind and e.time <= now < e.until
+        ]
+
+    def compute_scale(self, key, now):
+        scale = 1.0
+        for _, e in self._active("straggler", now):
+            if e.device_key() == key:
+                scale *= max(e.factor, 1.0)
+        return scale
+
+    def net_scale(self, now):
+        scale = 1.0
+        for _, e in self._active("net_slow", now):
+            scale *= max(e.factor, 1.0)
+        return scale
+
+    def pcie_scale(self, node, now):
+        scale = 1.0
+        for _, e in self._active("pcie_slow", now):
+            if e.node == node:
+                scale *= max(e.factor, 1.0)
+        return scale
+
+    @staticmethod
+    def _on_link(e, src, dest):
+        return e.src in (None, src) and e.dest in (None, dest)
+
+    def msg_delay(self, src, dest, now):
+        total = 0.0
+        for _, e in self._active("msg_delay", now):
+            if self._on_link(e, src, dest):
+                total += max(e.delay, 0.0)
+        return total
+
+    def consume_drop(self, src, dest, now):
+        for i, e in self._active("msg_drop", now):
+            if self._on_link(e, src, dest) and self.drops_left[i] > 0:
+                self.drops_left[i] -= 1
+                return True
+        return False
+
+
+class TestKindIndex:
+    GRID = sorted({round(0.05 * k, 2) for k in range(21)} | {
+        0.005, 0.01, 0.15, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
+        0.29999, 0.59999, 1.5,
+    })
+    NODES = range(3)
+    DEVICES = ("n0.cpu", "n1.cpu", "n0.gpu0", "n1.gpu0", "n2.cpu")
+
+    def test_plan_mixes_every_kind(self):
+        from repro.simulate.faults import KNOWN_KINDS
+
+        plan = FaultPlan.from_specs(_MIXED_PLAN, seed=3)
+        assert {e.kind for e in plan.events} == KNOWN_KINDS
+
+    def test_window_queries_equal_a_full_scan(self):
+        st = _state(_MIXED_PLAN, seed=3)
+        oracle = ScanOracle(st.plan)
+        for now in self.GRID:
+            for key in self.DEVICES:
+                assert st.compute_scale(key, now) == oracle.compute_scale(
+                    key, now
+                )
+            assert st.net_scale(now) == oracle.net_scale(now)
+            for node in self.NODES:
+                assert st.pcie_scale(node, now) == oracle.pcie_scale(node, now)
+            for src in self.NODES:
+                for dest in self.NODES:
+                    assert st.msg_delay(src, dest, now) == oracle.msg_delay(
+                        src, dest, now
+                    )
+
+    def test_drop_budgets_spent_in_plan_order(self):
+        st = _state(_MIXED_PLAN, seed=3)
+        oracle = ScanOracle(st.plan)
+        got, want = [], []
+        for now in self.GRID:
+            for src in self.NODES:
+                for dest in self.NODES:
+                    got.append(st.consume_drop(src, dest, now))
+                    want.append(oracle.consume_drop(src, dest, now))
+                    assert st._drops_left == oracle.drops_left
+        assert got == want
+        assert sum(got) == 4  # every budget used up
+
+    def test_queries_read_only_their_own_kind(self):
+        class Watched:
+            """An event that logs the kind of every event read."""
+
+            def __init__(self, event, log):
+                self._event, self._log = event, log
+
+            def __getattr__(self, name):
+                self._log.append(self._event.kind)
+                return getattr(self._event, name)
+
+        log = []
+        plan = FaultPlan.from_specs(_MIXED_PLAN, seed=3)
+        watched = FaultPlan(tuple(Watched(e, log) for e in plan.events))
+        st = FaultState(Engine(), watched, Trace(), FaultPolicy())
+        queries = [
+            ("straggler", lambda now: st.compute_scale("n1.cpu", now)),
+            ("net_slow", st.net_scale),
+            ("pcie_slow", lambda now: st.pcie_scale(2, now)),
+            ("msg_delay", lambda now: st.msg_delay(0, 2, now)),
+            ("msg_drop", lambda now: st.consume_drop(0, 1, now)),
+        ]
+        for kind, query in queries:
+            log.clear()
+            for now in self.GRID:
+                query(now)
+            assert log and set(log) == {kind}
+
+
 class TestDegradedMakespanBound:
     def test_no_loss_is_identity(self):
         assert degraded_makespan_bound(1.0, 0.5, 0.0) == 1.0
