@@ -20,6 +20,7 @@ from repro.data.synth import gaussian_mixture
 from repro.runtime.memory import RegionAllocator
 from repro.simulate.engine import Engine
 from repro.simulate.resources import CorePool
+from repro.simulate.trace import Trace
 
 
 @pytest.mark.benchmark(group="micro")
@@ -63,7 +64,7 @@ def test_micro_comm_message_rate(benchmark):
     """Ping-pong through the simulated communicator."""
 
     def run():
-        world = World(Engine(), 2)
+        world = World(Engine(), 2, trace=Trace())
 
         def main(comm):
             if comm.rank == 0:

@@ -75,11 +75,8 @@ class _Envelope:
     payload: Any
     msg_id: int
     src: int
-    dest: int
-    tag: int
     nbytes: float
     sent_at: float
-    visible_at: float
     retransmits: int = 0
     delay_s: float = 0.0
 
@@ -247,7 +244,8 @@ class World:
         same node exchange messages for free.  Defaults to one rank per
         node.
     trace:
-        Optional :class:`Trace` receiving a ``net`` record per message.
+        The run's :class:`Trace`: each delivered message leaves a send
+        span, a paired recv span and the comm counters in it.
     """
 
     def __init__(
@@ -256,7 +254,8 @@ class World:
         size: int,
         network: NetworkSpec | None = None,
         node_of: Callable[[int], int] | None = None,
-        trace: Trace | None = None,
+        *,
+        trace: Trace,
     ) -> None:
         if size < 1:
             raise ValueError(f"world size must be >= 1, got {size}")
@@ -265,7 +264,7 @@ class World:
         self.network = network if network is not None else NetworkSpec()
         self.node_of = node_of if node_of is not None else (lambda rank: rank)
         self.trace = trace
-        if trace is not None and trace.sampler is not None:
+        if trace.sampler is not None:
             # Declare the α/β wire model of the inter-node link so the
             # sampler can derive offered-load and observed-vs-model
             # series (rank-local messages are free: no model to watch).
@@ -278,9 +277,6 @@ class World:
         #: aggregate message accounting for reports
         self.messages_sent = 0
         self.bytes_sent = 0.0
-        #: next message id — unique per delivered message within a world,
-        #: stamped on the paired send/recv spans so exports can link them
-        self._next_msg_id = 1
         #: fault-tolerance wiring (None/absent in fault-free runs); set via
         #: :meth:`attach_faults` by the driver.
         self.faults = None
@@ -375,6 +371,7 @@ class RankComm:
         first_start = self.engine.now
         start = first_start
         world = self.world
+        trace = world.trace
         faults = world.faults
         src_node = world.node_of(self.rank)
         dest_node = world.node_of(dest)
@@ -395,20 +392,19 @@ class RankComm:
                 # The message was lost in flight: wait out the retransmit
                 # timer and pay the wire again.
                 retransmits += 1
-                if world.trace is not None:
-                    world.trace.metrics.counter(obs.COMM_RETRANSMITS).inc(
-                        1, src=f"r{self.rank}"
-                    )
-                    world.trace.log.warning(
-                        "comm",
-                        f"message r{self.rank}->r{dest} t{tag} dropped; "
-                        f"retransmit {retransmits}",
-                        t=self.engine.now,
-                        rank=world.trace.rank_of(f"net.r{self.rank}"),
-                        src=self.rank,
-                        dst=dest,
-                        nbytes=nbytes,
-                    )
+                trace.metrics.counter(obs.COMM_RETRANSMITS).inc(
+                    1, src=f"r{self.rank}"
+                )
+                trace.log.warning(
+                    "comm",
+                    f"message r{self.rank}->r{dest} t{tag} dropped; "
+                    f"retransmit {retransmits}",
+                    t=self.engine.now,
+                    rank=trace.rank_of(f"net.r{self.rank}"),
+                    src=self.rank,
+                    dst=dest,
+                    nbytes=nbytes,
+                )
                 yield self.engine.timeout(faults.policy.retransmit_timeout_s)
                 start = self.engine.now
                 continue
@@ -418,77 +414,72 @@ class RankComm:
             delay_s = faults.msg_delay(src_node, dest_node, start)
             if delay_s > 0:
                 yield self.engine.timeout(delay_s)
-        trace = world.trace
         # Host-profiling note: the delivery tail below never yields, so a
         # wall-clock scope here cannot span simulated suspension — it
         # meters exactly the bookkeeping this rank does for one message.
-        prof = trace.selfprof if trace is not None else obs.NULL_PROFILER
+        prof = trace.selfprof
         prof.begin("comm:deliver")
         try:
-            msg_id = (
-                trace.next_msg_id() if trace is not None else world._next_msg_id
-            )
-            world._next_msg_id += 1
+            msg_id = trace.next_msg_id()
             link = "local" if same_node else "remote"
-            if trace is not None:
-                # One send span per *delivered* message, covering the whole
-                # delivery effort (retransmit timers and fault delays
-                # included), so its end is the instant the payload becomes
-                # visible at the destination.  The matched receive span
-                # carries the same msg_id.
-                attrs: dict[str, Any] = {
-                    "msg_id": msg_id,
-                    "src": self.rank,
-                    "dst": dest,
-                    "src_node": src_node,
-                    "dst_node": dest_node,
-                    "tag": tag,
-                    "tagc": describe_tag(tag),
-                    "link": link,
-                    # Fault-free analytic wire time (alpha + n * beta): the
-                    # observed-vs-predicted ratio exposes contention,
-                    # degradation windows, and retransmit storms per message.
-                    "pred_s": world.wire_time(self.rank, dest, nbytes),
-                }
-                if retransmits:
-                    attrs["retransmits"] = retransmits
-                if delay_s > 0:
-                    attrs["delay_s"] = delay_s
-                trace.record(
-                    f"msg r{self.rank}->r{dest} t{tag}",
-                    f"net.r{self.rank}",
-                    "net",
-                    first_start,
-                    self.engine.now,
-                    nbytes=nbytes,
-                    attrs=attrs,
-                )
-                metrics = trace.metrics
-                labels = dict(
-                    src=f"r{self.rank}", dst=f"r{dest}", tag=describe_tag(tag),
-                    link=link,
-                )
-                metrics.counter(obs.COMM_MESSAGES).inc(1, **labels)
-                metrics.counter(obs.COMM_BYTES).inc(nbytes, **labels)
-                if not same_node:
-                    # Slow-delivery narration: observed delivery at or
-                    # beyond 2x the analytic α/β wire time — the same
-                    # 2.0 factor the link-over-utilization alert rule
-                    # uses, so an alert's flight dump carries the
-                    # per-message WARNs that explain it.
-                    pred_s = attrs["pred_s"]
-                    actual_s = self.engine.now - first_start
-                    if pred_s > 0 and actual_s >= 2.0 * pred_s:
-                        trace.log.warning(
-                            "comm",
-                            f"slow delivery r{self.rank}->r{dest} t{tag}: "
-                            f"{actual_s:.3g}s vs predicted {pred_s:.3g}s",
-                            t=self.engine.now,
-                            rank=trace.rank_of(f"net.r{self.rank}"),
-                            msg_id=msg_id,
-                            nbytes=nbytes,
-                            ratio=round(actual_s / pred_s, 3),
-                        )
+            # One send span per *delivered* message, covering the whole
+            # delivery effort (retransmit timers and fault delays
+            # included), so its end is the instant the payload becomes
+            # visible at the destination.  The matched receive span
+            # carries the same msg_id.
+            attrs: dict[str, Any] = {
+                "msg_id": msg_id,
+                "src": self.rank,
+                "dst": dest,
+                "src_node": src_node,
+                "dst_node": dest_node,
+                "tag": tag,
+                "tagc": describe_tag(tag),
+                "link": link,
+                # Fault-free analytic wire time (alpha + n * beta): the
+                # observed-vs-predicted ratio exposes contention,
+                # degradation windows, and retransmit storms per message.
+                "pred_s": world.wire_time(self.rank, dest, nbytes),
+            }
+            if retransmits:
+                attrs["retransmits"] = retransmits
+            if delay_s > 0:
+                attrs["delay_s"] = delay_s
+            trace.record(
+                f"msg r{self.rank}->r{dest} t{tag}",
+                f"net.r{self.rank}",
+                "net",
+                first_start,
+                self.engine.now,
+                nbytes=nbytes,
+                attrs=attrs,
+            )
+            metrics = trace.metrics
+            labels = dict(
+                src=f"r{self.rank}", dst=f"r{dest}", tag=describe_tag(tag),
+                link=link,
+            )
+            metrics.counter(obs.COMM_MESSAGES).inc(1, **labels)
+            metrics.counter(obs.COMM_BYTES).inc(nbytes, **labels)
+            if not same_node:
+                # Slow-delivery narration: observed delivery at or beyond
+                # 2x the analytic α/β wire time — the same 2.0 factor the
+                # link-over-utilization alert rule uses, so an alert's
+                # flight dump carries the per-message WARNs that explain
+                # it.
+                pred_s = attrs["pred_s"]
+                actual_s = self.engine.now - first_start
+                if pred_s > 0 and actual_s >= 2.0 * pred_s:
+                    trace.log.warning(
+                        "comm",
+                        f"slow delivery r{self.rank}->r{dest} t{tag}: "
+                        f"{actual_s:.3g}s vs predicted {pred_s:.3g}s",
+                        t=self.engine.now,
+                        rank=trace.rank_of(f"net.r{self.rank}"),
+                        msg_id=msg_id,
+                        nbytes=nbytes,
+                        ratio=round(actual_s / pred_s, 3),
+                    )
             world.messages_sent += 1
             world.bytes_sent += nbytes
             world._mailbox(dest, self.rank, tag).put(
@@ -496,11 +487,8 @@ class RankComm:
                     payload=payload,
                     msg_id=msg_id,
                     src=self.rank,
-                    dest=dest,
-                    tag=tag,
                     nbytes=nbytes,
                     sent_at=first_start,
-                    visible_at=self.engine.now,
                     retransmits=retransmits,
                     delay_s=delay_s,
                 )
@@ -561,33 +549,33 @@ class RankComm:
                 return self._finish_recv(get_evt.value, tag, entered)
             box.cancel(get_evt)
             if timer is not None and races[index] is timer:
-                if world.trace is not None:
-                    world.trace.metrics.counter(obs.COMM_TIMEOUTS).inc(
-                        1, rank=f"r{self.rank}"
-                    )
-                    world.trace.record_recv(
-                        f"recv r{source}->r{self.rank} t{tag} timeout",
-                        f"net.r{self.rank}",
-                        entered,
-                        self.engine.now,
-                        attrs={
-                            "src": source,
-                            "dst": self.rank,
-                            "tag": tag,
-                            "tagc": describe_tag(tag),
-                            "timeout": True,
-                            "wait_s": self.engine.now - entered,
-                        },
-                    )
-                    world.trace.log.warning(
-                        "comm",
-                        f"recv r{source}->r{self.rank} t{tag} timed out "
-                        f"after {wait_limit:.3g}s",
-                        t=self.engine.now,
-                        rank=world.trace.rank_of(f"net.r{self.rank}"),
-                        src=source,
-                        tag=describe_tag(tag),
-                    )
+                trace = world.trace
+                trace.metrics.counter(obs.COMM_TIMEOUTS).inc(
+                    1, rank=f"r{self.rank}"
+                )
+                trace.record_recv(
+                    f"recv r{source}->r{self.rank} t{tag} timeout",
+                    f"net.r{self.rank}",
+                    entered,
+                    self.engine.now,
+                    attrs={
+                        "src": source,
+                        "dst": self.rank,
+                        "tag": tag,
+                        "tagc": describe_tag(tag),
+                        "timeout": True,
+                        "wait_s": self.engine.now - entered,
+                    },
+                )
+                trace.log.warning(
+                    "comm",
+                    f"recv r{source}->r{self.rank} t{tag} timed out "
+                    f"after {wait_limit:.3g}s",
+                    t=self.engine.now,
+                    rank=trace.rank_of(f"net.r{self.rank}"),
+                    src=source,
+                    tag=describe_tag(tag),
+                )
                 raise CommTimeout(self.rank, source, tag, wait_limit)
             raise EpochAborted(abort.value if abort is not None else None)
         finally:
@@ -597,7 +585,7 @@ class RankComm:
             else:
                 world._blocked.pop(key, None)
 
-    def _finish_recv(self, raw: Any, tag: int, entered: float) -> Any:
+    def _finish_recv(self, raw: _Envelope, tag: int, entered: float) -> Any:
         """Unwrap a mailbox item, recording the paired ``recv`` span.
 
         The span covers the receiver's actual wait (call entry to message
@@ -606,40 +594,37 @@ class RankComm:
         tracer-level, never a :class:`~repro.simulate.trace.TaskRecord` —
         so busy-time counters, utilization, and schedules are untouched.
         """
-        if not isinstance(raw, _Envelope):
-            return raw
         world = self.world
         trace = world.trace
-        if trace is not None:
-            prof = trace.selfprof
-            prof.begin("comm:recv")
-            try:
-                now = self.engine.now
-                attrs: dict[str, Any] = {
-                    "msg_id": raw.msg_id,
-                    "src": raw.src,
-                    "dst": self.rank,
-                    "src_node": world.node_of(raw.src),
-                    "dst_node": world.node_of(self.rank),
-                    "tag": tag,
-                    "tagc": describe_tag(tag),
-                    "nbytes": raw.nbytes,
-                    "sent_at": raw.sent_at,
-                    "wait_s": now - entered,
-                }
-                if raw.retransmits:
-                    attrs["retransmits"] = raw.retransmits
-                if raw.delay_s > 0:
-                    attrs["delay_s"] = raw.delay_s
-                trace.record_recv(
-                    f"recv r{raw.src}->r{self.rank} t{tag}",
-                    f"net.r{self.rank}",
-                    entered,
-                    now,
-                    attrs=attrs,
-                )
-            finally:
-                prof.end()
+        prof = trace.selfprof
+        prof.begin("comm:recv")
+        try:
+            now = self.engine.now
+            attrs: dict[str, Any] = {
+                "msg_id": raw.msg_id,
+                "src": raw.src,
+                "dst": self.rank,
+                "src_node": world.node_of(raw.src),
+                "dst_node": world.node_of(self.rank),
+                "tag": tag,
+                "tagc": describe_tag(tag),
+                "nbytes": raw.nbytes,
+                "sent_at": raw.sent_at,
+                "wait_s": now - entered,
+            }
+            if raw.retransmits:
+                attrs["retransmits"] = raw.retransmits
+            if raw.delay_s > 0:
+                attrs["delay_s"] = raw.delay_s
+            trace.record_recv(
+                f"recv r{raw.src}->r{self.rank} t{tag}",
+                f"net.r{self.rank}",
+                entered,
+                now,
+                attrs=attrs,
+            )
+        finally:
+            prof.end()
         return raw.payload
 
     # ------------------------------------------------------------------
@@ -769,6 +754,7 @@ def heartbeat_sender(
     interrupted (the owning worker kills it in its cleanup path)."""
     from repro.simulate.engine import Interrupt
 
+    trace = comm.world.trace
     try:
         while True:
             yield comm.engine.timeout(interval)
@@ -776,20 +762,17 @@ def heartbeat_sender(
                 yield from comm.send(
                     ("hb", comm.rank), dest, HEARTBEAT_TAG
                 )
-                if comm.world.trace is not None:
-                    comm.world.trace.metrics.counter(obs.COMM_HEARTBEATS).inc(
-                        1, src=f"r{comm.rank}"
+                trace.metrics.counter(obs.COMM_HEARTBEATS).inc(
+                    1, src=f"r{comm.rank}"
+                )
+                log = trace.log
+                if log.wants_debug:
+                    log.debug(
+                        "comm",
+                        f"heartbeat r{comm.rank}->r{dest}",
+                        t=comm.engine.now,
+                        rank=trace.rank_of(f"net.r{comm.rank}"),
                     )
-                    log = comm.world.trace.log
-                    if log.wants_debug:
-                        log.debug(
-                            "comm",
-                            f"heartbeat r{comm.rank}->r{dest}",
-                            t=comm.engine.now,
-                            rank=comm.world.trace.rank_of(
-                                f"net.r{comm.rank}"
-                            ),
-                        )
     except Interrupt:
         return
 
@@ -799,13 +782,13 @@ def heartbeat_monitor(
     source: int,
     timeout: float,
     abort_event: Event,
-    missed_windows: int = 1,
+    missed_windows: int,
 ) -> Generator[Event, Any, None]:
     """Consume heartbeats from *source*; after *missed_windows*
     consecutive missed windows (each *timeout* long), fire the epoch's
     global abort event (once) and exit.  Any beat received resets the
     miss counter (``FaultPolicy.heartbeat_missed_windows`` threads the
-    knob through; the historic behaviour is ``missed_windows=1``)."""
+    knob through)."""
     from repro.simulate.engine import Interrupt
 
     misses = 0
@@ -818,16 +801,16 @@ def heartbeat_monitor(
                 misses += 1
                 if misses < missed_windows:
                     continue
-                if comm.world.trace is not None:
-                    comm.world.trace.log.error(
-                        "comm",
-                        f"rank r{source} silent for {misses} heartbeat "
-                        f"window(s); declaring dead",
-                        t=comm.engine.now,
-                        rank=comm.world.trace.rank_of(f"net.r{comm.rank}"),
-                        peer=source,
-                        window_s=timeout,
-                    )
+                trace = comm.world.trace
+                trace.log.error(
+                    "comm",
+                    f"rank r{source} silent for {misses} heartbeat "
+                    f"window(s); declaring dead",
+                    t=comm.engine.now,
+                    rank=trace.rank_of(f"net.r{comm.rank}"),
+                    peer=source,
+                    window_s=timeout,
+                )
                 if not abort_event.triggered:
                     abort_event.succeed(("rank-silent", source))
                 return
@@ -865,50 +848,16 @@ def spawn_heartbeats(
     hb_procs: list[tuple[int, Any]] = []
     for rank in range(world.size):
         comm = world.comm(rank)
-        if rank == 0:
-            peers = list(range(1, world.size))
-            hb_procs.append(
-                (
-                    node_of_rank[0],
-                    engine.process(
-                        heartbeat_sender(comm, peers, interval),
-                        name="hb-send.r0",
-                    ),
-                )
-            )
-            for src in peers:
-                hb_procs.append(
-                    (
-                        node_of_rank[0],
-                        engine.process(
-                            heartbeat_monitor(
-                                comm, src, hb_timeout, abort_event, windows
-                            ),
-                            name=f"hb-mon.r0.{src}",
-                        ),
-                    )
-                )
-        else:
-            hb_procs.append(
-                (
-                    node_of_rank[rank],
-                    engine.process(
-                        heartbeat_sender(comm, [0], interval),
-                        name=f"hb-send.r{rank}",
-                    ),
-                )
-            )
-            hb_procs.append(
-                (
-                    node_of_rank[rank],
-                    engine.process(
-                        heartbeat_monitor(
-                            comm, 0, hb_timeout, abort_event, windows
-                        ),
-                        name=f"hb-mon.r{rank}.0",
-                    ),
-                )
-            )
+        node = node_of_rank[rank]
+        peers = list(range(1, world.size)) if rank == 0 else [0]
+        hb_procs.append((node, engine.process(
+            heartbeat_sender(comm, peers, interval), name=f"hb-send.r{rank}"
+        )))
+        for peer in peers:
+            hb_procs.append((node, engine.process(
+                heartbeat_monitor(comm, peer, hb_timeout, abort_event, windows),
+                name=f"hb-mon.r{rank}.{peer}",
+            )))
     return hb_procs
 
 

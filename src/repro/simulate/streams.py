@@ -94,39 +94,37 @@ class GpuStreamEngine:
         )
 
     def run_block(
-        self, block: StreamBlock, trace: Trace | None = None, label: str = "blk"
+        self, block: StreamBlock, trace: Trace, label: str
     ) -> Generator[Event, Any, None]:
-        """Process fragment: h2d copy -> kernel -> d2h copy for one block."""
+        """Process fragment: h2d copy -> kernel -> d2h copy for one block,
+        each stage recorded into *trace* under *label*."""
         yield from self.inflight.acquire()
         try:
             if block.in_bytes > 0:
                 t0 = self.engine.now
                 yield from self.h2d.transfer(block.in_bytes)
-                if trace is not None:
-                    trace.record(
-                        label, self.name, "h2d", t0, self.engine.now,
-                        nbytes=block.in_bytes,
-                    )
+                trace.record(
+                    label, self.name, "h2d", t0, self.engine.now,
+                    nbytes=block.in_bytes,
+                )
             duration = kernel_time(self.gpu, block)
             yield from self.compute.acquire()
             try:
                 t0 = self.engine.now
                 yield self.engine.timeout(duration)
-                if trace is not None:
-                    trace.record(
-                        label, self.name, "compute", t0, self.engine.now,
-                        flops=block.flops, nbytes=block.in_bytes,
-                    )
+                trace.record(
+                    label, self.name, "compute", t0, self.engine.now,
+                    flops=block.flops, nbytes=block.in_bytes,
+                )
             finally:
                 self.compute.release()
             if block.out_bytes > 0:
                 t0 = self.engine.now
                 yield from self.d2h.transfer(block.out_bytes)
-                if trace is not None:
-                    trace.record(
-                        label, self.name, "d2h", t0, self.engine.now,
-                        nbytes=block.out_bytes,
-                    )
+                trace.record(
+                    label, self.name, "d2h", t0, self.engine.now,
+                    nbytes=block.out_bytes,
+                )
         finally:
             self.inflight.release()
 
@@ -142,10 +140,13 @@ def simulate_stream_batch(
 
     ``n_streams=1`` forces fully serialized transfer+compute (the no-stream
     baseline); ``None`` uses the device's natural window
-    (``work_queues + 1``).
+    (``work_queues + 1``).  Each stage is recorded into *trace*, a fresh
+    one when none is given.
     """
     if not blocks:
         return 0.0
+    if trace is None:
+        trace = Trace()
     engine = Engine()
     streams = GpuStreamEngine(engine, gpu)
     if n_streams is not None:

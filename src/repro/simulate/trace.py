@@ -108,17 +108,13 @@ def _record_of(span: Span) -> TaskRecord:
 class Trace:
     """An append-only log of task records with summary queries."""
 
-    def __init__(
-        self,
-        metrics: MetricsRegistry | None = None,
-        tracer: SpanTracer | None = None,
-    ) -> None:
+    def __init__(self) -> None:
         #: the record spans, in insertion order (each record's only store)
         self._record_spans: list[Span] = []
         #: the run's metrics registry (shared with policies and the CLI)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         #: the run's hierarchical span store
-        self.tracer = tracer if tracer is not None else SpanTracer()
+        self.tracer = SpanTracer()
         #: the run's scheduler-decision audit log (pure bookkeeping:
         #: appending records never perturbs the simulated schedule)
         self.audit = DecisionLog()
@@ -143,7 +139,8 @@ class Trace:
         #: (device, kind) -> bound per-record counters (_device_counters)
         self._counter_children: dict[tuple[str, str], tuple[CounterChild, ...]] = {}
         #: next message id handed to the communicator(s); trace-owned so
-        #: ids stay unique across the worlds of rank-restart epochs
+        #: ids stay unique across the worlds of rank-restart epochs and
+        #: pair each message's send and recv spans
         self._next_msg_id = 1
         self._device_rank: dict[str, int] = {}
         self._open_phase: dict[int, Span] = {}

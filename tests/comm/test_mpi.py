@@ -6,16 +6,28 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.comm.mpi import World, payload_nbytes, run_spmd
+from repro.comm.mpi import (
+    HEARTBEAT_TAG,
+    CommTimeout,
+    EpochAborted,
+    World,
+    heartbeat_monitor,
+    payload_nbytes,
+    run_spmd,
+)
 from repro.hardware.cluster import NetworkSpec
+from repro.obs import COMM_RETRANSMITS, COMM_TIMEOUTS
+from repro.runtime.recovery import FaultPolicy
 from repro.simulate.engine import Engine, SimulationError
+from repro.simulate.faults import FaultPlan, FaultState
+from repro.simulate.trace import Trace
 from tests.comm.network_model import NetworkModel
 
 
 def make_world(size, latency=0.0, bandwidth=1.0, same_node=False):
     net = NetworkSpec(latency=latency, bandwidth=bandwidth)
     node_of = (lambda r: 0) if same_node else (lambda r: r)
-    return World(Engine(), size, network=net, node_of=node_of)
+    return World(Engine(), size, network=net, node_of=node_of, trace=Trace())
 
 
 _ORACLE_WORDS = frozenset(
@@ -296,7 +308,9 @@ class TestPointToPoint:
         """A co-located sender's message lands at once even while a
         1 GB cross-node message into the same rank is on the wire."""
         net = NetworkSpec(latency=0.0, bandwidth=1.0)
-        world = World(Engine(), 3, network=net, node_of=lambda r: r // 2)
+        world = World(
+            Engine(), 3, network=net, node_of=lambda r: r // 2, trace=Trace()
+        )
 
         def main(comm):
             if comm.rank == 0:
@@ -550,9 +564,113 @@ class TestWorldAccounting:
 
     def test_world_size_validation(self):
         with pytest.raises(ValueError):
-            World(Engine(), 0)
+            World(Engine(), 0, trace=Trace())
 
     def test_comm_rank_validation(self):
         world = make_world(2)
         with pytest.raises(ValueError):
             world.comm(5)
+
+
+class TestFaultPaths:
+    """Timeouts, aborts, drops and silent peers, checked on the trace
+    each of them leaves behind."""
+
+    def test_recv_timeout_raises_and_leaves_a_timeout_span(self):
+        world = make_world(2)
+
+        def main(comm):
+            if comm.rank == 0:
+                return None
+            with pytest.raises(CommTimeout) as excinfo:
+                yield from comm.recv(source=0, tag=7, timeout=0.5)
+            return comm.engine.now, excinfo.value
+
+        now, err = run_spmd(world, main)[1]
+        assert now == 0.5
+        assert (err.rank, err.source, err.tag, err.timeout) == (1, 0, 7, 0.5)
+        (span,) = world.trace.tracer.find(category="recv")
+        assert span.attrs["timeout"] is True
+        assert (span.start, span.end) == (0.0, 0.5)
+        assert "msg_id" not in span.attrs
+        timeouts = world.trace.metrics.get(COMM_TIMEOUTS)
+        assert timeouts.total() == 1.0 and timeouts.value(rank="r1") == 1.0
+
+    def test_abort_event_unwinds_a_blocked_recv(self):
+        world = make_world(2)
+        abort = world.engine.event()
+        world.attach_faults(None, abort_event=abort)
+
+        def main(comm):
+            if comm.rank == 0:
+                yield comm.engine.timeout(0.25)
+                abort.succeed(("rank-silent", 0))
+                return None
+            with pytest.raises(EpochAborted) as excinfo:
+                yield from comm.recv(source=0, tag=3)
+            return comm.engine.now, excinfo.value.cause
+
+        assert run_spmd(world, main)[1] == (0.25, ("rank-silent", 0))
+        assert world.trace.tracer.find(category="recv") == []
+
+    def test_dropped_message_is_retransmitted(self):
+        world = make_world(2, latency=0.25, bandwidth=1.0)
+        plan = FaultPlan.from_specs(["msg_drop@0-1:count=1,t0=0"])
+        world.attach_faults(FaultState(
+            world.engine, plan, world.trace,
+            FaultPolicy(retransmit_timeout_s=0.5),
+        ))
+
+        def main(comm):
+            if comm.rank == 0:
+                yield from comm.send(Sized(0), dest=1, tag=2)
+                return None
+            payload = yield from comm.recv(source=0, tag=2)
+            return comm.engine.now, payload.nbytes
+
+        # wire 0.25 s, dropped; retransmit timer 0.5 s; wire again
+        assert run_spmd(world, main)[1] == (1.0, 0)
+        (send,) = world.trace.tracer.find(category="net")
+        (recv,) = world.trace.tracer.find(category="recv")
+        assert (send.start, send.end) == (0.0, 1.0)
+        assert send.attrs["retransmits"] == 1
+        assert recv.attrs["msg_id"] == send.attrs["msg_id"]
+        assert recv.attrs["retransmits"] == 1
+        retransmits = world.trace.metrics.get(COMM_RETRANSMITS)
+        assert retransmits.value(src="r0") == 1.0
+
+    @pytest.mark.parametrize(
+        "windows, beats, fired_at, misses",
+        [
+            (1, (), 1.0, 1),
+            (2, (), 2.0, 2),
+            # a beat inside the second window resets the miss count
+            (2, (1.5,), 3.5, 3),
+        ],
+    )
+    def test_monitor_waits_for_missed_windows(
+        self, windows, beats, fired_at, misses
+    ):
+        world = make_world(2, same_node=True)
+        engine = world.engine
+        abort = engine.event()
+
+        def beater(comm):
+            for t in beats:
+                yield engine.timeout(t - engine.now)
+                yield from comm.send(("hb", 1), 0, HEARTBEAT_TAG)
+
+        monitor = engine.process(heartbeat_monitor(
+            world.comm(0), 1, 1.0, abort, missed_windows=windows
+        ))
+        engine.process(beater(world.comm(1)))
+        engine.run(monitor)
+        assert engine.now == fired_at
+        assert abort.triggered and abort.value == ("rank-silent", 1)
+        timed_out = [
+            s for s in world.trace.tracer.find(category="recv")
+            if s.attrs.get("timeout")
+        ]
+        assert len(timed_out) == misses
+        assert timed_out[-1].end == fired_at
+        assert world.trace.metrics.get(COMM_TIMEOUTS).total() == misses
