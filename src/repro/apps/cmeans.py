@@ -27,6 +27,8 @@ memo.  The per-block sums of Equation (14) are still taken per block.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Any
 
 import numpy as np
@@ -192,10 +194,12 @@ class CMeansApp(IterativeMapReduceApp):
         return pairs
 
     def cpu_reduce(self, key: Any, values: list[Any]) -> Any:
+        # Folded in order, as Python <= 3.11's sum() adds (3.12's sum()
+        # compensates, so its last bits differ).
         if key == _OBJECTIVE_KEY:
-            return float(sum(values))
+            return float(reduce(add, values, 0))
         numerator = np.sum([v[0] for v in values], axis=0)
-        denominator = float(sum(v[1] for v in values))
+        denominator = float(reduce(add, [v[1] for v in values], 0))
         return (numerator, denominator)
 
     def combiner(self, key: Any, values: list[Any]) -> Any:

@@ -31,6 +31,7 @@ The paper pins the arithmetic intensity at ``11 * M * D`` flops/byte
 from __future__ import annotations
 
 import functools
+from operator import add
 from typing import Any
 
 import numpy as np
@@ -219,9 +220,11 @@ class GMMApp(IterativeMapReduceApp):
         return pairs
 
     def cpu_reduce(self, key: Any, values: list[Any]) -> Any:
+        # Folded in order, as Python <= 3.11's sum() adds (3.12's sum()
+        # compensates, so its last bits differ).
         if key == _LL_KEY:
-            return float(sum(values))
-        n_m = float(sum(v[0] for v in values))
+            return float(functools.reduce(add, values, 0))
+        n_m = float(functools.reduce(add, [v[0] for v in values], 0))
         f_m = np.sum([v[1] for v in values], axis=0)
         s_m = np.sum([v[2] for v in values], axis=0)
         return (n_m, f_m, s_m)

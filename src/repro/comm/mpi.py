@@ -274,6 +274,10 @@ class World:
                 bytes_per_s=self.network.bandwidth * 1e9,
             )
         self._mailboxes: dict[tuple[int, int, int], Store] = {}
+        #: (src, dst, tag class, link) -> bound message and byte counters
+        self._message_counters: dict[
+            tuple[int, int, str, str], tuple[obs.CounterChild, obs.CounterChild]
+        ] = {}
         #: aggregate message accounting for reports
         self.messages_sent = 0
         self.bytes_sent = 0.0
@@ -298,6 +302,19 @@ class World:
         self.faults = faults
         self.abort_event = abort_event
         self.comm_timeout = comm_timeout
+
+    def _bind_message_counters(
+        self, src: int, dest: int, tagc: str, link: str
+    ) -> tuple[obs.CounterChild, obs.CounterChild]:
+        """The ``{src, dst, tag, link}`` message and byte counters of one
+        rank pair and tag class, bound once per world."""
+        metrics = self.trace.metrics
+        labels = dict(src=f"r{src}", dst=f"r{dest}", tag=tagc, link=link)
+        counters = self._message_counters[src, dest, tagc, link] = (
+            metrics.counter_child(obs.COMM_MESSAGES, **labels),
+            metrics.counter_child(obs.COMM_BYTES, **labels),
+        )
+        return counters
 
     def _blocked_report(self) -> str | None:
         pairs = sorted(key for key, n in self._blocked.items() if n > 0)
@@ -422,6 +439,7 @@ class RankComm:
         try:
             msg_id = trace.next_msg_id()
             link = "local" if same_node else "remote"
+            tagc = describe_tag(tag)
             # One send span per *delivered* message, covering the whole
             # delivery effort (retransmit timers and fault delays
             # included), so its end is the instant the payload becomes
@@ -434,7 +452,7 @@ class RankComm:
                 "src_node": src_node,
                 "dst_node": dest_node,
                 "tag": tag,
-                "tagc": describe_tag(tag),
+                "tagc": tagc,
                 "link": link,
                 # Fault-free analytic wire time (alpha + n * beta): the
                 # observed-vs-predicted ratio exposes contention,
@@ -454,13 +472,11 @@ class RankComm:
                 nbytes=nbytes,
                 attrs=attrs,
             )
-            metrics = trace.metrics
-            labels = dict(
-                src=f"r{self.rank}", dst=f"r{dest}", tag=describe_tag(tag),
-                link=link,
-            )
-            metrics.counter(obs.COMM_MESSAGES).inc(1, **labels)
-            metrics.counter(obs.COMM_BYTES).inc(nbytes, **labels)
+            counters = world._message_counters.get((self.rank, dest, tagc, link))
+            if counters is None:
+                counters = world._bind_message_counters(self.rank, dest, tagc, link)
+            counters[0].inc(1)
+            counters[1].inc(nbytes)
             if not same_node:
                 # Slow-delivery narration: observed delivery at or beyond
                 # 2x the analytic α/β wire time — the same 2.0 factor the
@@ -755,6 +771,7 @@ def heartbeat_sender(
     from repro.simulate.engine import Interrupt
 
     trace = comm.world.trace
+    beats = trace.metrics.counter_child(obs.COMM_HEARTBEATS, src=f"r{comm.rank}")
     try:
         while True:
             yield comm.engine.timeout(interval)
@@ -762,9 +779,7 @@ def heartbeat_sender(
                 yield from comm.send(
                     ("hb", comm.rank), dest, HEARTBEAT_TAG
                 )
-                trace.metrics.counter(obs.COMM_HEARTBEATS).inc(
-                    1, src=f"r{comm.rank}"
-                )
+                beats.inc(1)
                 log = trace.log
                 if log.wants_debug:
                     log.debug(

@@ -44,6 +44,8 @@ Chrome trace JSON), so ``repro analyze`` can post-process saved
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.spans import Span, SpanTracer
@@ -111,15 +113,19 @@ class CriticalPath:
     segments: tuple[PathSegment, ...]
     makespan: float
 
+    # The sums below fold in path order, as Python <= 3.11's sum() adds
+    # (3.12's sum() compensates, so its last bits differ).
     @property
     def work(self) -> float:
         """Seconds of the path spent in childless (leaf) activities."""
-        return sum(s.duration for s in self.segments if s.is_work)
+        return reduce(add, [s.duration for s in self.segments if s.is_work], 0)
 
     @property
     def slack(self) -> float:
         """Seconds of the path inside envelopes with no active child."""
-        return sum(s.duration for s in self.segments if not s.is_work)
+        return reduce(
+            add, [s.duration for s in self.segments if not s.is_work], 0
+        )
 
     @property
     def length(self) -> float:

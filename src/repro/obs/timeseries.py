@@ -49,8 +49,10 @@ instant, the signals the rule engine (:mod:`repro.obs.rules`) watches:
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
+from functools import reduce
 from math import copysign, isfinite
+from operator import add
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro._validation import require_nonnegative, require_positive
@@ -129,7 +131,7 @@ class Series:
     all aggregators operate on what remains.
     """
 
-    __slots__ = ("name", "labels", "interval", "capacity", "dropped",
+    __slots__ = ("name", "key", "interval", "capacity", "dropped",
                  "_k", "_v", "_end", "_tail", "_last")
 
     def __init__(
@@ -138,11 +140,14 @@ class Series:
         labels: dict[str, str] | None = None,
         capacity: int = DEFAULT_SERIES_CAPACITY,
         interval: float | None = None,
+        *,
+        key: LabelKey | None = None,
     ) -> None:
         if capacity < 2:
             raise ValueError(f"series capacity must be >= 2, got {capacity}")
         self.name = name
-        self.labels = dict(labels) if labels else {}
+        #: the sorted label key (a bank passes the registry's own key)
+        self.key = key if key is not None else _label_key(labels or {})
         #: sampling grid pitch (None: the series holds off-grid points only)
         self.interval = interval
         self.capacity = capacity
@@ -155,41 +160,46 @@ class Series:
         #: off-grid point follows the grid (no run to extend)
         self._last: float | None = None
 
+    @property
+    def labels(self) -> dict[str, str]:
+        """The label set, as a fresh dict in sorted label order."""
+        return dict(self.key)
+
     # ------------------------------------------------------------------
     def sample(self, k: int, value: float) -> None:
-        """Record the grid sample at ``k * interval``.  A value bitwise
-        equal to the previous one (``0.0`` and ``-0.0`` differ) extends
-        its run; anything else starts a new one."""
-        last = self._last
-        if (
-            k == self._end
-            and value == last
-            and (value or copysign(1.0, value) == copysign(1.0, last))
-        ):
-            self._end = k + 1
-            if k - self._k[0] >= self.capacity:
-                self._drop_oldest()
-            return
-        if value != value:
-            raise ValueError(f"series {self.name!r}: NaN sample at grid index {k}")
-        if self._tail:
-            raise ValueError(
-                f"series {self.name!r}: grid sample {k} after an off-grid point"
-            )
-        if self.interval is None:
-            raise ValueError(f"series {self.name!r}: no sampling grid")
-        if self._k and k != self._end:
+        """Record the grid sample at ``k * interval``, *k* at or past
+        the grid end; the open run's value repeats at every index in
+        between (the store, ring trim included, of one sample per
+        index).  A value bitwise equal to the open run's (``0.0`` and
+        ``-0.0`` differ) extends it; anything else starts a new run."""
+        if k < self._end:
             raise ValueError(
                 f"series {self.name!r}: grid sample {k} does not follow "
                 f"{self._end - 1}"
             )
-        value = float(value)
-        self._k.append(k)
-        self._v.append(value)
-        self._end = k + 1
-        self._last = value
-        if k - self._k[0] >= self.capacity:
-            self._drop_oldest()
+        last = self._last
+        if value == last and (value or copysign(1.0, value) == copysign(1.0, last)):
+            self._end = k + 1  # the open run reaches k
+        else:
+            if value != value:
+                raise ValueError(
+                    f"series {self.name!r}: NaN sample at grid index {k}"
+                )
+            if self._tail:
+                raise ValueError(
+                    f"series {self.name!r}: grid sample {k} after an "
+                    f"off-grid point"
+                )
+            if self.interval is None:
+                raise ValueError(f"series {self.name!r}: no sampling grid")
+            value = float(value)
+            self._k.append(k)
+            self._v.append(value)
+            self._end = k + 1
+            self._last = value
+        over = k + 1 - self._k[0] - self.capacity
+        if over > 0:
+            self._trim(over)
 
     def extend(self, stop: int) -> None:
         """Repeat the open run's value at every grid index below *stop*:
@@ -198,14 +208,19 @@ class Series:
         if self._last is None or not self._k or stop <= self._end:
             return
         self._end = stop
-        excess = stop - self._k[0] - self.capacity
-        if excess > 0:  # trim the oldest run heads in one step
-            self.dropped += excess
-            ks, head = self._k, self._k[0] + excess
-            first = bisect_right(ks, head) - 1
-            del ks[:first]
-            del self._v[:first]
-            ks[0] = head
+        over = stop - self._k[0] - self.capacity
+        if over > 0:
+            self._trim(over)
+
+    def _trim(self, over: int) -> None:
+        """Drop the *over* oldest grid samples, whole run heads at once;
+        the newest run keeps at least one."""
+        self.dropped += over
+        ks, head = self._k, self._k[0] + over
+        first = bisect_right(ks, head) - 1
+        del ks[:first]
+        del self._v[:first]
+        ks[0] = head
 
     def append(self, t: float, value: float) -> None:
         """Add one off-grid point (its own run) after every sample."""
@@ -219,9 +234,11 @@ class Series:
                 f"series {self.name!r}: sample time {t} precedes previous "
                 f"sample {last}"
             )
-        self._tail.append((t, float(value)))
+        tail = self._tail
+        tail.append((t, float(value)))
         self._last = None
-        if len(self) > self.capacity:
+        ks = self._k
+        if (self._end - ks[0] if ks else 0) + len(tail) > self.capacity:
             self._drop_oldest()
 
     def _drop_oldest(self) -> None:
@@ -308,7 +325,7 @@ class Series:
         pts = self.window(t0, t1)
         if not pts:
             return None
-        return sum(v for _, v in pts) / len(pts)
+        return reduce(add, [v for _, v in pts], 0) / len(pts)
 
     def vmax(self, t0: float, t1: float) -> float | None:
         pts = self.window(t0, t1)
@@ -323,7 +340,7 @@ class Series:
             grid = {"interval": self.interval, "end": self._end}
         return {
             "series": self.name,
-            "labels": dict(self.labels),
+            "labels": self.labels,
             "grid": grid,
             "k": list(self._k),
             "v": list(self._v),
@@ -400,15 +417,19 @@ class SeriesBank:
         self._order: list[tuple[str, LabelKey]] | None = None
 
     # ------------------------------------------------------------------
+    def _add(self, name: str, key: LabelKey) -> Series:
+        """A series the bank does not hold yet."""
+        series = self._series[name, key] = Series(
+            name, None, self.capacity, self.interval, key=key
+        )
+        self._order = None
+        return series
+
     def get_or_create(self, name: str, key: LabelKey) -> Series:
         series = self._series.get((name, key))
         if series is None:
-            series = Series(name, dict(key), capacity=self.capacity,
-                            interval=self.interval)
-            self._series[(name, key)] = series
-            self._order = None
-        else:
-            series.extend(self.grid_end)
+            return self._add(name, key)
+        series.extend(self.grid_end)
         return series
 
     def _sorted_keys(self) -> list[tuple[str, LabelKey]]:
@@ -423,9 +444,11 @@ class SeriesBank:
         subset, in sorted label order (deterministic)."""
         want = {k: str(v) for k, v in (labels or {}).items()}
         out = []
-        for sname, key in self._sorted_keys():
+        order = self._sorted_keys()
+        for at in range(bisect_left(order, (name,)), len(order)):
+            sname, key = order[at]
             if sname != name:
-                continue
+                break
             have = dict(key)
             if all(have.get(k) == v for k, v in want.items()):
                 series = self._series[(sname, key)]
@@ -475,22 +498,80 @@ class SeriesBank:
         return bank
 
 
+class _Device:
+    """The busy-fraction state of one busy-union device."""
+
+    __slots__ = ("key", "series", "counts", "value", "prev", "fraction")
+
+    def __init__(self, key: LabelKey, series: Series, counts: bool) -> None:
+        self.key = key
+        self.series = series  # its prs_device_busy_fraction series
+        self.counts = counts  # toward the imbalance (NICs do not)
+        self.value = 0.0  # busy-union seconds, as last sampled
+        self.prev = 0.0  # ... and at the last derivation
+        self.fraction = 0.0
+
+
+class _Term:
+    """One registry series summed into a probe input: its sum's name
+    (a link, or "" for the NIC busy seconds) and its value as last
+    sampled."""
+
+    __slots__ = ("key", "name", "value")
+
+    def __init__(self, key: LabelKey, name: str) -> None:
+        self.key = key
+        self.name = name
+        self.value = 0.0
+
+
+class _Link:
+    """The α/β model and last summed totals of one link class."""
+
+    __slots__ = ("name", "alpha", "bytes_per_s", "util", "ratio",
+                 "msgs", "nbytes")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.alpha = 0.0
+        self.bytes_per_s = 1.0
+        self.util: Series | None = None
+        self.ratio: Series | None = None
+        self.msgs = 0.0  # message and byte totals at the last derivation
+        self.nbytes = 0.0
+
+
+#: a sum kept by deltas equals the sorted re-sum while every term is a
+#: whole number and the total is below this: every partial sum, in any
+#: order, is then exact
+_EXACT_LIMIT = 2.0**53
+
+#: a snapshot-plan row: the series, the registry samples dict and key
+#: it reads, the probe role it feeds and that role's state (a busy-union
+#: series' ``_Device``, a summed series' ``_Term``)
+_Row = tuple[Series, dict, LabelKey, "int | None", Any]
+
+
 class MetricSampler:
     """Tick-driven grid sampler over a trace's metrics registry.
 
     Attach with :meth:`Trace.attach_sampler`; the trace then calls
-    :meth:`advance` at the top of every mutation, and the sampler emits
-    one snapshot per elapsed grid instant ``k * interval``.  A snapshot
-    at grid time *g* therefore reflects every update applied strictly
-    before the first mutation at simulated time ``>= g`` — a
-    deterministic function of the (deterministic) event stream.
+    :meth:`advance` whenever a mutation reaches :attr:`next_t`, and the
+    sampler emits one snapshot per elapsed grid instant ``k *
+    interval``.  A snapshot at grid time *g* therefore reflects every
+    update applied strictly before the first mutation at simulated
+    time ``>= g`` — a deterministic function of the (deterministic)
+    event stream.
 
-    A snapshot writes only what may have changed since the previous
-    one: the series the registry reports written
-    (:meth:`MetricsRegistry.track_writes`), and the derived probes whose
-    inputs were written or whose last value was not ``0.0``.  Every
-    other series repeats its value, which its open run already says
-    (:class:`SeriesBank` extends open runs before any read).
+    A snapshot visits only what may have changed since the previous
+    one.  Each series is planned once, the first time the registry's
+    write set (:meth:`MetricsRegistry.track_writes`) names it, into a
+    row that every later write goes through.  The derived probes are
+    re-derived only when their inputs were written or their last value
+    was not ``0.0``, and the link sums move by the written terms'
+    deltas.  Every other series repeats its value, which its open run
+    already says (:class:`SeriesBank` extends open runs before any
+    read).
     """
 
     def __init__(
@@ -502,29 +583,36 @@ class MetricSampler:
         self.bank = SeriesBank(capacity=capacity, interval=self.interval)
         self._trace: "Trace | None" = None
         self._k = 0  # next grid index to sample (t_k = k * interval)
+        #: time of the next grid instant, ``_k * interval`` (inf once
+        #: finalized): a tick before it has nothing to sample
+        self.next_t = 0.0
         self._last_t: float | None = None  # time of the latest snapshot
         #: α/β wire models per link class: link -> (alpha_s, bytes_per_s)
         self._link_models: dict[str, tuple[float, float]] = {}
         #: the registry's write set while bound (see
         #: :meth:`MetricsRegistry.track_writes`)
         self._dirty: set[Any] | None = None
-        #: snapshot plan: the bank series of every write-set entry seen,
-        #: planned the first time it is written
-        self._plan: dict[Any, Series] = {}
-        #: busy-union devices: key -> [samples, prev key, fraction
-        #: series, counts toward the imbalance]
-        self._devices: dict[LabelKey, list] = {}
-        self._counted: list[LabelKey] = []  # sorted non-NIC device keys
-        #: summed roles: role -> (samples, [sorted keys], [their sum names])
-        self._terms: dict[int, tuple[dict, list[LabelKey], list[str]]] = {}
-        self._link_plan: list[tuple] = []
+        #: write-set entry -> its series' row
+        self._plan: dict[Any, _Row] = {}
+        #: (metric, key) -> row, one per registry series
+        self._rows: dict[tuple[str, LabelKey], _Row] = {}
+        self._devices: list[_Device] = []  # busy-union devices, first seen first
+        self._counted: list[_Device] = []  # non-NIC devices in key order
+        self._imbalance: Series | None = None
+        #: summed roles: role -> their terms in key order
+        self._terms: dict[int, list[_Term]] = {}
+        #: link roles' sums per link, moved by each written term's delta
+        self._totals: dict[int, dict[str, float]] = {_LINK_MSGS: {}, _LINK_BYTES: {}}
+        #: link roles with a term that is not a whole number (or a total
+        #: too large to stay exact): re-summed in key order instead
+        self._inexact: set[int] = set()
+        self._links: dict[str, _Link] = {}
+        self._link_plan: list[_Link] = []  # in link order
         self._links_stale = False  # a link model changed since the last snapshot
-        #: previous raw values backing the derived probes
-        self._prev: dict[str, float] = {}
-        #: last busy fraction per device, and the devices where it was
-        #: not 0.0 (they must be re-derived even when idle)
-        self._fractions: dict[LabelKey, float] = {}
-        self._hot: set[LabelKey] = set()
+        self._net_busy = 0.0  # summed NIC busy seconds at the last snapshot
+        #: devices whose last busy fraction was not 0.0 (they must be
+        #: re-derived even when idle)
+        self._hot: set[_Device] = set()
         self._links_hot = False  # some link utilization/ratio was not 0.0
         self.finalized = False
 
@@ -557,7 +645,7 @@ class MetricSampler:
         a call that reaches one opens an ``obs:sampler`` scope on the
         bound trace's profiler (docs/PROFILING.md)."""
         trace = self._trace
-        if trace is None or self.finalized or self._k * self.interval > now:
+        if trace is None or now < self.next_t:
             return
         prof = trace.selfprof
         prof.begin("obs:sampler")
@@ -571,13 +659,13 @@ class MetricSampler:
         k = self._k
         if k * interval > now:
             return
-        self._snapshot(k * interval, k)
+        self._snapshot(k)
         k += 1
         if k * interval <= now:
             # The registry cannot change within one call, so this
             # instant only drops the derived probes to 0.0, and every
             # later one repeats it: the open runs already say so.
-            self._snapshot(k * interval, k)
+            self._snapshot(k)
             last = max(k, int(now / interval))
             while last * interval > now:
                 last -= 1
@@ -586,6 +674,7 @@ class MetricSampler:
             self._last_t = last * interval
             k = last + 1
         self._k = self.bank.grid_end = k
+        self.next_t = k * interval
 
     def finalize(self, end: float) -> None:
         """Emit the remaining grid instants up to *end* plus one final
@@ -595,200 +684,233 @@ class MetricSampler:
             return
         self._backfill(end)
         if self._last_t is None or self._last_t < end:
-            self._snapshot(end, None)
+            self._anchor(end)
         self.finalized = True
+        self.next_t = float("inf")
         # No snapshot follows: stop tracking writes and release the plan.
         self._trace.metrics.untrack_writes()
         self._dirty = None
         self._plan = {}
-        self._devices = {}
+        self._rows = {}
+        self._devices = []
+        self._counted = []
+        self._hot = set()
         self._terms = {}
+        self._totals = {}
+        self._links = {}
         self._link_plan = []
 
     # ------------------------------------------------------------------
-    def _plan_entry(
-        self, entry: tuple[str, LabelKey] | CounterChild, name: str, key: LabelKey
-    ) -> Series:
-        """The bank series of a write-set entry seen for the first time:
-        a ``(metric, key)`` pair or the counter child that wrote.  A
-        series new to the bank is filed under the derived probe it
-        feeds, in sorted key order, so sums add in the order of a sorted
-        registry walk."""
+    def _plan_entry(self, entry: tuple[str, LabelKey] | CounterChild) -> _Row:
+        """The row of a write-set entry seen for the first time: a
+        ``(metric, key)`` pair or the counter child that wrote.  Every
+        handle on one series shares its row."""
+        if type(entry) is tuple:
+            name, key = ident = entry
+        else:
+            name, key = ident = entry.name, entry.key
+        row = self._rows.get(ident)
+        if row is None:
+            row = self._rows[ident] = self._new_row(name, key)
+        self._plan[entry] = row
+        return row
+
+    def _new_row(self, name: str, key: LabelKey) -> _Row:
+        """Create the bank series of a registry series and file it under
+        the derived probe it feeds, in sorted key order, so a re-sum adds
+        in the order of a sorted registry walk."""
         assert self._trace is not None
         bank = self.bank
-        series = bank._series.get((name, key))  # planned via another handle?
-        if series is None:
-            series = bank.get_or_create(name, key)
-            role = _ROLES.get(name)
-            labels = dict(key) if role is not None else {}
-            if role == _BUSY_UNION:
-                device = labels.get("device", "")
-                counts = not device.startswith("net.")
-                self._devices[key] = [
-                    self._trace.metrics._metrics[name]._samples,
-                    f"busy::{device}",
-                    bank.get_or_create(DEVICE_BUSY_FRACTION, key),
-                    counts,
-                ]
-                if counts:
-                    insort(self._counted, key)
-            elif role == _NET_BUSY and labels.get("kind") == "net":
-                self._add_term(role, name, key, "")
-            elif role in (_LINK_MSGS, _LINK_BYTES):
-                self._add_term(role, name, key, labels.get("link", ""))
-        self._plan[entry] = series
-        return series
-
-    def _add_term(self, role: int, metric: str, key: LabelKey, name: str) -> None:
-        """File *key* of *metric* under sum *name* of *role*."""
-        assert self._trace is not None
-        samples = self._trace.metrics._metrics[metric]._samples
-        _, keys, names = self._terms.setdefault(role, (samples, [], []))
-        at = bisect_left(keys, key)
-        keys.insert(at, key)
-        names.insert(at, name)
+        role = _ROLES.get(name)
+        state: Any = None
+        if role == _BUSY_UNION:
+            device = dict(key).get("device", "")
+            state = _Device(key, bank.get_or_create(DEVICE_BUSY_FRACTION, key),
+                            not device.startswith("net."))
+            self._devices.append(state)
+            if state.counts:
+                at = bisect_left(self._counted, key, key=lambda d: d.key)
+                self._counted.insert(at, state)
+        elif role == _NET_BUSY and dict(key).get("kind") != "net":
+            role = None  # only a NIC's busy seconds are summed
+        elif role is not None:
+            state = _Term(key, dict(key).get("link", ""))
+            terms = self._terms.setdefault(role, [])
+            terms.insert(bisect_left(terms, key, key=lambda t: t.key), state)
+        return (bank._add(name, key),
+                self._trace.metrics._metrics[name]._samples, key, role, state)
 
     def _build_link_plan(self) -> None:
-        """One row per registered link model, in link order."""
+        """One row per registered link model, in link order; a link's
+        totals carry over."""
         bank = self.bank
         self._link_plan = []
-        for link in sorted(self._link_models):
-            key = _label_key({"link": link})
-            self._link_plan.append((
-                link,
-                *self._link_models[link],
-                bank.get_or_create(LINK_UTILIZATION, key),
-                bank.get_or_create(LINK_MODEL_RATIO, key),
-            ))
+        for name in sorted(self._link_models):
+            link = self._links.get(name)
+            if link is None:
+                link = self._links[name] = _Link(name)
+            link.alpha, link.bytes_per_s = self._link_models[name]
+            key = _label_key({"link": name})
+            link.util = bank.get_or_create(LINK_UTILIZATION, key)
+            link.ratio = bank.get_or_create(LINK_MODEL_RATIO, key)
+            self._link_plan.append(link)
 
     def _sums(self, role: int) -> dict[str, float]:
         """The values of one summed role, added per sum name in sorted
         key order."""
-        samples, keys, names = self._terms.get(role, ({}, (), ()))
         out: dict[str, float] = {}
-        for key, name in zip(keys, names):
-            out[name] = out.get(name, 0.0) + samples[key]
+        for term in self._terms.get(role, ()):
+            out[term.name] = out.get(term.name, 0.0) + term.value
         return out
 
-    def _snapshot(self, t: float, k: int | None) -> None:
-        """Sample what changed at grid instant *k*, or every series at
-        the off-grid end anchor *t* when *k* is None."""
-        assert self._dirty is not None and self._trace is not None
-        metrics = self._trace.metrics._metrics
-        plan = self._plan
-        busy: set[LabelKey] = set()
-        roles: set[int] = set()
-        if k is None:
-            stop = self._k
+    def _link_sums(self, role: int, full: bool) -> dict[str, float]:
+        """A link role's sums: kept by deltas while exact."""
+        if full or role in self._inexact:
+            return self._sums(role)
+        return self._totals[role]
 
-            def put(series: Series, value: float) -> None:
-                series.extend(stop)
-                series.append(t, value)
+    # ------------------------------------------------------------------
+    def _snapshot(self, k: int) -> None:
+        """Sample the series written since the previous snapshot at grid
+        instant *k*, then the derived probes that can have moved."""
+        assert self._dirty is not None
+        plan = self._plan
+        busy: list[_Device] = []
+        net = links = False
+        for entry in self._dirty:
+            row = plan.get(entry)
+            if row is None:
+                row = self._plan_entry(entry)
+            series, samples, key, role, state = row
+            if series._end > k:  # also written through another handle
+                continue
+            value = samples[key]
+            if role is not None:
+                if role == _BUSY_UNION:
+                    busy.append(state)
+                elif role == _NET_BUSY:
+                    net = True
+                else:
+                    links = True
+                    if role not in self._inexact:
+                        self._add_delta(role, state, value)
+                state.value = value
+            series.sample(k, value)
+        self._dirty.clear()
+
+        def put(series: Series, value: float) -> None:
+            series.sample(k, value)
+
+        t = k * self.interval
+        full = self._links_stale
+        if full:
+            self._build_link_plan()
+            self._links_stale = False
+        self._derived(t, put, busy, net, links, full)
+        self._last_t = t
+
+    def _add_delta(self, role: int, term: _Term, value: float) -> None:
+        """Move *term*'s sum of *role* by the term's change; a term that
+        is not a whole number, or a total that would lose exactness,
+        sends the role to the sorted re-sum for good."""
+        totals = self._totals[role]
+        total = totals.get(term.name, 0.0) + (value - term.value)
+        if value.is_integer() and total < _EXACT_LIMIT:
+            totals[term.name] = total
         else:
-            def put(series: Series, value: float) -> None:
-                if series._end < k:
-                    series.extend(k)
-                series.sample(k, value)
+            self._inexact.add(role)
+
+    def _anchor(self, t: float) -> None:
+        """The off-grid end-state point of every series at *t*."""
+        assert self._dirty is not None
+        stop = self._k
+
+        def put(series: Series, value: float) -> None:
+            series.extend(stop)
+            series.append(t, value)
 
         for entry in self._dirty:
-            if isinstance(entry, tuple):
-                name, key = entry
-            else:
-                name, key = entry.name, entry.key
-            series = plan.get(entry)
-            if series is None:
-                series = self._plan_entry(entry, name, key)
-            if k is None or series._end > k:  # also written via another handle
-                continue
-            put(series, metrics[name]._samples[key])
-            role = _ROLES.get(name)
-            if role == _BUSY_UNION:
-                busy.add(key)
-            elif role is not None:
-                roles.add(role)
+            if entry not in self._plan:
+                self._plan_entry(entry)
         self._dirty.clear()
-        if k is None:  # every registry series, once
-            for (name, key), series in self.bank._series.items():
-                metric = metrics.get(name)
-                if metric is not None:
-                    put(series, metric._samples[key])
-        full = k is None or self._links_stale
+        for series, samples, key, role, state in self._rows.values():
+            value = samples[key]
+            put(series, value)
+            if role is not None:
+                state.value = value
         if self._links_stale:
             self._build_link_plan()
             self._links_stale = False
-        self._derived(t, put, busy, roles, full)
+        self._derived(t, put, [], False, False, True)
         self._last_t = t
 
     def _derived(
         self,
         t: float,
         put: Any,
-        busy: set[LabelKey],
-        roles: set[int],
+        busy: list[_Device],
+        net: bool,
+        links: bool,
         full: bool,
     ) -> None:
         """Re-derive the probes whose inputs were written (*busy*
-        devices, summed *roles*) or whose last value was not 0.0; every
-        probe when *full*.  A skipped probe would read exactly 0.0
-        again."""
-        prev = self._prev
+        devices, a NIC's busy seconds when *net*, a link term when
+        *links*) or whose last value was not 0.0; every probe when
+        *full*.  A skipped probe would read exactly 0.0 again."""
         last_t = self._last_t
         dt = (t - last_t) if last_t is not None else 0.0
 
         # Per-device busy fraction from the incremental union counter.
-        fractions, hot = self._fractions, self._hot
+        hot = self._hot
         counted = False
-        for key in (list(self._devices) if full else busy | hot):
-            samples, prev_key, series, counts = self._devices[key]
-            value = samples[key]
-            delta = value - prev.get(prev_key, 0.0)
-            fraction = (delta / dt) if dt > 0.0 else 0.0
-            prev[prev_key] = value
-            put(series, fraction)
-            fractions[key] = fraction
+        for device in (self._devices if full else hot.union(busy)):
+            value = device.value
+            fraction = ((value - device.prev) / dt) if dt > 0.0 else 0.0
+            device.prev = value
+            device.fraction = fraction
+            put(device.series, fraction)
             if _is_zero(fraction):
-                hot.discard(key)
+                hot.discard(device)
             else:
-                hot.add(key)
-            counted = counted or counts
+                hot.add(device)
+            counted = counted or device.counts
 
         # Imbalance across the co-processing devices (NICs excluded),
         # summed in sorted device order.
         if counted:
-            values = [fractions[key] for key in self._counted]
-            mean = sum(values) / len(values)
+            values = [device.fraction for device in self._counted]
+            mean = reduce(add, values, 0) / len(values)
             imbalance = (max(values) / mean) if mean > 0.0 else 0.0
-            put(self.bank.get_or_create(DEVICE_IMBALANCE, ()), imbalance)
+            if self._imbalance is None:
+                self._imbalance = self.bank.get_or_create(DEVICE_IMBALANCE, ())
+            put(self._imbalance, imbalance)
 
         # α/β-modelled offered load and observed-vs-model ratio per
         # registered link class.
-        if full or _NET_BUSY in roles:
+        net_busy = self._net_busy
+        if full or net:
             net_busy = self._sums(_NET_BUSY).get("", 0.0)
-        else:
-            net_busy = prev.get("net_busy", 0.0)
-        net_delta = net_busy - prev.get("net_busy", 0.0)
-        prev["net_busy"] = net_busy
-        if not (full or self._links_hot or _LINK_MSGS in roles
-                or _LINK_BYTES in roles):
+        net_delta = net_busy - self._net_busy
+        self._net_busy = net_busy
+        if not (full or links or self._links_hot):
             return
-        link_msgs = self._sums(_LINK_MSGS)
-        link_bytes = self._sums(_LINK_BYTES)
+        link_msgs = self._link_sums(_LINK_MSGS, full)
+        link_bytes = self._link_sums(_LINK_BYTES, full)
         self._links_hot = False
-        for link, alpha, bytes_per_s, util_series, ratio_series in self._link_plan:
-            msgs = link_msgs.get(link, 0.0)
-            nbytes = link_bytes.get(link, 0.0)
+        for link in self._link_plan:
+            msgs = link_msgs.get(link.name, 0.0)
+            nbytes = link_bytes.get(link.name, 0.0)
             modelled = (
-                (msgs - prev.get(f"msgs::{link}", 0.0)) * alpha
-                + (nbytes - prev.get(f"bytes::{link}", 0.0)) / bytes_per_s
+                (msgs - link.msgs) * link.alpha
+                + (nbytes - link.nbytes) / link.bytes_per_s
             )
-            prev[f"msgs::{link}"] = msgs
-            prev[f"bytes::{link}"] = nbytes
+            link.msgs, link.nbytes = msgs, nbytes
             utilization = (modelled / dt) if dt > 0.0 else 0.0
-            put(util_series, utilization)
+            put(link.util, utilization)
             # Observed NIC busy over modelled wire seconds: > 1 means
             # the wire is slower than the α/β model says it should be.
             ratio = (net_delta / modelled) if modelled > 1e-12 else 0.0
-            put(ratio_series, ratio)
+            put(link.ratio, ratio)
             if not (_is_zero(utilization) and _is_zero(ratio)):
                 self._links_hot = True
 

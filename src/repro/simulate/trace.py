@@ -178,10 +178,11 @@ class Trace:
         return self._device_rank.get(device)
 
     def tick(self, now: float) -> None:
-        """Advance the attached sampler (no-op without one, and O(1)
-        when no sampling-grid instant has elapsed)."""
+        """Advance the attached sampler once *now* reaches its next
+        sampling-grid instant (no-op without one, and one comparison
+        before then)."""
         sampler = self.sampler
-        if sampler is not None:
+        if sampler is not None and now >= sampler.next_t:
             sampler.advance(now)
 
     # ------------------------------------------------------------------

@@ -9,6 +9,8 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -406,7 +408,7 @@ class PointSeries:
 
     def mean(self, t0, t1):
         pts = self.window(t0, t1)
-        return sum(v for _, v in pts) / len(pts) if pts else None
+        return reduce(add, [v for _, v in pts], 0) / len(pts) if pts else None
 
     def vmax(self, t0, t1):
         return max((v for _, v in self.window(t0, t1)), default=None)
@@ -531,10 +533,10 @@ class TestStretchesMatchPerPointOracle:
     def test_mean_whose_last_bit_follows_the_window_count(self):
         # A 5 ms window on a 0.1 ms grid holds 50 or 51 points.  For a
         # value whose mean over 50 copies and over 51 copies differ in
-        # the last bit (0.7 under Python 3.11's sum(), 1/3 under 3.12's
-        # compensated one), `mean >= the larger` flips inside one run.
+        # the last bit (0.7: the means fold in order), `mean >= the
+        # larger` flips inside one run.
         def mean(v, c):
-            return sum([v] * c) / c
+            return reduce(add, [v] * c, 0) / c
 
         value = next(v for v in (0.7, 1 / 3, 2 / 3)
                      if mean(v, 50) != mean(v, 51))

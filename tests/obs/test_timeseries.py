@@ -19,6 +19,9 @@ Three layers:
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 import pytest
 
 from repro.data.synth import gaussian_mixture
@@ -178,11 +181,13 @@ class TestGridSamples:
     def test_grid_must_be_contiguous_and_precede_off_grid_points(self):
         s = Series("s_total", interval=1e-3)
         s.sample(4, 1.0)
+        s.sample(6, 2.0)  # the open run fills index 5
+        assert s.runs() == [(4, 6, 1.0), (6, 7, 2.0)]
         with pytest.raises(ValueError, match="'s_total'.*does not follow"):
-            s.sample(6, 2.0)
-        s.append(5e-3, 1.0)
+            s.sample(5, 3.0)
+        s.append(7e-3, 1.0)
         with pytest.raises(ValueError, match="after an off-grid point"):
-            s.sample(5, 1.0)
+            s.sample(7, 1.0)
 
     def test_nan_sample_rejected(self):
         s = Series("s_total", interval=1e-3)
@@ -438,6 +443,13 @@ class ResortingSampler(MetricSampler):
     re-sorts every registry series and re-derives every probe from
     scratch (no plan, no write set, no skipped instants)."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._prev = {}  # raw values behind the derived probes
+
+    def _anchor(self, t):
+        self._snapshot(t, None)
+
     def _backfill(self, now):
         while self._k * self.interval <= now:
             self._snapshot(self._k * self.interval, self._k)
@@ -477,7 +489,7 @@ class ResortingSampler(MetricSampler):
             if not device.startswith("net."):
                 fractions.append(fraction)
         if fractions:
-            mean = sum(fractions) / len(fractions)
+            mean = reduce(add, fractions, 0) / len(fractions)
             put(bank.get_or_create(DEVICE_IMBALANCE, ()), at,
                 (max(fractions) / mean) if mean > 0.0 else 0.0)
         raw["net_busy"] = net_busy
@@ -696,6 +708,54 @@ class TestSamplerWork:
         assert len(writes) <= runs + derived * snapshots
         # repeats dominate these runs, so the bound is not vacuous
         assert result.sampler_samples > 3 * len(writes)
+
+    def test_an_instant_pays_for_the_written_series_only(self, monkeypatch):
+        # Counted, not timed: each series is planned once, and the
+        # series writes per snapshot do not grow with the idle series.
+        rows, plans, writes = [], [], []
+
+        def counting(method, log):
+            def counted(self, *args):
+                log.append(args)
+                return method(self, *args)
+            return counted
+
+        monkeypatch.setattr(MetricSampler, "_new_row",
+                            counting(MetricSampler._new_row, rows))
+        monkeypatch.setattr(MetricSampler, "_plan_entry",
+                            counting(MetricSampler._plan_entry, plans))
+        # every sampled write is a Series.sample call; a None marks the
+        # start of each snapshot
+        monkeypatch.setattr(Series, "sample", counting(Series.sample, writes))
+        snapshot = MetricSampler._snapshot
+        monkeypatch.setattr(MetricSampler, "_snapshot", lambda self, k: (
+            writes.append(None), snapshot(self, k)))
+
+        def writes_per_snapshot(idle):
+            rows.clear(), plans.clear(), writes.clear()
+            trace = Trace()
+            for i in range(idle):
+                trace.metrics.counter_child("prs_idle_total", n=i).inc(1)
+            trace.attach_sampler(MetricSampler(interval=1e-3))
+            hot = trace.metrics.counter_child("prs_hot_total")
+            for k in range(40):
+                hot.inc(1)
+                trace.tick(k * 1e-3)
+            counts = []
+            for write in writes:
+                if write is None:
+                    counts.append(0)
+                else:
+                    counts[-1] += 1
+            return counts
+
+        few, many = writes_per_snapshot(10), writes_per_snapshot(1000)
+        assert len(rows) == len(set(rows)) == len(plans) == 1001
+        assert len(few) == len(many) == 40
+        # the first snapshot samples every series bound before it ...
+        assert many[0] - few[0] == 990
+        # ... and each later one the written series alone
+        assert many[1:] == few[1:] == [1] * 39
 
     def test_unsampled_registry_records_no_writes(self):
         trace = Trace()
