@@ -27,7 +27,6 @@ t]`` at each sample instant ``t``.
 
 from __future__ import annotations
 
-import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -260,13 +259,11 @@ def _stretches(
     A series stores runs of equal values, so over long runs a stretch
     spans many points: for value the rest of a run; for min, max,
     increase and a zero-delta rate, every point whose window starts in
-    the same run; for the other signals, the rest of a run once its
-    windows hold copies of its value and give the same signal at every
-    count they can hold from there on (the grid start cuts the first
-    windows short, one point more each).  Any other point has its
-    window cut by bisection.  Every aggregate adds and compares the same
-    floats in the same order as the Series aggregators, so the values
-    are bit-identical.
+    the same run; for the other signals, a run that fills every window
+    and gives the same signal at every window count.  Any other point
+    has its window cut by bisection.  Every aggregate adds and compares
+    the same floats in the same order as the Series aggregators, so the
+    values are bit-identical.
     """
     # The points, laid out once; grid times are the sampler's own
     # ``k * interval``.
@@ -301,35 +298,7 @@ def _stretches(
     starts = [first - runs[0][0] for first, _, _ in runs]
     vals = [v for _, _, v in runs]
     stops = [*starts[1:], grid - 1 if tail else grid]
-    # A full window inside one run holds within 2 of ``window /
-    # interval`` points: the float error of ``k * interval - window`` is
-    # far below one grid pitch.
-    width = int(window / interval) if window < math.inf else 0
-    same: dict[tuple[str, int], bool] = {}
-
-    def uniform(v: float, c_lo: int) -> bool:
-        """Whether windows of *c_lo* through a full window's copies of
-        *v* give one signal.  From two copies on, only a mean moves with
-        the count (increase and rate read ``v - v``, a quantile ``v +
-        (v - v) * frac``); a mean is folded once through the largest."""
-        if func != "mean":
-            if c_lo >= 2:
-                return True
-            one, two = (
-                repr(_window_aggregate(func, range(c), [v] * c, 0, c))
-                for c in (1, 2)
-            )
-            return one == two
-        key = (repr(v), c_lo)
-        got = same.get(key)
-        if got is None:
-            means, total = set(), 0
-            for c in range(1, width + 4):
-                total = total + v  # the fold of c copies, as reduce adds
-                if c >= c_lo:
-                    means.add(repr(total / c))
-            got = same[key] = len(means) == 1
-        return got
+    uniform: dict[int, bool] = {}  # run -> one signal at every count
 
     def entering(i: int, stop: int, start: int) -> int:
         """The first point in ``[i, stop)`` whose window starts at or
@@ -343,23 +312,23 @@ def _stretches(
         window starts at point *lo*."""
         if func == "value":
             return stop
-        if lo >= starts[r]:  # the window holds copies of one value
+        if lo >= starts[r]:  # the window lies inside run r
             if func in ("min", "max"):
                 return stop
-            # The grid's start cuts windows short only while lo is 0,
-            # and there the count grows by one per point.
-            count = i - lo + 1
-            if window == math.inf:  # lo stays 0
-                c_lo = count
-                if func == "mean":
-                    return i + 1
-            else:
-                c_lo = max(1, width - 2)
-                if lo == 0:
-                    c_lo = min(count, c_lo)
-                if not c_lo <= count <= width + 3:
-                    return i + 1
-            return stop if uniform(vals[r], c_lo) else i + 1
+            if lo == 0:  # the grid's start may cut the window short
+                return i + 1
+            same = uniform.get(r)
+            if same is None:
+                # A full window inside one run holds within 2 of
+                # ``window / interval`` points: the float error of
+                # ``k * interval - window`` is far below one grid pitch.
+                width = int(window / interval)
+                signals = {
+                    repr(_window_aggregate(func, range(c), [vals[r]] * c, 0, c))
+                    for c in range(max(1, width - 2), width + 4)
+                }
+                same = uniform[r] = len(signals) == 1
+            return stop if same else i + 1
         if func in ("min", "max", "increase", "rate"):
             j = bisect_right(starts, lo) - 1
             # rate is the same zero at any dt > 0 only for a zero delta

@@ -137,17 +137,16 @@ class Series:
     def __init__(
         self,
         name: str,
-        labels: dict[str, str] | None = None,
+        key: LabelKey = (),
         capacity: int = DEFAULT_SERIES_CAPACITY,
         interval: float | None = None,
-        *,
-        key: LabelKey | None = None,
     ) -> None:
         if capacity < 2:
             raise ValueError(f"series capacity must be >= 2, got {capacity}")
         self.name = name
-        #: the sorted label key (a bank passes the registry's own key)
-        self.key = key if key is not None else _label_key(labels or {})
+        #: the sorted ``(label, value)`` pairs (a bank passes the
+        #: registry's own key)
+        self.key = key
         #: sampling grid pitch (None: the series holds off-grid points only)
         self.interval = interval
         self.capacity = capacity
@@ -167,12 +166,11 @@ class Series:
 
     # ------------------------------------------------------------------
     def sample(self, k: int, value: float) -> None:
-        """Record the grid sample at ``k * interval``, *k* at or past
-        the grid end; the open run's value repeats at every index in
-        between (the store, ring trim included, of one sample per
-        index).  A value bitwise equal to the open run's (``0.0`` and
-        ``-0.0`` differ) extends it; anything else starts a new run."""
-        if k < self._end:
+        """Record the grid sample at ``k * interval``, the index right
+        after the last one (a series' first sample may start anywhere).
+        A value bitwise equal to the open run's (``0.0`` and ``-0.0``
+        differ) extends it; anything else starts a new run."""
+        if k != self._end and self._k:
             raise ValueError(
                 f"series {self.name!r}: grid sample {k} does not follow "
                 f"{self._end - 1}"
@@ -420,7 +418,7 @@ class SeriesBank:
     def _add(self, name: str, key: LabelKey) -> Series:
         """A series the bank does not hold yet."""
         series = self._series[name, key] = Series(
-            name, None, self.capacity, self.interval, key=key
+            name, key, self.capacity, self.interval
         )
         self._order = None
         return series
@@ -784,6 +782,8 @@ class MetricSampler:
             series, samples, key, role, state = row
             if series._end > k:  # also written through another handle
                 continue
+            if series._end < k:
+                series.extend(k)
             value = samples[key]
             if role is not None:
                 if role == _BUSY_UNION:
@@ -799,6 +799,8 @@ class MetricSampler:
         self._dirty.clear()
 
         def put(series: Series, value: float) -> None:
+            if series._end < k:
+                series.extend(k)
             series.sample(k, value)
 
         t = k * self.interval

@@ -343,7 +343,7 @@ class TestOnePassMatchesSeriesAggregators:
     )
     def test_equal_alert_events(self, steps, capacity, func, op, threshold,
                                 window, for_s, end_cut):
-        series = Series("prs_x", {"device": "gpu"}, capacity=capacity)
+        series = Series("prs_x", (("device", "gpu"),), capacity=capacity)
         tick = 0
         for gap, value in steps:
             tick += gap
@@ -447,7 +447,7 @@ class TestRunLengthSeriesMatchPerPointOracle:
         self, runs, first, interval, tail, capacity, func, op, threshold,
         span, end_cut,
     ):
-        series = Series("prs_x", {"device": "gpu"}, capacity=capacity,
+        series = Series("prs_x", (("device", "gpu"),), capacity=capacity,
                         interval=interval)
         oracle = PointSeries({"device": "gpu"}, capacity)
         k = first
@@ -511,7 +511,7 @@ class TestStretchesMatchPerPointOracle:
     )
     def test_equal_alert_events(self, runs, first, interval, tail, func, op,
                                 threshold, span, end_cut):
-        series = Series("prs_x", {"device": "gpu"}, interval=interval)
+        series = Series("prs_x", (("device", "gpu"),), interval=interval)
         oracle = PointSeries({"device": "gpu"}, 8192)
         k = first
         for count, value in runs:

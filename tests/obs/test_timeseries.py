@@ -181,13 +181,14 @@ class TestGridSamples:
     def test_grid_must_be_contiguous_and_precede_off_grid_points(self):
         s = Series("s_total", interval=1e-3)
         s.sample(4, 1.0)
-        s.sample(6, 2.0)  # the open run fills index 5
-        assert s.runs() == [(4, 6, 1.0), (6, 7, 2.0)]
-        with pytest.raises(ValueError, match="'s_total'.*does not follow"):
-            s.sample(5, 3.0)
-        s.append(7e-3, 1.0)
+        for k in (6, 3):  # a skipped or repeated index, new value or not
+            for value in (1.0, 2.0):
+                with pytest.raises(ValueError, match="'s_total'.*does not follow"):
+                    s.sample(k, value)
+        assert s.runs() == [(4, 5, 1.0)]
+        s.append(5e-3, 1.0)
         with pytest.raises(ValueError, match="after an off-grid point"):
-            s.sample(7, 1.0)
+            s.sample(5, 1.0)
 
     def test_nan_sample_rejected(self):
         s = Series("s_total", interval=1e-3)
