@@ -31,6 +31,10 @@ twin.
 After an intended behaviour change, regenerate the golden file with::
 
     PYTHONPATH=src python tests/integration/test_fingerprints.py --write
+
+A change meant to move only the engine's event count rewrites just that
+field with ``--write-events``, which exits non-zero and names the row and
+field if anything else moved against the committed file.
 """
 
 from __future__ import annotations
@@ -246,13 +250,51 @@ def test_chaos_walk_is_bitwise_identical_to_its_twin():
     assert "membership-churn" in walk["alerts"]
 
 
+def _dump(golden: dict[str, Any]) -> None:
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
 def _write() -> None:
     golden = {name: fingerprint(name) for name in scenario_names()}
-    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    _dump(golden)
     print(f"wrote {len(golden)} fingerprints to {GOLDEN}")
 
 
+def _write_events() -> int:
+    """Rewrite only each row's ``engine_events``; refuse (exit 1, naming
+    each row and field) when any other field differs from the committed
+    file, so a change that moves events alone can be proven to move
+    nothing else."""
+    golden = load_golden()
+    if sorted(golden) != sorted(scenario_names()):
+        print("the golden rows differ from the scenarios; run --write")
+        return 1
+    moved = []
+    for name in scenario_names():
+        row = fingerprint(name)
+        for field in sorted(row.keys() | golden[name].keys()):
+            if field != "engine_events" and row.get(field) != golden[name].get(field):
+                moved.append(
+                    f"{name}: {field}: committed {golden[name].get(field)!r}, "
+                    f"now {row.get(field)!r}"
+                )
+    if moved:
+        print("\n".join(moved))
+        print(f"{len(moved)} field(s) besides engine_events moved; nothing written")
+        return 1
+    for name in scenario_names():
+        before = golden[name]["engine_events"]
+        after = golden[name]["engine_events"] = fingerprint(name)["engine_events"]
+        print(f"{name}: {before} -> {after}")
+    _dump(golden)
+    print(f"rewrote engine_events of {len(golden)} fingerprints in {GOLDEN}")
+    return 0
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: {sys.argv[0]} --write")
-    _write()
+    if sys.argv[1:] == ["--write"]:
+        _write()
+    elif sys.argv[1:] == ["--write-events"]:
+        sys.exit(_write_events())
+    else:
+        sys.exit(f"usage: {sys.argv[0]} --write | --write-events")
