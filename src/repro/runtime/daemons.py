@@ -5,18 +5,25 @@ all assigned CPU cores in the host. [...] The PRS also makes use of
 Pthreads to schedule tasks on CPU cores.  Each thread runs one mapper or
 reducer on each CPU core."
 
-Here a daemon is a factory of DES process fragments operating on the
-node's contended resources:
+Here a daemon is its *lanes*: a :class:`Lane` is one DES process per
+CPU core slot, or per GPU stream window, that takes its next map block
+(or reduce group) from a queue and runs it to completion before it takes
+another.  Policies differ only in what the queue hands out: a fixed
+list (static, affinity, graph-partition, recovery retries) or a "next
+block or ``None``" poll of a shared queue (dynamic, locality-dynamic).
+A block costs no process of its own, and a fault-armed block races its
+device's disruption event inside its lane (:class:`_Race`).
 
-* :class:`CpuDaemon` — dispatches map/reduce blocks onto the node's core
-  pool; each block holds one core for ``dispatch + flops / per-core-rate``
+* :class:`CpuDaemon` — one lane per core of the node's core pool; each
+  block holds one core for ``dispatch + flops / per-core-rate``
   seconds, where the per-core rate is the roofline-attainable CPU rate
   divided by the core count (all cores share DRAM bandwidth and the
   aggregate peak).
 * :class:`GpuDaemon` — the single thread owning the GPU context
-  (§III.C.3): issues stream blocks through the two-engine
-  :class:`~repro.simulate.streams.GpuStreamEngine` (PCI-E copies overlap
-  kernels), skipping host->device copies for loop-invariant cached input.
+  (§III.C.3): a window of lanes issues stream blocks through the
+  two-engine :class:`~repro.simulate.streams.GpuStreamEngine` (PCI-E
+  copies overlap kernels), skipping host->device copies for
+  loop-invariant cached input.
 
 Both daemons execute the application's *functional* kernels (real NumPy)
 while charging *simulated* time from the roofline models, so results are
@@ -25,7 +32,8 @@ numerically real and timings analytically faithful.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from collections import deque
+from typing import Any, Callable, Generator
 
 from repro.core.intensity import IntensityProfile
 from repro.hardware.node import FatNode
@@ -33,8 +41,7 @@ from repro.runtime.api import Block, MapReduceApp
 from repro.runtime.job import JobConfig, Overheads
 from repro.runtime.memory import MALLOC_OVERHEAD_S, RegionAllocator
 from repro.runtime.shuffle import BlockOrderedSink
-from repro.simulate.engine import Engine, Event, Interrupt
-from repro.simulate.faults import DeviceFault
+from repro.simulate.engine import Engine, Event, Interrupt, Process
 from repro.simulate.resources import CorePool
 from repro.simulate.streams import GpuStreamEngine, StreamBlock
 from repro.simulate.trace import Trace
@@ -100,43 +107,91 @@ def _log_kernel(daemon: Any, kind: str, block: Block, n_pairs: int) -> None:
     )
 
 
-def _guarded_body(
-    daemon: Any, block: Block, sink: BlockOrderedSink
-) -> Generator[Event, Any, Any]:
-    """Run one map block, converting a fault Interrupt into a return value
-    (so resource cleanup runs and the parent can report the failure)."""
-    try:
-        yield from daemon._map_block(block, sink)
-        return None
-    except Interrupt as intr:
-        cause = intr.cause
-        if not isinstance(cause, DeviceFault):
-            cause = DeviceFault(daemon.device_name, "kill")
-        return cause
+class Lane(Process):
+    """One lane of a device daemon: a process per CPU core slot or GPU
+    stream window that runs ``run(item, lane)`` for each item (a map
+    block or a reduce group) ``take()`` hands it, until ``take()``
+    returns ``None``.  The lane passes itself to *run*, so a fault race
+    interrupts the lane that runs the block."""
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        engine: Engine,
+        take: Callable[[], Any],
+        run: Callable[[Any, "Lane"], Generator[Event, Any, None]],
+        name: str,
+    ) -> None:
+        super().__init__(engine, self._loop(take, run), name)
+
+    def _loop(
+        self,
+        take: Callable[[], Any],
+        run: Callable[[Any, "Lane"], Generator[Event, Any, None]],
+    ) -> Generator[Event, Any, None]:
+        item = take()
+        while item is not None:
+            yield from run(item, self)
+            item = take()
+
+
+def _queue_take(items: list[Any]) -> Callable[[], Any]:
+    """A ``take`` callable handing out *items* in order, then ``None``."""
+    queue = deque(items)
+    return lambda: queue.popleft() if queue else None
+
+
+class _Race:
+    """A guarded block's race against its device's disruption event,
+    run inside the block's lane: one callback on the event while the
+    block runs, removed when it ends, so a disruption event shared by
+    every block of a device holds only the blocks still in flight."""
+
+    __slots__ = ("lane", "death", "running")
+
+    def __init__(self, lane: Lane, death: Event) -> None:
+        self.lane = lane
+        self.death = death
+        self.running = True
+        death.callbacks.append(self._on_disruption)
+
+    def _on_disruption(self, death: Event) -> None:
+        # Decide one zero-delay hop later: every event already due at
+        # this instant runs first, a block's last timeout among them.
+        hop = Event(death.engine)
+        hop.callbacks.append(self._decide)
+        hop.succeed()
+
+    def _decide(self, _hop: Event) -> None:
+        if self.running:
+            self.lane.interrupt(self.death.value, guard=lambda: self.running)
+
+    def end(self) -> None:
+        self.running = False
+        if not self.death._processed:
+            self.death.callbacks.remove(self._on_disruption)
 
 
 def _run_guarded(
-    daemon: Any, block: Block, sink: BlockOrderedSink
+    daemon: Any, block: Block, sink: BlockOrderedSink, lane: Lane
 ) -> Generator[Event, Any, None]:
-    """Fault-aware wrapper: race the block against the device's disruption
-    event; on a fault, interrupt the in-flight work and report the failed
-    block to the scheduler instead of losing it."""
+    """Fault-aware block: race it against the device's disruption event;
+    on a fault the lane is interrupted out of the in-flight work (whose
+    resource cleanup runs) and the failed block is reported to the
+    scheduler instead of being lost."""
     faults = daemon.res.faults
-    engine = daemon.res.engine
     key = daemon.fault_key
     if faults.device_dead(key):
         daemon._report_failure(block, fatal=True)
         return
-    death = faults.disruption(key)
-    work = engine.process(
-        _guarded_body(daemon, block, sink), name=f"{daemon.device_name}.blk"
-    )
-    yield engine.any_of([work, death])
-    if work.is_alive:
-        work.interrupt(death.value)
-    outcome = yield work
-    if outcome is not None:
+    race = _Race(lane, faults.disruption(key))
+    try:
+        yield from daemon._map_block(block, sink)
+    except Interrupt:
         daemon._report_failure(block, fatal=faults.device_dead(key))
+    finally:
+        race.end()
 
 
 class _MapDaemon:
@@ -146,6 +201,8 @@ class _MapDaemon:
     #: ``SubTaskScheduler.enable_faults`` (None unless the job is armed)
     fault_key: str | None = None
     fault_listener: Any = None
+    #: process name of this daemon's map lanes
+    lane_name: str
 
     def _report_failure(self, block: Block, fatal: bool) -> None:
         _log_failure(self, block, fatal)
@@ -153,14 +210,34 @@ class _MapDaemon:
             self.fault_listener(self, block, fatal)
 
     def run_map_block(
-        self, block: Block, sink: BlockOrderedSink
+        self, block: Block, sink: BlockOrderedSink, lane: Lane | None = None
     ) -> Generator[Event, Any, None]:
         """Process fragment: one map sub-task on this daemon's device —
-        raced against the device's faults once they are wired."""
+        raced against the device's faults once they are wired, which
+        needs the *lane* that runs it."""
         if self.fault_key is None:
             yield from self._map_block(block, sink)
+        elif lane is None:
+            raise ValueError(
+                f"{self.device_name}: a fault-armed map block must run "
+                "in a lane"
+            )
         else:
-            yield from _run_guarded(self, block, sink)
+            yield from _run_guarded(self, block, sink, lane)
+
+    def lanes(
+        self,
+        n_lanes: int,
+        take: Callable[[], Block | None],
+        sink: BlockOrderedSink,
+    ) -> list[Lane]:
+        """Start *n_lanes* lanes mapping the blocks ``take()`` hands out."""
+
+        def run(block: Block, lane: Lane) -> Generator[Event, Any, None]:
+            return self.run_map_block(block, sink, lane)
+
+        engine = self.res.engine
+        return [Lane(engine, take, run, self.lane_name) for _ in range(n_lanes)]
 
 
 def _alloc_seconds(
@@ -188,6 +265,8 @@ def _alloc_seconds(
 
 class CpuDaemon(_MapDaemon):
     """The one daemon thread managing all CPU cores of a node."""
+
+    lane_name = "cpu-map"
 
     def __init__(
         self,
@@ -271,26 +350,24 @@ class CpuDaemon(_MapDaemon):
         finally:
             self.res.cpu_pool.release()
 
-    def run_map_blocks(
-        self, blocks: list[Block], sink: BlockOrderedSink
-    ) -> Generator[Event, Any, None]:
-        """Process fragment: run *blocks* across the core pool, await all."""
-        engine = self.res.engine
-        procs = [
-            engine.process(self.run_map_block(b, sink), name="cpu-map")
-            for b in blocks
-        ]
-        yield engine.all_of(procs)
+    def map_lanes(self, blocks: list[Block], sink: BlockOrderedSink) -> list[Lane]:
+        """Start one lane per core slot over *blocks*, taken in order."""
+        n_lanes = min(self.res.cpu_pool.capacity, len(blocks))
+        return self.lanes(n_lanes, _queue_take(blocks), sink)
 
     def run_reduce(
         self,
         groups: dict[Any, list[Any]],
         sink: dict[Any, Any],
     ) -> Generator[Event, Any, None]:
-        """Process fragment: one reduce task per key group on the cores."""
+        """Process fragment: the key groups' reduce tasks on one lane per
+        core slot."""
         engine = self.res.engine
 
-        def one(key: Any, values: list[Any]) -> Generator[Event, Any, None]:
+        def one(
+            group: tuple[Any, list[Any]], _lane: Lane
+        ) -> Generator[Event, Any, None]:
+            key, values = group
             yield from self.res.cpu_pool.acquire()
             try:
                 start = engine.now
@@ -318,14 +395,17 @@ class CpuDaemon(_MapDaemon):
             finally:
                 self.res.cpu_pool.release()
 
-        procs = [
-            engine.process(one(k, v), name="cpu-reduce") for k, v in groups.items()
-        ]
-        yield engine.all_of(procs)
+        n_lanes = min(self.res.cpu_pool.capacity, len(groups))
+        take = _queue_take(list(groups.items()))
+        yield engine.all_of(
+            [Lane(engine, take, one, "cpu-reduce") for _ in range(n_lanes)]
+        )
 
 
 class GpuDaemon(_MapDaemon):
     """The daemon thread owning one GPU card (and its context, §III.C.3)."""
+
+    lane_name = "gpu-map"
 
     def __init__(
         self,
@@ -460,53 +540,41 @@ class GpuDaemon(_MapDaemon):
             (block.start, block.stop), self.device_name
         )
 
-    def run_map_blocks(
+    def map_lanes(
         self,
         blocks: list[Block],
         sink: BlockOrderedSink,
         n_streams: int | None = None,
-    ) -> Generator[Event, Any, None]:
-        """Process fragment: issue *blocks* as (possibly overlapping)
-        streams and await completion.
+    ) -> list[Lane]:
+        """Start a window of *n_streams* lanes over *blocks*, taken in
+        order: at most that many blocks are issued at once.
 
-        ``n_streams=1`` serializes (the no-stream baseline); ``None`` lets
-        the device's in-flight window (work queues) govern overlap.
+        ``n_streams=1`` serializes (the no-stream baseline); ``None``
+        issues every block at once and lets the device's in-flight window
+        (work queues) govern overlap.
         """
-        engine = self.res.engine
+        n_lanes = len(blocks)
         if n_streams is not None and n_streams >= 1:
-            # Re-chunk: issue at most n_streams concurrent processes.
-            from repro.simulate.resources import Resource
-
-            gate = Resource(engine, capacity=n_streams, name="stream-gate")
-
-            def gated(block: Block) -> Generator[Event, Any, None]:
-                yield from gate.acquire()
-                try:
-                    yield from self.run_map_block(block, sink)
-                finally:
-                    gate.release()
-
-            procs = [engine.process(gated(b), name="gpu-map") for b in blocks]
-        else:
-            procs = [
-                engine.process(self.run_map_block(b, sink), name="gpu-map")
-                for b in blocks
-            ]
-        yield engine.all_of(procs)
+            n_lanes = min(n_streams, n_lanes)
+        return self.lanes(n_lanes, _queue_take(blocks), sink)
 
     def run_reduce(
         self,
         groups: dict[Any, list[Any]],
         sink: dict[Any, Any],
     ) -> Generator[Event, Any, None]:
-        """Process fragment: reduce tasks as small GPU kernels.
+        """Process fragment: reduce tasks as small GPU kernels, all issued
+        at once (one lane per key group).
 
         Used when the job runs GPU-only; values are already in host memory
         after the shuffle, so each reduce pays a (small) h2d + kernel.
         """
         engine = self.res.engine
 
-        def one(key: Any, values: list[Any]) -> Generator[Event, Any, None]:
+        def one(
+            group: tuple[Any, list[Any]], _lane: Lane
+        ) -> Generator[Event, Any, None]:
+            key, values = group
             flops = self.app.reduce_flops(key, values)
             duration = flops / (self.gpu.peak_gflops * 1e9)
             if self.overheads.gpu_task_dispatch_s > 0:
@@ -530,7 +598,7 @@ class GpuDaemon(_MapDaemon):
             finally:
                 prof.end()
 
-        procs = [
-            engine.process(one(k, v), name="gpu-reduce") for k, v in groups.items()
-        ]
-        yield engine.all_of(procs)
+        take = _queue_take(list(groups.items()))
+        yield engine.all_of(
+            [Lane(engine, take, one, "gpu-reduce") for _ in groups]
+        )

@@ -94,7 +94,7 @@ class AffinityPolicy(SchedulingPolicy):
                 home = fallback
             by_device[home].append(block)
 
-        procs = []
+        lanes = []
         for daemon in engines:
             mine = by_device[daemon.device_name]
             if not mine or not sched.daemon_active(daemon):
@@ -102,14 +102,9 @@ class AffinityPolicy(SchedulingPolicy):
                     sched.note_undispatched(block)
                 continue
             self.count_dispatch(daemon.device_name, len(mine))
-            procs.append(
-                engine.process(
-                    daemon.run_map_blocks(mine, sink),
-                    name=f"aff.{daemon.device_name}",
-                )
-            )
-        if procs:
-            yield engine.all_of(procs)
+            lanes += daemon.map_lanes(mine, sink)
+        if lanes:
+            yield engine.all_of(lanes)
 
         self.record_decision(
             "affinity-place",

@@ -12,7 +12,7 @@ plus one in-flight block per GPU work queue) but never splits below the
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.core.granularity import cpu_block_count, min_block_size
 from repro.runtime.api import Block
@@ -67,6 +67,47 @@ def dynamic_block_count(sched: "SubTaskScheduler", partition: Block) -> int:
     return max(target, 1)
 
 
+def poll_blocks(
+    policy: SchedulingPolicy,
+    queue: deque[Block] | list[Block],
+    sink: BlockOrderedSink,
+    pop: Callable[[CpuDaemon | GpuDaemon], Block],
+) -> Generator[Event, Any, None]:
+    """Process fragment: drain *queue* through polling lanes, one per
+    core of the active CPU daemon and one per active GPU daemon.
+
+    A lane's "next block or ``None``" is ``pop(daemon)`` while the queue
+    holds work and the lane's daemon is active.  Blocks left when every
+    lane has stopped (their devices died mid-drain) go to recovery.
+    """
+    sched = policy.sched
+
+    def poll(daemon: CpuDaemon | GpuDaemon) -> Callable[[], Block | None]:
+        def take() -> Block | None:
+            if not queue or not sched.daemon_active(daemon):
+                return None
+            policy.note_queue_depth(len(queue))
+            block = pop(daemon)
+            policy.count_dispatch(daemon.device_name)
+            return block
+
+        return take
+
+    lanes = []
+    cpu_daemon = sched.active_cpu_daemon
+    if cpu_daemon is not None:
+        # One lane per core: the pool stays saturated while work remains.
+        cores = sched.res.node.cpu.cores
+        lanes += cpu_daemon.lanes(cores, poll(cpu_daemon), sink)
+    for gpu_daemon in sched.active_gpu_daemons:
+        lanes += gpu_daemon.lanes(1, poll(gpu_daemon), sink)
+    yield sched.res.engine.all_of(lanes)
+    policy.note_queue_depth(len(queue))  # drained (or abandoned) queue
+    for block in queue:
+        sched.note_undispatched(block)
+    queue.clear()
+
+
 @register_policy
 class DynamicPolicy(SchedulingPolicy):
     """Fixed blocks polled from a shared queue by idle device daemons."""
@@ -77,52 +118,15 @@ class DynamicPolicy(SchedulingPolicy):
         self, partition: Block, sink: BlockOrderedSink
     ) -> Generator[Event, Any, None]:
         sched = self.sched
-        engine = sched.res.engine
         n_blocks = dynamic_block_count(sched, partition)
         self.record_block_plan(partition, n_blocks)
         queue: deque[Block] = deque(
             partition.split(min(n_blocks, partition.n_items))
         )
 
-        # NB: pollers are generators evaluated lazily — the daemon each one
-        # drives must be bound at definition time (default argument), not
-        # via the enclosing scope, or a later loop variable would rebind it.
-        def cpu_poller(d: CpuDaemon) -> Generator[Event, Any, None]:
-            while queue and sched.daemon_active(d):
-                self.note_queue_depth(len(queue))
-                block = queue.popleft()
-                self.count_dispatch(d.device_name)
-                yield from d.run_map_block(block, sink)
-
-        def gpu_poller(d: GpuDaemon) -> Generator[Event, Any, None]:
-            while queue and sched.daemon_active(d):
-                self.note_queue_depth(len(queue))
-                block = queue.popleft()
-                self.count_dispatch(d.device_name)
-                yield from d.run_map_block(block, sink)
-
-        procs = []
-        cpu_daemon = sched.active_cpu_daemon
-        if cpu_daemon is not None:
-            # One poller per core: each holds one core at a time, so the
-            # pool stays saturated while work remains.
-            for _ in range(sched.res.node.cpu.cores):
-                procs.append(
-                    engine.process(cpu_poller(cpu_daemon), name="cpu-poll")
-                )
-        for gpu_daemon in sched.active_gpu_daemons:
-            procs.append(
-                engine.process(gpu_poller(gpu_daemon), name="gpu-poll")
-            )
-
-        yield engine.all_of(procs)
-        self.note_queue_depth(len(queue))  # drained (or abandoned) queue
-        if queue:
-            # Every surviving poller exited with work left (its device
-            # died mid-drain): route the leftovers through recovery.
-            for block in queue:
-                sched.note_undispatched(block)
-            queue.clear()
+        yield from poll_blocks(
+            self, queue, sink, lambda _daemon: queue.popleft()
+        )
 
     def effective_cpu_fraction(self) -> float | None:
         return None  # pure polling: no pre-split fraction

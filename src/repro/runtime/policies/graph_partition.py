@@ -171,7 +171,7 @@ class GraphPartitionPolicy(SchedulingPolicy):
         blocks = partition.split(min(n_blocks, partition.n_items))
         assignment = self._cut(partition, blocks)
 
-        procs = []
+        lanes = []
         for daemon, mine in zip(sched.nominal_map_engines(), assignment):
             if not mine:
                 continue
@@ -183,11 +183,6 @@ class GraphPartitionPolicy(SchedulingPolicy):
                     sched.note_undispatched(block)
                 continue
             self.count_dispatch(daemon.device_name, len(mine))
-            procs.append(
-                engine.process(
-                    daemon.run_map_blocks(mine, sink),
-                    name=f"cut.{daemon.device_name}",
-                )
-            )
-        if procs:
-            yield engine.all_of(procs)
+            lanes += daemon.map_lanes(mine, sink)
+        if lanes:
+            yield engine.all_of(lanes)

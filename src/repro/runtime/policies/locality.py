@@ -20,7 +20,7 @@ from typing import Any, Generator
 from repro.runtime.api import Block
 from repro.runtime.daemons import CpuDaemon, GpuDaemon
 from repro.runtime.policies.base import SchedulingPolicy
-from repro.runtime.policies.dynamic import dynamic_block_count
+from repro.runtime.policies.dynamic import dynamic_block_count, poll_blocks
 from repro.runtime.policies.registry import register_policy
 from repro.runtime.shuffle import BlockOrderedSink
 from repro.simulate.engine import Event
@@ -36,7 +36,6 @@ class LocalityDynamicPolicy(SchedulingPolicy):
         self, partition: Block, sink: BlockOrderedSink
     ) -> Generator[Event, Any, None]:
         sched = self.sched
-        engine = sched.res.engine
         n_blocks = dynamic_block_count(sched, partition)
         self.record_block_plan(partition, n_blocks)
         queue: list[Block] = list(
@@ -44,7 +43,13 @@ class LocalityDynamicPolicy(SchedulingPolicy):
         )
         gpu_daemons = sched.gpu_daemons
 
-        def pop_for_gpu(d: GpuDaemon) -> Block:
+        def pop(d: CpuDaemon | GpuDaemon) -> Block:
+            if isinstance(d, CpuDaemon):
+                for i, block in enumerate(queue):
+                    if not any(g.is_cached(block) for g in gpu_daemons):
+                        return queue.pop(i)
+                self.count_steal(d.device_name)
+                return queue.pop(0)
             for i, block in enumerate(queue):
                 if d.is_cached(block):
                     return queue.pop(i)
@@ -53,47 +58,7 @@ class LocalityDynamicPolicy(SchedulingPolicy):
                 self.count_steal(d.device_name)
             return block
 
-        def pop_for_cpu(d: CpuDaemon) -> Block:
-            for i, block in enumerate(queue):
-                if not any(g.is_cached(block) for g in gpu_daemons):
-                    return queue.pop(i)
-            self.count_steal(d.device_name)
-            return queue.pop(0)
-
-        def cpu_poller(d: CpuDaemon) -> Generator[Event, Any, None]:
-            while queue and sched.daemon_active(d):
-                self.note_queue_depth(len(queue))
-                block = pop_for_cpu(d)
-                self.count_dispatch(d.device_name)
-                yield from d.run_map_block(block, sink)
-
-        def gpu_poller(d: GpuDaemon) -> Generator[Event, Any, None]:
-            while queue and sched.daemon_active(d):
-                self.note_queue_depth(len(queue))
-                block = pop_for_gpu(d)
-                self.count_dispatch(d.device_name)
-                yield from d.run_map_block(block, sink)
-
-        procs = []
-        cpu_daemon = sched.active_cpu_daemon
-        if cpu_daemon is not None:
-            for _ in range(sched.res.node.cpu.cores):
-                procs.append(
-                    engine.process(cpu_poller(cpu_daemon), name="cpu-poll")
-                )
-        for gpu_daemon in sched.active_gpu_daemons:
-            procs.append(
-                engine.process(gpu_poller(gpu_daemon), name="gpu-poll")
-            )
-
-        yield engine.all_of(procs)
-        self.note_queue_depth(len(queue))  # drained (or abandoned) queue
-        if queue:
-            # Surviving pollers drained out with work left (devices died
-            # mid-partition): hand the leftovers to recovery.
-            for block in queue:
-                sched.note_undispatched(block)
-            queue.clear()
+        yield from poll_blocks(self, queue, sink, pop)
 
     def effective_cpu_fraction(self) -> float | None:
         return None  # pure polling: no pre-split fraction

@@ -86,7 +86,7 @@ class StaticPolicy(SchedulingPolicy):
         sub_parts = [
             Block(partition.start + lo, partition.start + hi) for lo, hi in ranges
         ]
-        procs = []
+        lanes = []
         idx = 0
         cpu_daemon = sched.cpu_daemon
         if cpu_daemon is not None:
@@ -97,11 +97,7 @@ class StaticPolicy(SchedulingPolicy):
                 blocks = cpu_part.split(min(n_blocks, cpu_part.n_items))
                 if sched.daemon_active(cpu_daemon):
                     self.count_dispatch(cpu_daemon.device_name, len(blocks))
-                    procs.append(
-                        engine.process(
-                            cpu_daemon.run_map_blocks(blocks, sink), name="cpu-d"
-                        )
-                    )
+                    lanes += cpu_daemon.map_lanes(blocks, sink)
                 else:
                     for block in blocks:
                         sched.note_undispatched(block)
@@ -122,13 +118,8 @@ class StaticPolicy(SchedulingPolicy):
             if sched.daemon_active(daemon):
                 self.count_dispatch(daemon.device_name, len(blocks))
                 n_streams = plan.gpu_blocks if plan.use_streams else 1
-                procs.append(
-                    engine.process(
-                        daemon.run_map_blocks(blocks, sink, n_streams=n_streams),
-                        name="gpu-d",
-                    )
-                )
+                lanes += daemon.map_lanes(blocks, sink, n_streams=n_streams)
             else:
                 for block in blocks:
                     sched.note_undispatched(block)
-        yield engine.all_of(procs)
+        yield engine.all_of(lanes)

@@ -474,18 +474,12 @@ class SubTaskScheduler:
             )
             weights = self.device_weights()
             ranges = weighted_partition(len(blocks), weights)
-            procs = []
+            lanes = []
             for daemon, (lo, hi) in zip(engines, ranges):
-                if hi <= lo:
-                    continue
-                procs.append(
-                    engine.process(
-                        daemon.run_map_blocks(blocks[lo:hi], ordered),
-                        name=f"retry.{daemon.device_name}",
-                    )
-                )
-            if procs:
-                yield engine.all_of(procs)
+                if hi > lo:
+                    lanes += daemon.map_lanes(blocks[lo:hi], ordered)
+            if lanes:
+                yield engine.all_of(lanes)
             self.trace.record_recovery(
                 f"retry round {round_no}",
                 self.node_index,

@@ -10,9 +10,11 @@ Determinism: every scheduled event gets a monotone sequence number, and
 events fire in ``(time, seq)`` order, so events scheduled for the same
 instant fire in FIFO scheduling order and simulations are
 bit-reproducible across runs — a property the scheduling benchmarks rely
-on.  Zero-delay events (two thirds of all events in a dynamic-dispatch
-run) skip the heap: they go to a FIFO of ``(seq, event)`` at the current
-instant, and only positive delays are heap-ordered by ``(time, seq)``.
+on.  Zero-delay events (process bootstraps and exits, condition and
+interrupt hops: a third of all events in a dynamic-dispatch run, more
+under faults) skip the heap: they go to a FIFO of ``(seq, event)`` at
+the current instant, and only positive delays are heap-ordered by
+``(time, seq)``.
 The next event is the FIFO head unless the heap head is due now with a
 smaller seq, which happens when a positive delay was scheduled for this
 instant earlier or is too small to move the clock (``now + d == now``).
@@ -161,8 +163,15 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
+    def interrupt(
+        self, cause: Any = None, guard: Callable[[], bool] | None = None
+    ) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
+
+        The interrupt lands one zero-delay event later.  A *guard*, when
+        given, is asked again at that point and a false answer drops the
+        interrupt: a daemon lane that finished the interrupted block in
+        between must not take the interrupt into its next one.
 
         Interrupting a process that already terminated is a programming
         error (the caller holds a stale handle); raise loudly instead of
@@ -179,7 +188,7 @@ class Process(Event):
         wake = Event(self.engine)
 
         def _deliver(_evt: Event) -> None:
-            if not self.is_alive:
+            if not self.is_alive or (guard is not None and not guard()):
                 return
             waiting = self._waiting_on
             if waiting is not None and self._resume in waiting.callbacks:

@@ -26,8 +26,7 @@ class Resource:
 
     Usage from a process::
 
-        req = resource.request()
-        yield req
+        yield from resource.acquire()   # in place when a unit is free
         ...               # hold the resource
         resource.release()
     """
@@ -44,17 +43,6 @@ class Resource:
         self.grants = 0
 
     # ------------------------------------------------------------------
-    def request(self) -> Event:
-        """Return an event that fires when one unit is granted."""
-        evt = self.engine.event()
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            self.grants += 1
-            evt.succeed()
-        else:
-            self._waiters.append(evt)
-        return evt
-
     def release(self) -> None:
         """Release one unit; hands it to the oldest waiter if any."""
         if self._in_use <= 0:
@@ -85,11 +73,20 @@ class Resource:
     def acquire(self) -> Generator[Event, Any, None]:
         """Process fragment: acquire one unit, cancelling on interrupt.
 
-        Equivalent to ``yield resource.request()`` except that an
-        exception thrown into the wait (e.g. an :class:`Interrupt`) never
-        leaks the unit or leaves a zombie waiter behind.
+        A free unit is taken in place, without yielding or scheduling an
+        event: waiters exist only while every unit is in use
+        (:meth:`release` hands a unit straight to the oldest waiter), so
+        taking it cannot jump the FIFO queue.  Otherwise the caller
+        queues, and an exception thrown into the wait (e.g. an
+        :class:`Interrupt`) never leaks the unit or leaves a zombie
+        waiter behind.
         """
-        req = self.request()
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            self.grants += 1
+            return
+        req = self.engine.event()
+        self._waiters.append(req)
         try:
             yield req
         except BaseException:

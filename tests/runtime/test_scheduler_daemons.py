@@ -55,8 +55,9 @@ class TestCpuDaemon:
         daemon = CpuDaemon(res, app, QUIET_CONFIG, Trace())
         sink = BlockOrderedSink([])
         blocks = Block(0, 24_000).split(24)  # 2 waves on 12 cores
-        proc = engine.process(daemon.run_map_blocks(blocks, sink))
-        engine.run(proc)
+        lanes = daemon.map_lanes(blocks, sink)
+        assert len(lanes) == delta.cpu.cores
+        engine.run(engine.all_of(lanes))
         one = daemon.block_seconds(
             app.map_flops(blocks[0]), app.block_bytes(blocks[0])
         )

@@ -68,7 +68,7 @@ class TestResource:
         peak = [0]
 
         def worker():
-            yield res.request()
+            yield from res.acquire()
             peak[0] = max(peak[0], res._in_use)
             yield eng.timeout(1.0)
             res.release()
