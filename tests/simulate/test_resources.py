@@ -3,8 +3,22 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simulate.engine import Engine
+from repro.simulate.engine import Engine, Interrupt
 from repro.simulate.resources import CorePool, Link, Resource, Store
+
+
+def request(res):
+    """The event form of a grant, the oracle for the in-place
+    :meth:`Resource.acquire`: every grant is an event, even of a free
+    unit."""
+    evt = res.engine.event()
+    if res._in_use < res.capacity:
+        res._in_use += 1
+        res.grants += 1
+        evt.succeed()
+    else:
+        res._waiters.append(evt)
+    return evt
 
 
 class TestResource:
@@ -77,6 +91,126 @@ class TestResource:
             eng.process(worker())
         eng.run()
         assert peak[0] == 3
+
+
+class TestInPlaceGrant:
+    """A free unit is taken without an event; waiters keep FIFO order."""
+
+    def test_uncontended_acquire_schedules_no_event(self):
+        eng = Engine()
+        res = Resource(eng, capacity=2)
+        for held in (1, 2):
+            before = eng.events_scheduled
+            with pytest.raises(StopIteration):
+                next(res.acquire())
+            assert eng.events_scheduled == before
+            assert (res._in_use, res.grants) == (held, held)
+        # the third acquire queues; handing it a unit is the one event
+        waiting = res.acquire()
+        assert next(waiting) is res._waiters[0]
+        res.release()
+        assert eng.events_scheduled == 1 and res._in_use == 2
+
+    def test_contended_waiters_are_served_fifo(self):
+        """A unit handed to a waiter at release is not free: a request
+        made at the same instant, before the waiter resumes, queues
+        behind it."""
+        eng = Engine()
+        res = Resource(eng, capacity=1)
+        order = []
+
+        def worker(tag, arrive, hold):
+            yield eng.timeout(arrive)
+            yield from res.acquire()
+            order.append((tag, eng.now))
+            yield eng.timeout(hold)
+            res.release()
+
+        eng.process(worker("a", 0.0, 1.0))
+        eng.process(worker("b", 0.5, 1.0))
+        eng.process(worker("c", 0.75, 1.0))
+        # arrives at the instant "a" releases, after the hand-over to "b"
+        eng.process(worker("d", 1.0, 1.0))
+        eng.run()
+        assert order == [("a", 0.0), ("b", 1.0), ("c", 2.0), ("d", 3.0)]
+
+    @pytest.mark.parametrize("granted", [False, True], ids=["queued", "granted"])
+    def test_interrupt_while_queued_cancels_without_leaking(self, granted):
+        """Interrupted in the queue (or after the grant was scheduled but
+        before the waiter saw it): the request goes and the unit stays
+        free for the next taker."""
+        eng = Engine()
+        res = Resource(eng, capacity=1)
+        log = []
+
+        def holder():
+            yield from res.acquire()
+            yield eng.timeout(0.5)
+            if granted:
+                # the interrupt is already on its way when the unit is
+                # handed over, so it lands before the waiter sees it
+                victim.interrupt("stop")
+                res.release()
+            else:
+                victim.interrupt("stop")
+                yield eng.timeout(0.5)
+                res.release()
+
+        def waiter():
+            try:
+                yield from res.acquire()
+            except Interrupt:
+                log.append(("interrupted", eng.now, res._in_use))
+
+        eng.process(holder())
+        victim = eng.process(waiter())
+        eng.run()
+        # queued: only the holder's unit is in use; granted: the cancel
+        # already gave back the unit handed to the waiter
+        assert log == [("interrupted", 0.5, 0 if granted else 1)]
+        assert res._in_use == 0 and not res._waiters
+        with pytest.raises(StopIteration):
+            next(res.acquire())
+        assert res._in_use == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        capacity=st.integers(1, 4),
+        jobs=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 4)),
+            min_size=1, max_size=20,
+        ),
+    )
+    def test_grants_match_the_event_form(self, capacity, jobs):
+        """Same grants, same grant instants and one event fewer per
+        uncontended grant than ``yield request``."""
+
+        def run(in_place):
+            eng = Engine()
+            res = Resource(eng, capacity=capacity)
+            got = []
+
+            def worker(tag, arrive, hold):
+                yield eng.timeout(arrive * 0.25)
+                if in_place:
+                    yield from res.acquire()
+                else:
+                    yield request(res)
+                got.append((tag, eng.now))
+                yield eng.timeout(hold * 0.5)
+                res.release()
+
+            for tag, (arrive, hold) in enumerate(jobs):
+                eng.process(worker(tag, arrive, hold))
+            eng.run()
+            return res.grants, sorted(got), eng.events_scheduled, res
+
+        grants, got, events, res = run(in_place=True)
+        oracle_grants, oracle_got, oracle_events, _ = run(in_place=False)
+        assert grants == oracle_grants == len(jobs)
+        assert got == oracle_got
+        assert events < oracle_events
+        assert res._in_use == 0 and not res._waiters
 
 
 class TestLink:
