@@ -307,7 +307,7 @@ class SelfProfiler:
         """Memoized ``engine:<kind>:<class>`` name for event dispatch.
 
         *raw* is a process/event name like ``rank0``, ``cpu-map`` or
-        ``delta00.gpu1.blk``; the class strips decimal digits so every
+        ``fault3.gpu_kill``; the class strips decimal digits so every
         rank/device instance shares one tree node.
         """
         cache_key = kind + raw

@@ -292,6 +292,27 @@ class TestLaneFaultRace:
         assert {(t, fatal) for _, t, _, fatal in rig.log} == {(end / 2, True)}
         assert rig.res.cpu_pool._in_use == 0
 
+    def test_hiccup_fails_only_the_blocks_in_flight(self, delta):
+        """A hiccup fails the blocks the lanes hold; the blocks still
+        queued run afterwards on the surviving device."""
+        cores = delta.cpu.cores
+        blocks = [Block(400 * i, 400 * (i + 1)) for i in range(3 * cores)]
+        end = block_end(delta, blocks[0])
+        rig = FaultRig(delta)
+        lanes = rig.lanes(blocks, n_lanes=cores)
+
+        def striker():
+            yield rig.engine.timeout(end / 2)
+            rig.faults.fire("hiccup")
+
+        rig.engine.process(striker())
+        rig.engine.run(rig.engine.all_of(lanes))
+        failed = sorted(start for _, _, start, _ in rig.log)
+        assert failed == [b.start for b in blocks[:cores]]
+        assert {(t, fatal) for _, t, _, fatal in rig.log} == {(end / 2, False)}
+        done = sorted(start for start, _ in rig.done())
+        assert done == [b.start for b in blocks[cores:]]
+
     def test_disruption_callbacks_do_not_grow_with_blocks(self, delta):
         """Each block's race leaves the shared disruption event when the
         block ends: the event holds at most one callback per lane."""
