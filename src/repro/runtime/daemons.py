@@ -33,7 +33,7 @@ numerically real and timings analytically faithful.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Iterable
 
 from repro.core.intensity import IntensityProfile
 from repro.hardware.node import FatNode
@@ -136,7 +136,7 @@ class Lane(Process):
             item = take()
 
 
-def _queue_take(items: list[Any]) -> Callable[[], Any]:
+def _queue_take(items: Iterable[Any]) -> Callable[[], Any]:
     """A ``take`` callable handing out *items* in order, then ``None``."""
     queue = deque(items)
     return lambda: queue.popleft() if queue else None
@@ -396,7 +396,7 @@ class CpuDaemon(_MapDaemon):
                 self.res.cpu_pool.release()
 
         n_lanes = min(self.res.cpu_pool.capacity, len(groups))
-        take = _queue_take(list(groups.items()))
+        take = _queue_take(groups.items())
         yield engine.all_of(
             [Lane(engine, take, one, "cpu-reduce") for _ in range(n_lanes)]
         )
@@ -598,7 +598,7 @@ class GpuDaemon(_MapDaemon):
             finally:
                 prof.end()
 
-        take = _queue_take(list(groups.items()))
+        take = _queue_take(groups.items())
         yield engine.all_of(
             [Lane(engine, take, one, "gpu-reduce") for _ in groups]
         )

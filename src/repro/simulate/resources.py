@@ -54,22 +54,6 @@ class Resource:
         else:
             self._in_use -= 1
 
-    def cancel(self, evt: Event) -> None:
-        """Withdraw an outstanding request (interrupted waiter cleanup).
-
-        If the request is still queued it is simply removed.  If it was
-        already granted — including a grant scheduled but not yet seen by
-        the interrupted process — the unit is returned via :meth:`release`
-        so it is not leaked.
-        """
-        try:
-            self._waiters.remove(evt)
-            return
-        except ValueError:
-            pass
-        if evt.triggered:
-            self.release()
-
     def acquire(self) -> Generator[Event, Any, None]:
         """Process fragment: acquire one unit, cancelling on interrupt.
 
@@ -90,7 +74,11 @@ class Resource:
         try:
             yield req
         except BaseException:
-            self.cancel(req)
+            try:
+                self._waiters.remove(req)
+            except ValueError:
+                # already handed a unit (its grant not yet seen): return it
+                self.release()
             raise
 
     def using(self, duration: float) -> Generator[Event, Any, None]:
