@@ -174,18 +174,30 @@ class _Race:
 
 
 def _run_guarded(
-    daemon: Any, block: Block, sink: BlockOrderedSink, lane: Lane
+    daemon: Any,
+    block: Block,
+    sink: BlockOrderedSink,
+    lane: Lane,
+    death: Event | None,
 ) -> Generator[Event, Any, None]:
-    """Fault-aware block: race it against the device's disruption event;
-    on a fault the lane is interrupted out of the in-flight work (whose
+    """Fault-aware block: race it against *death*, its batch's disruption
+    event, or (``None``) the device's disruption event current now; on a
+    fault the lane is interrupted out of the in-flight work (whose
     resource cleanup runs) and the failed block is reported to the
     scheduler instead of being lost."""
     faults = daemon.res.faults
     key = daemon.fault_key
+    if death is not None and death._processed:
+        # Its batch's disruption already fired: the block fails as it
+        # would have in its queue, one zero-delay hop later, so after the
+        # blocks that were in flight.
+        yield daemon.res.engine.timeout(0.0)
+        daemon._report_failure(block, fatal=faults.device_dead(key))
+        return
     if faults.device_dead(key):
         daemon._report_failure(block, fatal=True)
         return
-    race = _Race(lane, faults.disruption(key))
+    race = _Race(lane, faults.disruption(key) if death is None else death)
     try:
         yield from daemon._map_block(block, sink)
     except Interrupt:
@@ -210,31 +222,46 @@ class _MapDaemon:
             self.fault_listener(self, block, fatal)
 
     def run_map_block(
-        self, block: Block, sink: BlockOrderedSink, lane: Lane | None = None
+        self,
+        block: Block,
+        sink: BlockOrderedSink,
+        lane: Lane,
+        death: Event | None,
     ) -> Generator[Event, Any, None]:
-        """Process fragment: one map sub-task on this daemon's device —
-        raced against the device's faults once they are wired, which
-        needs the *lane* that runs it."""
+        """Process fragment: one map sub-task on this daemon's device, run
+        by *lane* — raced against the device's faults once they are wired
+        (*death* as in :func:`_run_guarded`)."""
         if self.fault_key is None:
             yield from self._map_block(block, sink)
-        elif lane is None:
-            raise ValueError(
-                f"{self.device_name}: a fault-armed map block must run "
-                "in a lane"
-            )
         else:
-            yield from _run_guarded(self, block, sink, lane)
+            yield from _run_guarded(self, block, sink, lane, death)
 
     def lanes(
         self,
         n_lanes: int,
         take: Callable[[], Block | None],
         sink: BlockOrderedSink,
+        *,
+        batch: bool,
     ) -> list[Lane]:
-        """Start *n_lanes* lanes mapping the blocks ``take()`` hands out."""
+        """Start *n_lanes* lanes mapping the blocks ``take()`` hands out.
+
+        A *batch* is blocks dispatched all at once that queue for the
+        lanes: each races the disruption event current when the lanes
+        start, so a hiccup fails the blocks still queued along with those
+        in flight.  Otherwise (a poll, a stream window) a block races the
+        event current when its lane takes it.
+        """
+        batch_death: list[Event] = []
 
         def run(block: Block, lane: Lane) -> Generator[Event, Any, None]:
-            return self.run_map_block(block, sink, lane)
+            death = None
+            if batch and self.fault_key is not None:
+                if not batch_death:
+                    # the first lane's first step: the instant the lanes start
+                    batch_death.append(self.res.faults.disruption(self.fault_key))
+                death = batch_death[0]
+            return self.run_map_block(block, sink, lane, death)
 
         engine = self.res.engine
         return [Lane(engine, take, run, self.lane_name) for _ in range(n_lanes)]
@@ -351,9 +378,10 @@ class CpuDaemon(_MapDaemon):
             self.res.cpu_pool.release()
 
     def map_lanes(self, blocks: list[Block], sink: BlockOrderedSink) -> list[Lane]:
-        """Start one lane per core slot over *blocks*, taken in order."""
+        """Start one lane per core slot over *blocks*, taken in order: a
+        batch, whose blocks all queue for a core at once."""
         n_lanes = min(self.res.cpu_pool.capacity, len(blocks))
-        return self.lanes(n_lanes, _queue_take(blocks), sink)
+        return self.lanes(n_lanes, _queue_take(blocks), sink, batch=True)
 
     def run_reduce(
         self,
@@ -551,12 +579,14 @@ class GpuDaemon(_MapDaemon):
 
         ``n_streams=1`` serializes (the no-stream baseline); ``None``
         issues every block at once and lets the device's in-flight window
-        (work queues) govern overlap.
+        (work queues) govern overlap.  A block races the device's faults
+        from when it is issued: a hiccup spares the blocks still waiting
+        for the window.
         """
         n_lanes = len(blocks)
         if n_streams is not None and n_streams >= 1:
             n_lanes = min(n_streams, n_lanes)
-        return self.lanes(n_lanes, _queue_take(blocks), sink)
+        return self.lanes(n_lanes, _queue_take(blocks), sink, batch=False)
 
     def run_reduce(
         self,

@@ -98,9 +98,9 @@ def poll_blocks(
     if cpu_daemon is not None:
         # One lane per core: the pool stays saturated while work remains.
         cores = sched.res.node.cpu.cores
-        lanes += cpu_daemon.lanes(cores, poll(cpu_daemon), sink)
+        lanes += cpu_daemon.lanes(cores, poll(cpu_daemon), sink, batch=False)
     for gpu_daemon in sched.active_gpu_daemons:
-        lanes += gpu_daemon.lanes(1, poll(gpu_daemon), sink)
+        lanes += gpu_daemon.lanes(1, poll(gpu_daemon), sink, batch=False)
     yield sched.res.engine.all_of(lanes)
     policy.note_queue_depth(len(queue))  # drained (or abandoned) queue
     for block in queue:

@@ -270,8 +270,8 @@ def _write_events() -> int:
         print("the golden rows differ from the scenarios; run --write")
         return 1
     moved = []
-    for name in scenario_names():
-        row = fingerprint(name)
+    rows = {name: fingerprint(name) for name in scenario_names()}
+    for name, row in rows.items():
         for field in sorted(row.keys() | golden[name].keys()):
             if field != "engine_events" and row.get(field) != golden[name].get(field):
                 moved.append(
@@ -282,9 +282,9 @@ def _write_events() -> int:
         print("\n".join(moved))
         print(f"{len(moved)} field(s) besides engine_events moved; nothing written")
         return 1
-    for name in scenario_names():
+    for name, row in rows.items():
         before = golden[name]["engine_events"]
-        after = golden[name]["engine_events"] = fingerprint(name)["engine_events"]
+        after = golden[name]["engine_events"] = row["engine_events"]
         print(f"{name}: {before} -> {after}")
     _dump(golden)
     print(f"rewrote engine_events of {len(golden)} fingerprints in {GOLDEN}")

@@ -35,8 +35,8 @@ def run_block_twice(node, app, block):
     trace = Trace()
     daemon = GpuDaemon(NodeResources(engine, node), 0, app, QUIET_CONFIG, trace)
     sink = BlockOrderedSink([])
-    engine.run(engine.process(daemon.run_map_block(block, sink)))
-    engine.run(engine.process(daemon.run_map_block(block, sink)))
+    engine.run(engine.all_of(daemon.map_lanes([block], sink)))
+    engine.run(engine.all_of(daemon.map_lanes([block], sink)))
     return daemon, trace
 
 
@@ -68,7 +68,7 @@ class TestCapacityBoundedCache:
         sink = BlockOrderedSink([])
         blocks = Block(0, 1000).split(4)
         for block in blocks:
-            engine.run(engine.process(daemon.run_map_block(block, sink)))
+            engine.run(engine.all_of(daemon.map_lanes([block], sink)))
         cached = [b for b in blocks if daemon.is_cached(b)]
         assert len(cached) == 1  # 1000 B fits in 1843 B budget, 2000 B not
         assert daemon.cached_bytes <= 0.9 * node.gpu.memory_bytes

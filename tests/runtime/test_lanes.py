@@ -7,7 +7,9 @@ from repro.runtime.api import Block
 from repro.runtime.daemons import CpuDaemon, GpuDaemon, NodeResources
 from repro.runtime.job import JobConfig, Overheads
 from repro.runtime.shuffle import BlockOrderedSink
-from repro.simulate.engine import Engine
+from repro.hardware import delta_cluster
+from repro.runtime.prs import PRSRuntime
+from repro.simulate.engine import Engine, Interrupt
 from repro.simulate.faults import DeviceFault
 from repro.simulate.resources import Resource
 from repro.simulate.trace import Trace
@@ -41,7 +43,7 @@ def per_block_oracle(engine, daemon, blocks, sink, n_streams=None):
     def one(block):
         yield from gate.acquire()
         try:
-            yield from daemon.run_map_block(block, sink)
+            yield from daemon._map_block(block, sink)
         finally:
             gate.release()
 
@@ -146,9 +148,11 @@ class FaultRig:
         self.log.append(("failed", self.engine.now, block.start, fatal))
 
     def lanes(self, blocks, n_lanes=1):
+        """Polling lanes over *blocks*."""
         queue = list(blocks)
         return self.daemon.lanes(
-            n_lanes, lambda: queue.pop(0) if queue else None, self.sink
+            n_lanes, lambda: queue.pop(0) if queue else None, self.sink,
+            batch=False,
         )
 
     def done(self):
@@ -292,9 +296,9 @@ class TestLaneFaultRace:
         assert {(t, fatal) for _, t, _, fatal in rig.log} == {(end / 2, True)}
         assert rig.res.cpu_pool._in_use == 0
 
-    def test_hiccup_fails_only_the_blocks_in_flight(self, delta):
-        """A hiccup fails the blocks the lanes hold; the blocks still
-        queued run afterwards on the surviving device."""
+    def test_poll_hiccup_fails_only_the_blocks_in_flight(self, delta):
+        """Polling lanes: a hiccup fails the blocks the lanes hold; a block
+        taken afterwards races the device's next disruption and runs."""
         cores = delta.cpu.cores
         blocks = [Block(400 * i, 400 * (i + 1)) for i in range(3 * cores)]
         end = block_end(delta, blocks[0])
@@ -334,10 +338,104 @@ class TestLaneFaultRace:
         assert 0 < max(peak) <= delta.cpu.cores
         assert death.callbacks == [] and not death.triggered
 
-    def test_armed_block_needs_its_lane(self, delta):
+
+def guarded_per_block(rig, blocks):
+    """The dispatch batch lanes replace, under faults: one process per
+    block from the batch's start, racing the device's disruption event
+    against the block's work in a second process."""
+    engine, daemon, faults = rig.engine, rig.daemon, rig.faults
+
+    def work(block):
+        try:
+            yield from daemon._map_block(block, rig.sink)
+        except Interrupt:
+            return True
+        return False
+
+    def one(block):
+        if faults.device_dead(KEY):
+            daemon._report_failure(block, fatal=True)
+            return
+        death = faults.disruption(KEY)
+        proc = engine.process(work(block))
+        yield engine.any_of([proc, death])
+        if proc.is_alive:
+            proc.interrupt(death.value)
+        if (yield proc):
+            daemon._report_failure(block, fatal=faults.device_dead(KEY))
+
+    return [engine.process(one(block)) for block in blocks]
+
+
+class TestBatchFaults:
+    """A batch's blocks all race the disruption event current when its
+    lanes start, so a disruption fails the blocks still queued for a core
+    as well as those in flight: the outcome of one guarded process per
+    block."""
+
+    @pytest.mark.parametrize("kind", ["hiccup", "kill"])
+    def test_batch_matches_guarded_processes(self, delta, kind):
+        blocks = uneven_blocks(3 * delta.cpu.cores + 5)
+        strike = block_end(delta, blocks[0]) * 1.5
+
+        def run(lanes):
+            rig = FaultRig(delta)
+            if lanes:
+                procs = rig.daemon.map_lanes(blocks, rig.sink)
+            else:
+                procs = guarded_per_block(rig, blocks)
+
+            def striker():
+                yield rig.engine.timeout(strike)
+                rig.faults.fire(kind)
+
+            rig.engine.process(striker())
+            rig.engine.run(rig.engine.all_of(procs))
+            assert rig.res.cpu_pool._in_use == 0
+            return rig.log, rig.done()
+
+        log, done = run(lanes=True)
+        assert (log, done) == run(lanes=False)
+        # some blocks finished before the strike, the rest failed at it,
+        # in dispatch order: the in-flight ones first, then the queued
+        assert 0 < len(done) < len(blocks)
+        assert len(log) == len(blocks) - len(done)
+        assert {t for _, t, _, _ in log} == {strike}
+        assert {fatal for _, _, _, fatal in log} == {kind == "kill"}
+
+    def test_hiccup_after_the_batch_spares_the_next(self, delta):
+        """A batch races only the disruption current when its lanes
+        start: the next batch runs through a hiccup that hit before it."""
+        blocks = uneven_blocks(4)
         rig = FaultRig(delta)
-        proc = rig.engine.process(
-            rig.daemon.run_map_block(Block(0, 10), rig.sink)
-        )
-        with pytest.raises(ValueError, match="must run in a lane"):
-            rig.engine.run(proc)
+        rig.faults.fire("hiccup")
+        rig.engine.run(rig.engine.timeout(1e-9))
+        rig.engine.run(rig.engine.all_of(rig.daemon.map_lanes(blocks, rig.sink)))
+        assert rig.log == []
+        assert len(rig.done()) == len(blocks)
+
+
+class TestHiccupScope:
+    """Which blocks a CPU hiccup fails, through the scheduler: all 48
+    blocks of node 0's static CPU batch, but only the 12 in flight (one
+    per core) under polling; either way the CPU is benched and the split
+    refit.  The counts are those of one guarded process per block."""
+
+    @pytest.mark.parametrize(
+        "policy, expected",
+        [("static", (48, 96, 1, 1)), ("dynamic", (12, 12, 1, 1))],
+    )
+    def test_cpu_hiccup(self, policy, expected):
+        app = ModSumApp(4000)
+        result = PRSRuntime(
+            delta_cluster(n_nodes=2),
+            JobConfig(faults="cpu_hiccup@0:t=0.021", scheduling=policy),
+        ).run(app)
+        assert result.output == app.expected_output()
+        rec = result.recovery
+        assert (
+            rec.block_failures,
+            rec.blocks_retried,
+            rec.devices_blacklisted,
+            rec.split_refits,
+        ) == expected

@@ -93,7 +93,7 @@ class TestGpuDaemon:
         block = Block(0, 100)
         assert not daemon.is_cached(block)
         sink = BlockOrderedSink([])
-        engine.run(engine.process(daemon.run_map_block(block, sink)))
+        engine.run(engine.all_of(daemon.map_lanes([block], sink)))
         assert not daemon.is_cached(block)  # iterative=False: never cached
 
     def test_iterative_block_cached_after_first_pass(self, delta):
@@ -102,7 +102,7 @@ class TestGpuDaemon:
         daemon = GpuDaemon(NodeResources(engine, delta), 0, app, QUIET_CONFIG, Trace())
         block = Block(0, 100)
         sink = BlockOrderedSink([])
-        engine.run(engine.process(daemon.run_map_block(block, sink)))
+        engine.run(engine.all_of(daemon.map_lanes([block], sink)))
         assert daemon.is_cached(block)
         # A different span is not covered by the cache.
         assert not daemon.is_cached(Block(100, 200))
