@@ -247,20 +247,16 @@ class _MapDaemon:
         """Start *n_lanes* lanes mapping the blocks ``take()`` hands out.
 
         A *batch* is blocks dispatched all at once that queue for the
-        lanes: each races the disruption event current when the lanes
-        start, so a hiccup fails the blocks still queued along with those
+        lanes: each races the disruption event current when the batch is
+        dispatched, so a hiccup fails the blocks still queued along with those
         in flight.  Otherwise (a poll, a stream window) a block races the
         event current when its lane takes it.
         """
-        batch_death: list[Event] = []
+        death = None
+        if batch and self.fault_key is not None:
+            death = self.res.faults.disruption(self.fault_key)
 
         def run(block: Block, lane: Lane) -> Generator[Event, Any, None]:
-            death = None
-            if batch and self.fault_key is not None:
-                if not batch_death:
-                    # the first lane's first step: the instant the lanes start
-                    batch_death.append(self.res.faults.disruption(self.fault_key))
-                death = batch_death[0]
             return self.run_map_block(block, sink, lane, death)
 
         engine = self.res.engine
