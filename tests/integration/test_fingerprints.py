@@ -7,8 +7,10 @@ iteration count, the span count, the fired alerts (rule names and
 count), the comm graph's message and byte counts, the decision-record
 and sampler-sample counts, ``repr`` of the critical path's work and
 slack, of its slack decomposition, of GFLOP/s, of the worst model drift
-and of every phase total, and — when the job returned one — the
-recovery summary's counts.  ``fingerprints.json`` holds the committed
+and of every phase total, — when the job returned one — the recovery
+summary's counts, and sha256 digests of the Prometheus exposition, of
+the sampler bank's JSONL lines and of the record spans (id, parent id,
+label, track, category, bounds and attrs).  ``fingerprints.json`` holds the committed
 values and the tests only compare against it, so any refactor that moves
 a single float, event, span, message or sample fails here.
 
@@ -40,6 +42,7 @@ field if anything else moved against the committed file.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import sys
 from functools import lru_cache
@@ -158,6 +161,24 @@ def _reprs(values: dict[str, float]) -> dict[str, str]:
     return {key: repr(value) for key, value in sorted(values.items())}
 
 
+def _sha256(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode("utf-8"))
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def record_spans_digest(trace) -> str:
+    """sha256 of every record span: id, parent id, label, track,
+    category, bounds and attrs, in record order."""
+    return _sha256(
+        repr((s.span_id, s.parent_id, s.name, s.track, s.category,
+              s.start, s.end, s.attrs))
+        for s in trace._record_spans
+    )
+
+
 @lru_cache(maxsize=None)
 def fingerprint(name: str) -> dict[str, Any]:
     """The exact, JSON-ready behaviour fingerprint of one scenario.
@@ -192,6 +213,12 @@ def fingerprint(name: str) -> dict[str, Any]:
         "gflops": repr(result.gflops),
         "max_abs_drift": repr(analysis.max_abs_drift),
         "phase_totals_s": _reprs(result.phase_totals()),
+        "metrics_sha256": _sha256([result.trace.metrics.render()]),
+        "series_sha256": (
+            _sha256(result.trace.sampler.bank.to_jsonl_lines())
+            if result.trace.sampler is not None else None
+        ),
+        "records_sha256": record_spans_digest(result.trace),
     }
 
 
@@ -230,8 +257,9 @@ def test_obs_twin_does_not_perturb(workload, row):
     """Observers are host bookkeeping: the simulated run is unchanged."""
     plain = fingerprint(f"{workload}/{row}")
     observed = fingerprint(f"{workload}/{row}+obs")
-    # the twin samples at 1e-4 s instead of the default 1e-3 s
-    for key in plain.keys() - {"sampler_samples"}:
+    # the twin samples at 1e-4 s instead of the default 1e-3 s: its
+    # sample count and sampled series differ by construction
+    for key in plain.keys() - {"sampler_samples", "series_sha256"}:
         assert observed[key] == plain[key], key
 
 
