@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 # ---------------------------------------------------------------------------
 # Well-known series names (the contract between instrumentation and readers;
@@ -337,6 +337,11 @@ class HistogramChild:
         series.add(self._bounds, value)
 
 
+def _up_to_date() -> None:
+    """The default :attr:`MetricsRegistry.before_read`: nothing is
+    derived, so every series is always current."""
+
+
 class MetricsRegistry:
     """Create-or-get access to named metrics plus text exposition."""
 
@@ -345,6 +350,12 @@ class MetricsRegistry:
         #: the counter/gauge series written since the watcher last
         #: cleared it (see track_writes); None when nothing watches
         self._dirty: set[Any] | None = None
+        #: called first by every read — create-or-get, :meth:`get`,
+        #: :meth:`names` (and so iteration, :meth:`render`,
+        #: :meth:`to_dict`) and :meth:`track_writes` — to bring series
+        #: that are folded in on read up to date (a trace installs its
+        #: record fold here)
+        self.before_read: Callable[[], None] = _up_to_date
 
     # ------------------------------------------------------------------
     def track_writes(self) -> set[Any]:
@@ -358,6 +369,7 @@ class MetricsRegistry:
         name the series).  Until this is called, and again after
         :meth:`untrack_writes`, a write pays one ``is None`` test.
         """
+        self.before_read()
         dirty = {
             (metric.name, key)
             for metric in self._metrics.values()
@@ -377,6 +389,7 @@ class MetricsRegistry:
             metric._dirty = dirty
 
     def _get_or_create(self, cls: type, name: str, **kwargs: Any) -> Any:
+        self.before_read()
         metric = self._metrics.get(name)
         if metric is None:
             metric = cls(name, **kwargs)
@@ -424,9 +437,11 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def get(self, name: str) -> Metric | None:
+        self.before_read()
         return self._metrics.get(name)
 
     def names(self) -> list[str]:
+        self.before_read()
         return sorted(self._metrics)
 
     def __iter__(self) -> Iterator[Metric]:

@@ -37,7 +37,7 @@ from typing import Any, Iterable
 AUTO = object()
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed interval on one track, optionally inside a parent span."""
 
@@ -107,16 +107,7 @@ class SpanTracer:
             self._next_id += 1
         elif span_id >= self._next_id:
             self._next_id = span_id + 1
-        span = Span(
-            span_id=span_id,
-            name=name,
-            track=track,
-            start=start,
-            end=end,
-            parent_id=parent_id,
-            category=category,
-            attrs=attrs,
-        )
+        span = Span(span_id, name, track, start, end, parent_id, category, attrs)
         self._spans.append(span)
         self._by_id[span.span_id] = span
         if track not in self._stacks:

@@ -648,6 +648,7 @@ class MetricSampler:
         prof = trace.selfprof
         prof.begin("obs:sampler")
         try:
+            trace.metrics.before_read()
             self._backfill(now)
         finally:
             prof.end()
@@ -680,6 +681,7 @@ class MetricSampler:
         accepting ticks."""
         if self._trace is None or self.finalized:
             return
+        self._trace.metrics.before_read()
         self._backfill(end)
         if self._last_t is None or self._last_t < end:
             self._anchor(end)

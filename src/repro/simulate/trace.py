@@ -135,6 +135,11 @@ class Trace:
         #: simulated schedule is bitwise identical with or without
         #: logging — the same contract the sampler and selfprof keep.
         self.log = NULL_LOG
+        #: the record counters and busy unions are folded in on read:
+        #: the registry calls :meth:`_fold` before each of its reads
+        self.metrics.before_read = self._fold
+        #: how many record spans :meth:`_fold` has replayed
+        self._folded = 0
         self._busy_union: dict[str, IntervalUnion] = {}
         #: (device, kind) -> bound per-record counters (_device_counters)
         self._counter_children: dict[tuple[str, str], tuple[CounterChild, ...]] = {}
@@ -203,34 +208,33 @@ class Trace:
         attrs: dict | None = None,
     ) -> None:
         """Append one task record, stored as its device-block span (attrs:
-        ``nbytes``, ``flops``, then *attrs*)."""
+        ``nbytes``, ``flops``, then *attrs*, which may not set either).
+
+        The call validates its arguments, ticks the sampler and appends
+        the span; nothing else.  The per-device counters and busy union
+        it feeds are folded in on read (:meth:`_fold`), so a bad value
+        fails here, naming the task, not at some later read.
+        """
         if not end >= start:  # also rejects NaN bounds
             raise ValueError(
                 f"task {label!r}: end {end} precedes start {start}"
             )
+        if not (nbytes >= 0 and flops >= 0):  # also rejects NaN
+            raise ValueError(
+                f"task {label!r}: negative or NaN nbytes {nbytes} or "
+                f"flops {flops}"
+            )
+        span_attrs = {"nbytes": nbytes, "flops": flops}
+        if attrs:
+            if "nbytes" in attrs or "flops" in attrs:
+                raise ValueError(
+                    f"task {label!r}: attrs may not set nbytes or flops"
+                )
+            span_attrs.update(attrs)
         prof = self.selfprof
         prof.begin("obs:trace.record")
         try:
             self.tick(end)
-            counters = self._counter_children.get((device, kind))
-            if counters is None:
-                counters = self._device_counters(device, kind)
-            busy, tasks, flops_c, nbytes_c, busy_union = counters
-            busy.inc(end - start)
-            tasks.inc(1)
-            if flops:
-                flops_c.inc(flops)
-            if nbytes:
-                nbytes_c.inc(nbytes)
-            union = self._busy_union.get(device)
-            if union is None:
-                union = self._busy_union[device] = IntervalUnion()
-            added = union.add(start, end)
-            if added:
-                busy_union.inc(added)
-            span_attrs = {"nbytes": nbytes, "flops": flops}
-            if attrs:
-                span_attrs.update(attrs)
             # The bounds are checked above; the tracer adopts the freshly
             # built attrs dict instead of copying it.
             self._record_spans.append(self.tracer._new_span(
@@ -239,6 +243,57 @@ class Trace:
             ))
         finally:
             prof.end()
+
+    def _fold(self) -> None:
+        """Bring the record counters and busy unions up to date.
+
+        Replays the records appended since the last fold, in record
+        order, with the float adds a per-record ``inc`` of each series
+        makes, so every value is bitwise what counting at the record
+        gives.  A series is created at the record that first writes it
+        (a device and kind's first record, its device's first nonzero
+        flops, its first nonzero bytes, its first busy-union gain), and
+        each series a fold writes joins the registry's write set once.
+        """
+        spans = self._record_spans
+        done = self._folded
+        if done == len(spans):
+            return
+        self._folded = len(spans)  # first: a registry read below folds nothing
+        counters = self._counter_children
+        unions = self._busy_union
+        written: set[CounterChild] = set()
+
+        def add(child: CounterChild, value: float) -> None:
+            samples = child._samples
+            if samples is None:
+                samples = child._samples = self.metrics.counter(child.name)._samples
+            key = child.key
+            samples[key] = samples.get(key, 0.0) + value
+            written.add(child)
+
+        for span in spans[done:]:
+            device = span.track
+            children = counters.get((device, span.category))
+            if children is None:
+                children = self._device_counters(device, span.category)
+            busy, tasks, flops, nbytes, busy_union = children
+            start, end, attrs = span.start, span.end, span.attrs
+            add(busy, end - start)
+            add(tasks, 1)
+            if attrs["flops"]:
+                add(flops, attrs["flops"])
+            if attrs["nbytes"]:
+                add(nbytes, attrs["nbytes"])
+            union = unions.get(device)
+            if union is None:
+                union = unions[device] = IntervalUnion()
+            gained = union.add(start, end)
+            if gained:
+                add(busy_union, gained)
+        dirty = self.metrics._dirty
+        if dirty is not None:
+            dirty.update(written)
 
     def _device_counters(self, device: str, kind: str) -> tuple[CounterChild, ...]:
         """The five per-record counter children of ``(device, kind)``:
@@ -322,9 +377,10 @@ class Trace:
 
         Overlapping records (e.g. two streams on one GPU) are merged so a
         device can never appear more than 100 % utilized.  The union is
-        kept incrementally as records arrive (and exported as the
+        folded in on read, record by record (and exported as the
         ``prs_device_busy_union_seconds_total`` counter).
         """
+        self._fold()
         union = self._busy_union.get(device)
         return union.total if union is not None else 0.0
 
@@ -494,9 +550,10 @@ class Trace:
 
     def finalize(self, end_time: float) -> None:
         """Close the open job/iteration envelope spans at *end_time*."""
+        self._fold()
         self.tracer.finalize(end_time)
         # The trace outlives the run inside its result; drop the bound
-        # counters (a record after this point rebinds them lazily).
+        # counters (a later fold rebinds them lazily).
         self._counter_children.clear()
         self._open_phase.clear()
         self._iter_span.clear()

@@ -1,8 +1,20 @@
 """Tests for execution-trace aggregation."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import (
+    DEVICE_BUSY_SECONDS,
+    DEVICE_BUSY_UNION_SECONDS,
+    DEVICE_BYTES,
+    DEVICE_FLOPS,
+    DEVICE_TASKS,
+    IntervalUnion,
+    MetricSampler,
+)
 from repro.simulate.trace import GANTT_GLYPHS, TaskRecord, Trace
 
 
@@ -320,3 +332,130 @@ class TestSingleStore:
     def test_records_are_views_not_cached(self, trace):
         assert trace.records is not trace.records
         assert trace.records[0] == trace.records[0]
+
+
+class _PerRecordTrace(Trace):
+    """The reference a fold must reproduce: each record counts its five
+    series and its busy union at once, through ``Counter.inc``, and
+    stores its span where :meth:`Trace._fold` never looks."""
+
+    def __init__(self):
+        super().__init__()
+        self.unions = {}
+
+    def record(self, label, device, kind, start, end, nbytes=0.0, flops=0.0,
+               attrs=None):
+        self.tick(end)
+        m = self.metrics
+        m.counter(DEVICE_BUSY_SECONDS).inc(end - start, device=device, kind=kind)
+        m.counter(DEVICE_TASKS).inc(1, device=device, kind=kind)
+        if flops:
+            m.counter(DEVICE_FLOPS).inc(flops, device=device)
+        if nbytes:
+            m.counter(DEVICE_BYTES).inc(nbytes, device=device, kind=kind)
+        added = self.unions.setdefault(device, IntervalUnion()).add(start, end)
+        if added:
+            m.counter(DEVICE_BUSY_UNION_SECONDS).inc(added, device=device)
+        self.tracer.record(label, device, start, end, category=kind,
+                           parent_id=None)
+
+    def busy_time(self, device):
+        union = self.unions.get(device)
+        return union.total if union is not None else 0.0
+
+
+DEVICES = ("n0.cpu", "n0.gpu0", "n1.cpu", "net.r0")
+KINDS = ("compute", "h2d", "reduce", "net")
+
+
+def _stream(seed, n=300):
+    """A seeded record stream: overlapping and zero-length intervals,
+    zero and nonzero flops and bytes, several devices and kinds, ends
+    roughly in time order (as the runtime records them)."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        start = i * 1e-4 + rng.uniform(-3e-4, 3e-4)
+        start = max(0.0, start)
+        length = rng.choice([0.0, rng.uniform(1e-5, 5e-4)])
+        flops = rng.choice([0.0, 0.0, rng.uniform(1.0, 1e6)])
+        nbytes = rng.choice([0.0, float(rng.randint(1, 4096))])
+        out.append((f"t{i}", rng.choice(DEVICES), rng.choice(KINDS),
+                    start, start + length, nbytes, flops))
+    return out
+
+
+def _read(trace, device):
+    """One read of every kind the fold serves."""
+    trace.metrics.render()
+    trace.metrics.to_dict()
+    trace.busy_time(device)
+    trace.metrics.get(DEVICE_FLOPS)
+
+
+def _replay(cls, stream, reads=()):
+    """Record *stream* into a sampled trace of *cls*, reading at the
+    indices in *reads*; finalize, then add one record after it."""
+    trace = cls()
+    sampler = trace.attach_sampler(MetricSampler(interval=2e-4))
+    for i, rec in enumerate(stream):
+        if i in reads:
+            _read(trace, rec[1])
+        trace.record(*rec)
+    end = max(r[4] for r in stream)
+    sampler.finalize(end)
+    trace.finalize(end)
+    trace.record("late", "n0.cpu", "compute", end, end + 1e-3, 8.0, 10.0)
+    return trace
+
+
+def _outputs(trace):
+    metrics = trace.metrics
+    return (
+        metrics.render(),
+        list(metrics.to_dict().items()),  # sample key order included
+        [repr(trace.busy_time(d)) for d in DEVICES],
+        trace.sampler.bank.to_jsonl_lines(),
+    )
+
+
+class TestFoldOnRead:
+    """The record counters and busy unions are folded in on read; every
+    read order gives what counting at each record gives."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_any_read_order_matches_per_record_counting(self, seed):
+        stream = _stream(seed)
+        rng = random.Random(seed + 100)
+        reads = set(rng.sample(range(len(stream)), 40))
+        interleaved = _outputs(_replay(Trace, stream, reads))
+        at_end = _outputs(_replay(Trace, stream))
+        reference = _outputs(_replay(_PerRecordTrace, stream))
+        assert interleaved == at_end == reference
+        assert "prs_device_flops_total" in reference[0]
+
+    def test_record_writes_no_counter(self):
+        t = Trace()
+        t.record("a", "n0.cpu", "compute", 0.0, 1.0, 8.0, 10.0)
+        assert t.metrics._metrics == {}
+        assert t.metrics.get(DEVICE_TASKS).value(device="n0.cpu",
+                                                 kind="compute") == 1.0
+        assert t.busy_time("n0.cpu") == 1.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("flops", -1.0), ("flops", math.nan), ("nbytes", -8.0),
+        ("nbytes", math.nan),
+    ])
+    def test_bad_flops_or_bytes_fail_at_the_call(self, field, value):
+        t = make_trace([("a", "cpu", "compute", 0.0, 1.0)])
+        before = t.metrics.render()
+        with pytest.raises(ValueError, match="'blk'"):
+            t.record("blk", "cpu", "compute", 1.0, 2.0, **{field: value})
+        assert len(t.records) == 1
+        assert t.metrics.render() == before
+
+    def test_attrs_may_not_shadow_the_record_fields(self):
+        t = Trace()
+        with pytest.raises(ValueError, match="'blk'"):
+            t.record("blk", "cpu", "compute", 0.0, 1.0, attrs={"flops": 1.0})
+        assert t.records == ()
