@@ -550,12 +550,19 @@ class RankComm:
                 races.append(timer)
             if abort is not None:
                 races.append(abort)
+            race = self.engine.any_of(races)
             try:
-                index, value = yield self.engine.any_of(races)
+                index, value = yield race
             except BaseException:
                 if not get_evt.triggered:
                     box.cancel(get_evt)
                 raise
+            # The race is decided, so its callback can only return at
+            # once: take it off the shared abort event (and the timer,
+            # which stays scheduled so the event count does not move).
+            # An interrupted receive keeps its callback, whose firing
+            # still schedules the undecided race.
+            race.withdraw()
             if races[index] is get_evt:
                 return self._finish_recv(value, tag, entered)
             if get_evt.triggered:

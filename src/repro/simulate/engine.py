@@ -260,6 +260,15 @@ class _Condition(Event):
     def _on_child(self, event: Event) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def withdraw(self) -> None:
+        """Take this condition's callback off every child not yet
+        processed, once the condition no longer matters: a long-lived
+        child (an epoch's abort event) then holds callbacks only for the
+        waits still open.  A child still fires as scheduled."""
+        for evt in self.events:
+            if not evt._processed:
+                evt.callbacks.remove(self._on_child)
+
 
 class AllOf(_Condition):
     """Fires when every child event has fired; value = list of child values.

@@ -613,6 +613,37 @@ class TestFaultPaths:
         assert run_spmd(world, main)[1] == (0.25, ("rank-silent", 0))
         assert world.trace.tracer.find(category="recv") == []
 
+    def test_finished_receives_leave_no_callback_on_the_abort_event(self):
+        world = make_world(3, bandwidth=1e9)
+        abort = world.engine.event()
+        world.attach_faults(None, abort_event=abort)
+        held = []
+
+        def main(comm):
+            if comm.rank == 0:
+                for i in range(5):
+                    yield from comm.send(i, dest=1, tag=1)
+                yield comm.engine.timeout(1.0)
+                held.append(len(abort.callbacks))
+                abort.succeed(("rank-silent", 0))
+                return None
+            if comm.rank == 1:
+                got = []
+                for _ in range(5):
+                    got.append((yield from comm.recv(source=0, tag=1, timeout=5.0)))
+                with pytest.raises(CommTimeout):
+                    yield from comm.recv(source=0, tag=1, timeout=0.5)
+                return got
+            # rank 2 stays blocked until the abort fires
+            with pytest.raises(EpochAborted):
+                yield from comm.recv(source=0, tag=2)
+            return None
+
+        assert run_spmd(world, main)[1] == [0, 1, 2, 3, 4]
+        # six finished receives, one still blocked: one callback
+        assert held == [1]
+        assert abort.callbacks == []
+
     def test_dropped_message_is_retransmitted(self):
         world = make_world(2, latency=0.25, bandwidth=1.0)
         plan = FaultPlan.from_specs(["msg_drop@0-1:count=1,t0=0"])
