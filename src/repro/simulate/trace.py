@@ -10,10 +10,14 @@ Since the observability layer landed, a trace is also the front door to
 it: each trace owns a :class:`~repro.obs.MetricsRegistry` and a
 :class:`~repro.obs.SpanTracer`, and every record/phase call feeds both —
 
-* :meth:`record` increments the per-device counters (busy seconds —
-  both raw occupancy and overlap-merged union — flops, bytes, task
-  counts) and emits the record's device-block span, parented under the
-  rank's currently open phase when the device has been bound to a rank;
+* :meth:`record` appends the record's device-block span, parented under
+  the rank's currently open phase when the device has been bound to a
+  rank, and nothing else.  The per-device counters it feeds (busy
+  seconds — both raw occupancy and overlap-merged union — flops, bytes,
+  task counts) are derived: :meth:`_fold` replays the records appended
+  since the last fold before any registry read, before a sampler
+  snapshot and in :meth:`busy_time` / :meth:`finalize`, with the float
+  adds a per-record count would make;
 * :meth:`begin_phase` / :meth:`end_phase` bracket runtime phases live,
   maintaining the job -> iteration -> phase span hierarchy per rank.
 
