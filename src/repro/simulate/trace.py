@@ -252,12 +252,12 @@ class Trace:
         """Bring the record counters and busy unions up to date.
 
         Replays the records appended since the last fold, in record
-        order, with the float adds a per-record ``inc`` of each series
-        makes, so every value is bitwise what counting at the record
-        gives.  A series is created at the record that first writes it
-        (a device and kind's first record, its device's first nonzero
-        flops, its first nonzero bytes, its first busy-union gain), and
-        each series a fold writes joins the registry's write set once.
+        order, through the same ``CounterChild.inc`` calls that counting
+        at the record made, so every value is bitwise what it gave.  A
+        series is created at the record that first writes it (a device
+        and kind's first record, its device's first nonzero flops, its
+        first nonzero bytes, its first busy-union gain), and each series
+        a fold writes joins the registry's write set.
         """
         spans = self._record_spans
         done = self._folded
@@ -266,16 +266,6 @@ class Trace:
         self._folded = len(spans)  # first: a registry read below folds nothing
         counters = self._counter_children
         unions = self._busy_union
-        written: set[CounterChild] = set()
-
-        def add(child: CounterChild, value: float) -> None:
-            samples = child._samples
-            if samples is None:
-                samples = child._samples = self.metrics.counter(child.name)._samples
-            key = child.key
-            samples[key] = samples.get(key, 0.0) + value
-            written.add(child)
-
         for span in spans[done:]:
             device = span.track
             children = counters.get((device, span.category))
@@ -283,21 +273,18 @@ class Trace:
                 children = self._device_counters(device, span.category)
             busy, tasks, flops, nbytes, busy_union = children
             start, end, attrs = span.start, span.end, span.attrs
-            add(busy, end - start)
-            add(tasks, 1)
+            busy.inc(end - start)
+            tasks.inc(1)
             if attrs["flops"]:
-                add(flops, attrs["flops"])
+                flops.inc(attrs["flops"])
             if attrs["nbytes"]:
-                add(nbytes, attrs["nbytes"])
+                nbytes.inc(attrs["nbytes"])
             union = unions.get(device)
             if union is None:
                 union = unions[device] = IntervalUnion()
             gained = union.add(start, end)
             if gained:
-                add(busy_union, gained)
-        dirty = self.metrics._dirty
-        if dirty is not None:
-            dirty.update(written)
+                busy_union.inc(gained)
 
     def _device_counters(self, device: str, kind: str) -> tuple[CounterChild, ...]:
         """The five per-record counter children of ``(device, kind)``:
