@@ -4,12 +4,14 @@
 Run from the change's repository root::
 
     python3 benchmarks/pair_e2e.py PARENT_DIR CHANGE_DIR --workload W [W ...]
-        [--pairs 10] [--first-seed N] [--seconds 20]
-        [--parent-commit REV] [--commit REV]
+        [--pairs 10] [--first-seed N]
 
-Pair ``i`` of each workload runs ``benchmarks/e2e/run.py --workload W
---seed N+i --trace 0`` once in each checkout, the parent first on even
-``i`` and the change first on odd ``i``, so a drift in host speed
+Both directories must be git checkouts (make the parent with ``git
+clone``, not ``git archive``): each side's commit label is its
+``git rev-parse --short HEAD``.  Pair ``i`` of each workload runs
+``benchmarks/e2e/run.py --workload W --seed N+i --trace 0`` once in
+each checkout, at run.py's own default run length, the parent first on
+even ``i`` and the change first on odd ``i``, so a drift in host speed
 favours neither side.  For every workload the script prints the
 docs/PROFILING.md table row: each end-to-end metric's median on both
 sides, the parent's quartiles of ``op_s.p50``, the change's wins and
@@ -128,14 +130,29 @@ def trajectory_line(
     return json.dumps(line, sort_keys=True)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int,
+def commit_of(checkout: Path) -> str:
+    """The short hash of the commit *checkout* has checked out; fails
+    unless *checkout* is the root of a git work tree."""
+    out = subprocess.run(
+        ["git", "-C", str(checkout), "rev-parse", "--show-toplevel",
+         "--short", "HEAD"],
+        capture_output=True, text=True,
+    )
+    lines = out.stdout.split()
+    if out.returncode or Path(lines[0]).resolve() != checkout.resolve():
+        raise SystemExit(f"{checkout}: not the root of a git checkout "
+                         "(make the parent with git clone)")
+    return lines[1]
+
+
+def run_once(checkout: Path, workload: str, seed: int,
              commit: str) -> dict[str, Any]:
     """One ``run.py --trace 0`` run in *checkout*; its ``--json`` report."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.jsonl"
         subprocess.run(
             [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
-             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+             "--seed", str(seed), "--trace", "0",
              "--json", str(out), "--commit", commit],
             cwd=checkout, check=True, stdout=subprocess.DEVNULL,
         )
@@ -149,10 +166,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", nargs="+", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=20)
-    ap.add_argument("--parent-commit", default="parent")
-    ap.add_argument("--commit", default="change")
     args = ap.parse_args(argv)
+    commits = {"parent": commit_of(args.parent_dir),
+               "change": commit_of(args.change_dir)}
     bench = json.loads((args.change_dir / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     rows, reports, seeds = [], {}, {}
@@ -160,10 +176,9 @@ def main(argv: list[str] | None = None) -> int:
         runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
         seeds[workload] = [args.first_seed + i for i in range(args.pairs)]
         for i, seed in enumerate(seeds[workload]):
-            sides = [("parent", args.parent_dir, args.parent_commit),
-                     ("change", args.change_dir, args.commit)]
-            for side, checkout, commit in (sides if i % 2 == 0 else sides[::-1]):
-                report = run_once(checkout, workload, seed, args.seconds, commit)
+            sides = [("parent", args.parent_dir), ("change", args.change_dir)]
+            for side, checkout in (sides if i % 2 == 0 else sides[::-1]):
+                report = run_once(checkout, workload, seed, commits[side])
                 runs[side].append(report["workloads"][workload]["metrics"])
                 if side == "change" and i == 0:
                     reports[workload] = report
@@ -176,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         rows.append(table_row(workload, stats))
     print(table_header(list(better)))
     print("\n".join(rows))
-    print(trajectory_line(reports, seeds, args.commit, args.parent_commit))
+    print(trajectory_line(reports, seeds, commits["change"], commits["parent"]))
     return 0
 
 
