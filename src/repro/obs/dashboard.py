@@ -20,7 +20,7 @@ from __future__ import annotations
 import html
 import json
 import zlib
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.obs.profile import LoadedProfile
 from repro.obs.rules import alerts_from_tracer
@@ -88,7 +88,7 @@ def _labels_text(labels: dict[str, str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# SVG pieces
+# Shared pieces: sparklines, lane strips, tables
 # ---------------------------------------------------------------------------
 
 
@@ -134,22 +134,57 @@ def _sparkline(
     )
 
 
-def _timeline_rect(
-    start: float, end: float, makespan: float, width: int,
-    y: int, h: int, color: str, title: str,
+def _lanes(
+    lanes: list[tuple[str, list[tuple[float, float, str, str]]]],
+    makespan: float, lane_h: int, label_w: int, width: int = 840,
 ) -> str:
+    """An SVG strip of labelled lanes, one per ``(label, bars)`` entry of
+    *lanes*; each bar is a ``(start, end, color, title)`` interval drawn
+    to scale against *makespan*, at least one pixel wide."""
+    gap = 4
     span = makespan or 1.0
-    x = start / span * width
-    w = max((end - start) / span * width, 1.0)
+    height = len(lanes) * (lane_h + gap) + gap
+    parts = [
+        f'<svg class="lane" width="{label_w + width}" height="{height}" '
+        f'viewBox="0 0 {label_w + width} {height}">'
+    ]
+    for i, (label, bars) in enumerate(lanes):
+        y = gap + i * (lane_h + gap)
+        parts.append(
+            f'<text x="0" y="{y + lane_h // 2 + 4}">{_esc(label)}</text>'
+            f'<g transform="translate({label_w},0)">'
+        )
+        for start, end, color, title in bars:
+            parts.append(
+                f'<rect x="{start / span * width:.1f}" y="{y}" '
+                f'width="{max((end - start) / span * width, 1.0):.1f}" '
+                f'height="{lane_h}" fill="{color}">'
+                f"<title>{_esc(title)}</title></rect>"
+            )
+        parts.append("</g>")
+    parts.append("</svg>")
+    return "".join(parts)
+
+
+def _table(heads: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """An HTML table under the column *heads*.  A cell is its inner HTML
+    (already escaped), or an ``(attributes, inner HTML)`` pair."""
+    body = "".join(
+        "<tr>" + "".join(
+            f"<td {cell[0]}>{cell[1]}</td>" if isinstance(cell, tuple)
+            else f"<td>{cell}</td>"
+            for cell in row
+        ) + "</tr>"
+        for row in rows
+    )
     return (
-        f'<rect x="{x:.1f}" y="{y}" width="{w:.1f}" height="{h}" '
-        f'fill="{color}"><title>{_esc(title)}</title></rect>'
+        "<table><thead><tr>" + "".join(f"<th>{h}</th>" for h in heads)
+        + "</tr></thead><tbody>" + body + "</tbody></table>"
     )
 
 
-def _phase_gantt(profile: LoadedProfile, width: int = 840) -> str:
+def _phase_gantt(profile: LoadedProfile) -> str:
     """Per-rank strip of the phase spans (category ``phase``)."""
-    makespan = profile.makespan
     by_rank: dict[int, list] = {}
     for span in profile.tracer.find(category="phase"):
         if span.end is None:
@@ -157,72 +192,24 @@ def _phase_gantt(profile: LoadedProfile, width: int = 840) -> str:
         by_rank.setdefault(int(span.attrs.get("rank", 0)), []).append(span)
     if not by_rank:
         return "<p>(no phase spans in this profile)</p>"
-    lane_h, gap, label_w = 16, 4, 58
-    rows = sorted(by_rank)
-    height = len(rows) * (lane_h + gap) + gap
-    parts = [
-        f'<svg class="lane" width="{label_w + width}" height="{height}" '
-        f'viewBox="0 0 {label_w + width} {height}">'
-    ]
-    for i, rank in enumerate(rows):
-        y = gap + i * (lane_h + gap)
-        parts.append(
-            f'<text x="0" y="{y + lane_h - 4}">rank {rank}</text>'
-            f'<g transform="translate({label_w},0)">'
-        )
+    lanes = []
+    seen: dict[str, None] = {}  # phase names in first-appearance order
+    for rank in sorted(by_rank):
+        bars = []
         for span in sorted(by_rank[rank], key=lambda s: (s.start, s.name)):
-            title = (
+            seen.setdefault(span.name)
+            bars.append((
+                span.start, span.end, _color(span.name),
                 f"{span.name} it={span.attrs.get('iteration', '?')} "
-                f"[{_fmt_ms(span.start)} - {_fmt_ms(span.end)}]"
-            )
-            parts.append(
-                _timeline_rect(span.start, span.end, makespan, width,
-                               y, lane_h, _color(span.name), title)
-            )
-        parts.append("</g>")
-    parts.append("</svg>")
-    # Legend: phase names in first-appearance order of the sorted walk.
-    seen: list[str] = []
-    for rank in rows:
-        for span in sorted(by_rank[rank], key=lambda s: (s.start, s.name)):
-            if span.name not in seen:
-                seen.append(span.name)
+                f"[{_fmt_ms(span.start)} - {_fmt_ms(span.end)}]",
+            ))
+        lanes.append((f"rank {rank}", bars))
     legend = " ".join(
         f'<span class="sev" style="background:{_color(n)}">{_esc(n)}</span>'
         for n in seen
     )
-    return "".join(parts) + f"<p>{legend}</p>"
-
-
-def _alert_timeline(alerts: list[dict[str, Any]], makespan: float,
-                    width: int = 840) -> str:
-    lane_h, gap, label_w = 14, 4, 190
-    height = len(alerts) * (lane_h + gap) + gap
-    parts = [
-        f'<svg class="lane" width="{label_w + width}" height="{height}" '
-        f'viewBox="0 0 {label_w + width} {height}">'
-    ]
-    for i, alert in enumerate(alerts):
-        y = gap + i * (lane_h + gap)
-        label = f"{alert['rule']}{_labels_text(alert['labels'])}"
-        color = _SEVERITY_COLOR.get(alert["severity"], "#888")
-        parts.append(
-            f'<text x="0" y="{y + lane_h - 3}">{_esc(label[:34])}</text>'
-            f'<g transform="translate({label_w},0)">'
-        )
-        end = alert["end"] if alert["end"] is not None else makespan
-        title = (
-            f"{alert['rule']} {alert['severity']} "
-            f"[{_fmt_ms(alert['start'])} - {_fmt_ms(end)}] "
-            f"peak {_fmt(alert['peak'] or 0.0)}"
-        )
-        parts.append(
-            _timeline_rect(alert["start"], end, makespan, width,
-                           y, lane_h, color, title)
-        )
-        parts.append("</g>")
-    parts.append("</svg>")
-    return "".join(parts)
+    return (_lanes(lanes, profile.makespan, lane_h=16, label_w=58)
+            + f"<p>{legend}</p>")
 
 
 # ---------------------------------------------------------------------------
@@ -248,35 +235,35 @@ def _meta_section(profile: LoadedProfile) -> str:
     return f'<p class="meta">{" ".join(bits)}</p>'
 
 
-def _alerts_section(profile: LoadedProfile) -> str:
-    alerts = alerts_from_tracer(profile.tracer)
+def _alerts_section(alerts: list[dict[str, Any]], makespan: float) -> str:
     if not alerts:
         return '<p class="ok">no alert rules fired</p>'
-    rows = []
+    lanes, rows = [], []
     for alert in alerts:
         color = _SEVERITY_COLOR.get(alert["severity"], "#888")
-        end = alert["end"] if alert["end"] is not None else profile.makespan
-        rows.append(
-            "<tr>"
-            f'<td><span class="sev" style="background:{color}">'
-            f"{_esc(alert['severity'])}</span></td>"
-            f"<td>{_esc(alert['rule'])}</td>"
-            f"<td><code>{_esc(alert['expr'])}</code></td>"
-            f"<td>{_esc(_labels_text(alert['labels']) or '-')}</td>"
-            f"<td>{_fmt_ms(alert['start'])}</td>"
-            f"<td>{_fmt_ms(end)}</td>"
-            f"<td>{_fmt(alert['peak'] or 0.0)} / "
-            f"{_fmt(alert['threshold'] or 0.0)}</td>"
-            f"<td>{'yes' if alert['resolved'] else 'no'}</td>"
-            "</tr>"
-        )
-    table = (
-        "<table><thead><tr><th>severity</th><th>rule</th><th>expr</th>"
-        "<th>labels</th><th>start</th><th>end</th><th>peak / threshold</th>"
-        "<th>resolved</th></tr></thead><tbody>"
-        + "".join(rows) + "</tbody></table>"
+        end = alert["end"] if alert["end"] is not None else makespan
+        labels = _labels_text(alert["labels"])
+        peak = _fmt(alert["peak"] or 0.0)
+        lanes.append((f"{alert['rule']}{labels}"[:34], [(
+            alert["start"], end, color,
+            f"{alert['rule']} {alert['severity']} "
+            f"[{_fmt_ms(alert['start'])} - {_fmt_ms(end)}] peak {peak}",
+        )]))
+        rows.append((
+            f'<span class="sev" style="background:{color}">'
+            f"{_esc(alert['severity'])}</span>",
+            _esc(alert["rule"]),
+            f"<code>{_esc(alert['expr'])}</code>",
+            _esc(labels or "-"),
+            _fmt_ms(alert["start"]),
+            _fmt_ms(end),
+            f"{peak} / {_fmt(alert['threshold'] or 0.0)}",
+            "yes" if alert["resolved"] else "no",
+        ))
+    return _lanes(lanes, makespan, lane_h=14, label_w=190) + _table(
+        ("severity", "rule", "expr", "labels", "start", "end",
+         "peak / threshold", "resolved"), rows,
     )
-    return _alert_timeline(alerts, profile.makespan) + table
 
 
 def _membership_section(profile: LoadedProfile) -> str:
@@ -288,21 +275,16 @@ def _membership_section(profile: LoadedProfile) -> str:
     rows = []
     for m in events:
         members = str(m["members"])
-        live = len(members.split(",")) if members else 0
-        rows.append(
-            "<tr>"
-            f"<td>{_fmt_ms(m['time'])}</td>"
-            f"<td>{_esc(str(m['epoch']))}</td>"
-            f"<td>{_esc(m['cause'])}</td>"
-            f"<td>{_esc(str(m['node']))}</td>"
-            f"<td>{live}</td>"
-            f"<td>{_esc(str(m['detail']) or '-')}</td>"
-            "</tr>"
-        )
-    return (
-        "<table><thead><tr><th>time</th><th>epoch</th><th>cause</th>"
-        "<th>node</th><th>live ranks</th><th>detail</th></tr></thead>"
-        "<tbody>" + "".join(rows) + "</tbody></table>"
+        rows.append((
+            _fmt_ms(m["time"]),
+            _esc(str(m["epoch"])),
+            _esc(m["cause"]),
+            _esc(str(m["node"])),
+            len(members.split(",")) if members else 0,
+            _esc(str(m["detail"]) or "-"),
+        ))
+    return _table(
+        ("time", "epoch", "cause", "node", "live ranks", "detail"), rows
     )
 
 
@@ -349,33 +331,16 @@ def _host_section(host) -> str:
     """The schema-v2 host self-profile: subsystem shares + hotspots."""
     shares = host.section_shares()
     total = sum(shares.values()) or 1.0
-    share_rows = "".join(
-        "<tr>"
-        f"<td><code>{_esc(section)}</code></td>"
-        f"<td>{_fmt_ms(seconds)}</td>"
-        f"<td>{_fmt(seconds / total * 100.0)}%</td>"
-        "</tr>"
+    share_table = _table(("subsystem", "exclusive", "share"), [
+        (f"<code>{_esc(section)}</code>", _fmt_ms(seconds),
+         f"{_fmt(seconds / total * 100.0)}%")
         for section, seconds in shares.items()
-    )
-    share_table = (
-        "<table><thead><tr><th>subsystem</th><th>exclusive</th>"
-        "<th>share</th></tr></thead><tbody>" + share_rows
-        + "</tbody></table>"
-    )
-    hot_rows = "".join(
-        "<tr>"
-        f"<td><code>{_esc(row['path'])}</code></td>"
-        f"<td>{row['calls']}</td>"
-        f"<td>{_fmt_ms(row['exclusive_s'])}</td>"
-        f"<td>{_fmt_ms(row['inclusive_s'])}</td>"
-        "</tr>"
+    ])
+    hot_table = _table(("scope path", "calls", "exclusive", "inclusive"), [
+        (f"<code>{_esc(row['path'])}</code>", row["calls"],
+         _fmt_ms(row["exclusive_s"]), _fmt_ms(row["inclusive_s"]))
         for row in host.top_exclusive(10)
-    )
-    hot_table = (
-        "<table><thead><tr><th>scope path</th><th>calls</th>"
-        "<th>exclusive</th><th>inclusive</th></tr></thead><tbody>"
-        + hot_rows + "</tbody></table>"
-    )
+    ])
     header = (
         f"<p>host wall {_fmt(host.wall_s)} s &middot; "
         f"{_fmt(host.sim_per_wall)} sim-s/wall-s &middot; "
@@ -432,31 +397,25 @@ def _log_section(profile: LoadedProfile) -> str:
         f"&middot; {len(log.dumps)} flight dump(s)</p>"
     )
 
-    def _rows(rows) -> str:
-        out = []
-        for r in rows:
-            color = _LEVEL_COLOR.get(r.level, "#888")
-            span = str(r.span_id) if r.span_id is not None else ""
-            rank = str(r.rank) if r.rank is not None else ""
+    def table(records) -> str:
+        rows = []
+        for r in records:
             labels = _esc(" ".join(f"{k}={v}" for k, v in r.attrs))
-            out.append(
-                "<tr>"
-                f"<td>{_fmt_ms(r.t)}</td>"
-                f'<td style="color:{color}">{_esc(r.level)}</td>'
-                f"<td><code>{_esc(r.logger)}</code></td>"
-                f"<td>{rank}</td><td>{span}</td>"
-                f"<td>{_esc(r.message)}"
-                + (f' <span class="meta">{labels}</span>' if labels else "")
-                + "</td></tr>"
-            )
-        return "".join(out)
+            rows.append((
+                _fmt_ms(r.t),
+                (f'style="color:{_LEVEL_COLOR.get(r.level, "#888")}"',
+                 _esc(r.level)),
+                f"<code>{_esc(r.logger)}</code>",
+                "" if r.rank is None else r.rank,
+                "" if r.span_id is None else r.span_id,
+                _esc(r.message)
+                + (f' <span class="meta">{labels}</span>' if labels else ""),
+            ))
+        return _table(
+            ("t", "level", "logger", "rank", "span", "message"), rows
+        )
 
-    table_head = (
-        "<table><thead><tr><th>t</th><th>level</th><th>logger</th>"
-        "<th>rank</th><th>span</th><th>message</th></tr></thead><tbody>"
-    )
-    parts = [header, timeline, "<h3>Retained tail</h3>",
-             table_head + _rows(records) + "</tbody></table>"]
+    parts = [header, timeline, "<h3>Retained tail</h3>", table(records)]
     if log.dumps:
         parts.append("<h3>Flight recorder</h3>")
         for i, dump in enumerate(log.dumps):
@@ -465,8 +424,7 @@ def _log_section(profile: LoadedProfile) -> str:
                 f"dump {i}: <code>{_esc(dump.trigger)}</code> "
                 f"{_esc(dump.cause)} at {_fmt_ms(dump.t)} "
                 f"({len(dump.records)} records)</summary>"
-                + table_head + _rows(dump.records) + "</tbody></table>"
-                + "</details>"
+                + table(dump.records) + "</details>"
             )
     return "".join(parts)
 
@@ -512,7 +470,7 @@ def render_dashboard(profile: LoadedProfile, title: str | None = None) -> str:
         f"<h1>{_esc(title)}</h1>\n"
         f'<p class="meta">{summary}</p>\n'
         + _meta_section(profile)
-        + "\n<h2>Alerts</h2>\n" + _alerts_section(profile)
+        + "\n<h2>Alerts</h2>\n" + _alerts_section(alerts, profile.makespan)
         + "\n<h2>Membership</h2>\n" + _membership_section(profile)
         + "\n<h2>Phase timeline</h2>\n" + _phase_gantt(profile)
         + "\n<h2>Sampled series</h2>\n" + _series_section(profile)

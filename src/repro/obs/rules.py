@@ -14,6 +14,11 @@ sampled history, never live state — so rule evaluation can never
 perturb a schedule, and re-evaluating a saved profile gives exactly the
 alerts of the live run.
 
+Evaluation has one path.  A series whose extreme values cannot meet a
+rule's condition is skipped whole; any other series is read point by
+point, each point's window cut from the expanded samples by bisection,
+with the same float folds as the :class:`Series` aggregators.
+
 Expression syntax
 -----------------
 ``func(metric)`` or ``func(metric{label=value,label2=value2})`` with
@@ -100,6 +105,10 @@ def parse_expr(expr: str) -> tuple[str, str, dict[str, str]]:
                     f"malformed label matcher {part!r} in {expr!r}"
                 )
             k, v = part.split("=", 1)
+            if not k.strip():
+                raise ValueError(
+                    f"empty label name in matcher {part!r} of {expr!r}"
+                )
             labels[k.strip()] = v.strip().strip('"')
     return func, m.group("metric"), labels
 
@@ -123,10 +132,13 @@ class Rule:
                 f"rule {self.name!r}: unknown comparison {self.op!r} "
                 f"(expected one of {', '.join(_OPS)})"
             )
-        if self.window < 0.0 or self.for_s < 0.0:
-            raise ValueError(
-                f"rule {self.name!r}: window and for_s must be >= 0"
-            )
+        for what, value in (("window", self.window), ("for_s", self.for_s)):
+            if not value >= 0.0:  # also rejects NaN
+                raise ValueError(
+                    f"rule {self.name!r}: {what} must be >= 0, got {value}"
+                )
+        if self.threshold != self.threshold:
+            raise ValueError(f"rule {self.name!r}: threshold is NaN")
 
 
 @dataclass(frozen=True)
@@ -249,107 +261,26 @@ def _window_aggregate(
     return sorted_quantile(sorted(window), 0.5 if func == "p50" else 0.99)
 
 
-def _stretches(
+def _signals(
     func: str, window: float, series: Series, end: float
-) -> list[tuple[float, float, float | None]]:
+) -> list[tuple[float, float | None]]:
     """The signal at every point of *series* with ``t <= end``, in
-    order, as ``(first t, last t, signal)`` per stretch of consecutive
-    points that share it (signal None: the window has no value).
-
-    A series stores runs of equal values, so over long runs a stretch
-    spans many points: for value the rest of a run; for min, max,
-    increase and a zero-delta rate, every point whose window starts in
-    the same run; for the other signals, a run that fills every window
-    and gives the same signal at every window count.  Any other point
-    has its window cut by bisection.  Every aggregate adds and compares
-    the same floats in the same order as the Series aggregators, so the
-    values are bit-identical.
-    """
-    # The points, laid out once; grid times are the sampler's own
-    # ``k * interval``.
-    interval = series.interval
-    runs = series.runs()
-    times = [k * interval for first, stop, _ in runs for k in range(first, stop)]
-    values = [v for first, stop, v in runs for _ in range(first, stop)]
-    grid = len(times)
-    tail = series.tail
-    times += [t for t, _ in tail]
-    values += [v for _, v in tail]
+    order, as ``(t, signal)`` pairs (signal None: the window has no
+    value).  Each point's window is cut by bisection; every aggregate
+    adds and compares the same floats in the same order as the Series
+    aggregators, so the values are bit-identical."""
+    points = series.points()  # grid times are the sampler's k * interval
+    times = [t for t, _ in points]
+    values = [v for _, v in points]
     n = bisect_right(times, end)
-
-    def cut(i0: int, i1: int) -> list[tuple[float, float, float | None]]:
-        if func == "value":
-            return [
-                (t, t, values[bisect_right(times, t) - 1]) for t in times[i0:i1]
-            ]
-        return [
-            (t, t, _window_aggregate(
-                func, times, values,
-                bisect_left(times, t - window), bisect_right(times, t),
-            ))
-            for t in times[i0:i1]
-        ]
-
-    if not runs or n <= 4 * len(runs):  # short runs: cutting is cheaper
-        return cut(0, n)
-    out: list[tuple[float, float, float | None]] = []
-    # Each run's first point, value and stop; the grid's last point may
-    # share its time with the tail's first, so no stretch covers it.
-    starts = [first - runs[0][0] for first, _, _ in runs]
-    vals = [v for _, _, v in runs]
-    stops = [*starts[1:], grid - 1 if tail else grid]
-    uniform: dict[int, bool] = {}  # run -> one signal at every count
-
-    def entering(i: int, stop: int, start: int) -> int:
-        """The first point in ``[i, stop)`` whose window starts at or
-        after point *start* (window starts are monotone in ``t``)."""
-        return bisect_right(
-            times, times[start - 1], i, stop, key=lambda t: t - window
-        )
-
-    def held(i: int, lo: int, r: int, stop: int) -> int:
-        """The end of the stretch from grid point *i* of run *r* whose
-        window starts at point *lo*."""
-        if func == "value":
-            return stop
-        if lo >= starts[r]:  # the window lies inside run r
-            if func in ("min", "max"):
-                return stop
-            if lo == 0:  # the grid's start may cut the window short
-                return i + 1
-            same = uniform.get(r)
-            if same is None:
-                # A full window inside one run holds within 2 of
-                # ``window / interval`` points: the float error of
-                # ``k * interval - window`` is far below one grid pitch.
-                width = int(window / interval)
-                signals = {
-                    repr(_window_aggregate(func, range(c), [vals[r]] * c, 0, c))
-                    for c in range(max(1, width - 2), width + 4)
-                }
-                same = uniform[r] = len(signals) == 1
-            return stop if same else i + 1
-        if func in ("min", "max", "increase", "rate"):
-            j = bisect_right(starts, lo) - 1
-            # rate is the same zero at any dt > 0 only for a zero delta
-            if func != "rate" or not vals[r] - vals[j]:
-                return entering(i + 1, stop, starts[j + 1])
-        return i + 1
-
-    for r, i in enumerate(starts):
-        stop = min(stops[r], n)
-        while stop - i > 2:  # a stretch may skip points
-            lo = bisect_left(times, times[i] - window)
-            if func == "value":
-                v = vals[r]
-            else:
-                v = _window_aggregate(func, times, values, lo, i + 1)
-            nxt = max(i + 1, held(i, lo, r, stop))
-            out.append((times[i], times[nxt - 1], v))
-            i = nxt
-        out += cut(i, stop)
-    out += cut(min(stops[-1], n), n)
-    return out
+    if func == "value":
+        return [(t, values[bisect_right(times, t) - 1]) for t in times[:n]]
+    return [
+        (t, _window_aggregate(func, times, values,
+                              bisect_left(times, t - window),
+                              bisect_right(times, t)))
+        for t in times[:n]
+    ]
 
 
 def _cannot_fire(rule: Rule, func: str, series: Series) -> bool:
@@ -415,16 +346,14 @@ def _evaluate_series(
         run_start = None
         run_peak = 0.0
 
-    # After a stretch's first point its repeats only move last_true:
-    # the peak of equal values and a closed run stay as they are.
-    for t, last, v in _stretches(func, rule.window, series, end):
+    for t, v in _signals(func, rule.window, series, end):
         if v is not None and compare(v, rule.threshold):
             if run_start is None:
                 run_start = t
                 run_peak = v
             else:
                 run_peak = extreme(run_peak, v)
-            last_true = last
+            last_true = t
         elif run_start is not None:
             close(resolved_at=t)
     close(resolved_at=None)

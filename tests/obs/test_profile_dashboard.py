@@ -2,6 +2,7 @@
 surface that ties them together (`repro dashboard`, `run
 --dashboard-out`, `trace export --format profile`)."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,14 +11,18 @@ from repro.apps.cmeans import CMeansApp
 from repro.cli import main
 from repro.data.synth import gaussian_mixture
 from repro.obs.dashboard import render_dashboard
+from repro.obs.log import EventLog, FlightDump, LogRecord
 from repro.obs.profile import (
     PROFILE_SCHEMA_VERSION,
+    LoadedProfile,
     load_profile,
     loads_profile,
     profile_jsonl,
 )
 from repro.hardware import delta_cluster
 from repro.obs.rules import ALERT_CATEGORY
+from repro.obs.selfprof import HostProfile
+from repro.obs.spans import SpanTracer
 from repro.runtime.job import JobConfig
 from repro.runtime.prs import PRSRuntime
 
@@ -294,3 +299,62 @@ class TestRunSamplingFlags:
                 if a["rule"] == "link-over-utilization"]
         assert all(a["severity"] == "critical" for a in link)
         assert payload["sampling"]["samples"] > 0
+
+
+def _canned_host():
+    return HostProfile.from_dict({
+        "schema_version": 1,
+        "wall_s": 0.25,
+        "meta": {"makespan_s": 0.05, "engine_events": 1200},
+        "tree": {"name": "run", "calls": 1, "inclusive_s": 0.25, "children": [
+            {"name": "engine:resume:cpu-map", "calls": 40, "inclusive_s": 0.1,
+             "children": [{"name": "kernel:cmeans", "calls": 40,
+                           "inclusive_s": 0.06}]},
+            {"name": "obs:sample", "calls": 12, "inclusive_s": 0.02},
+            {"name": "comm:<send>", "calls": 7, "inclusive_s": 0.03},
+        ]},
+    })
+
+
+def _canned_log():
+    def rec(seq, t, level, logger, message, rank=None, span_id=None, **attrs):
+        return LogRecord(seq=seq, t=t, level=level, logger=logger,
+                         message=message, rank=rank, span_id=span_id,
+                         attrs=tuple(sorted(attrs.items())))
+
+    records = [
+        rec(0, 0.001, "debug", "engine", "start"),
+        rec(1, 0.004, "info", "sched", "block <0> done", rank=1, span_id=3,
+            iteration="0", device="gpu"),
+        rec(2, 0.02, "error", "faults", "gpu_kill node 0 & rank 0", rank=0),
+    ]
+    dump = FlightDump(trigger="fault", cause="gpu-kill node 0", t=0.02,
+                      records=tuple(records[1:]))
+    return EventLog.from_profile(
+        {"level": "debug", "ring_size": 16, "emitted": 5}, records, [dump]
+    )
+
+
+class TestTableSectionBytes:
+    """The host-profile and event-log sections, flight-dump table
+    included, pinned byte for byte: no run golden renders them."""
+
+    def page(self, **parts):
+        return render_dashboard(LoadedProfile(
+            tracer=SpanTracer(), meta={"app": "canned", "makespan_s": 0.05},
+            **parts,
+        ))
+
+    def test_host_profile_section(self):
+        page = self.page(host=_canned_host())
+        assert "<h2>Host profile</h2>" in page
+        assert hashlib.sha256(page.encode("utf-8")).hexdigest() == (
+            "72b1eee36c7450d6d095bec0aa6b390fb43794119757648ed3fc0ed2af17ac3b"
+        )
+
+    def test_event_log_and_flight_dump_tables(self):
+        page = self.page(log=_canned_log())
+        assert "<details><summary>dump 0:" in page
+        assert hashlib.sha256(page.encode("utf-8")).hexdigest() == (
+            "605bb46deea11a68cb93966d5338bf500116c4b4187772d01944f2dab4809696"
+        )

@@ -69,6 +69,11 @@ class TestParseExpr:
         with pytest.raises(ValueError):
             parse_expr(expr)
 
+    @pytest.mark.parametrize("expr", ["max(m{=x})", "max(m{a=b, =x})"])
+    def test_empty_label_name_rejected(self, expr):
+        with pytest.raises(ValueError, match="empty label name"):
+            parse_expr(expr)
+
 
 class TestRuleValidation:
     def test_bad_expr_fails_at_construction(self):
@@ -86,6 +91,19 @@ class TestRuleValidation:
     def test_negative_for_s_rejected(self):
         with pytest.raises(ValueError, match="must be >= 0"):
             Rule(name="r", expr="mean(prs_x)", threshold=1.0, for_s=-0.1)
+
+    @pytest.mark.parametrize(
+        "field, match",
+        [
+            ("window", "'nan-rule': window must be >= 0, got nan"),
+            ("for_s", "'nan-rule': for_s must be >= 0, got nan"),
+            ("threshold", "'nan-rule': threshold is NaN"),
+        ],
+    )
+    def test_nan_rejected_naming_the_rule(self, field, match):
+        kwargs = {"threshold": 1.0, field: math.nan}
+        with pytest.raises(ValueError, match=match):
+            Rule(name="nan-rule", expr="mean(prs_x)", **kwargs)
 
 
 class TestEvaluateRules:
@@ -489,9 +507,10 @@ class TestRunLengthSeriesMatchPerPointOracle:
 
 
 class TestStretchesMatchPerPointOracle:
-    """Long runs under wide windows: `_evaluate_series` steps whole
-    stretches of points at once, and must still give the alert events
-    of a per-point rescan, bit for bit."""
+    """Long runs under wide and infinite windows: `_evaluate_series`
+    reads a series stored as runs of equal values, cuts each point's
+    window by bisection, and must give the alert events of a per-point
+    rescan of the expanded samples, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(
