@@ -169,18 +169,16 @@ def _lanes(
 def _table(heads: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     """An HTML table under the column *heads*.  A cell is its inner HTML
     (already escaped), or an ``(attributes, inner HTML)`` pair."""
-    body = "".join(
-        "<tr>" + "".join(
-            f"<td {cell[0]}>{cell[1]}</td>" if isinstance(cell, tuple)
-            else f"<td>{cell}</td>"
-            for cell in row
-        ) + "</tr>"
-        for row in rows
-    )
-    return (
-        "<table><thead><tr>" + "".join(f"<th>{h}</th>" for h in heads)
-        + "</tr></thead><tbody>" + body + "</tbody></table>"
-    )
+    out = ["<table><thead><tr>", *[f"<th>{h}</th>" for h in heads],
+           "</tr></thead><tbody>"]
+    for row in rows:
+        out.append("<tr>")
+        for cell in row:
+            out.append(f"<td {cell[0]}>{cell[1]}</td>" if type(cell) is tuple
+                       else f"<td>{cell}</td>")
+        out.append("</tr>")
+    out.append("</tbody></table>")
+    return "".join(out)
 
 
 def _phase_gantt(profile: LoadedProfile) -> str:
@@ -398,21 +396,22 @@ def _log_section(profile: LoadedProfile) -> str:
     )
 
     def table(records) -> str:
-        rows = []
-        for r in records:
-            labels = _esc(" ".join(f"{k}={v}" for k, v in r.attrs))
-            rows.append((
-                _fmt_ms(r.t),
-                (f'style="color:{_LEVEL_COLOR.get(r.level, "#888")}"',
-                 _esc(r.level)),
-                f"<code>{_esc(r.logger)}</code>",
-                "" if r.rank is None else r.rank,
-                "" if r.span_id is None else r.span_id,
-                _esc(r.message)
-                + (f' <span class="meta">{labels}</span>' if labels else ""),
-            ))
         return _table(
-            ("t", "level", "logger", "rank", "span", "message"), rows
+            ("t", "level", "logger", "rank", "span", "message"),
+            map(log_row, records),
+        )
+
+    def log_row(r) -> tuple:
+        labels = _esc(" ".join(f"{k}={v}" for k, v in r.attrs))
+        return (
+            _fmt_ms(r.t),
+            (f'style="color:{_LEVEL_COLOR.get(r.level, "#888")}"',
+             _esc(r.level)),
+            f"<code>{_esc(r.logger)}</code>",
+            "" if r.rank is None else r.rank,
+            "" if r.span_id is None else r.span_id,
+            _esc(r.message)
+            + (f' <span class="meta">{labels}</span>' if labels else ""),
         )
 
     parts = [header, timeline, "<h3>Retained tail</h3>", table(records)]
