@@ -150,7 +150,7 @@ def _lanes(
     ]
     for i, (label, bars) in enumerate(lanes):
         y = gap + i * (lane_h + gap)
-        parts.append(
+        parts.append(  # the label's baseline sits 4 px below mid-lane
             f'<text x="0" y="{y + lane_h // 2 + 4}">{_esc(label)}</text>'
             f'<g transform="translate({label_w},0)">'
         )
@@ -356,6 +356,20 @@ _LEVEL_COLOR = {
 }
 
 
+def _log_row(r) -> tuple:
+    """The table cells of one log record."""
+    labels = _esc(" ".join(f"{k}={v}" for k, v in r.attrs))
+    return (
+        _fmt_ms(r.t),
+        (f'style="color:{_LEVEL_COLOR.get(r.level, "#888")}"', _esc(r.level)),
+        f"<code>{_esc(r.logger)}</code>",
+        "" if r.rank is None else r.rank,
+        "" if r.span_id is None else r.span_id,
+        _esc(r.message)
+        + (f' <span class="meta">{labels}</span>' if labels else ""),
+    )
+
+
 def _log_section(profile: LoadedProfile) -> str:
     """Schema v3 event log: a record timeline strip plus the tail table
     and one collapsible block per flight-recorder dump."""
@@ -398,20 +412,7 @@ def _log_section(profile: LoadedProfile) -> str:
     def table(records) -> str:
         return _table(
             ("t", "level", "logger", "rank", "span", "message"),
-            map(log_row, records),
-        )
-
-    def log_row(r) -> tuple:
-        labels = _esc(" ".join(f"{k}={v}" for k, v in r.attrs))
-        return (
-            _fmt_ms(r.t),
-            (f'style="color:{_LEVEL_COLOR.get(r.level, "#888")}"',
-             _esc(r.level)),
-            f"<code>{_esc(r.logger)}</code>",
-            "" if r.rank is None else r.rank,
-            "" if r.span_id is None else r.span_id,
-            _esc(r.message)
-            + (f' <span class="meta">{labels}</span>' if labels else ""),
+            map(_log_row, records),
         )
 
     parts = [header, timeline, "<h3>Retained tail</h3>", table(records)]
