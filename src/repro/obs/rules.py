@@ -105,11 +105,12 @@ def parse_expr(expr: str) -> tuple[str, str, dict[str, str]]:
                     f"malformed label matcher {part!r} in {expr!r}"
                 )
             k, v = part.split("=", 1)
-            if not k.strip():
+            k = k.strip()
+            if not k:
                 raise ValueError(
                     f"empty label name in matcher {part!r} of {expr!r}"
                 )
-            labels[k.strip()] = v.strip().strip('"')
+            labels[k] = v.strip().strip('"')
     return func, m.group("metric"), labels
 
 
