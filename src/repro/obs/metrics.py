@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import reduce
+from operator import add
 from typing import Any, Callable, Iterator
 
 # ---------------------------------------------------------------------------
@@ -531,9 +533,9 @@ class IntervalUnion:
         else:  # merge intervals [lo, hi) into one
             new_start = min(start, self._starts[lo])
             new_end = max(end, self._ends[hi - 1])
-            existing = sum(
+            existing = reduce(add, [
                 self._ends[i] - self._starts[i] for i in range(lo, hi)
-            )
+            ], 0)
             added = (new_end - new_start) - existing
             self._starts[lo:hi] = [new_start]
             self._ends[lo:hi] = [new_end]

@@ -8,11 +8,11 @@ sample_interval`` and records the values in ring-bounded
 :class:`Series`, which store only the instants where a value changes.
 Windowed aggregates (the alert rules' rate, mean, max, p50/p99; the
 autoscaler's mean and max) are computed lazily from the stored runs.
-A snapshot writes only the series the registry reports written since
-the previous one, plus the derived probes that can have moved; every
+A snapshot writes the series the registry reports written since the
+previous one and derives every probe below from the registry; every
 other series keeps its open run, which the bank extends before any
-read.  So sampling costs per change, not per series per grid instant,
-and *nothing* between grid crossings.
+read.  So sampling costs per change plus the probes, not per series
+per grid instant, and *nothing* between grid crossings.
 
 Zero-perturbation contract
 --------------------------
@@ -29,7 +29,8 @@ without; the only difference is the extra series riding in the trace.
 events at the default interval).
 
 Besides raw counter/gauge samples the sampler derives, at each grid
-instant, the signals the rule engine (:mod:`repro.obs.rules`) watches:
+instant and the end anchor, the signals the rule engine
+(:mod:`repro.obs.rules`) watches:
 
 * ``prs_device_busy_fraction{device=...}`` — busy-union seconds gained
   per elapsed second since the previous sample (from the incremental
@@ -49,7 +50,7 @@ instant, the signals the rule engine (:mod:`repro.obs.rules`) watches:
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from functools import reduce
 from math import copysign, isfinite
 from operator import add
@@ -88,7 +89,7 @@ DEVICE_IMBALANCE = "prs_device_imbalance"
 LINK_UTILIZATION = "prs_link_utilization"
 LINK_MODEL_RATIO = "prs_link_model_ratio"
 
-#: snapshot-plan roles: the derived probe a sampled value feeds
+#: snapshot-plan roles: the derived probe input a registry series feeds
 _BUSY_UNION, _NET_BUSY, _LINK_MSGS, _LINK_BYTES = range(4)
 _ROLES = {
     DEVICE_BUSY_UNION_SECONDS: _BUSY_UNION,
@@ -499,55 +500,38 @@ class SeriesBank:
 class _Device:
     """The busy-fraction state of one busy-union device."""
 
-    __slots__ = ("key", "series", "counts", "value", "prev", "fraction")
+    __slots__ = ("key", "samples", "series", "counts", "prev")
 
-    def __init__(self, key: LabelKey, series: Series, counts: bool) -> None:
+    def __init__(self, key: LabelKey, samples: dict, series: Series,
+                 counts: bool) -> None:
         self.key = key
+        self.samples = samples  # the busy-union counter's samples
         self.series = series  # its prs_device_busy_fraction series
         self.counts = counts  # toward the imbalance (NICs do not)
-        self.value = 0.0  # busy-union seconds, as last sampled
-        self.prev = 0.0  # ... and at the last derivation
-        self.fraction = 0.0
-
-
-class _Term:
-    """One registry series summed into a probe input: its sum's name
-    (a link, or "" for the NIC busy seconds) and its value as last
-    sampled."""
-
-    __slots__ = ("key", "name", "value")
-
-    def __init__(self, key: LabelKey, name: str) -> None:
-        self.key = key
-        self.name = name
-        self.value = 0.0
+        self.prev = 0.0  # busy-union seconds at the previous snapshot
 
 
 class _Link:
-    """The α/β model and last summed totals of one link class."""
+    """The α/β model, probe series and last summed totals of one link
+    class."""
 
     __slots__ = ("name", "alpha", "bytes_per_s", "util", "ratio",
                  "msgs", "nbytes")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, bank: SeriesBank) -> None:
         self.name = name
         self.alpha = 0.0
         self.bytes_per_s = 1.0
-        self.util: Series | None = None
-        self.ratio: Series | None = None
-        self.msgs = 0.0  # message and byte totals at the last derivation
+        key = _label_key({"link": name})
+        self.util = bank.get_or_create(LINK_UTILIZATION, key)
+        self.ratio = bank.get_or_create(LINK_MODEL_RATIO, key)
+        self.msgs = 0.0  # message and byte totals at the previous snapshot
         self.nbytes = 0.0
 
 
-#: a sum kept by deltas equals the sorted re-sum while every term is a
-#: whole number and the total is below this: every partial sum, in any
-#: order, is then exact
-_EXACT_LIMIT = 2.0**53
-
-#: a snapshot-plan row: the series, the registry samples dict and key
-#: it reads, the probe role it feeds and that role's state (a busy-union
-#: series' ``_Device``, a summed series' ``_Term``)
-_Row = tuple[Series, dict, LabelKey, "int | None", Any]
+#: a snapshot-plan row: the series and the registry samples dict and
+#: key it reads
+_Row = tuple[Series, dict, LabelKey]
 
 
 class MetricSampler:
@@ -561,15 +545,15 @@ class MetricSampler:
     time ``>= g`` — a deterministic function of the (deterministic)
     event stream.
 
-    A snapshot visits only what may have changed since the previous
-    one.  Each series is planned once, the first time the registry's
-    write set (:meth:`MetricsRegistry.track_writes`) names it, into a
-    row that every later write goes through.  The derived probes are
-    re-derived only when their inputs were written or their last value
-    was not ``0.0``, and the link sums move by the written terms'
-    deltas.  Every other series repeats its value, which its open run
-    already says (:class:`SeriesBank` extends open runs before any
-    read).
+    A snapshot samples the registry series written since the previous
+    one and derives every probe from the registry.  Each series is
+    planned once, the first time the registry's write set
+    (:meth:`MetricsRegistry.track_writes`) names it, into a row that
+    every later write goes through; planning also files a probe input
+    under its probe in sorted key order, so each snapshot re-sums it in
+    the order of a sorted registry walk.  An unwritten series repeats
+    its value, which its open run already says (:class:`SeriesBank`
+    extends open runs before any read).
     """
 
     def __init__(
@@ -594,24 +578,15 @@ class MetricSampler:
         self._plan: dict[Any, _Row] = {}
         #: (metric, key) -> row, one per registry series
         self._rows: dict[tuple[str, LabelKey], _Row] = {}
-        self._devices: list[_Device] = []  # busy-union devices, first seen first
-        self._counted: list[_Device] = []  # non-NIC devices in key order
+        self._devices: list[_Device] = []  # busy-union devices in key order
         self._imbalance: Series | None = None
-        #: summed roles: role -> their terms in key order
-        self._terms: dict[int, list[_Term]] = {}
-        #: link roles' sums per link, moved by each written term's delta
-        self._totals: dict[int, dict[str, float]] = {_LINK_MSGS: {}, _LINK_BYTES: {}}
-        #: link roles with a term that is not a whole number (or a total
-        #: too large to stay exact): re-summed in key order instead
-        self._inexact: set[int] = set()
+        #: summed roles: role -> the registry samples dict they read and
+        #: their keys per sum name (a link, or "" for the NIC busy
+        #: seconds), in key order
+        self._sum_keys: dict[int, tuple[dict, dict[str, list[LabelKey]]]] = {}
         self._links: dict[str, _Link] = {}
         self._link_plan: list[_Link] = []  # in link order
-        self._links_stale = False  # a link model changed since the last snapshot
         self._net_busy = 0.0  # summed NIC busy seconds at the last snapshot
-        #: devices whose last busy fraction was not 0.0 (they must be
-        #: re-derived even when idle)
-        self._hot: set[_Device] = set()
-        self._links_hot = False  # some link utilization/ratio was not 0.0
         self.finalized = False
 
     # ------------------------------------------------------------------
@@ -629,8 +604,12 @@ class MetricSampler:
             raise ValueError(
                 f"link {link!r}: need bandwidth > 0, got beta={bytes_per_s}"
             )
-        self._link_models[link] = (float(latency_s), float(bytes_per_s))
-        self._links_stale = True
+        model = self._link_models[link] = (float(latency_s), float(bytes_per_s))
+        row = self._links.get(link)
+        if row is None:  # a link's totals carry over a re-registration
+            row = self._links[link] = _Link(link, self.bank)
+            self._link_plan = [self._links[name] for name in sorted(self._links)]
+        row.alpha, row.bytes_per_s = model
 
     @property
     def total_samples(self) -> int:
@@ -693,10 +672,7 @@ class MetricSampler:
         self._plan = {}
         self._rows = {}
         self._devices = []
-        self._counted = []
-        self._hot = set()
-        self._terms = {}
-        self._totals = {}
+        self._sum_keys = {}
         self._links = {}
         self._link_plan = []
 
@@ -720,84 +696,48 @@ class MetricSampler:
         the derived probe it feeds, in sorted key order, so a re-sum adds
         in the order of a sorted registry walk."""
         assert self._trace is not None
-        bank = self.bank
+        samples = self._trace.metrics._metrics[name]._samples
         role = _ROLES.get(name)
-        state: Any = None
+        labels = dict(key)
         if role == _BUSY_UNION:
-            device = dict(key).get("device", "")
-            state = _Device(key, bank.get_or_create(DEVICE_BUSY_FRACTION, key),
-                            not device.startswith("net."))
-            self._devices.append(state)
-            if state.counts:
-                at = bisect_left(self._counted, key, key=lambda d: d.key)
-                self._counted.insert(at, state)
-        elif role == _NET_BUSY and dict(key).get("kind") != "net":
-            role = None  # only a NIC's busy seconds are summed
-        elif role is not None:
-            state = _Term(key, dict(key).get("link", ""))
-            terms = self._terms.setdefault(role, [])
-            terms.insert(bisect_left(terms, key, key=lambda t: t.key), state)
-        return (bank._add(name, key),
-                self._trace.metrics._metrics[name]._samples, key, role, state)
-
-    def _build_link_plan(self) -> None:
-        """One row per registered link model, in link order; a link's
-        totals carry over."""
-        bank = self.bank
-        self._link_plan = []
-        for name in sorted(self._link_models):
-            link = self._links.get(name)
-            if link is None:
-                link = self._links[name] = _Link(name)
-            link.alpha, link.bytes_per_s = self._link_models[name]
-            key = _label_key({"link": name})
-            link.util = bank.get_or_create(LINK_UTILIZATION, key)
-            link.ratio = bank.get_or_create(LINK_MODEL_RATIO, key)
-            self._link_plan.append(link)
+            device = _Device(
+                key, samples, self.bank.get_or_create(DEVICE_BUSY_FRACTION, key),
+                not labels.get("device", "").startswith("net."),
+            )
+            devices = self._devices
+            devices.insert(bisect_left(devices, key, key=lambda d: d.key), device)
+        elif role is not None and (role != _NET_BUSY or labels.get("kind") == "net"):
+            # only a NIC's busy seconds are summed
+            names = self._sum_keys.setdefault(role, (samples, {}))[1]
+            insort(names.setdefault(labels.get("link", ""), []), key)
+        return self.bank._add(name, key), samples, key
 
     def _sums(self, role: int) -> dict[str, float]:
-        """The values of one summed role, added per sum name in sorted
+        """The values of one summed role, folded per sum name in sorted
         key order."""
-        out: dict[str, float] = {}
-        for term in self._terms.get(role, ()):
-            out[term.name] = out.get(term.name, 0.0) + term.value
-        return out
-
-    def _link_sums(self, role: int, full: bool) -> dict[str, float]:
-        """A link role's sums: kept by deltas while exact."""
-        if full or role in self._inexact:
-            return self._sums(role)
-        return self._totals[role]
+        if role not in self._sum_keys:
+            return {}
+        samples, names = self._sum_keys[role]
+        get = samples.__getitem__
+        return {name: reduce(add, map(get, keys), 0.0)
+                for name, keys in names.items()}
 
     # ------------------------------------------------------------------
     def _snapshot(self, k: int) -> None:
         """Sample the series written since the previous snapshot at grid
-        instant *k*, then the derived probes that can have moved."""
+        instant *k*, then derive every probe."""
         assert self._dirty is not None
         plan = self._plan
-        busy: list[_Device] = []
-        net = links = False
         for entry in self._dirty:
             row = plan.get(entry)
             if row is None:
                 row = self._plan_entry(entry)
-            series, samples, key, role, state = row
+            series, samples, key = row
             if series._end > k:  # also written through another handle
                 continue
             if series._end < k:
                 series.extend(k)
-            value = samples[key]
-            if role is not None:
-                if role == _BUSY_UNION:
-                    busy.append(state)
-                elif role == _NET_BUSY:
-                    net = True
-                else:
-                    links = True
-                    if role not in self._inexact:
-                        self._add_delta(role, state, value)
-                state.value = value
-            series.sample(k, value)
+            series.sample(k, samples[key])
         self._dirty.clear()
 
         def put(series: Series, value: float) -> None:
@@ -806,23 +746,8 @@ class MetricSampler:
             series.sample(k, value)
 
         t = k * self.interval
-        full = self._links_stale
-        if full:
-            self._build_link_plan()
-            self._links_stale = False
-        self._derived(t, put, busy, net, links, full)
+        self._derived(t, put)
         self._last_t = t
-
-    def _add_delta(self, role: int, term: _Term, value: float) -> None:
-        """Move *term*'s sum of *role* by the term's change; a term that
-        is not a whole number, or a total that would lose exactness,
-        sends the role to the sorted re-sum for good."""
-        totals = self._totals[role]
-        total = totals.get(term.name, 0.0) + (value - term.value)
-        if value.is_integer() and total < _EXACT_LIMIT:
-            totals[term.name] = total
-        else:
-            self._inexact.add(role)
 
     def _anchor(self, t: float) -> None:
         """The off-grid end-state point of every series at *t*."""
@@ -837,52 +762,28 @@ class MetricSampler:
             if entry not in self._plan:
                 self._plan_entry(entry)
         self._dirty.clear()
-        for series, samples, key, role, state in self._rows.values():
-            value = samples[key]
-            put(series, value)
-            if role is not None:
-                state.value = value
-        if self._links_stale:
-            self._build_link_plan()
-            self._links_stale = False
-        self._derived(t, put, [], False, False, True)
+        for series, samples, key in self._rows.values():
+            put(series, samples[key])
+        self._derived(t, put)
         self._last_t = t
 
-    def _derived(
-        self,
-        t: float,
-        put: Any,
-        busy: list[_Device],
-        net: bool,
-        links: bool,
-        full: bool,
-    ) -> None:
-        """Re-derive the probes whose inputs were written (*busy*
-        devices, a NIC's busy seconds when *net*, a link term when
-        *links*) or whose last value was not 0.0; every probe when
-        *full*.  A skipped probe would read exactly 0.0 again."""
+    def _derived(self, t: float, put: Any) -> None:
+        """Derive every probe at *t* from the registry and *put* it."""
         last_t = self._last_t
         dt = (t - last_t) if last_t is not None else 0.0
 
-        # Per-device busy fraction from the incremental union counter.
-        hot = self._hot
-        counted = False
-        for device in (self._devices if full else hot.union(busy)):
-            value = device.value
+        # Per-device busy fraction from the incremental union counter,
+        # and the imbalance across the co-processing devices (NICs
+        # excluded), summed in sorted device order.
+        values = []
+        for device in self._devices:
+            value = device.samples[device.key]
             fraction = ((value - device.prev) / dt) if dt > 0.0 else 0.0
             device.prev = value
-            device.fraction = fraction
             put(device.series, fraction)
-            if _is_zero(fraction):
-                hot.discard(device)
-            else:
-                hot.add(device)
-            counted = counted or device.counts
-
-        # Imbalance across the co-processing devices (NICs excluded),
-        # summed in sorted device order.
-        if counted:
-            values = [device.fraction for device in self._counted]
+            if device.counts:
+                values.append(fraction)
+        if values:
             mean = reduce(add, values, 0) / len(values)
             imbalance = (max(values) / mean) if mean > 0.0 else 0.0
             if self._imbalance is None:
@@ -891,16 +792,11 @@ class MetricSampler:
 
         # α/β-modelled offered load and observed-vs-model ratio per
         # registered link class.
-        net_busy = self._net_busy
-        if full or net:
-            net_busy = self._sums(_NET_BUSY).get("", 0.0)
+        net_busy = self._sums(_NET_BUSY).get("", 0.0)
         net_delta = net_busy - self._net_busy
         self._net_busy = net_busy
-        if not (full or links or self._links_hot):
-            return
-        link_msgs = self._link_sums(_LINK_MSGS, full)
-        link_bytes = self._link_sums(_LINK_BYTES, full)
-        self._links_hot = False
+        link_msgs = self._sums(_LINK_MSGS)
+        link_bytes = self._sums(_LINK_BYTES)
         for link in self._link_plan:
             msgs = link_msgs.get(link.name, 0.0)
             nbytes = link_bytes.get(link.name, 0.0)
@@ -909,16 +805,7 @@ class MetricSampler:
                 + (nbytes - link.nbytes) / link.bytes_per_s
             )
             link.msgs, link.nbytes = msgs, nbytes
-            utilization = (modelled / dt) if dt > 0.0 else 0.0
-            put(link.util, utilization)
+            put(link.util, (modelled / dt) if dt > 0.0 else 0.0)
             # Observed NIC busy over modelled wire seconds: > 1 means
             # the wire is slower than the α/β model says it should be.
-            ratio = (net_delta / modelled) if modelled > 1e-12 else 0.0
-            put(link.ratio, ratio)
-            if not (_is_zero(utilization) and _is_zero(ratio)):
-                self._links_hot = True
-
-
-def _is_zero(value: float) -> bool:
-    """Whether *value* is bitwise ``0.0`` (``-0.0`` is not)."""
-    return value == 0.0 and copysign(1.0, value) > 0.0
+            put(link.ratio, (net_delta / modelled) if modelled > 1e-12 else 0.0)

@@ -24,6 +24,8 @@ and the driver records them in the decision-audit log
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Any
 
 from repro._validation import (
@@ -156,7 +158,7 @@ class Autoscaler:
         ]
         if not values:
             return None
-        return sum(values) / len(values)
+        return reduce(add, values, 0) / len(values)
 
     @staticmethod
     def _window_max(

@@ -8,8 +8,10 @@ order explicitly (``functools.reduce(operator.add, values, 0)``).
 Each test below installs :func:`compensated_sum`, an emulation of
 3.12's ``sum()``, into the globals of every ``repro`` module, reruns
 golden scenarios and requires the committed values: the series digests
-of the ``observe`` and ``chaos`` runs and three fingerprint rows (a
-C-means and a GMM reduce, each with its critical-path sums).
+of the ``observe`` and ``chaos`` runs, three fingerprint rows (a
+C-means and a GMM reduce, each with its critical-path sums) and the
+autoscaler's decision inputs on an autoscaled GMM run.  A unit case
+pins the busy-union merge of :class:`repro.obs.metrics.IntervalUnion`.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ import sys
 
 import pytest
 
+from repro.obs.metrics import IntervalUnion
 from tests.integration.test_fingerprints import fingerprint, load_golden
 from tests.obs.test_series_golden import GOLDEN, run, series_digest
+from tests.obs.test_timeseries import _run_e2e
 
 
 def compensated_sum(iterable, start=0):
@@ -107,3 +111,38 @@ def test_series_match_golden(compensated, name):
 ])
 def test_fingerprint_matches_golden(compensated, name):
     assert fingerprint.__wrapped__(name) == load_golden()[name]
+
+
+def test_autoscale_decisions_match_golden(compensated):
+    # each decision records the windowed means the autoscaler read
+    result = _run_e2e("gmm-kernel+autoscale")
+    decisions = [(r.kind, r.inputs) for r in result.trace.audit.records
+                 if r.kind.startswith("autoscale-")]
+    assert [(kind, {k: repr(v) for k, v in inputs.items()})
+            for kind, inputs in decisions] == [
+        ("autoscale-down", {
+            "time": "0.034513180103846144",
+            "imbalance": "1.9896953378332145",
+            "busy_fraction": "0.27801767517118153",
+            "link_utilization": "0.36113999999999963",
+        }),
+        ("autoscale-down", {
+            "time": "0.06383846019423077",
+            "imbalance": "3.173774893856506",
+            "busy_fraction": "0.22573309593859828",
+            "link_utilization": "0.3121824999999997",
+        }),
+    ]
+
+
+def test_interval_union_merge_adds_in_order(monkeypatch):
+    from repro.obs import metrics
+
+    monkeypatch.setattr(metrics, "sum", compensated_sum, raising=False)
+    union = IntervalUnion()
+    for start, end in [(0.000213, 0.003133), (0.003454, 0.004851),
+                       (0.007034, 0.007482)]:
+        union.add(start, end)
+    # the three merged lengths add up in order to 0.004764999999999999,
+    # and with compensation to 0.004765
+    assert repr(union.add(0.0, 0.02)) == "0.015235000000000002"

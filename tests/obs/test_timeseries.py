@@ -575,6 +575,33 @@ def _idle_gap(sampler_cls):
     return sampler, reads
 
 
+def _past_exact(sampler_cls):
+    """Link totals that only a sum in sorted key order gets right: a
+    byte total crosses 2**53, where adding one rounds, and a message
+    term turns fractional mid-run."""
+    trace = Trace()
+    sampler = trace.attach_sampler(sampler_cls(interval=1e-3))
+    msgs = trace.metrics.counter(COMM_MESSAGES)
+    nbytes = trace.metrics.counter(COMM_BYTES)
+    sampler.register_link_model("remote", latency_s=1e-5, bytes_per_s=1e9)
+    nbytes.inc(2.0**53 - 2, link="remote", src="r0")
+    nbytes.inc(1, link="remote", src="r1")
+    msgs.inc(1, link="remote", src="r0")
+    msgs.inc(3, link="remote", src="r2")
+    trace.tick(1.5e-3)
+    # 2**53 + 1 + 1 rounds to 2**53 in key order, not to the exact total
+    nbytes.inc(2, link="remote", src="r0")
+    nbytes.inc(1, link="remote", src="r2")
+    trace.tick(3e-3)
+    msgs.inc(0.1, link="remote", src="r0")
+    trace.tick(4e-3)
+    msgs.inc(0.2, link="remote", src="r1")  # new, sorts before r2
+    nbytes.inc(2, link="remote", src="r1")
+    trace.tick(6e-3)
+    sampler.finalize(6.5e-3)
+    return sampler
+
+
 #: the end-to-end benchmark's workloads (the 1e-3 and 1e-4 grids and the
 #: chaos fault plan), plus an autoscaled GMM run whose autoscaler reads
 #: the bank at every iteration boundary
@@ -639,6 +666,15 @@ class TestSnapshotPlan:
         assert cpu.dropped == 52 and len(cpu) == 4
         assert [s.dropped for s in fast.bank] == [s.dropped for s in full.bank]
         assert [s.runs() for s in fast.bank] == [s.runs() for s in full.bank]
+
+    def test_link_totals_past_exact_integers_match_a_full_snapshot(self):
+        planned = _past_exact(MetricSampler)
+        resorted = _past_exact(ResortingSampler)
+        assert planned.bank.to_jsonl_lines() == resorted.bank.to_jsonl_lines()
+        util = series_of(planned.bank, LINK_UTILIZATION, link="remote")
+        # bytes 2**53 + 1 + 1 fold to 2**53: the instant after the
+        # crossing models 1 extra byte, not 3
+        assert util.points()[2] == (2e-3, pytest.approx(1e-6))
 
     @pytest.mark.parametrize("name", E2E_RUNS)
     def test_e2e_workloads_match_a_full_snapshot_per_instant(self, name, monkeypatch):
