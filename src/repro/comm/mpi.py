@@ -33,7 +33,7 @@ import numpy as np
 from repro import obs
 from repro._validation import require_nonnegative_int
 from repro.hardware.cluster import NetworkSpec
-from repro.simulate.engine import Engine, Event
+from repro.simulate.engine import Engine, Event, Interrupt
 from repro.simulate.resources import Store
 from repro.simulate.trace import Trace
 
@@ -82,7 +82,7 @@ class _Envelope:
 
 
 class CommTimeout(RuntimeError):
-    """A ``recv`` with a timeout saw no matching message in time."""
+    """A ``recv`` saw no matching message before its :class:`Deadline`."""
 
     def __init__(self, rank: int, source: int, tag: int, timeout: float) -> None:
         self.rank = rank
@@ -102,6 +102,92 @@ class EpochAborted(RuntimeError):
     def __init__(self, cause: Any = None) -> None:
         self.cause = cause
         super().__init__(f"epoch aborted: {cause!r}")
+
+
+class _Lost(Exception):
+    """Thrown into a receive whose abort event or deadline (``args[0]``)
+    won the race against its message."""
+
+
+class Deadline:
+    """A heartbeat monitor's receive deadline: windows of *window*
+    seconds and one pending timer.
+
+    :meth:`restart` opens a window ending ``window`` seconds from now,
+    scheduling nothing while a timer is pending.  A timer firing before
+    the window's end (beats moved it on) re-arms for the time left; one
+    firing at the end expires the window: like a processed
+    :class:`Event`, it sets ``_processed`` and runs its ``callbacks``.
+    A window begins at or after the previous end, so a timer fires with
+    ``at <= 2 * now``: ``at - now`` is exact and the re-armed timer lands
+    on ``at`` itself.
+    """
+
+    __slots__ = ("engine", "window", "at", "callbacks", "_processed")
+
+    def __init__(self, engine: Engine, window: float) -> None:
+        self.engine = engine
+        self.window = window
+        self.callbacks: list[Callable[[Deadline], None]] = []
+        self._processed = True
+        self.restart()
+
+    def restart(self) -> None:
+        """Open a new window ending ``window`` seconds from now."""
+        self.at = self.engine.now + self.window
+        if self._processed:
+            self._arm(self.window)
+
+    def _arm(self, delay: float) -> None:
+        self._processed = False
+        self.engine.timeout(delay).callbacks.append(self._on_timer)
+
+    def _on_timer(self, _timer: Event) -> None:
+        now = self.engine.now
+        if now < self.at:
+            self._arm(self.at - now)
+            return
+        self._processed = True
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
+
+
+class _RecvRace:
+    """A blocked receive's race against the epoch abort event and a
+    :class:`Deadline`: one callback on each while the receive waits,
+    taken off when it ends (like ``runtime.daemons._Race``)."""
+
+    __slots__ = ("box", "get", "sources", "open")
+
+    def __init__(self, box: Store, get: Event, sources: tuple) -> None:
+        self.box = box
+        self.get = get
+        self.sources = sources = [s for s in sources if s is not None]
+        self.open = True
+        for source in sources:
+            if source._processed:
+                self._on_fire(source)
+            else:
+                source.callbacks.append(self._on_fire)
+
+    def _on_fire(self, source: Any) -> None:
+        # Decide one zero-delay hop later: a message matched in this same
+        # instant still wins, as a matched MPI receive completes.
+        hop = Event(self.get.engine)
+        hop.callbacks.append(lambda _hop: self._decide(source))
+        hop.succeed()
+
+    def _decide(self, source: Any) -> None:
+        if self.open and not self.get._triggered:
+            self.box.cancel(self.get)
+            self.get.fail(_Lost(source))
+
+    def end(self) -> None:
+        self.open = False
+        for source in self.sources:
+            if not source._processed:
+                source.callbacks.remove(self._on_fire)
 
 
 #: payload types a single machine word (8 bytes) is charged for, matched
@@ -285,7 +371,6 @@ class World:
         #: :meth:`attach_faults` by the driver.
         self.faults = None
         self.abort_event: Event | None = None
-        self.comm_timeout: float | None = None
         #: live (dest_rank, src_rank, tag) -> count of blocked receives;
         #: reported when the engine drains with a process still waiting,
         #: turning a silent deadlock into a named one.
@@ -293,15 +378,11 @@ class World:
         engine.diagnostics.append(self._blocked_report)
 
     def attach_faults(
-        self,
-        faults: Any,
-        abort_event: Event | None = None,
-        comm_timeout: float | None = None,
+        self, faults: Any, abort_event: Event | None = None
     ) -> None:
         """Wire fault injection into this world's message path."""
         self.faults = faults
         self.abort_event = abort_event
-        self.comm_timeout = comm_timeout
 
     def _bind_message_counters(
         self, src: int, dest: int, tagc: str, link: str
@@ -513,100 +594,74 @@ class RankComm:
             prof.end()
 
     def recv(
-        self, source: int, tag: int = 0, timeout: float | None = None
+        self, source: int, tag: int = 0, deadline: Deadline | None = None
     ) -> Generator[Event, Any, Any]:
         """Blocking receive of the next message from (*source*, *tag*).
 
-        *timeout* (or, failing that, the world's configured
-        ``comm_timeout``) bounds the wait and raises :class:`CommTimeout`
-        on expiry; when the world carries a global abort event the wait
-        also unwinds with :class:`EpochAborted` as soon as it fires.  With
-        neither configured this is a plain blocking receive.
+        When the world carries an epoch abort event the wait unwinds with
+        :class:`EpochAborted` once it fires; a *deadline* ends it with
+        :class:`CommTimeout` when its window expires.  Either decides one
+        zero-delay hop after it fires, so a message matched in that
+        instant still wins.
         """
         if not 0 <= source < self.size:
             raise ValueError(f"source {source} out of range")
         world = self.world
         box = world._mailbox(self.rank, source, tag)
-        abort = world.abort_event
-        wait_limit = timeout if timeout is not None else world.comm_timeout
         key = (self.rank, source, tag)
         entered = self.engine.now
         world._blocked[key] = world._blocked.get(key, 0) + 1
+        get = box.get()
+        race = None
+        if not get._triggered and (world.abort_event or deadline):
+            race = _RecvRace(box, get, (world.abort_event, deadline))
         try:
-            if abort is None and wait_limit is None:
-                get_evt = box.get()
-                try:
-                    payload = yield get_evt
-                except BaseException:
-                    if not get_evt.triggered:
-                        box.cancel(get_evt)
-                    raise
-                return self._finish_recv(payload, tag, entered)
-            get_evt = box.get()
-            races: list[Event] = [get_evt]
-            timer: Event | None = None
-            if wait_limit is not None:
-                timer = self.engine.timeout(wait_limit)
-                races.append(timer)
-            if abort is not None:
-                races.append(abort)
-            race = self.engine.any_of(races)
-            try:
-                index, value = yield race
-            except BaseException:
-                if not get_evt.triggered:
-                    box.cancel(get_evt)
-                raise
-            # The race is decided, so its callback can only return at
-            # once: take it off the shared abort event (and the timer,
-            # which stays scheduled so the event count does not move).
-            # An interrupted receive keeps its callback, whose firing
-            # still schedules the undecided race.
-            race.withdraw()
-            if races[index] is get_evt:
-                return self._finish_recv(value, tag, entered)
-            if get_evt.triggered:
-                # Message and timeout/abort landed at the same instant:
-                # the data wins (matches MPI, where a matched recv
-                # completes).
-                return self._finish_recv(get_evt.value, tag, entered)
-            box.cancel(get_evt)
-            if timer is not None and races[index] is timer:
-                trace = world.trace
-                trace.metrics.counter(obs.COMM_TIMEOUTS).inc(
-                    1, rank=f"r{self.rank}"
-                )
-                trace.record_recv(
-                    f"recv r{source}->r{self.rank} t{tag} timeout",
-                    f"net.r{self.rank}",
-                    entered,
-                    self.engine.now,
-                    attrs={
-                        "src": source,
-                        "dst": self.rank,
-                        "tag": tag,
-                        "tagc": describe_tag(tag),
-                        "timeout": True,
-                        "wait_s": self.engine.now - entered,
-                    },
-                )
-                trace.log.warning(
-                    "comm",
-                    f"recv r{source}->r{self.rank} t{tag} timed out "
-                    f"after {wait_limit:.3g}s",
-                    t=self.engine.now,
-                    rank=trace.rank_of(f"net.r{self.rank}"),
-                    src=source,
-                    tag=describe_tag(tag),
-                )
-                raise CommTimeout(self.rank, source, tag, wait_limit)
-            raise EpochAborted(abort.value if abort is not None else None)
+            payload = yield get
+        except _Lost as lost:
+            if lost.args[0] is not deadline:
+                raise EpochAborted(lost.args[0].value) from None
+            trace = world.trace
+            now = self.engine.now
+            trace.metrics.counter(obs.COMM_TIMEOUTS).inc(
+                1, rank=f"r{self.rank}"
+            )
+            trace.record_recv(
+                f"recv r{source}->r{self.rank} t{tag} timeout",
+                f"net.r{self.rank}",
+                entered,
+                now,
+                attrs={
+                    "src": source,
+                    "dst": self.rank,
+                    "tag": tag,
+                    "tagc": describe_tag(tag),
+                    "timeout": True,
+                    "wait_s": now - entered,
+                },
+            )
+            trace.log.warning(
+                "comm",
+                f"recv r{source}->r{self.rank} t{tag} timed out "
+                f"after {deadline.window:.3g}s",
+                t=now,
+                rank=trace.rank_of(f"net.r{self.rank}"),
+                src=source,
+                tag=describe_tag(tag),
+            )
+            raise CommTimeout(self.rank, source, tag, deadline.window) from None
+        except BaseException:
+            if not get._triggered:
+                box.cancel(get)
+            elif not get._ok:  # a loss decided but not yet delivered
+                get.callbacks.append(lambda _get: None)
+            raise
         finally:
-            remaining = world._blocked.get(key, 1) - 1
-            if remaining > 0:
-                world._blocked[key] = remaining
-            else:
-                world._blocked.pop(key, None)
+            if race is not None:
+                race.end()
+            world._blocked[key] -= 1
+            if not world._blocked[key]:
+                del world._blocked[key]
+        return self._finish_recv(payload, tag, entered)
 
     def _finish_recv(self, raw: _Envelope, tag: int, entered: float) -> Any:
         """Unwrap a mailbox item, recording the paired ``recv`` span.
@@ -775,8 +830,6 @@ def heartbeat_sender(
 ) -> Generator[Event, Any, None]:
     """Beat every *interval* seconds to each rank in *dests* until
     interrupted (the owning worker kills it in its cleanup path)."""
-    from repro.simulate.engine import Interrupt
-
     trace = comm.world.trace
     beats = trace.metrics.counter_child(obs.COMM_HEARTBEATS, src=f"r{comm.rank}")
     try:
@@ -810,35 +863,34 @@ def heartbeat_monitor(
     consecutive missed windows (each *timeout* long), fire the epoch's
     global abort event (once) and exit.  Any beat received resets the
     miss counter (``FaultPolicy.heartbeat_missed_windows`` threads the
-    knob through)."""
-    from repro.simulate.engine import Interrupt
-
+    knob through).  Every beat or missed window opens the next window
+    of one :class:`Deadline`."""
+    deadline = Deadline(comm.engine, timeout)
     misses = 0
     try:
         while True:
             try:
-                yield from comm.recv(source, HEARTBEAT_TAG, timeout=timeout)
+                yield from comm.recv(source, HEARTBEAT_TAG, deadline)
                 misses = 0
             except CommTimeout:
                 misses += 1
-                if misses < missed_windows:
-                    continue
-                trace = comm.world.trace
-                trace.log.error(
-                    "comm",
-                    f"rank r{source} silent for {misses} heartbeat "
-                    f"window(s); declaring dead",
-                    t=comm.engine.now,
-                    rank=trace.rank_of(f"net.r{comm.rank}"),
-                    peer=source,
-                    window_s=timeout,
-                )
-                if not abort_event.triggered:
-                    abort_event.succeed(("rank-silent", source))
-                return
-            except EpochAborted:
-                return
-    except Interrupt:
+            if misses < missed_windows:
+                deadline.restart()
+                continue
+            trace = comm.world.trace
+            trace.log.error(
+                "comm",
+                f"rank r{source} silent for {misses} heartbeat "
+                f"window(s); declaring dead",
+                t=comm.engine.now,
+                rank=trace.rank_of(f"net.r{comm.rank}"),
+                peer=source,
+                window_s=timeout,
+            )
+            if not abort_event.triggered:
+                abort_event.succeed(("rank-silent", source))
+            return
+    except (EpochAborted, Interrupt):
         return
 
 

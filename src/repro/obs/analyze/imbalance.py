@@ -39,18 +39,18 @@ from repro.obs.spans import Span, SpanTracer
 from repro.obs.analyze.critical_path import ENVELOPE_CATEGORIES
 
 
+_NOT_BLOCKS = ENVELOPE_CATEGORIES | {"recovery", "recv", "alert", "membership"}
+
+
 def _is_block_span(span: Span) -> bool:
     """Device-block / leaf activity spans: everything that is not a
-    per-rank envelope, recovery bracket, or receive wait (a blocked
-    ``recv`` is idleness by definition — counting it as busy time would
-    inflate utilization and hide the very imbalance this module scores).
+    per-rank envelope, recovery bracket, alert, membership transition or
+    receive wait (a blocked ``recv`` is idleness by definition — counting
+    it as busy time would inflate utilization and hide the imbalance).
     """
     return (
         span.end is not None
-        and span.category not in ENVELOPE_CATEGORIES
-        and span.category != "recovery"
-        and span.category != "recv"
-        and span.category != "alert"
+        and span.category not in _NOT_BLOCKS
         and not span.track.startswith("rank")
     )
 

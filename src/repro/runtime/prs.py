@@ -35,7 +35,6 @@ from typing import Any, Generator
 from repro import obs
 from repro._validation import require_positive_int
 from repro.comm.mpi import (
-    CommTimeout,
     EpochAborted,
     RankComm,
     World,
@@ -185,11 +184,11 @@ class PRSRuntime:
         The one job driver: the job runs as a sequence of epochs
         ("incarnations") over the live nodes of one shared engine, and a
         fault-free job is the single-epoch case.  The fault-tolerance
-        machinery — abort event and recv races, guarded block processes,
-        heartbeats, checkpoints, the recovery summary — is *armed* only
-        when ``config.faults`` is non-empty or an elastic knob
-        (``initial_nodes``, ``autoscale``) is set; an unarmed job
-        schedules exactly the fault-free event stream
+        machinery — the abort event every blocked receive watches, blocks
+        raced against device faults, heartbeat deadlines, checkpoints, the
+        recovery summary — is *armed* only when ``config.faults`` is
+        non-empty or an elastic knob (``initial_nodes``, ``autoscale``) is
+        set; an unarmed job schedules exactly the fault-free event stream
         (tests/integration/test_fingerprints.py).
 
         Armed, device faults are absorbed inside an epoch by the sub-task
@@ -384,11 +383,7 @@ class PRSRuntime:
             )
             abort_event = engine.event()
             if faults is not None:
-                world.attach_faults(
-                    faults,
-                    abort_event=abort_event,
-                    comm_timeout=policy.comm_timeout_s,
-                )
+                world.attach_faults(faults, abort_event=abort_event)
 
             resources = [
                 NodeResources(engine, cluster.nodes[n], config.gpus_per_node)
@@ -471,11 +466,6 @@ class PRSRuntime:
                     return ("killed", node_idx, engine.now)
                 except EpochAborted:
                     return ("aborted", node_idx, engine.now)
-                except CommTimeout as exc:
-                    # The peer we waited on is presumed dead.
-                    if not abort_event.triggered:
-                        abort_event.succeed(("rank-silent", exc.source))
-                    return ("timeout", node_idx, engine.now)
                 except NodeDeadError:
                     if not abort_event.triggered:
                         abort_event.succeed(("node-dead", node_idx))

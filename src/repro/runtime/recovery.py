@@ -49,10 +49,10 @@ class JobAbortedError(RuntimeError):
 class FaultPolicy:
     """Tunable recovery behaviour (see docs/FAULTS.md for guidance).
 
-    All times are simulated seconds.  ``comm_timeout_s=None`` (the
-    default) leaves point-to-point receives blocking forever; dead ranks
-    are then detected by the heartbeat layer alone, which avoids spurious
-    timeouts when backoff stretches an iteration.
+    All times are simulated seconds.  Point-to-point receives block
+    until their message or the epoch abort; dead ranks are detected by
+    the heartbeat layer alone, which avoids spurious timeouts when
+    backoff stretches an iteration.
     """
 
     #: attempts per block before the job aborts (first run + retries)
@@ -63,8 +63,6 @@ class FaultPolicy:
     backoff_max_s: float = 0.05
     #: failures on one device before it is blacklisted and the split refit
     blacklist_after: int = 2
-    #: optional timeout applied to every ``RankComm.recv`` (None = block)
-    comm_timeout_s: float | None = None
     #: heartbeat cadence and how many missed beats declare a rank dead
     heartbeat_interval_s: float = 2e-3
     heartbeat_miss_factor: float = 10.0
@@ -87,8 +85,6 @@ class FaultPolicy:
         require_positive("backoff_factor", self.backoff_factor)
         require_nonnegative("backoff_max_s", self.backoff_max_s)
         require_positive_int("blacklist_after", self.blacklist_after)
-        if self.comm_timeout_s is not None:
-            require_positive("comm_timeout_s", self.comm_timeout_s)
         require_positive("heartbeat_interval_s", self.heartbeat_interval_s)
         require_positive("heartbeat_miss_factor", self.heartbeat_miss_factor)
         require_positive_int(

@@ -13,7 +13,6 @@ Execution traces are collected by :mod:`repro.simulate.trace`.
 
 from repro.simulate.engine import (
     AllOf,
-    AnyOf,
     Engine,
     Event,
     Interrupt,
@@ -30,7 +29,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "Interrupt",
     "Resource",
     "CorePool",

@@ -3,7 +3,7 @@
 The kernel follows the SimPy process model: a *process* is a Python
 generator that yields :class:`Event` objects and is resumed when the event
 triggers.  Only the features the PRS simulation needs are implemented —
-timeouts, process-completion events, AND/OR composition, interrupts — which
+timeouts, process-completion events, AND composition, interrupts — which
 keeps the kernel small enough to reason about and test exhaustively.
 
 Determinism: every scheduled event gets a monotone sequence number, and
@@ -36,7 +36,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "Interrupt",
     "SimulationError",
 ]
@@ -239,8 +238,11 @@ class Process(Event):
             self._waiting_on = target
 
 
-class _Condition(Event):
-    """Base for AllOf / AnyOf composition events."""
+class AllOf(Event):
+    """Fires when every child event has fired; value = list of child values.
+
+    A failed child fails the condition immediately with its exception.
+    """
 
     __slots__ = ("events", "_remaining")
 
@@ -257,27 +259,6 @@ class _Condition(Event):
             else:
                 evt.callbacks.append(self._on_child)
 
-    def _on_child(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def withdraw(self) -> None:
-        """Take this condition's callback off every child not yet
-        processed, once the condition no longer matters: a long-lived
-        child (an epoch's abort event) then holds callbacks only for the
-        waits still open.  A child still fires as scheduled."""
-        for evt in self.events:
-            if not evt._processed:
-                evt.callbacks.remove(self._on_child)
-
-
-class AllOf(_Condition):
-    """Fires when every child event has fired; value = list of child values.
-
-    A failed child fails the condition immediately with its exception.
-    """
-
-    __slots__ = ()
-
     def _on_child(self, event: Event) -> None:
         if self._triggered:
             return
@@ -287,20 +268,6 @@ class AllOf(_Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed([e._value for e in self.events])
-
-
-class AnyOf(_Condition):
-    """Fires when the first child fires; value = (index, child value)."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self.succeed((self.events.index(event), event._value))
 
 
 def _dispatch_scope(
@@ -380,9 +347,6 @@ class Engine:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # Scheduling / running

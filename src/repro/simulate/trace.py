@@ -330,6 +330,10 @@ class Trace:
         rank = self._device_rank.get(device)
         if rank is None:
             return None
+        return self._phase_parent(rank, start)
+
+    def _phase_parent(self, rank: int, start: float) -> int | None:
+        """The id of *rank*'s open phase span, if it began by *start*."""
         phase = self._open_phase.get(rank)
         if phase is None or not phase.is_open or start < phase.start:
             return None
@@ -487,19 +491,13 @@ class Trace:
         """Append a ``recovery``-category span on *rank*'s track (retry
         rounds, restart gaps), parented under its open phase if any."""
         self.tick(end)
-        phase = self._open_phase.get(rank)
-        parent = (
-            phase.span_id
-            if phase is not None and phase.is_open and start >= phase.start
-            else None
-        )
         self.tracer.record(
             label,
             f"rank{rank}",
             start,
             end,
             category="recovery",
-            parent_id=parent,
+            parent_id=self._phase_parent(rank, start),
             attrs=dict(attrs) if attrs else None,
         )
 

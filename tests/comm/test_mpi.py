@@ -1,5 +1,6 @@
 """Tests for the simulated MPI communicator: semantics and timing."""
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.comm.mpi import (
     HEARTBEAT_TAG,
     CommTimeout,
+    Deadline,
     EpochAborted,
     World,
     heartbeat_monitor,
@@ -583,7 +585,9 @@ class TestFaultPaths:
             if comm.rank == 0:
                 return None
             with pytest.raises(CommTimeout) as excinfo:
-                yield from comm.recv(source=0, tag=7, timeout=0.5)
+                yield from comm.recv(
+                    source=0, tag=7, deadline=Deadline(comm.engine, 0.5)
+                )
             return comm.engine.now, excinfo.value
 
         now, err = run_spmd(world, main)[1]
@@ -629,10 +633,14 @@ class TestFaultPaths:
                 return None
             if comm.rank == 1:
                 got = []
+                deadline = Deadline(comm.engine, 5.0)
                 for _ in range(5):
-                    got.append((yield from comm.recv(source=0, tag=1, timeout=5.0)))
+                    got.append((yield from comm.recv(0, 1, deadline)))
+                    deadline.restart()
                 with pytest.raises(CommTimeout):
-                    yield from comm.recv(source=0, tag=1, timeout=0.5)
+                    yield from comm.recv(0, 1, Deadline(comm.engine, 0.5))
+                # every receive took its callback off the deadline too
+                assert deadline.callbacks == []
                 return got
             # rank 2 stays blocked until the abort fires
             with pytest.raises(EpochAborted):
@@ -705,3 +713,85 @@ class TestFaultPaths:
         assert len(timed_out) == misses
         assert timed_out[-1].end == fired_at
         assert world.trace.metrics.get(COMM_TIMEOUTS).total() == misses
+
+    def test_monitor_keeps_one_timer_while_beats_arrive(self):
+        world = make_world(2, same_node=True)
+        engine = world.engine
+        abort = engine.event()
+        timers = []
+        schedule = engine.timeout
+
+        def counted(delay, value=None):
+            timers.append(delay)
+            return schedule(delay, value)
+
+        engine.timeout = counted
+        interval, window, beats = 0.125, 1.0, 40
+
+        def beater(comm):
+            # paced by plain events, so every counted timer is the monitor's
+            for _ in range(beats):
+                yield engine.event().succeed(delay=interval)
+                yield from comm.send(("hb", 1), 0, HEARTBEAT_TAG)
+
+        monitor = engine.process(heartbeat_monitor(
+            world.comm(0), 1, window, abort, missed_windows=1
+        ))
+        engine.process(beater(world.comm(1)))
+        engine.run(monitor)
+        makespan = engine.now
+        assert makespan == beats * interval + window
+        assert abort.value == ("rank-silent", 1)
+        assert len(timers) <= math.ceil(makespan / window) + 1
+
+    def test_beat_at_the_deadline_instant_resets_the_misses(self):
+        world = make_world(2, same_node=True)
+        engine = world.engine
+        abort = engine.event()
+
+        def beater(comm):
+            # this timer is scheduled after the monitor's first one
+            yield engine.timeout(1.0)
+            yield from comm.send(("hb", 1), 0, HEARTBEAT_TAG)
+
+        monitor = engine.process(heartbeat_monitor(
+            world.comm(0), 1, 1.0, abort, missed_windows=1
+        ))
+        engine.process(beater(world.comm(1)))
+        engine.run(monitor)
+        assert engine.now == 2.0
+        assert abort.value == ("rank-silent", 1)
+        beat, missed = world.trace.tracer.find(category="recv")
+        assert (beat.end, "timeout" in beat.attrs) == (1.0, False)
+        assert (missed.start, missed.end, missed.attrs["timeout"]) == (
+            1.0, 2.0, True
+        )
+
+    @pytest.mark.parametrize("kill_first", [True, False])
+    def test_interrupt_in_the_deadline_instant_ends_the_monitor(
+        self, kill_first
+    ):
+        """A rank kill landing in the instant a window expires ends the
+        monitor, whether it lands before the receive's loss is decided
+        (the decision then does nothing) or after it is decided but
+        before it is delivered (the loss then fails no unwaited get)."""
+        world = make_world(2, same_node=True)
+        engine = world.engine
+        abort = engine.event()
+        holder = []
+
+        def killer():
+            yield engine.timeout(1.0)
+            holder[0].interrupt("rank-kill")
+
+        if kill_first:
+            engine.process(killer())
+        holder.append(engine.process(heartbeat_monitor(
+            world.comm(0), 1, 1.0, abort, missed_windows=1
+        )))
+        if not kill_first:
+            engine.process(killer())
+        engine.run()
+        assert engine.now == 1.0
+        assert not holder[0].is_alive and not abort.triggered
+        assert world.trace.tracer.find(category="recv") == []

@@ -220,3 +220,28 @@ def phase_spans(trace, rank: int | None = None,
         if (rank is None or s.attrs["rank"] == rank)
         and (iteration is None or s.attrs["iteration"] == iteration)
     ]
+
+
+def first_of(engine, events):
+    """An event that fires when the first of *events* fires, with value
+    ``(index, value)``, or fails with the first failure: one zero-delay
+    hop after that child is processed (at once for a child processed
+    already).  The OR-composition the engine once had, kept for the
+    reference implementations that race work against a signal."""
+    events = tuple(events)
+    first = engine.event()
+
+    def on_child(event):
+        if first.triggered:
+            return
+        if not event.ok:
+            first.fail(event.value)
+        else:
+            first.succeed((events.index(event), event.value))
+
+    for event in events:
+        if event._processed:
+            on_child(event)
+        else:
+            event.callbacks.append(on_child)
+    return first

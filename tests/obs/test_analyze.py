@@ -139,6 +139,27 @@ class TestImbalanceSynthetic:
         assert all(".cpu" in d.device or ".gpu" in d.device for d in loads)
 
 
+def test_elastic_run_lists_no_membership_device():
+    """Membership transitions are spans on their own track, not device
+    work: an elastic run's device loads hold compute and network tracks
+    only."""
+    from repro.apps.cmeans import CMeansApp
+    from repro.data.synth import gaussian_mixture
+    from repro.hardware import delta_cluster
+    from repro.runtime.job import JobConfig
+    from repro.runtime.prs import PRSRuntime
+
+    pts, _, _ = gaussian_mixture(800, 8, 3, seed=1)
+    app = CMeansApp(pts, 3, seed=1, max_iterations=3)
+    config = JobConfig(faults=["join@2:t=0.004"], initial_nodes=2)
+    result = PRSRuntime(delta_cluster(n_nodes=3), config).run(app)
+    tracer = result.trace.tracer
+    assert tracer.find(category="membership")
+    devices = [load.device for load in device_loads(tracer)]
+    assert devices and "membership" not in devices
+    assert all(d.startswith("net.r") or "." in d for d in devices)
+
+
 class TestAuditSynthetic:
     def test_observed_splits_from_spans(self):
         obs_splits = observed_splits(build_synthetic_tree())

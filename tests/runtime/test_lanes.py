@@ -14,7 +14,7 @@ from repro.simulate.faults import DeviceFault
 from repro.simulate.resources import Resource
 from repro.simulate.trace import Trace
 
-from tests.helpers import ModSumApp
+from tests.helpers import ModSumApp, first_of
 
 QUIET_CONFIG = JobConfig(overheads=Overheads(0.0, 0.0, 0.0, 0.0))
 KEY = "n0.cpu"
@@ -358,7 +358,7 @@ def guarded_per_block(rig, blocks):
             return
         death = faults.disruption(KEY)
         proc = engine.process(work(block))
-        yield engine.any_of([proc, death])
+        yield first_of(engine, [proc, death])
         if proc.is_alive:
             proc.interrupt(death.value)
         if (yield proc):

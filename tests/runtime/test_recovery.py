@@ -26,7 +26,7 @@ class TestFaultPolicy:
             {"backoff_base_s": -1.0},
             {"backoff_factor": 0.0},
             {"blacklist_after": 0},
-            {"comm_timeout_s": 0.0},
+            {"heartbeat_missed_windows": 0},
             {"heartbeat_interval_s": 0.0},
             {"checkpoint_interval": 0},
             {"max_rank_restarts": -1},

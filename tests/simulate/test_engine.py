@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simulate.engine import (
     AllOf,
-    AnyOf,
     Engine,
     Interrupt,
     SimulationError,
 )
+from tests.helpers import first_of
 
 
 class TestClock:
@@ -225,13 +225,6 @@ class TestComposition:
         assert eng.run(eng.all_of([])) == []
         assert eng.now == 0.0
 
-    def test_any_of_fires_on_first(self):
-        eng = Engine()
-        first = eng.any_of([eng.timeout(3.0, "slow"), eng.timeout(1.0, "fast")])
-        index, value = eng.run(first)
-        assert (index, value) == (1, "fast")
-        assert eng.now == 1.0
-
     def test_all_of_with_processes(self):
         eng = Engine()
 
@@ -290,7 +283,7 @@ class TestInterrupt:
         def supervisor():
             proc = eng.process(work())
             signal.succeed("stop", delay=1.0)  # same instant as completion
-            yield eng.any_of([proc, signal])
+            yield first_of(eng, [proc, signal])
             if proc.is_alive:
                 proc.interrupt("losing the race")
             result = yield proc

@@ -108,7 +108,7 @@ def program(engine: Engine, seed: int, n_procs: int = 6, n_actions: int = 12):
 
     def worker(name: str, depth: int):
         for i in range(n_actions):
-            kind = rng.randrange(9)
+            kind = rng.randrange(8)
             tag = f"{name}.{i}"
             try:
                 if kind == 0:
@@ -127,28 +127,25 @@ def program(engine: Engine, seed: int, n_procs: int = 6, n_actions: int = 12):
                         value = yield engine.timeout(0.0, tag)
                 elif kind == 2 and done:
                     value = yield rng.choice(done)  # already processed
-                elif kind in (3, 4):
+                elif kind == 3:
                     children = [engine.timeout(delay(), f"{tag}.{j}") for j in range(2)]
                     children += rng.sample(done, min(len(done), rng.randrange(3)))
                     rng.shuffle(children)
-                    if kind == 3:
-                        value = yield engine.all_of(children)
-                    else:
-                        value = yield engine.any_of(children)
-                elif kind == 5:
+                    value = yield engine.all_of(children)
+                elif kind == 4:
                     target = rng.choice(procs) if procs else None
                     if target is not None and target.is_alive:
                         log.append((name, "interrupt", target.name))
                         target.interrupt(tag)
                     value = yield engine.timeout(delay(), tag)
-                elif kind == 6:
+                elif kind == 5:
                     evt = engine.event()
                     if rng.random() < 0.3:
                         evt.fail(ValueError(tag), delay=delay())
                     else:
                         evt.succeed(tag, delay=delay())
                     value = yield evt
-                elif kind == 7:
+                elif kind == 6:
                     # an event triggered now and only yielded once processed
                     evt = engine.event().succeed(tag)
                     yield engine.timeout(delay())
