@@ -226,8 +226,8 @@ def first_of(engine, events):
     """An event that fires when the first of *events* fires, with value
     ``(index, value)``, or fails with the first failure: one zero-delay
     hop after that child is processed (at once for a child processed
-    already).  The OR-composition the engine once had, kept for the
-    reference implementations that race work against a signal."""
+    already).  For the reference implementations that race work
+    against a signal; the engine itself composes only with ``AllOf``."""
     events = tuple(events)
     first = engine.event()
 
