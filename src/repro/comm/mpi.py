@@ -120,7 +120,7 @@ class Deadline:
     :class:`Event`, it sets ``_processed`` and runs its ``callbacks``.
     A window begins at or after the previous end, so a timer fires with
     ``at <= 2 * now``: ``at - now`` is exact and the re-armed timer lands
-    on ``at`` itself.
+    on ``at`` itself.  :meth:`close` ends the deadline with its monitor.
     """
 
     __slots__ = ("engine", "window", "at", "callbacks", "_processed")
@@ -137,6 +137,12 @@ class Deadline:
         self.at = self.engine.now + self.window
         if self._processed:
             self._arm(self.window)
+
+    def close(self) -> None:
+        """End the last window now: a pending timer then expires without
+        re-arming, and runs no callback."""
+        self.at = float("-inf")
+        self.callbacks = []
 
     def _arm(self, delay: float) -> None:
         self._processed = False
@@ -864,7 +870,7 @@ def heartbeat_monitor(
     global abort event (once) and exit.  Any beat received resets the
     miss counter (``FaultPolicy.heartbeat_missed_windows`` threads the
     knob through).  Every beat or missed window opens the next window
-    of one :class:`Deadline`."""
+    of one :class:`Deadline`, closed when the monitor exits."""
     deadline = Deadline(comm.engine, timeout)
     misses = 0
     try:
@@ -892,6 +898,8 @@ def heartbeat_monitor(
             return
     except (EpochAborted, Interrupt):
         return
+    finally:
+        deadline.close()
 
 
 def spawn_heartbeats(

@@ -795,3 +795,40 @@ class TestFaultPaths:
         assert engine.now == 1.0
         assert not holder[0].is_alive and not abort.triggered
         assert world.trace.tracer.find(category="recv") == []
+
+    def test_exited_monitor_leaves_no_timer_behind(self):
+        """A beat moves the deadline on, then the monitor is killed: the
+        window's timer, firing early after the exit, must not re-arm."""
+        world = make_world(2, same_node=True)
+        engine = world.engine
+        abort = engine.event()
+        holder = []
+        timers = []
+        schedule = engine.timeout
+
+        def counted(delay, value=None):
+            timers.append(engine.now)
+            return schedule(delay, value)
+
+        engine.timeout = counted
+
+        def beater(comm):
+            # paced by plain events, so every counted timer is the monitor's
+            yield engine.event().succeed(delay=0.5)
+            yield from comm.send(("hb", 1), 0, HEARTBEAT_TAG)
+
+        def killer():
+            yield engine.event().succeed(delay=0.75)
+            holder[0].interrupt("rank-kill")
+
+        holder.append(engine.process(heartbeat_monitor(
+            world.comm(0), 1, 1.0, abort, missed_windows=1
+        )))
+        engine.process(beater(world.comm(1)))
+        engine.process(killer())
+        engine.run()
+        assert not holder[0].is_alive and not abort.triggered
+        # the window's one timer, set at 0; it fires at 1.0 (before the
+        # window's end of 1.5) and schedules nothing
+        assert timers == [0.0]
+        assert engine.now == 1.0
