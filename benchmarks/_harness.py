@@ -33,7 +33,7 @@ LAST_WALL: dict[str, dict[str, float | int]] = {}
 #: timed rounds for :func:`once` (min-of-k; one extra warmup round)
 WALL_ROUNDS = 3
 
-#: destination directory for Chrome trace-event profiles, set from the
+#: destination directory for saved runs (profile JSONL), set from the
 #: ``--profile-out PATH`` pytest option (``None``: profiles are skipped)
 PROFILE_OUT: pathlib.Path | None = None
 
@@ -70,17 +70,24 @@ def save_json(name: str, payload: dict) -> pathlib.Path:
     return path
 
 
-def save_profile(name: str, trace) -> pathlib.Path | None:
-    """Write *trace*'s span hierarchy as a Chrome trace-event profile.
+def save_profile(name: str, result) -> pathlib.Path | None:
+    """Save a finished run (a ``JobResult``) as profile JSONL, the file
+    ``repro analyze``, ``dashboard``, ``selfprof`` and ``logs`` read.
 
     No-op unless the suite ran with ``--profile-out PATH``; returns the
-    written path (``<PATH>/<name>.trace.json``) or ``None``.
+    written path (``<PATH>/<name>.profile.jsonl``) or ``None``.
     """
     if PROFILE_OUT is None:
         return None
+    from repro.obs.profile import profile_jsonl
+
     PROFILE_OUT.mkdir(parents=True, exist_ok=True)
-    path = PROFILE_OUT / f"{name}.trace.json"
-    path.write_text(trace.tracer.to_chrome_json())
+    path = PROFILE_OUT / f"{name}.profile.jsonl"
+    meta = {"bench": name, "makespan_s": result.makespan,
+            "policy": result.policy, "iterations": result.iterations}
+    path.write_text(
+        profile_jsonl(result.trace, meta, host=result.selfprofile)
+    )
     return path
 
 

@@ -114,7 +114,7 @@ def build_policy_sweep():
     results = {}
     for name in available_policies():
         job = run_job(name, dynamic_blocks=None)  # None: MinBs-derived count
-        save_profile(f"sched_policy_{name}", job.trace)
+        save_profile(f"sched_policy_{name}", job)
         results[name] = {
             "makespan_s": job.makespan,
             "gflops": job.gflops,

@@ -16,8 +16,8 @@ def pytest_addoption(parser):
         "--profile-out",
         default=None,
         metavar="PATH",
-        help="directory to write Chrome trace-event profiles of benchmark "
-             "runs (BENCH_*.json companions); omit to skip profiles",
+        help="directory to save benchmark runs as profile JSONL "
+             "(BENCH_*.json companions); omit to skip profiles",
     )
 
 

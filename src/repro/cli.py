@@ -14,8 +14,8 @@ The subcommands expose the library without writing code:
     Run one of the built-in applications on a simulated preset cluster and
     print the job summary (split, makespan, throughput, per-device
     utilization, per-phase time breakdown).  ``--profile`` additionally
-    writes the run's Chrome trace-event profile and prints the
-    observed-vs-predicted reconciliation.
+    saves the run as profile JSONL and prints the observed-vs-predicted
+    reconciliation.
 
 ``metrics``
     Run an application and print the job's metrics registry in the
@@ -23,9 +23,10 @@ The subcommands expose the library without writing code:
 
 ``trace export``
     Run an application and export its span hierarchy as Chrome
-    trace-event JSON (Perfetto-loadable) or as a profile JSONL (spans plus
-    sampled series, host profile and event log); ``--check`` gates the
-    export on the profile self-consistency checks.
+    trace-event JSON (for Perfetto; nothing reads it back) or as a
+    profile JSONL (the saved-run format: spans plus sampled series, host
+    profile and event log); ``--check`` gates the export on the profile
+    self-consistency checks.
 
 ``analyze``, ``dashboard``, ``selfprof``, ``logs``
     Read a saved run.  Each opens its file with
@@ -213,11 +214,7 @@ def _run_job(args: argparse.Namespace):
         sample_interval = args.sample_interval
     else:
         sample_interval = DEFAULT_SAMPLE_INTERVAL
-    selfprof = bool(
-        getattr(args, "selfprof", False)
-        or getattr(args, "selfprof_out", None) is not None
-        or getattr(args, "self_host", False)
-    )
+    selfprof = bool(args.selfprof or getattr(args, "self_host", False))
     config = JobConfig(
         scheduling=args.policy,
         use_cpu=not args.gpu_only,
@@ -266,20 +263,20 @@ def _parse_autoscale(values: list[str] | None):
     return knobs if knobs else True
 
 
-def _write_profile(result, app, path: str | None) -> str:
-    """Write the run's Chrome trace-event profile; returns the path."""
-    if path is None:
-        path = f"{app.name}_profile.trace.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(result.trace.tracer.to_chrome_json())
-    return path
+#: where `run --profile` points the reader of the file it wrote
+PROFILE_READERS = "profile JSONL; read it with `repro analyze` or `dashboard`"
 
 
-def _profile_meta(args, cluster, app, config, result) -> dict:
-    """The run context embedded in JSONL profiles.  Deterministic by
-    construction — no wall-clock timestamps, no absolute paths — so
-    identical runs produce byte-identical profiles (and dashboards)."""
-    return {
+def _profile_text(args, cluster, app, config, result) -> str:
+    """The run saved as profile JSONL: meta, spans, series, and the host
+    profile and event log lines when those were on.  ``run --profile-out``
+    and ``trace export --format profile`` both write this text.  The meta
+    is deterministic by construction — no wall-clock timestamps, no
+    absolute paths — so identical runs produce byte-identical profiles
+    (and dashboards)."""
+    from repro.obs.profile import profile_jsonl
+
+    meta = {
         "app": app.name,
         "n_items": app.n_items(),
         "cluster": args.node,
@@ -294,48 +291,29 @@ def _profile_meta(args, cluster, app, config, result) -> dict:
         # opt-in host_profile line, never in the meta header.
         "engine_events": result.engine_events,
     }
-
-
-def _write_selfprof(result, app, path: str | None) -> str:
-    """Write the run's host self-profile JSON; returns the path.
-
-    The file is one ``{"host_profile": {...}}`` object — the same shape
-    as the schema-v2 profile line — so ``repro selfprof`` reads either a
-    full profile JSONL or this standalone file.
-    """
-    import json
-
-    if path is None:
-        path = f"{app.name}_selfprof.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"host_profile": result.selfprofile.to_dict()},
-                            sort_keys=True) + "\n")
-    return path
+    return profile_jsonl(result.trace, meta, host=result.selfprofile)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cluster, app, config, result = _run_job(args)
 
     profile_path: str | None = None
-    if args.profile or args.profile_out is not None:
-        profile_path = _write_profile(result, app, args.profile_out)
-
-    selfprof_path: str | None = None
-    if result.selfprofile is not None and args.selfprof_out is not None:
-        selfprof_path = _write_selfprof(result, app, args.selfprof_out)
-
     dashboard_path: str | None = None
+    save = args.profile or args.profile_out is not None
+    if save or args.dashboard_out is not None:
+        text = _profile_text(args, cluster, app, config, result)
+    if save:
+        profile_path = args.profile_out or f"{app.name}.profile.jsonl"
+        with open(profile_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     if args.dashboard_out is not None:
         from repro.obs.dashboard import render_dashboard
-        from repro.obs.profile import loads_profile, profile_jsonl
+        from repro.obs.profile import loads_profile
 
         # Render through the serialized profile (not the live objects) so
         # `run --dashboard-out` and `repro dashboard <saved-profile>` are
         # byte-identical by construction.
-        meta = _profile_meta(args, cluster, app, config, result)
-        page = render_dashboard(loads_profile(
-            profile_jsonl(result.trace, meta, host=result.selfprofile)
-        ))
+        page = render_dashboard(loads_profile(text))
         dashboard_path = args.dashboard_out
         with open(dashboard_path, "w", encoding="utf-8") as fh:
             fh.write(page)
@@ -392,8 +370,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             }
         if profile_path is not None:
             payload["profile"] = profile_path
-        if selfprof_path is not None:
-            payload["selfprof"] = selfprof_path
         if dashboard_path is not None:
             payload["dashboard"] = dashboard_path
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -407,11 +383,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print()
             print(render_selfprof(result.selfprofile))
         if profile_path is not None:
-            print(f"\nprofile written: {profile_path} (Chrome trace-event "
-                  "JSON; load in Perfetto or chrome://tracing)")
-        if selfprof_path is not None:
-            print(f"self-profile written: {selfprof_path} (report with "
-                  "`repro selfprof`)")
+            print(f"\nprofile written: {profile_path} ({PROFILE_READERS})")
         if dashboard_path is not None:
             print(f"dashboard written: {dashboard_path}")
         return 0
@@ -464,16 +436,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         print()
         print(render_selfprof(result.selfprofile))
-        if selfprof_path is not None:
-            print(f"self-profile written: {selfprof_path} (report with "
-                  "`repro selfprof`; flamegraph via --speedscope)")
     if profile_path is not None:
         from repro.analysis.report import render_profile_summary
 
         print()
         print(render_profile_summary(result))
-        print(f"profile written: {profile_path} (Chrome trace-event JSON; "
-              "load in Perfetto or chrome://tracing)")
+        print(f"profile written: {profile_path} ({PROFILE_READERS})")
     if result.alerts:
         print("alerts fired:")
         for alert in result.alerts:
@@ -503,33 +471,24 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 #: the saved runs each reader accepts, named in its error line
 SPAN_FORMATS = (
-    "a *.profile.jsonl (trace export --format profile) or a *.trace.json "
-    "(trace export --format chrome)"
+    "a *.profile.jsonl (run --profile-out or trace export --format profile)"
 )
-SELFPROF_FORMATS = (
-    "a *.profile.jsonl of a --selfprof run or a run --selfprof-out file"
-)
+SELFPROF_FORMATS = "a *.profile.jsonl of a --selfprof run"
 LOG_FORMATS = "a *.profile.jsonl of a --log-level run"
 
 
 def _saved_run_paths(paths: list[str]) -> list[str]:
     """Expand saved-run arguments: a directory becomes its
-    ``*.profile.jsonl`` and ``*.trace.json`` files, sorted."""
+    ``*.profile.jsonl`` files, sorted."""
     import pathlib
 
     out: list[str] = []
     for raw in paths:
         p = pathlib.Path(raw)
         if p.is_dir():
-            found = sorted(
-                str(f)
-                for pattern in ("*.profile.jsonl", "*.trace.json")
-                for f in p.glob(pattern)
-            )
+            found = sorted(str(f) for f in p.glob("*.profile.jsonl"))
             if not found:
-                raise SystemExit(
-                    f"no *.profile.jsonl / *.trace.json profiles under {raw!r}"
-                )
+                raise SystemExit(f"no *.profile.jsonl profiles under {raw!r}")
             out.extend(found)
         elif p.exists():
             out.append(str(p))
@@ -656,7 +615,7 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
         out = args.out
         if out is None:
             base = path
-            for suffix in (".profile.jsonl", ".trace.json", ".jsonl", ".json"):
+            for suffix in (".profile.jsonl", ".jsonl"):
                 if base.endswith(suffix):
                     base = base[: -len(suffix)]
                     break
@@ -677,8 +636,7 @@ def cmd_selfprof(args: argparse.Namespace) -> int:
     if host is None:
         raise SystemExit(
             f"{args.file}: no host self-profile found — produce one with "
-            "`repro run --selfprof-out PATH` or `repro trace export "
-            "--format profile` on a --selfprof run"
+            "`repro run --selfprof --profile-out PATH`"
         )
 
     if args.speedscope is not None:
@@ -714,8 +672,7 @@ def cmd_logs(args: argparse.Namespace) -> int:
     if log is None:
         raise SystemExit(
             f"{args.file}: no event log found — produce one with "
-            "`repro run --log-level LEVEL` plus `repro trace export "
-            "--format profile` (or --dashboard-out's sibling profile)"
+            "`repro run --log-level LEVEL --profile-out PATH`"
         )
 
     records = log.records(min_level=args.level, rank=args.rank)
@@ -789,10 +746,7 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
         text = result.trace.tracer.to_chrome_json(indent=args.indent)
         default_out = f"{app.name}.trace.json"
     else:
-        from repro.obs.profile import profile_jsonl
-
-        meta = _profile_meta(args, cluster, app, config, result)
-        text = profile_jsonl(result.trace, meta, host=result.selfprofile)
+        text = _profile_text(args, cluster, app, config, result)
         default_out = f"{app.name}.profile.jsonl"
 
     out = args.out if args.out is not None else default_out
@@ -936,8 +890,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true",
                      help="emit the job result as JSON")
     run.add_argument("--profile", action="store_true",
-                     help="write the Chrome trace-event profile "
-                          "({app}_profile.trace.json) and print the "
+                     help="save the run as profile JSONL "
+                          "({app}.profile.jsonl, the bytes `trace export "
+                          "--format profile` writes) and print the "
                           "observed-vs-predicted summary")
     run.add_argument("--profile-out", default=None, metavar="PATH",
                      help="profile destination (implies --profile)")
@@ -966,8 +921,8 @@ def build_parser() -> argparse.ArgumentParser:
              "stragglers, scheduler-decision audit",
     )
     analyze.add_argument("profiles", nargs="*", metavar="PROFILE",
-                         help="saved *.profile.jsonl / *.trace.json "
-                              "run(s) or directories of them; omit to run "
+                         help="saved *.profile.jsonl run(s) or "
+                              "directories of them; omit to run "
                               "an app live (full analysis incl. audit + "
                               "steal efficiency)")
     _add_run_options(analyze)
@@ -1003,9 +958,8 @@ def build_parser() -> argparse.ArgumentParser:
              "assets)",
     )
     dashboard.add_argument("profiles", nargs="+", metavar="PROFILE",
-                           help="*.profile.jsonl (full: spans + series) or "
-                                "*.trace.json (spans only) files, or "
-                                "directories of them")
+                           help="*.profile.jsonl files, or directories of "
+                                "them")
     dashboard.add_argument("--out", default=None, metavar="PATH",
                            help="output HTML ('-' for stdout; needs exactly "
                                 "one input; default "
@@ -1019,9 +973,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(docs/PROFILING.md)",
     )
     selfprof.add_argument("file", metavar="FILE",
-                          help="a run --selfprof-out JSON or a schema-v2 "
-                               "*.profile.jsonl containing a host_profile "
-                               "line")
+                          help="a *.profile.jsonl of a --selfprof run "
+                               "(run --selfprof --profile-out PATH)")
     selfprof.add_argument("--top", type=int, default=10,
                           help="hotspots to report (default 10)")
     selfprof.add_argument("--json", action="store_true",
@@ -1067,7 +1020,8 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--format", choices=["chrome", "profile"],
                         default="chrome",
                         help="chrome: trace-event JSON for Perfetto / "
-                             "chrome://tracing; profile: JSONL with a meta "
+                             "chrome://tracing (export only; no command "
+                             "reads it back); profile: JSONL with a meta "
                              "line, one line per span and per sampled "
                              "series (plus host profile and event log when "
                              "on), read by `repro analyze`, `dashboard`, "
@@ -1131,13 +1085,10 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="profile the simulator's own host wall clock "
                              "(engine dispatch, kernels, comm, policy, "
                              "allocator, tracer overhead) and print the "
-                             "hotspot report; simulated results are "
+                             "hotspot report (a saved profile carries it "
+                             "for `repro selfprof`); simulated results are "
                              "bitwise identical either way "
                              "(docs/PROFILING.md)")
-    parser.add_argument("--selfprof-out", default=None, metavar="PATH",
-                        help="write the host self-profile JSON to PATH "
-                             "(implies --selfprof; report it with "
-                             "`repro selfprof`)")
     parser.add_argument("--log-level", default=None,
                         choices=["debug", "info", "warning", "error"],
                         help="enable the structured event log + fault "

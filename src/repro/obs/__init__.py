@@ -7,8 +7,9 @@ for PRS.  It has two halves:
 * :mod:`repro.obs.metrics` — a labeled metrics registry (counters,
   gauges, bucketed histograms) with Prometheus text exposition; and
 * :mod:`repro.obs.spans` — a hierarchical span tracer (job -> iteration
-  -> phase -> device-block) exporting Chrome trace-event JSON (Perfetto)
-  and JSONL.
+  -> phase -> device-block), saved as profile JSONL
+  (:mod:`repro.obs.profile`) and exported as Chrome trace-event JSON
+  (Perfetto).
 
 Every :class:`repro.simulate.trace.Trace` owns one of each, so all
 existing instrumentation flows into them automatically; the CLI surfaces

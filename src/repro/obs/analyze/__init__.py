@@ -21,8 +21,8 @@ package explains *why*:
 
 :func:`analyze_run` bundles the first three for a finished
 :class:`~repro.runtime.job.JobResult`; :func:`analyze_tracer` covers
-saved runs (spans reloaded by ``repro.obs.profile.load_profile`` from a
-profile JSONL or a Chrome trace JSON).
+saved runs (spans reloaded from a profile JSONL by
+``repro.obs.profile.load_profile``).
 """
 
 from __future__ import annotations

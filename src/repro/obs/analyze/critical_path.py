@@ -36,9 +36,8 @@ by construction.  Without *comm*, recv spans are treated as opaque
 leaves and all slack is ``wait_on="compute"`` — the pre-PR-5 behavior.
 
 Works on a live :class:`~repro.obs.spans.SpanTracer` or on one reloaded
-from a saved run (``repro.obs.profile.load_profile``: profile JSONL or
-Chrome trace JSON), so ``repro analyze`` can post-process saved
-``*.profile.jsonl`` and ``*.trace.json`` files.
+from a saved run (``repro.obs.profile.load_profile``), so ``repro
+analyze`` can post-process saved ``*.profile.jsonl`` files.
 """
 
 from __future__ import annotations

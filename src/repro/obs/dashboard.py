@@ -217,11 +217,6 @@ def _phase_gantt(profile: LoadedProfile) -> str:
 
 def _meta_section(profile: LoadedProfile) -> str:
     meta = profile.meta
-    if not meta:
-        return (
-            '<p class="meta">spans-only profile (no meta header — '
-            "Chrome trace import)</p>"
-        )
     bits = []
     for key in sorted(meta):
         value = meta[key]

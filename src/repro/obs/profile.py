@@ -1,10 +1,13 @@
-"""Full-run JSONL profiles: meta + spans + sampled series in one file.
+"""Full-run JSONL profiles: the one format a run is saved in.
 
-The Chrome trace-event export (``repro trace export --format chrome``)
-carries spans only; this module defines the *profile* format that also
-rides the sampled time-series (:mod:`repro.obs.timeseries`) and a meta
-header, so a saved run can be re-analyzed, re-alerted, and rendered
-into the HTML dashboard byte-for-byte identically to the live run.
+A profile holds a meta header, the spans, the sampled time-series
+(:mod:`repro.obs.timeseries`) and, when they were on, the host
+self-profile and the event log, so a saved run can be re-analyzed,
+re-alerted, and rendered into the HTML dashboard byte-for-byte
+identically to the live run.  ``repro run --profile-out`` and ``repro
+trace export --format profile`` write the same bytes for the same
+options.  The Chrome trace-event JSON of ``trace export --format
+chrome`` is an export for Perfetto only; no reader loads it back.
 
 Format: one JSON object per line, three line kinds distinguished by a
 discriminating key —
@@ -51,11 +54,8 @@ its sampling grid.  v1-v3 files load unchanged under the v4 reader (the
 ``host`` / ``log`` attributes are simply ``None`` where the file has no
 such line, and a series line without ``grid`` is read point by point).
 
-:func:`load_profile` also accepts a plain Chrome trace JSON file
-(spans only, no series) and the one-line ``{"host_profile": ...}`` file
-``repro run --selfprof-out`` writes.  It is the one loader of every CLI
-reader of a saved run: ``analyze``, ``dashboard``, ``selfprof`` and
-``logs``.
+:func:`load_profile` is the one loader of every CLI reader of a saved
+run: ``analyze``, ``dashboard``, ``selfprof`` and ``logs``.
 """
 
 from __future__ import annotations
@@ -164,19 +164,9 @@ def _tracer_from_span_dicts(payloads: list[dict[str, Any]]) -> SpanTracer:
 
 
 def loads_profile(text: str) -> LoadedProfile:
-    """Parse profile JSONL *or* Chrome trace JSON from a string."""
+    """Parse profile JSONL from a string."""
     if not text.strip():
         raise ValueError("empty profile")
-    # A Chrome export is one (possibly pretty-printed) JSON object with a
-    # "traceEvents" key; profile JSONL never parses as a single object
-    # (multiple lines) except in degenerate one-line cases, which fall
-    # through to the JSONL path below by lacking "traceEvents".
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError:
-        payload = None
-    if isinstance(payload, dict) and "traceEvents" in payload:
-        return LoadedProfile(tracer=SpanTracer.from_chrome(payload))
     meta: dict[str, Any] = {}
     span_dicts: list[dict[str, Any]] = []
     series_dicts: list[dict[str, Any]] = []
@@ -226,7 +216,6 @@ def loads_profile(text: str) -> LoadedProfile:
 
 
 def load_profile(path: str) -> LoadedProfile:
-    """Load a profile file — ``*.profile.jsonl`` or Chrome
-    ``*.trace.json`` — into a :class:`LoadedProfile`."""
+    """Load a ``*.profile.jsonl`` file into a :class:`LoadedProfile`."""
     with open(path, "r", encoding="utf-8") as fh:
         return loads_profile(fh.read())

@@ -11,20 +11,16 @@ the innermost open span of their track, and retrospective ``record``
 calls may name any span as parent (the device daemons hang their block
 spans under the rank's currently open phase).
 
-Exports:
-
-* :meth:`SpanTracer.to_chrome` — the Chrome trace-event JSON object
-  format (``{"traceEvents": [...]}`` with ``ph: "X"`` complete events and
-  thread-name metadata), loadable directly in Perfetto / chrome://tracing;
-* :meth:`SpanTracer.from_chrome` — rebuilds a tracer from the Chrome
-  export (round-trip tested).
-
-The profile JSONL format (:mod:`repro.obs.profile`) writes one
-:meth:`Span.to_dict` line per span and reloads it through the same
-id-preserving :meth:`SpanTracer.record` as :meth:`from_chrome`.
+A run is saved as profile JSONL (:mod:`repro.obs.profile`): one
+:meth:`Span.to_dict` line per span, reloaded exactly through the
+id-preserving :meth:`SpanTracer.record`.  :meth:`SpanTracer.to_chrome`
+is an export only: the Chrome trace-event JSON object format
+(``{"traceEvents": [...]}`` with ``ph: "X"`` complete events and
+thread-name metadata), loadable directly in Perfetto / chrome://tracing.
 
 All timestamps are simulated seconds; the Chrome export scales to the
-microseconds the trace-event schema expects.
+microseconds the trace-event schema expects, which is why it does not
+round-trip exactly and nothing reads it back.
 """
 
 from __future__ import annotations
@@ -306,8 +302,8 @@ class SpanTracer:
             # ``s`` (start) anchored at the send span's start, ``f``
             # (finish, binding to the enclosing slice's end) at the recv
             # span's end.  Perfetto draws these as arrows between the two
-            # slices.  ``from_chrome`` ignores them — the ``msg_id`` span
-            # attr is the authoritative pairing key.
+            # slices.  The ``msg_id`` span attr stays the authoritative
+            # pairing key.
             msg_id = span.attrs.get("msg_id")
             if msg_id is not None and span.category in ("net", "recv"):
                 flow: dict[str, Any] = {
@@ -329,31 +325,3 @@ class SpanTracer:
 
     def to_chrome_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_chrome(), indent=indent, sort_keys=False)
-
-    @classmethod
-    def from_chrome(cls, payload: dict[str, Any]) -> "SpanTracer":
-        """Rebuild a tracer from :meth:`to_chrome` output."""
-        tracer = cls()
-        track_of: dict[int, str] = {}
-        events = payload.get("traceEvents", [])
-        for ev in events:
-            if ev.get("ph") == "M" and ev.get("name") == "thread_name":
-                track_of[ev["tid"]] = ev["args"]["name"]
-        for ev in events:
-            if ev.get("ph") != "X":
-                continue
-            args = dict(ev.get("args", {}))
-            span_id = args.pop("span_id", None)
-            parent_id = args.pop("parent_id", None)
-            start = ev["ts"] / 1e6
-            tracer.record(
-                ev["name"],
-                track_of.get(ev["tid"], f"tid{ev['tid']}"),
-                start,
-                start + ev["dur"] / 1e6,
-                category="" if ev.get("cat") == "span" else ev.get("cat", ""),
-                parent_id=parent_id,
-                attrs=args,
-                span_id=span_id,
-            )
-        return tracer

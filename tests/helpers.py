@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from repro.apps.cmeans import fuzzy_memberships
 from repro.core.intensity import ConstantIntensity
 from repro.hardware import CpuSpec, FatNode, GpuSpec
+from repro.obs.analyze import analyze_tracer
+from repro.obs.profile import loads_profile, profile_jsonl
 from repro.runtime.api import Block, IterativeMapReduceApp, MapReduceApp
 
 
@@ -245,3 +249,20 @@ def first_of(engine, events):
         else:
             event.callbacks.append(on_child)
     return first
+
+
+def saved_run_round_trip(result):
+    """Save a finished run as profile JSONL and reload it.  The reloaded
+    spans and their analysis must equal the live run's exactly; returns
+    the reloaded tracer."""
+    live = result.trace.tracer
+    loaded = loads_profile(profile_jsonl(result.trace, {})).tracer
+    assert [s.to_dict() for s in loaded.spans] == [
+        s.to_dict() for s in live.spans
+    ]
+
+    def analysis(tracer):
+        return json.dumps(analyze_tracer(tracer).to_dict(), sort_keys=True)
+
+    assert analysis(loaded) == analysis(live)
+    return loaded

@@ -263,11 +263,8 @@ class TestRealRun:
         assert text  # serializable without custom encoders
 
     def test_saved_profile_round_trip_analyzes(self, cmeans_result):
-        import json
+        from tests.helpers import saved_run_round_trip
 
-        tracer = SpanTracer.from_chrome(
-            json.loads(cmeans_result.trace.tracer.to_chrome_json())
-        )
-        analysis = analyze_tracer(tracer)
+        analysis = analyze_tracer(saved_run_round_trip(cmeans_result))
         assert analysis.critical_path.tiling_gap <= 1e-6
         assert analysis.imbalance.devices  # device loads survive the trip

@@ -5,19 +5,20 @@ the critical path must cross rank boundaries via message edges, still
 tile ``[0, makespan]`` within 1e-6 s, and report a sender/network/compute
 slack decomposition that sums to total slack — plus the fault-plan
 satellites (1:1 pairing under msg drop/delay, retransmit annotation
-without double-counting, fault-seed determinism) and the Chrome flow-event
-round trip.
+without double-counting, fault-seed determinism), the Chrome flow-event
+export and the exact profile JSONL round trip of a saved run.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 
 import pytest
 
 from repro.obs import SpanTracer
 from repro.obs.analyze import analyze_tracer, build_comm_graph, critical_path
+from repro.obs.profile import load_profile, profile_jsonl
+from tests.helpers import saved_run_round_trip
 
 
 def _run_gmm(nodes=4, faults=None, fault_seed=0, size=1200, iterations=3):
@@ -257,6 +258,9 @@ class TestFaultPlans:
 # Satellite: Chrome flow events + profile round trip
 # ---------------------------------------------------------------------------
 class TestChromeRoundTrip:
+    """The Chrome export draws flow arrows for Perfetto; a saved run is
+    profile JSONL, which reloads every span and analysis exactly."""
+
     def test_flow_events_link_matched_spans(self, gmm_result):
         payload = gmm_result.trace.tracer.to_chrome()
         flows = [e for e in payload["traceEvents"]
@@ -270,45 +274,29 @@ class TestChromeRoundTrip:
         assert all(e["bp"] == "e" for e in flows if e["ph"] == "f")
 
     def test_saved_profile_analyzes_identically(self, gmm_result):
-        payload = json.loads(gmm_result.trace.tracer.to_chrome_json())
-        reloaded = SpanTracer.from_chrome(payload)
+        saved = analyze_tracer(saved_run_round_trip(gmm_result))
+        assert saved.comm is not None and len(saved.comm) > 0
+        assert saved.critical_path.message_hops
+        assert saved.check() == []
 
-        live = analyze_tracer(gmm_result.trace.tracer)
-        saved = analyze_tracer(reloaded)
-
-        assert saved.comm is not None and live.comm is not None
-        assert len(saved.comm) == len(live.comm)
-        for m_saved, m_live in zip(saved.comm.messages, live.comm.messages):
-            d_saved, d_live = asdict(m_saved), asdict(m_live)
-            assert d_saved.keys() == d_live.keys()
-            for key, value in d_live.items():
-                if isinstance(value, float):
-                    # timestamps pass through the Chrome export's
-                    # microsecond conversion (x1e6 / 1e6): ulp-level noise
-                    assert d_saved[key] == pytest.approx(value, abs=1e-12)
-                else:
-                    assert d_saved[key] == value, key
-        assert saved.critical_path.work == pytest.approx(
-            live.critical_path.work, abs=1e-9
+    def test_faulted_profile_analyzes_identically(self):
+        faulted = _run_gmm(
+            faults=[TestFaultPlans.DROP, "net_slow@*:factor=3,t0=0,t1=1"],
+            fault_seed=7,
         )
-        assert saved.critical_path.slack == pytest.approx(
-            live.critical_path.slack, abs=1e-9
-        )
-        assert saved.critical_path.slack_decomposition() == pytest.approx(
-            live.critical_path.slack_decomposition(), abs=1e-9
-        )
-        assert saved.critical_path.message_hops == (
-            live.critical_path.message_hops
-        )
+        saved = analyze_tracer(saved_run_round_trip(faulted))
+        assert saved.comm.total_retransmits == 2
         assert saved.check() == []
 
     def test_flow_events_survive_json_dump_and_reload(self, tmp_path,
                                                       gmm_result):
-        target = tmp_path / "run.trace.json"
-        target.write_text(gmm_result.trace.tracer.to_chrome_json())
-        reloaded = SpanTracer.from_chrome(json.loads(target.read_text()))
-        graph = build_comm_graph(reloaded)
-        assert len(graph) == len(build_comm_graph(gmm_result.trace.tracer))
+        target = tmp_path / "run.profile.jsonl"
+        target.write_text(profile_jsonl(gmm_result.trace, {}))
+        graph = build_comm_graph(load_profile(str(target)).tracer)
+        live = build_comm_graph(gmm_result.trace.tracer)
+        assert [asdict(m) for m in graph.messages] == [
+            asdict(m) for m in live.messages
+        ]
         assert graph.unpaired_recv_span_ids == ()
 
 

@@ -71,14 +71,6 @@ class TestProfileRoundTrip:
         assert loaded.bank is None
         assert all('"series"' not in ln for ln in text.splitlines()[1:])
 
-    def test_chrome_trace_fallback(self):
-        result = run_cmeans(sample_interval=None)
-        chrome = result.trace.tracer.to_chrome_json(indent=2)
-        loaded = loads_profile(chrome)
-        assert loaded.bank is None
-        assert loaded.meta == {}
-        assert len(loaded.tracer.spans) == len(result.trace.tracer.spans)
-
     def test_newer_schema_rejected(self):
         line = json.dumps(
             {"profile_meta": {"schema_version": PROFILE_SCHEMA_VERSION + 1}}
@@ -140,9 +132,10 @@ class TestRenderDashboard:
         assert "<title>custom &lt;title&gt;</title>" in page
 
     def test_spans_only_profile_renders(self):
-        # A Chrome trace (no series, no meta) must still produce a page.
+        # An unsampled run saves no series lines; its page still renders.
         result = run_cmeans(sample_interval=None)
-        loaded = loads_profile(result.trace.tracer.to_chrome_json())
+        loaded = loads_profile(profile_jsonl(result.trace, {}))
+        assert loaded.bank is None
         page = render_dashboard(loaded)
         assert "<h2>Phase timeline</h2>" in page
 

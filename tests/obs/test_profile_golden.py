@@ -9,7 +9,8 @@ tests check the acceptance invariants the observability layer promises:
 * the metrics registry agrees with the trace it was derived from;
 * the phase structure (rank 0's ordered iteration/phase sequence) matches
   the golden file — the runtime cannot silently drop or reorder phases;
-* the Chrome export is schema-valid and round-trips.
+* the Chrome export is schema-valid, and the saved profile JSONL
+  reloads the run exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.data.synth import gaussian_mixture
 from repro.hardware import delta_cluster
 from repro.runtime.job import JobConfig
 from repro.runtime.prs import PRSRuntime
-from tests.helpers import phase_spans
+from tests.helpers import phase_spans, saved_run_round_trip
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_cmeans_phases.json"
 
@@ -120,11 +121,8 @@ class TestChromeExport:
             assert set(ev) >= {"name", "cat", "ph", "ts", "dur", "pid", "tid"}
             assert ev["dur"] >= 0.0
 
-        from repro.obs import SpanTracer
-
-        rebuilt = SpanTracer.from_chrome(payload)
-        assert len(rebuilt) == len(result.trace.tracer)
-        assert rebuilt.check_consistency(tol=1e-6) == []
+        rebuilt = saved_run_round_trip(result)
+        assert rebuilt.check_consistency() == []
 
     def test_hierarchy_present_in_export(self, result):
         tracer = result.trace.tracer

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.obs import SpanTracer
 
 
 class TestAdvise:
@@ -149,22 +150,42 @@ class TestProfileFlag:
         "--iterations", "3",
     ]
 
-    def test_profile_writes_chrome_trace(self, capsys, tmp_path, monkeypatch):
+    def test_profile_writes_profile_jsonl(self, capsys, tmp_path,
+                                          monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(self.RUN + ["--profile"]) == 0
         out = capsys.readouterr().out
-        assert "profile written: cmeans_profile.trace.json" in out
+        assert "profile written: cmeans.profile.jsonl" in out
         assert "observed vs Equation (8)" in out
         assert "phase tiling" in out
-        import json
+        from repro.obs.profile import load_profile
 
-        payload = json.loads((tmp_path / "cmeans_profile.trace.json").read_text())
-        assert any(e["ph"] == "X" for e in payload["traceEvents"])
+        profile = load_profile(str(tmp_path / "cmeans.profile.jsonl"))
+        assert profile.meta["app"] == "cmeans"
+        assert profile.bank is not None and len(profile.tracer)
 
     def test_profile_out_path(self, capsys, tmp_path):
         target = tmp_path / "custom.json"
         assert main(self.RUN + ["--profile-out", str(target)]) == 0
         assert target.exists()
+
+    @pytest.mark.parametrize("extra", [
+        [],
+        ["--app", "gmm", "--nodes", "4", "--log-level", "debug",
+         "--faults", "gpu_kill@0:t=0.01"],
+    ], ids=["cmeans", "gmm-logged-faulted"])
+    def test_profile_out_equals_trace_export(self, capsys, tmp_path, extra):
+        """`run --profile-out` and `trace export --format profile` save
+        the same bytes, and every saved-run reader opens them."""
+        run, export = tmp_path / "run.profile.jsonl", tmp_path / "x.jsonl"
+        options = self.RUN[1:] + extra
+        assert main(["run", *options, "--profile-out", str(run)]) == 0
+        assert main(["trace", "export", *options, "--format", "profile",
+                     "--out", str(export)]) == 0
+        assert run.read_bytes() == export.read_bytes()
+        assert main(["analyze", str(run), "--check"]) == 0
+        assert main(["dashboard", str(run)]) == 0
+        assert (tmp_path / "run.dashboard.html").exists()
 
     def test_json_mode_reports_profile_path(self, capsys, tmp_path):
         import json
@@ -320,10 +341,11 @@ class TestAnalyzeCommand:
         assert "link utilization" in out
 
     def test_comm_section_from_saved_profile(self, capsys, tmp_path):
-        target = tmp_path / "run.trace.json"
+        target = tmp_path / "run.profile.jsonl"
         assert main([
             "trace", "export", "--app", "cmeans", "--size", "1000",
-            "--nodes", "2", "--iterations", "2", "--out", str(target),
+            "--nodes", "2", "--iterations", "2", "--format", "profile",
+            "--out", str(target),
         ]) == 0
         capsys.readouterr()
         assert main(["analyze", str(target), "--comm", "--check"]) == 0
@@ -354,10 +376,10 @@ class TestAnalyzeCommand:
         assert analysis["imbalance"]["devices"]
 
     def test_saved_profile_analysis(self, capsys, tmp_path):
-        target = tmp_path / "run.trace.json"
+        target = tmp_path / "run.profile.jsonl"
         assert main([
-            "trace", "export", "--app", "cmeans", "--size", "1000",
-            "--nodes", "2", "--iterations", "2", "--out", str(target),
+            "run", "--app", "cmeans", "--size", "1000",
+            "--nodes", "2", "--iterations", "2", "--profile-out", str(target),
         ]) == 0
         capsys.readouterr()
         assert main(["analyze", str(target), "--check"]) == 0
@@ -366,18 +388,22 @@ class TestAnalyzeCommand:
         assert "analysis check passed" in out
 
     def test_directory_of_profiles(self, capsys, tmp_path):
-        target = tmp_path / "a.trace.json"
-        assert main([
-            "trace", "export", "--app", "cmeans", "--size", "1000",
-            "--nodes", "2", "--iterations", "2", "--out", str(target),
-        ]) == 0
+        # a directory is read for its profiles; a Chrome export beside
+        # them is not a saved run and is skipped
+        run = ["--app", "cmeans", "--size", "1000", "--nodes", "2",
+               "--iterations", "2"]
+        target = tmp_path / "a.profile.jsonl"
+        assert main(["run", *run, "--profile-out", str(target)]) == 0
+        assert main(["trace", "export", *run,
+                     "--out", str(tmp_path / "a.trace.json")]) == 0
         capsys.readouterr()
         assert main(["analyze", str(tmp_path)]) == 0
-        assert "critical path" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"=== {target}" in out and "trace.json" not in out
 
     def test_missing_profile_exits(self):
         with pytest.raises(SystemExit, match="not found"):
-            main(["analyze", "/nonexistent/thing.trace.json"])
+            main(["analyze", "/nonexistent/thing.profile.jsonl"])
 
     def _export_profile(self, capsys, target, *extra):
         assert main([
@@ -433,17 +459,28 @@ class TestAnalyzeCommand:
 
 class TestBadSavedRuns:
     """Every reader of a saved run fails with one line naming the file
-    and the formats it accepts, never a traceback or a vacuous pass."""
+    and the formats it accepts, never a traceback or a vacuous pass.  A
+    Chrome export is not a saved run."""
 
     READERS = [
         (["analyze"], "profile.jsonl"),
         (["analyze", "--check"], "profile.jsonl"),
         (["dashboard"], "profile.jsonl"),
-        (["selfprof"], "selfprof-out"),
+        (["selfprof"], "--selfprof run"),
         (["logs"], "log-level"),
     ]
 
-    @pytest.mark.parametrize("content", ['{"a": 1}\n', "hello\n", ""])
+    @staticmethod
+    def _chrome(indent):
+        tracer = SpanTracer()
+        tracer.record("map", "rank0", 0.0, 1.0, category="phase")
+        return tracer.to_chrome_json(indent=indent)
+
+    @pytest.mark.parametrize("content", [
+        '{"a": 1}\n', "hello\n", "",
+        pytest.param(_chrome(None), id="chrome"),
+        pytest.param(_chrome(2), id="chrome-indent2"),
+    ])
     @pytest.mark.parametrize("reader, accepts", READERS)
     def test_unreadable_file_exits_naming_it(
         self, tmp_path, reader, accepts, content
@@ -454,13 +491,14 @@ class TestBadSavedRuns:
             main([reader[0], str(bad), *reader[1:]])
         message = str(exc.value.code)
         assert message.startswith(f"{bad}: not a saved run")
-        assert accepts in message and "\n" not in message
+        assert "*.profile.jsonl" in message and accepts in message
+        assert "\n" not in message
 
     @pytest.mark.parametrize("reader", [["analyze", "--check"], ["dashboard"],
                                         ["logs"]])
     def test_file_without_spans_exits(self, tmp_path, reader):
-        empty = tmp_path / "empty.trace.json"
-        empty.write_text('{"traceEvents": []}')
+        empty = tmp_path / "empty.profile.jsonl"
+        empty.write_text('{"profile_meta": {"schema_version": 4}}\n')
         with pytest.raises(SystemExit, match="holds no span"):
             main([reader[0], str(empty), *reader[1:]])
 
@@ -520,9 +558,10 @@ class TestSelfprofCLI:
         assert "host" not in json.loads(capsys.readouterr().out)
 
     def test_selfprof_out_then_report(self, capsys, tmp_path):
-        target = tmp_path / "host.selfprof.json"
-        # --selfprof-out implies --selfprof
-        assert main(self.RUN + ["--selfprof-out", str(target)]) == 0
+        # the saved run of a --selfprof run carries its host profile
+        target = tmp_path / "host.profile.jsonl"
+        assert main(self.RUN + ["--selfprof", "--profile-out",
+                                str(target)]) == 0
         capsys.readouterr()
         assert target.exists()
         assert main(["selfprof", str(target)]) == 0
@@ -533,8 +572,9 @@ class TestSelfprofCLI:
     def test_selfprof_report_json_and_exports(self, capsys, tmp_path):
         import json
 
-        target = tmp_path / "host.selfprof.json"
-        assert main(self.RUN + ["--selfprof-out", str(target)]) == 0
+        target = tmp_path / "host.profile.jsonl"
+        assert main(self.RUN + ["--selfprof", "--profile-out",
+                                str(target)]) == 0
         capsys.readouterr()
         speedscope = tmp_path / "host.speedscope.json"
         collapsed = tmp_path / "host.collapsed.txt"
