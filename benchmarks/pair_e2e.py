@@ -14,9 +14,9 @@ each checkout, at run.py's own default run length, the parent first on
 even ``i`` and the change first on odd ``i``, so a drift in host speed
 favours neither side.  For every workload the script prints the
 docs/PROFILING.md table row: each end-to-end metric's median on both
-sides, the parent's quartiles of ``op_s.p50``, the change's wins and
-whether the claim rule holds (wins in at least nine pairs of ten, and a
-median gap wider than the parent's interquartile range).  Last it
+sides, the change's wins and whether the claim rule holds for it (wins
+in at least nine pairs of ten, and a median gap wider than the parent's
+interquartile range), with the parent's quartiles of ``op_s.p50``.  Last it
 prints the line for ``benchmarks/results/e2e_trajectory.jsonl``: the
 change side's report of each workload's first pair, with the parent
 commit and the pair seeds.
@@ -93,12 +93,11 @@ def table_row(workload: str, stats: dict[str, dict[str, Any]]) -> str:
         f"{head['wins']}/{head['pairs']}" + (" (claim holds)" if head["claim"] else ""),
     ]
     for name, s in stats.items():
-        if name == CLAIM_METRIC:
-            continue
-        if name in ("op_s.p90", "setup_s"):
-            cells.append(_pct(s))
-        else:
-            cells.append(f"{s['parent']:.4g} → {s['change']:.4g} ({_pct(s)})")
+        if name != CLAIM_METRIC:
+            cells.append(
+                f"{s['parent']:.4g} → {s['change']:.4g} ({_pct(s)}), "
+                f"{s['wins']}/{s['pairs']}" + (" (claim holds)" if s["claim"] else "")
+            )
     return "| " + " | ".join(cells) + " |"
 
 

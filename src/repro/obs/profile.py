@@ -174,10 +174,15 @@ def loads_profile(text: str) -> LoadedProfile:
     log_meta: dict[str, Any] | None = None
     log_records: list[LogRecord] = []
     log_dumps: list[FlightDump] = []
-    for i, line in enumerate(text.splitlines()):
+    for i, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError(f"a JSON {type(obj).__name__}, not an object")
+        except ValueError as exc:  # json.JSONDecodeError included
+            raise ValueError(f"profile line {i}: {exc}") from None
         if "profile_meta" in obj:
             meta = dict(obj["profile_meta"])
         elif "span_id" in obj:
@@ -194,7 +199,7 @@ def loads_profile(text: str) -> LoadedProfile:
             log_dumps.append(FlightDump.from_dict(obj["log_dump"]))
         else:
             raise ValueError(
-                f"profile line {i + 1}: not a meta/span/series object "
+                f"profile line {i}: not a meta/span/series object "
                 f"(keys: {sorted(obj)[:4]})"
             )
     version = int(meta.get("schema_version", PROFILE_SCHEMA_VERSION))

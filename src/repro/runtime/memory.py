@@ -8,16 +8,19 @@ new buffer.  [...] the collection of allocated objects in the region can be
 deallocated all at once."
 
 :class:`RegionAllocator` implements exactly that: per-thread (per-daemon)
-:class:`Region` bump allocators backed by one contiguous buffer each, with
-geometric growth and O(1) whole-region reset.  The allocator tracks the
-bookkeeping the ablation benchmark reports: how many OS-level allocations
-(`malloc`-equivalents) were issued versus how many object allocations were
-served, and how many bytes were copied during growth.
+:class:`Region` bump allocators with geometric growth and O(1)
+whole-region reset.  The allocator tracks the bookkeeping the ablation
+benchmark reports: how many OS-level allocations (`malloc`-equivalents)
+were issued versus how many object allocations were served, and how many
+bytes were copied during growth.
 
 The cost model used by the simulated GPU daemon charges
 ``MALLOC_OVERHEAD_S`` per backing allocation — the "aggregated overhead of
 the malloc operations" the paper says degrades performance when many small
-requests hit ``cudaMalloc``.
+requests hit ``cudaMalloc``.  A simulated run needs only those counts, so
+it books its objects with :meth:`Region.reserve` and its regions never
+hold host bytes; a region makes its buffer on the first :meth:`Region.alloc`
+or :meth:`Region.view`, for callers that use the bytes.
 """
 
 from __future__ import annotations
@@ -60,22 +63,25 @@ class Region:
     ``alloc(nbytes)`` returns a ``(offset, view)`` pair: the byte offset
     inside the region and a NumPy ``uint8`` view of the reserved span.
     Offsets are 16-byte aligned.  ``reset()`` frees every object at once
-    without touching the backing buffer.
+    without touching the backing buffer, which the first ``alloc`` or
+    ``view`` makes at the current capacity: a region booked only through
+    :meth:`reserve` (the run path) never holds host bytes.
     """
 
     def __init__(self, capacity: int = DEFAULT_REGION_BYTES, name: str = "region") -> None:
         require_positive_int("capacity", capacity)
         self.name = name
-        self._buffer = np.zeros(capacity, dtype=np.uint8)
+        self.capacity = capacity
+        self._buffer: np.ndarray | None = None
         self._top = 0
         self.stats = AllocationStats(backing_allocs=1)
 
     # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        return int(self._buffer.size)
+    def _bytes(self) -> np.ndarray:
+        if self._buffer is None:
+            self._buffer = np.zeros(self.capacity, dtype=np.uint8)
+        return self._buffer
 
-    # ------------------------------------------------------------------
     def alloc(self, nbytes: int) -> tuple[int, np.ndarray]:
         """Reserve *nbytes*; grows the backing buffer when full."""
         require_positive_int("nbytes", nbytes)
@@ -86,7 +92,7 @@ class Region:
         self._top += aligned
         self.stats.object_allocs += 1
         self.stats.bytes_served += nbytes
-        return offset, self._buffer[offset : offset + nbytes]
+        return offset, self._bytes()[offset : offset + nbytes]
 
     def reserve(self, count: int, nbytes: int) -> None:
         """Reserve *count* spans of *nbytes* each, with no views.
@@ -111,14 +117,15 @@ class Region:
         self.stats.bytes_served += count * nbytes
 
     def _grow(self, needed: int) -> None:
-        """Geometric growth with copy, as the paper describes."""
+        """Geometric growth with copy (of a buffer already made)."""
         new_capacity = max(self.capacity * 2, needed)
-        new_buffer = np.zeros(new_capacity, dtype=np.uint8)
-        new_buffer[: self._top] = self._buffer[: self._top]
+        if self._buffer is not None:
+            kept = self._buffer[: self._top]
+            self._buffer = np.pad(kept, (0, new_capacity - self._top))
+        self.capacity = new_capacity
         self.stats.backing_allocs += 1
         self.stats.grow_copies += 1
         self.stats.bytes_copied += self._top
-        self._buffer = new_buffer
 
     def reset(self) -> None:
         """Deallocate every object in the region at once (O(1))."""
@@ -130,7 +137,7 @@ class Region:
             raise ValueError(
                 f"{self.name}: span [{offset}, {offset + nbytes}) not allocated"
             )
-        return self._buffer[offset : offset + nbytes]
+        return self._bytes()[offset : offset + nbytes]
 
 
 class RegionAllocator:
@@ -171,11 +178,6 @@ class RegionAllocator:
         for region in self._regions.values():
             region.reset()
         self._resets += 1
-
-    def release(self) -> None:
-        """Drop every region with its backing buffer, when the daemons
-        that allocate from them are gone (the end of an epoch)."""
-        self._regions.clear()
 
     def note_block(self, key: tuple[int, int], thread_id: str) -> None:
         """Record that block *key*'s intermediates live in *thread_id*'s

@@ -516,13 +516,6 @@ class PRSRuntime:
 
             if exits and exits[0] is not None and exits[0][0] == "done":
                 break  # the master completed the job: output is final
-            # Another epoch follows on fresh node resources.  This epoch's
-            # schedulers, daemons and resources form reference cycles, so
-            # without this its region buffers would stay allocated next
-            # to the new ones until the cycle collector happens to run.
-            for res in resources:
-                res.allocator.release()
-
             new_dead = set(dead_nodes) - dead_at_start
             reconfig = any(
                 e is not None and e[0] == "reconfig" for e in exits

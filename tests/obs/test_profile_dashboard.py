@@ -88,6 +88,16 @@ class TestProfileRoundTrip:
         with pytest.raises(ValueError, match="line 2"):
             loads_profile(text)
 
+    @pytest.mark.parametrize("bad, why", [
+        ('{"span_id": 1, ', "Expecting property name"),
+        ("7", "a JSON int, not an object"),
+        ('["span_id"]', "a JSON list, not an object"),
+    ])
+    def test_undecodable_or_non_object_line_names_its_line(self, bad, why):
+        meta = json.dumps({"profile_meta": {"schema_version": 1}})
+        with pytest.raises(ValueError, match=f"^profile line 3: {why}"):
+            loads_profile(f"{meta}\n\n{bad}\n")
+
     def test_empty_profile_rejected(self):
         with pytest.raises(ValueError, match="empty profile"):
             loads_profile("  \n ")

@@ -115,22 +115,40 @@ class TestReserve:
     @given(
         capacity=st.sampled_from([16, 100, 4096]),
         steps=st.lists(
-            st.tuples(
-                st.sampled_from([1, 15, 16, 17, 96, 300]),
-                st.integers(0, 300),
+            st.one_of(
+                st.tuples(
+                    st.sampled_from([1, 15, 16, 17, 96, 300]),
+                    st.integers(0, 300),
+                ),
+                st.none(),  # take a view of the span booked since the last
             ),
             min_size=1,
             max_size=6,
         ),
     )
     def test_matches_alloc_loop(self, capacity, steps):
+        # ``fast`` holds no buffer until its first view; the bytes written
+        # through every view must survive each later growth, whether the
+        # buffer was made before or after a reserve-driven growth.
         fast, slow, fast_log, slow_log = self._twins(capacity)
-        for nbytes, count in steps:
-            fast.reserve(count, nbytes)
-            for _ in range(count):
-                slow.alloc(nbytes)
+        written, seen = [], 0
+        for step in steps:
+            if step is None:
+                for region in (fast, slow):
+                    region.view(seen, fast._top - seen)[:] = len(written) + 1
+                written.append((seen, fast._top - seen))
+                seen = fast._top
+            else:
+                nbytes, count = step
+                fast.reserve(count, nbytes)
+                for _ in range(count):
+                    slow.alloc(nbytes)
+            assert (fast._buffer is None) == (not written)
             assert _state(fast) == _state(slow)
             assert fast_log == slow_log
+            for k, (offset, n) in enumerate(written, 1):
+                for region in (fast, slow):
+                    assert np.all(region.view(offset, n) == k)
 
     @pytest.mark.parametrize(
         "steps",
@@ -219,22 +237,20 @@ class TestRegionAllocator:
         alloc.reset_all()
         assert alloc.alloc("a", 10)[0] == alloc.alloc("b", 10)[0] == 0
 
-    def test_release_drops_regions_but_keeps_block_homes(self):
+    def test_block_homes_survive_reset_all(self):
         alloc = RegionAllocator(256)
         alloc.alloc("cpu", 10)
         alloc.note_block((0, 4), "cpu")
-        alloc.release()
-        assert alloc.total_stats() == AllocationStats(backing_allocs=0)
+        alloc.reset_all()
         assert alloc.home_of((0, 4)) == "cpu"
+        assert alloc.home_of((4, 8)) is None
 
-    def test_job_driver_releases_regions_before_the_next_epoch(
-        self, monkeypatch
-    ):
-        # Schedulers, daemons and resources form reference cycles; the
-        # driver frees an epoch's region buffers before the next epoch
-        # allocates its own instead of leaving them to the cycle
-        # collector.
+    def test_run_path_regions_hold_no_host_buffer(self, monkeypatch):
+        # A simulated run books its objects with ``Region.reserve`` only:
+        # across a rank restart's epochs and on many tiny dynamic blocks
+        # alike, no region ever makes its buffer, yet every count moves.
         from repro.apps.cmeans import CMeansApp
+        from repro.apps.gemv import GemvApp
         from repro.data.synth import gaussian_mixture
         from repro.hardware import delta_cluster
         from repro.runtime import prs
@@ -253,14 +269,24 @@ class TestRegionAllocator:
         config = JobConfig(faults="rank_kill@1:t=5e-3", fault_seed=7)
         result = prs.PRSRuntime(delta_cluster(2), config).run(app)
         assert result.recovery.rank_restarts >= 1
-        # only the last epoch's resources (at most one per node) still
-        # hold regions
-        held = [
-            res.allocator.total_stats().backing_allocs > 0 for res in made
+        rng = np.random.default_rng(5)
+        gemv = GemvApp(
+            rng.uniform(-1, 1, (4000, 64)).astype(np.float32),
+            rng.uniform(-1, 1, 64).astype(np.float32),
+        )
+        config = JobConfig(scheduling="dynamic", dynamic_blocks=32)
+        prs.PRSRuntime(delta_cluster(8), config).run(gemv)
+        assert len(made) > 2 + 8
+        regions = [
+            region
+            for res in made
+            for region in res.allocator._regions.values()
         ]
-        last = held.count(True)
-        assert 1 <= last <= 2 < len(made)
-        assert held == [False] * (len(made) - last) + [True] * last
+        assert regions and all(r._buffer is None for r in regions)
+        totals = [res.allocator.total_stats() for res in made]
+        assert sum(t.object_allocs for t in totals) > 0
+        assert sum(t.bytes_served for t in totals) > 0
+        assert sum(t.backing_allocs for t in totals) >= len(regions)
 
     def test_total_stats_aggregate(self):
         alloc = RegionAllocator(1 << 16)

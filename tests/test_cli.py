@@ -494,6 +494,20 @@ class TestBadSavedRuns:
         assert "*.profile.jsonl" in message and accepts in message
         assert "\n" not in message
 
+    @pytest.mark.parametrize("bad, why", [
+        ('{"span_id": 1, ', "Expecting property name"),
+        ("42", "a JSON int, not an object"),
+    ])
+    def test_bad_line_is_named_by_its_file_line(self, tmp_path, bad, why):
+        path = tmp_path / "bad.profile.jsonl"
+        path.write_text('{"profile_meta": {"schema_version": 4}}\n'
+                        '{"span_id": 0}\n' + bad + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(path)])
+        assert str(exc.value.code).startswith(
+            f"{path}: not a saved run (profile line 3: {why}"
+        )
+
     @pytest.mark.parametrize("reader", [["analyze", "--check"], ["dashboard"],
                                         ["logs"]])
     def test_file_without_spans_exits(self, tmp_path, reader):

@@ -62,7 +62,8 @@ def test_table_row_and_trajectory_line():
     row = table_row("gemv-dispatch", stats)
     assert row == (
         "| gemv-dispatch | 2 | 0.0500 (0.0500–0.0500) → 0.0400 s, −20.0% "
-        "| 2/2 (claim holds) | −1.0% | 10 → 10.1 (+1.0%) |"
+        "| 2/2 (claim holds) | 1 → 0.99 (−1.0%), 2/2 (claim holds) "
+        "| 10 → 10.1 (+1.0%), 0/2 |"
     )
     header = table_header(list(stats))
     assert header.splitlines()[0].count("|") == row.count("|")
@@ -74,3 +75,13 @@ def test_table_row_and_trajectory_line():
     assert line["pair_seeds"] == {"gemv-dispatch": [5, 7]}
     assert line["workloads"] == {"gemv-dispatch": {"metrics": {}}}
     assert line["seed"] == 5 and line["correct"] is True
+
+
+def test_a_claim_on_a_metric_other_than_op_s():
+    stats = {
+        "op_s.p50": summarize(PARENT, PARENT, "lower"),
+        "peak_mem_mb": summarize([18.7] * 9 + [18.6], [1.9] * 10, "lower"),
+    }
+    row = table_row("gemv-dispatch", stats)
+    assert "| 0/10 |" in row  # ties on op_s.p50 win nothing
+    assert row.endswith("| 18.7 → 1.9 (−89.8%), 10/10 (claim holds) |")
