@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.runtime.memory import (
     ALIGNMENT,
-    AllocationStats,
     MALLOC_OVERHEAD_S,
     Region,
     RegionAllocator,
@@ -120,7 +119,7 @@ class TestReserve:
                     st.sampled_from([1, 15, 16, 17, 96, 300]),
                     st.integers(0, 300),
                 ),
-                st.none(),  # take a view of the span booked since the last
+                st.none(),  # view the span booked since the last view
             ),
             min_size=1,
             max_size=6,
